@@ -147,12 +147,19 @@ fn regularized_upstream(probs: &[f64], action: usize, advantage: f64, beta: f64)
 
 /// Samples an action from a policy, or takes the argmax when
 /// `deterministic` (the paper's execution-time rule `u = argmax π`).
+///
+/// Total for every input, so a non-finite probability can never panic
+/// the caller. NaN rule: the argmax orders entries by
+/// [`f64::total_cmp`], under which a positive NaN outranks every number
+/// (ties go to the highest index, as before); sampling compares against
+/// a running sum that a NaN poisons, after which no comparison succeeds
+/// and the last action is taken. An empty `probs` selects action 0.
 pub fn select_action<R: Rng + ?Sized>(probs: &[f64], deterministic: bool, rng: &mut R) -> usize {
     if deterministic {
         probs
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("probabilities are comparable"))
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
             .unwrap_or(0)
     } else {
@@ -164,7 +171,7 @@ pub fn select_action<R: Rng + ?Sized>(probs: &[f64], deterministic: bool, rng: &
                 return i;
             }
         }
-        probs.len() - 1
+        probs.len().saturating_sub(1)
     }
 }
 
@@ -716,6 +723,18 @@ mod tests {
         for (i, &c) in counts.iter().enumerate() {
             assert!((c as f64 / 10_000.0 - probs[i]).abs() < 0.02, "action {i}");
         }
+    }
+
+    #[test]
+    fn select_action_is_total_over_non_finite_probs() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let nan = f64::NAN;
+        assert_eq!(select_action(&[0.2, nan, 0.8], true, &mut rng), 1);
+        assert_eq!(select_action(&[nan; 4], true, &mut rng), 3);
+        assert_eq!(select_action(&[0.1, f64::INFINITY, 0.2], true, &mut rng), 1);
+        assert_eq!(select_action(&[nan; 4], false, &mut rng), 3);
+        assert_eq!(select_action(&[], true, &mut rng), 0);
+        assert_eq!(select_action(&[], false, &mut rng), 0);
     }
 
     #[test]

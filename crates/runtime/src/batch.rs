@@ -85,6 +85,12 @@ impl Default for BatchExecutor {
 
 impl BatchExecutor {
     /// An executor with an explicit worker count (`0` = auto-detect).
+    ///
+    /// `workers` is how many threads may drain one batch: the calling
+    /// thread plus up to `workers - 1` helpers of the process-wide
+    /// [`par`] pool. The pool caps it at `par::default_workers()`, so a
+    /// larger value costs nothing and gains nothing; `1` runs every
+    /// batch inline on the caller.
     pub fn new(workers: usize) -> Self {
         BatchExecutor {
             workers: if workers == 0 {

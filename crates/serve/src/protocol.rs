@@ -20,8 +20,10 @@
 //! All integers and floats are little-endian. Observations are the
 //! concatenated per-agent features (`n_agents × obs_dim` values), the
 //! same flat layout [`qmarl_core::serving::ServablePolicy::act`] takes.
-//! Frames larger than [`MAX_FRAME_LEN`] are rejected before allocation
-//! so a corrupt length prefix cannot balloon memory.
+//! Every value must be finite: the server answers an ACT carrying a NaN
+//! or ±inf with ERROR and never queues it. Frames larger than
+//! [`MAX_FRAME_LEN`] are rejected before allocation so a corrupt length
+//! prefix cannot balloon memory.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

@@ -319,7 +319,19 @@ fn handle_conn(
         }
         let response = match Request::decode(&payload) {
             Ok(Request::Act { id, observation }) => {
-                act_via_batcher(id, observation, &job_tx, &stats, &cfg.batch)
+                // A NaN or ±inf feature has no meaning as a circuit angle:
+                // refuse it here, with a typed ERROR, before it can reach
+                // the batcher and the policy.
+                match observation.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+                    Some((i, v)) => {
+                        stats.requests_rejected.fetch_add(1, Ordering::Relaxed);
+                        Response::Error {
+                            id,
+                            message: format!("observation value {i} is {v}; it must be finite"),
+                        }
+                    }
+                    None => act_via_batcher(id, observation, &job_tx, &stats, &cfg.batch),
+                }
             }
             Ok(Request::Info { id }) => {
                 let policy = slot.current();

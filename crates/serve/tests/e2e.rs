@@ -124,6 +124,36 @@ fn shape_errors_come_back_as_error_frames_not_disconnects() {
     assert_eq!(report.requests_rejected, 1);
 }
 
+/// A NaN or ±inf observation is refused with a typed ERROR before it
+/// reaches the policy; the same connection keeps serving afterwards.
+#[test]
+fn non_finite_observations_get_typed_errors_and_the_connection_survives() {
+    let handle = serve(paper_policy(), ServerConfig::default()).expect("serve");
+    let request_len = handle.slot().current().request_len();
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut obs = obs_slab(1, request_len);
+        obs[2] = bad;
+        match client.act(&obs) {
+            Err(ServeError::Server(msg)) => assert!(msg.contains("finite"), "got: {msg}"),
+            other => panic!("expected a typed ERROR for {bad}, got {other:?}"),
+        }
+        client
+            .act(&obs_slab(0, request_len))
+            .expect("the next request on the same connection");
+    }
+    // Huge but finite features are valid input.
+    client
+        .act(&vec![1e300; request_len])
+        .expect("huge finite observation");
+    drop(client);
+
+    let report = handle.shutdown();
+    assert_eq!(report.requests_rejected, 3);
+    assert_eq!(report.requests_served, 4);
+}
+
 /// Shutdown drains: a request parked inside an open batch window is
 /// answered, not dropped, when shutdown lands mid-window.
 #[test]

@@ -9,6 +9,7 @@ pub fn naughty() -> u64 {
     m.insert(1, 2);
     let st: Option<SystemTime> = None;
     let h = std::thread::spawn(|| 7u64);
-    let _ = (t, st, m.len() as u64);
+    let b = std::thread::Builder::new().spawn(|| 8u64);
+    let _ = (t, st, m.len() as u64, b.is_ok());
     h.join().unwrap_or(0)
 }

@@ -331,12 +331,14 @@ fn rule_target_feature_dispatch(
 
 /// **determinism** — scope: the deterministic crates' `src/` trees,
 /// non-test code. Flags `Instant::now` / `SystemTime` / `thread::spawn`
-/// path sequences and every `HashMap`/`HashSet` identifier (hash
-/// iteration order varies per process, so their mere presence in a
-/// deterministic crate needs justification). Scoped thread spawns
-/// (`scope.spawn`) are method calls, not the `thread::spawn` path, and
-/// are deliberately not flagged — `qsim::par` joins all workers and
-/// reorders results by index.
+/// / `thread::Builder` path sequences and every `HashMap`/`HashSet`
+/// identifier (hash iteration order varies per process, so their mere
+/// presence in a deterministic crate needs justification). Both thread
+/// paths are flagged because either one starts a free thread; parallel
+/// work goes through `qsim::par::parallel_map`, whose one justified
+/// spawn site feeds a pool that restores input order. Scoped spawns
+/// (`scope.spawn`) are method calls on a scope that joins every thread,
+/// and are not flagged.
 fn rule_determinism(file: &SourceFile, out: &mut Vec<Finding>) {
     let scoped = crate_of(&file.rel_path).is_some_and(|c| DETERMINISTIC_CRATES.contains(&c))
         && is_src_path(&file.rel_path)
@@ -374,15 +376,17 @@ fn rule_determinism(file: &SourceFile, out: &mut Vec<Finding>) {
                  (config, seed)"
                     .to_string(),
             );
-        } else if path_call("thread", "spawn") {
+        } else if path_call("thread", "spawn") || path_call("thread", "Builder") {
             push(
                 out,
                 "determinism",
                 file,
                 i,
-                "free `thread::spawn` in a deterministic crate; use qsim::par's scoped, \
-                 order-restoring scheduler instead"
-                    .to_string(),
+                format!(
+                    "free thread (`thread::{}`) in a deterministic crate; run parallel work \
+                     through `qsim::par::parallel_map`, which returns results in input order",
+                    file.tokens[i + 3].text
+                ),
             );
         } else if t.text == "HashMap" || t.text == "HashSet" {
             push(

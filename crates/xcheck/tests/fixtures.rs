@@ -81,11 +81,15 @@ fn determinism_fixture_exact_lines() {
     let r = analyze("crates/runtime/src/det_fixture.rs", src);
     // One finding per offending token: `HashMap` in the use, bare
     // `SystemTime` twice, `Instant::now`, two `HashMap` mentions on the
-    // declaration line, and the free `thread::spawn`. The bare
-    // `Instant` import (no `::now`) is not flagged.
+    // declaration line, the free `thread::spawn`, and the free
+    // `thread::Builder`. The bare `Instant` import (no `::now`) is not
+    // flagged.
     let lines: Vec<u32> = spans(&r, "determinism").iter().map(|&(l, _)| l).collect();
-    assert_eq!(lines, vec![3, 4, 7, 8, 8, 10, 11]);
-    assert_eq!(r.findings.len(), 7);
+    assert_eq!(lines, vec![3, 4, 7, 8, 8, 10, 11, 12]);
+    assert_eq!(r.findings.len(), 8);
+    // Both thread paths are pinned at the `thread` token.
+    let threads: Vec<(u32, u32)> = spans(&r, "determinism")[6..].to_vec();
+    assert_eq!(threads, vec![(11, 18), (12, 18)]);
     // The same file in a non-deterministic crate is out of scope.
     let r = analyze("crates/serve/src/det_fixture.rs", src);
     assert!(spans(&r, "determinism").is_empty());
