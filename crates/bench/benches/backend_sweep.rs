@@ -10,8 +10,9 @@
 //!   agent per step),
 //! * **grad-steps/s** — optimizer-ready gradients per second of one
 //!   update sweep (`transitions × (agents + critic)`); `ideal` uses the
-//!   prebound adjoint engine, `sampled`/`noisy` the batched
-//!   parameter-shift queue, and `trajectory` the per-trajectory adjoint
+//!   prebound adjoint engine, `sampled` the prefix-shared
+//!   parameter-shift walk, `noisy` the per-occurrence parameter-shift
+//!   queue, and `trajectory` the per-trajectory adjoint
 //!   (exact gradient of the sampled estimator in one forward walk plus
 //!   one reverse sweep). `noisy` evaluations run the prebound
 //!   superoperator slab executor (per-gate channels fused into dense
@@ -116,6 +117,8 @@ fn emit_backend_json(c: &mut Criterion) {
                     "adjoint (prebound)"
                 } else if matches!(backend, ExecutionBackend::Trajectory { .. }) {
                     "adjoint (per-trajectory)"
+                } else if matches!(backend, ExecutionBackend::Sampled { .. }) {
+                    "parameter-shift (prefix-shared walk)"
                 } else {
                     "parameter-shift (batched queue)"
                 }

@@ -189,26 +189,43 @@ impl ExecutionBackend {
     /// distinguishes otherwise-identical bindings (the parameter-shift
     /// rule's angle overrides).
     pub(crate) fn eval_seed(root: u64, inputs: &[f64], params: &[f64], salt: u64) -> u64 {
+        ExecutionBackend::salted_seed(root, ExecutionBackend::bindings_hash(inputs, params), salt)
+    }
+
+    /// The fingerprint state after the bindings — the part of
+    /// [`ExecutionBackend::eval_seed`] shared by every evaluation of one
+    /// item under one parameter vector, so a shift walk hashes it once
+    /// per item instead of once per evaluation.
+    pub(crate) fn bindings_hash(inputs: &[f64], params: &[f64]) -> u64 {
         // FNV-1a over the exact bit patterns: the fingerprint is a pure
         // function of the bindings, so two evaluations of the same
         // circuit instance draw the same stream no matter where or when
         // they run.
         let mut h = 0xCBF2_9CE4_8422_2325u64;
-        let mut eat = |bits: u64| {
-            for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-                h ^= (bits >> shift) & 0xFF;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
         for x in inputs {
-            eat(x.to_bits());
+            fnv_eat(&mut h, x.to_bits());
         }
-        eat(u64::MAX); // domain separator between inputs and params
+        fnv_eat(&mut h, u64::MAX); // domain separator between inputs and params
         for x in params {
-            eat(x.to_bits());
+            fnv_eat(&mut h, x.to_bits());
         }
-        eat(salt);
+        h
+    }
+
+    /// Finishes [`ExecutionBackend::eval_seed`] from a
+    /// [`ExecutionBackend::bindings_hash`] state.
+    pub(crate) fn salted_seed(root: u64, bindings: u64, salt: u64) -> u64 {
+        let mut h = bindings;
+        fnv_eat(&mut h, salt);
         derive_seed(root, SHOT_STREAM, h)
+    }
+}
+
+/// One FNV-1a step per byte of `bits`, least significant byte first.
+fn fnv_eat(h: &mut u64, bits: u64) {
+    for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
+        *h ^= (bits >> shift) & 0xFF;
+        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
 }
 

@@ -14,17 +14,25 @@
 //!   raw states,
 //! * [`BatchExecutor::jacobian_batch`] /
 //!   [`BatchExecutor::forward_and_jacobian_batch`] — the batched
-//!   parameter-shift path: **every** shift evaluation of every minibatch
-//!   sample is one task in a single queue, so a 4-sample × 48-parameter
-//!   gradient sweep keeps every core busy instead of parallelising only
-//!   within one sample.
+//!   parameter-shift path (also `Sampled`'s, via
+//!   [`BatchExecutor::forward_and_jacobian_batch_backend`]): a
+//!   **prefix-shared shift walk** per item over the raw schedule,
+//!   prebound once per batch. Each ±shift evaluation forks from the
+//!   state just before its occurrence and runs only the suffix, so the
+//!   prefix is computed once per item instead of once per evaluation. A
+//!   task is one item; when the batch has fewer items than workers, each
+//!   item splits into contiguous occurrence chunks, so even a one-item
+//!   gradient keeps every core busy.
 //!
 //! Results are folded in deterministic (input, occurrence) order, so
 //! batched outputs are bit-identical to their serial counterparts.
 
+use std::ops::Range;
+
+use qmarl_qsim::density::DensityMatrix;
 use qmarl_qsim::par;
 use qmarl_qsim::state::StateVector;
-use qmarl_vqc::grad::Jacobian;
+use qmarl_vqc::grad::{shift_rule, Jacobian};
 use qmarl_vqc::observable::Readout;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,9 +40,10 @@ use rand::SeedableRng;
 use crate::backend::ExecutionBackend;
 use crate::compile::{CGate, CompiledCircuit, Occurrence};
 use crate::error::RuntimeError;
-use crate::exec::{check_bindings, run_raw_with_override, run_schedule_unchecked};
+use crate::exec::{check_bindings, run_schedule_unchecked};
 use crate::prebound::{
-    readouts_from_slab, run_adjoint_slab, run_prebound_slab_raw, PreboundAdjoint, PreboundCircuit,
+    prebind_raw, readouts_from_slab, run_adjoint_slab, run_prebound_slab_raw, PreboundAdjoint,
+    PreboundCircuit, ShiftWalk,
 };
 use crate::superop::{
     extract_lane, prebind_density, run_density, run_density_slab, DensityPrebound,
@@ -42,7 +51,6 @@ use crate::superop::{
 use crate::trajectory::{
     prebind_trajectory, run_trajectory_adjoint, trajectory_outputs, TrajPrebound,
 };
-use qmarl_qsim::density::DensityMatrix;
 
 /// One shared-parameter group of a prebound batch: a frozen schedule plus
 /// the input vectors to run under it.
@@ -371,62 +379,79 @@ impl BatchExecutor {
         for item in inputs {
             check_bindings(compiled, item, params)?;
         }
-        let prep = BackendPrep::new(compiled, params, backend)?;
-        if let (ExecutionBackend::Noisy { shots, seed, .. }, BackendPrep::Density(pb)) =
-            (backend, &prep)
-        {
-            // Lane-chunked slab walk. The chunk cap stays small: an
-            // 8-qubit density lane is 65 536 amplitudes, so 16 lanes keep
-            // the slab around cache-friendly sizes.
-            let chunk = (inputs.len() / self.workers.max(1)).clamp(1, 16);
-            let tasks: Vec<(usize, usize)> = (0..inputs.len())
-                .step_by(chunk)
-                .map(|start| (start, (start + chunk).min(inputs.len())))
-                .collect();
-            let results = par::try_parallel_map(&tasks, self.workers, |_, &(start, end)| {
-                let lane_inputs: Vec<&[f64]> =
-                    inputs[start..end].iter().map(|v| v.as_slice()).collect();
-                let lanes = lane_inputs.len();
-                let slab = run_density_slab(pb, &lane_inputs, None);
-                let mut out = Vec::with_capacity(lanes);
-                for lane in 0..lanes {
-                    let rho = DensityMatrix::from_flat(
-                        compiled.n_qubits(),
-                        extract_lane(&slab, lanes, lane),
-                    );
-                    let vals = match shots {
-                        None => readout.evaluate_density(&rho)?,
-                        Some(s) => {
-                            let mut rng = StdRng::seed_from_u64(ExecutionBackend::eval_seed(
-                                *seed,
+        match (backend, BackendPrep::new(compiled, params, backend)?) {
+            (ExecutionBackend::Noisy { shots, seed, .. }, BackendPrep::Density(pb)) => {
+                // Lane-chunked slab walk. The chunk cap stays small: an
+                // 8-qubit density lane is 65 536 amplitudes, so 16 lanes
+                // keep the slab around cache-friendly sizes.
+                let chunk = (inputs.len() / self.workers.max(1)).clamp(1, 16);
+                let tasks: Vec<(usize, usize)> = (0..inputs.len())
+                    .step_by(chunk)
+                    .map(|start| (start, (start + chunk).min(inputs.len())))
+                    .collect();
+                let results = par::try_parallel_map(&tasks, self.workers, |_, &(start, end)| {
+                    let lane_inputs: Vec<&[f64]> =
+                        inputs[start..end].iter().map(|v| v.as_slice()).collect();
+                    let lanes = lane_inputs.len();
+                    let slab = run_density_slab(&pb, &lane_inputs, None);
+                    (0..lanes)
+                        .map(|lane| {
+                            let rho = DensityMatrix::from_flat(
+                                compiled.n_qubits(),
+                                extract_lane(&slab, lanes, lane),
+                            );
+                            density_readout(
+                                &rho,
+                                readout,
                                 &inputs[start + lane],
                                 params,
-                                0,
-                            ));
-                            readout.evaluate_shots_density(&rho, *s, &mut rng)?
-                        }
-                    };
-                    out.push(vals);
-                }
-                Ok::<_, RuntimeError>(out)
-            })?;
-            return Ok(results.into_iter().flatten().collect());
+                                *shots,
+                                *seed,
+                                None,
+                            )
+                        })
+                        .collect::<Result<Vec<_>, RuntimeError>>()
+                })?;
+                Ok(results.into_iter().flatten().collect())
+            }
+            (ExecutionBackend::Trajectory { samples, seed, .. }, BackendPrep::Traj(pb)) => {
+                Ok(par::parallel_map(inputs, self.workers, |_, item| {
+                    let eval_seed = ExecutionBackend::eval_seed(*seed, item, params, 0);
+                    trajectory_outputs(&pb, readout, item, *samples, eval_seed, None)
+                }))
+            }
+            (ExecutionBackend::Sampled { shots, seed }, _) => {
+                par::try_parallel_map(inputs, self.workers, |_, item| {
+                    let state = run_schedule_unchecked(
+                        compiled.n_qubits(),
+                        compiled.fused_schedule(),
+                        item,
+                        params,
+                    );
+                    let stream = ExecutionBackend::eval_seed(*seed, item, params, 0);
+                    sampled_readout(&state, readout, *shots, stream)
+                })
+            }
+            _ => unreachable!("BackendPrep::new pairs every backend with its own prep"),
         }
-        par::try_parallel_map(inputs, self.workers, |_, item| {
-            backend_eval(compiled, readout, item, params, backend, &prep, None)
-        })
     }
 
     /// Batched forward **and** Jacobian under an [`ExecutionBackend`] —
-    /// the gradient path of the stochastic backends. Under
-    /// `Sampled`/`Noisy`, every forward and every ±shift evaluation of
-    /// the whole minibatch is one parameter-shift task, so the resulting
-    /// gradients carry exactly the noise hardware execution would.
-    /// `Trajectory` instead runs one **per-trajectory adjoint** task per
-    /// minibatch item (exact gradient of the sampled estimator — the jump
-    /// draws are parameter-independent). `Ideal` delegates to
-    /// [`BatchExecutor::forward_and_jacobian_batch`] and is bit-identical
-    /// to it.
+    /// the gradient path of the stochastic backends:
+    ///
+    /// * `Sampled` runs the prefix-shared shift walk (see
+    ///   [`BatchExecutor::forward_and_jacobian_batch`]): each ±shift
+    ///   evaluation is forked from its item's raw-schedule prefix and
+    ///   shot-sampled from its own content-addressed stream, so the
+    ///   gradients carry exactly the noise hardware execution would.
+    /// * `Noisy` keeps one task per (item, occurrence) over its prebound
+    ///   superoperator schedule; every forward and ±shift evaluation runs
+    ///   the whole density walk.
+    /// * `Trajectory` runs one **per-trajectory adjoint** task per
+    ///   minibatch item (exact gradient of the sampled estimator — the
+    ///   jump draws are parameter-independent).
+    /// * `Ideal` delegates to [`BatchExecutor::forward_and_jacobian_batch`]
+    ///   and is bit-identical to it.
     ///
     /// # Errors
     ///
@@ -447,75 +472,78 @@ impl BatchExecutor {
         for item in inputs {
             check_bindings(compiled, item, params)?;
         }
-        let prep = BackendPrep::new(compiled, params, backend)?;
-        // Trajectory gradients skip the shift queue entirely: the jump
-        // draws are parameter-independent, so each evaluation's exact
-        // Jacobian comes from one per-trajectory adjoint sweep
-        // ([`crate::trajectory::run_trajectory_adjoint`]) — one task per
-        // minibatch item, with the forward outputs bit-identical to the
-        // plain forward pass (same walk, same streams).
-        if let (ExecutionBackend::Trajectory { samples, seed, .. }, BackendPrep::Traj(pb)) =
-            (backend, &prep)
-        {
-            let results = par::try_parallel_map(inputs, self.workers, |_, item| {
-                let eval_seed = ExecutionBackend::eval_seed(*seed, item, params, 0);
-                Ok::<_, RuntimeError>(run_trajectory_adjoint(
-                    pb, readout, item, *samples, eval_seed,
-                ))
-            })?;
-            return Ok(results.into_iter().unzip());
-        }
-        let occurrences = compiled.occurrences();
-        // Task id: b * (occurrences + 1); offset 0 = forward pass.
-        let per_sample = occurrences.len() + 1;
-        let tasks: Vec<usize> = (0..inputs.len() * per_sample).collect();
-        let results = par::try_parallel_map(&tasks, self.workers, |_, &t| {
-            let b = t / per_sample;
-            let slot = t % per_sample;
-            if slot == 0 {
-                backend_eval(compiled, readout, &inputs[b], params, backend, &prep, None)
-                    .map(TaskResult::Forward)
-            } else {
-                let occ = occurrences[slot - 1];
-                let theta = occurrence_angle(compiled, occ, &inputs[b], params);
-                qmarl_vqc::grad::shift_rule(theta, occ.controlled, |t| {
-                    backend_eval(
-                        compiled,
-                        readout,
-                        &inputs[b],
-                        params,
-                        backend,
-                        &prep,
-                        Some((occ.raw_idx, t)),
-                    )
-                })
-                .map(|g| TaskResult::Shift {
-                    param: occ.param,
-                    grads: g,
+        match (backend, BackendPrep::new(compiled, params, backend)?) {
+            (ExecutionBackend::Sampled { shots, seed }, _) => {
+                self.shift_walk_batch(compiled, readout, inputs, params, true, |item| {
+                    // Every evaluation of the item hashes the same
+                    // bindings; only the salt differs.
+                    let bindings = ExecutionBackend::bindings_hash(item, params);
+                    move |state: &StateVector, at| {
+                        let salt = override_salt(at);
+                        let stream = ExecutionBackend::salted_seed(*seed, bindings, salt);
+                        sampled_readout(state, readout, *shots, stream)
+                    }
                 })
             }
-        })?;
-
-        let mut outputs = vec![Vec::new(); inputs.len()];
-        let mut jacobians =
-            vec![Jacobian::zeros(readout.output_len(), compiled.n_params()); inputs.len()];
-        for (t, result) in results.into_iter().enumerate() {
-            let b = t / per_sample;
-            match result {
-                TaskResult::Forward(out) => outputs[b] = out,
-                TaskResult::Shift { param, grads } => {
-                    for (j, g) in grads.into_iter().enumerate() {
-                        *jacobians[b].get_mut(j, param) += g;
+            // Each evaluation's exact Jacobian comes from one
+            // per-trajectory adjoint sweep, with the forward outputs
+            // bit-identical to the plain forward pass (same walk, same
+            // streams).
+            (ExecutionBackend::Trajectory { samples, seed, .. }, BackendPrep::Traj(pb)) => {
+                let results = par::parallel_map(inputs, self.workers, |_, item| {
+                    let eval_seed = ExecutionBackend::eval_seed(*seed, item, params, 0);
+                    run_trajectory_adjoint(&pb, readout, item, *samples, eval_seed)
+                });
+                Ok(results.into_iter().unzip())
+            }
+            (ExecutionBackend::Noisy { shots, seed, .. }, BackendPrep::Density(pb)) => {
+                let eval = |item: &[f64], at: Option<(usize, f64)>| {
+                    let rho = run_density(&pb, item, at)?;
+                    density_readout(&rho, readout, item, params, *shots, *seed, at)
+                };
+                let occurrences = compiled.occurrences();
+                // Task id: b * (occurrences + 1); offset 0 = forward pass.
+                let per_sample = occurrences.len() + 1;
+                let tasks: Vec<usize> = (0..inputs.len() * per_sample).collect();
+                // A task's result carries the parameter it differentiates,
+                // `None` for the forward pass.
+                let results = par::try_parallel_map(&tasks, self.workers, |_, &t| {
+                    let item = &inputs[t / per_sample];
+                    match (t % per_sample).checked_sub(1) {
+                        None => eval(item, None).map(|out| (out, None)),
+                        Some(o) => {
+                            let occ = occurrences[o];
+                            let theta = occurrence_angle(compiled, occ, item, params);
+                            shift_rule(theta, occ.controlled, |t| {
+                                eval(item, Some((occ.raw_idx, t)))
+                            })
+                            .map(|grads| (grads, Some(occ.param)))
+                        }
+                    }
+                })?;
+                let mut outputs = vec![Vec::new(); inputs.len()];
+                let mut jacobians =
+                    vec![Jacobian::zeros(readout.output_len(), compiled.n_params()); inputs.len()];
+                for (t, (values, param)) in results.into_iter().enumerate() {
+                    let b = t / per_sample;
+                    match param {
+                        None => outputs[b] = values,
+                        Some(param) => {
+                            for (j, g) in values.into_iter().enumerate() {
+                                *jacobians[b].get_mut(j, param) += g;
+                            }
+                        }
                     }
                 }
+                Ok((outputs, jacobians))
             }
+            _ => unreachable!("BackendPrep::new pairs every backend with its own prep"),
         }
-        Ok((outputs, jacobians))
     }
 
     /// Batched parameter-shift Jacobians: one Jacobian per input vector,
-    /// with all shift evaluations of the whole minibatch scheduled as one
-    /// flat work queue.
+    /// from the prefix-shared shift walk (see
+    /// [`BatchExecutor::forward_and_jacobian_batch`]).
     ///
     /// # Errors
     ///
@@ -531,29 +559,26 @@ impl BatchExecutor {
         for item in inputs {
             check_bindings(compiled, item, params)?;
         }
-        // One task per (sample, parameter occurrence): a task runs the 2
-        // (plain) or 4 (controlled) shifted circuits of that occurrence.
-        let occurrences = compiled.occurrences();
-        let tasks: Vec<(usize, usize)> = (0..inputs.len())
-            .flat_map(|b| (0..occurrences.len()).map(move |o| (b, o)))
-            .collect();
-        let contributions = par::try_parallel_map(&tasks, self.workers, |_, &(b, o)| {
-            occurrence_shift(compiled, readout, &inputs[b], params, occurrences[o])
-                .map(|grads| (b, occurrences[o].param, grads))
-        })?;
-
-        let mut jacobians =
-            vec![Jacobian::zeros(readout.output_len(), compiled.n_params()); inputs.len()];
-        for (b, param, grads) in contributions {
-            for (j, g) in grads.into_iter().enumerate() {
-                *jacobians[b].get_mut(j, param) += g;
-            }
-        }
+        let (_, jacobians) =
+            self.shift_walk_batch(compiled, readout, inputs, params, false, |_| exact(readout))?;
         Ok(jacobians)
     }
 
-    /// Batched forward **and** Jacobian in one queue: the forward
-    /// evaluations ride the same scheduler as the shift evaluations.
+    /// Batched forward **and** parameter-shift Jacobian by the
+    /// prefix-shared shift walk. The raw schedule is prebound once per
+    /// batch (parameter-only trig hoisted); a task walks one item's
+    /// raw schedule a single time and, at each trainable occurrence,
+    /// forks the ±shift evaluations from the shared prefix, so an
+    /// occurrence at raw index `k` costs `2·(G − k)` gate applications
+    /// (four terms for controlled rotations) instead of `2·G`. The
+    /// forward pass runs the fused schedule in the item's first task.
+    ///
+    /// A task is one item while the batch alone fills every worker;
+    /// otherwise each item splits into contiguous occurrence chunks of
+    /// about equal gate work, each re-walking its own prefix, so a
+    /// one-item call still uses every worker. Outputs are bit-identical
+    /// to running the full raw schedule per shifted angle, folded in
+    /// (item, occurrence) order whatever the chunking.
     ///
     /// # Errors
     ///
@@ -569,46 +594,73 @@ impl BatchExecutor {
         for item in inputs {
             check_bindings(compiled, item, params)?;
         }
+        self.shift_walk_batch(compiled, readout, inputs, params, true, |_| exact(readout))
+    }
+
+    /// The shared body of the statevector shift paths. `reader(item)`
+    /// builds the item's readout: it reads one final state out under the
+    /// overridden `(raw index, angle)`, `None` for the forward pass.
+    /// Bindings and readout are validated by the caller.
+    fn shift_walk_batch<R, E>(
+        &self,
+        compiled: &CompiledCircuit,
+        readout: &Readout,
+        inputs: &[Vec<f64>],
+        params: &[f64],
+        with_forward: bool,
+        reader: R,
+    ) -> Result<(Vec<Vec<f64>>, Vec<Jacobian>), RuntimeError>
+    where
+        R: Fn(&[f64]) -> E + Sync,
+        E: Fn(&StateVector, Option<(usize, f64)>) -> Result<Vec<f64>, RuntimeError>,
+    {
+        let raw = prebind_raw(compiled, params)?;
         let occurrences = compiled.occurrences();
-        // Task id: b * (occurrences + 1); offset 0 = forward pass.
-        let per_sample = occurrences.len() + 1;
-        let tasks: Vec<usize> = (0..inputs.len() * per_sample).collect();
-        let results = par::try_parallel_map(&tasks, self.workers, |_, &t| {
-            let b = t / per_sample;
-            let slot = t % per_sample;
-            if slot == 0 {
+        let parts = if inputs.len() >= self.workers {
+            1
+        } else {
+            self.workers.div_ceil(inputs.len().max(1))
+        };
+        let chunks = occurrence_chunks(compiled, parts);
+        let tasks: Vec<(usize, usize)> = (0..inputs.len())
+            .flat_map(|b| (0..chunks.len()).map(move |c| (b, c)))
+            .collect();
+        let results = par::try_parallel_map(&tasks, self.workers, |_, &(b, c)| {
+            let item = inputs[b].as_slice();
+            let eval = reader(item);
+            let forward = if with_forward && c == 0 {
                 let state = run_schedule_unchecked(
                     compiled.n_qubits(),
                     compiled.fused_schedule(),
-                    &inputs[b],
+                    item,
                     params,
                 );
-                readout
-                    .evaluate(&state)
-                    .map(TaskResult::Forward)
-                    .map_err(RuntimeError::from)
+                Some(eval(&state, None)?)
             } else {
-                let occ = occurrences[slot - 1];
-                occurrence_shift(compiled, readout, &inputs[b], params, occ).map(|g| {
-                    TaskResult::Shift {
-                        param: occ.param,
-                        grads: g,
-                    }
-                })
+                None
+            };
+            let mut walk = ShiftWalk::new(&raw, item);
+            let mut grads = Vec::with_capacity(chunks[c].len());
+            for occ in &occurrences[chunks[c].clone()] {
+                walk.advance_to(occ.raw_idx);
+                let theta = occurrence_angle(compiled, *occ, item, params);
+                grads.push(shift_rule(theta, occ.controlled, |t| {
+                    eval(walk.shifted(t), Some((occ.raw_idx, t)))
+                })?);
             }
+            Ok::<_, RuntimeError>((forward, grads))
         })?;
 
         let mut outputs = vec![Vec::new(); inputs.len()];
         let mut jacobians =
             vec![Jacobian::zeros(readout.output_len(), compiled.n_params()); inputs.len()];
-        for (t, result) in results.into_iter().enumerate() {
-            let b = t / per_sample;
-            match result {
-                TaskResult::Forward(out) => outputs[b] = out,
-                TaskResult::Shift { param, grads } => {
-                    for (j, g) in grads.into_iter().enumerate() {
-                        *jacobians[b].get_mut(j, param) += g;
-                    }
+        for (&(b, c), (forward, grads)) in tasks.iter().zip(results) {
+            if let Some(out) = forward {
+                outputs[b] = out;
+            }
+            for (occ, g) in occurrences[chunks[c].clone()].iter().zip(grads) {
+                for (j, v) in g.into_iter().enumerate() {
+                    *jacobians[b].get_mut(j, occ.param) += v;
                 }
             }
         }
@@ -616,9 +668,28 @@ impl BatchExecutor {
     }
 }
 
-enum TaskResult {
-    Forward(Vec<f64>),
-    Shift { param: usize, grads: Vec<f64> },
+/// Splits the occurrence table into at most `parts` contiguous chunks of
+/// about equal shift-walk work: an occurrence at raw index `k` forks
+/// 2 (or 4, controlled) suffix runs of `G − k` gates. Always returns at
+/// least one chunk, so a circuit without occurrences still gets its
+/// forward task.
+fn occurrence_chunks(compiled: &CompiledCircuit, parts: usize) -> Vec<Range<usize>> {
+    let occurrences = compiled.occurrences();
+    let gates = compiled.raw_schedule().len();
+    let work = |occ: &Occurrence| (if occ.controlled { 4 } else { 2 }) * (gates - occ.raw_idx);
+    let total: usize = occurrences.iter().map(work).sum();
+    let parts = parts.clamp(1, occurrences.len().max(1));
+    let mut chunks = Vec::with_capacity(parts);
+    let (mut start, mut done) = (0, 0);
+    for (o, occ) in occurrences.iter().enumerate() {
+        done += work(occ);
+        if chunks.len() + 1 < parts && done * parts >= total * (chunks.len() + 1) {
+            chunks.push(start..o + 1);
+            start = o + 1;
+        }
+    }
+    chunks.push(start..occurrences.len());
+    chunks
 }
 
 /// Per-batch backend preparation, built **once** before a queue drains:
@@ -630,7 +701,7 @@ enum TaskResult {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum BackendPrep {
-    /// Ideal/Sampled: the fused statevector schedule needs no extra prep.
+    /// Ideal/Sampled: the statevector paths need no extra prep here.
     Plain,
     /// Noisy: per-gate superoperators prebound over `(params, noise)`.
     Density(DensityPrebound),
@@ -668,82 +739,52 @@ fn override_salt(override_angle: Option<(usize, f64)>) -> u64 {
     }
 }
 
-/// One circuit evaluation under a backend: the shared primitive of the
-/// batched backend queues. `override_angle` forces one raw-schedule
-/// gate's angle (the parameter-shift primitive); without it the ideal and
-/// sampled backends run the fused schedule. The noisy and trajectory
-/// backends run their [`BackendPrep`] schedules, built once per batch —
-/// per-gate noise must scale with the **raw** (source) gate count, and
-/// the per-gate superoperator products / trig hoists must not be redone
-/// per evaluation.
-fn backend_eval(
-    compiled: &CompiledCircuit,
+/// The exact readout of the `Ideal` shift paths, for any item.
+fn exact(
+    readout: &Readout,
+) -> impl Fn(&StateVector, Option<(usize, f64)>) -> Result<Vec<f64>, RuntimeError> + '_ {
+    |state, _| readout.evaluate(state).map_err(RuntimeError::from)
+}
+
+/// The `Sampled` readout of one final state: `shots` samples drawn from
+/// the evaluation's content-addressed stream, seeded by `stream`
+/// ([`ExecutionBackend::eval_seed`]).
+fn sampled_readout(
+    state: &StateVector,
+    readout: &Readout,
+    shots: usize,
+    stream: u64,
+) -> Result<Vec<f64>, RuntimeError> {
+    let mut rng = StdRng::seed_from_u64(stream);
+    readout
+        .evaluate_shots(state, shots, &mut rng)
+        .map_err(RuntimeError::from)
+}
+
+/// The `Noisy` readout of one final density matrix: exact, or `shots`
+/// samples from the evaluation's content-addressed stream.
+fn density_readout(
+    rho: &DensityMatrix,
     readout: &Readout,
     inputs: &[f64],
     params: &[f64],
-    backend: &ExecutionBackend,
-    prep: &BackendPrep,
+    shots: Option<usize>,
+    seed: u64,
     override_angle: Option<(usize, f64)>,
 ) -> Result<Vec<f64>, RuntimeError> {
-    let pure_state = || match override_angle {
-        None => run_schedule_unchecked(
-            compiled.n_qubits(),
-            compiled.fused_schedule(),
-            inputs,
-            params,
-        ),
-        Some((idx, theta)) => run_raw_with_override(compiled, inputs, params, idx, theta),
-    };
-    match backend {
-        ExecutionBackend::Ideal => readout.evaluate(&pure_state()).map_err(RuntimeError::from),
-        ExecutionBackend::Sampled { shots, seed } => {
-            let state = pure_state();
+    match shots {
+        None => readout.evaluate_density(rho),
+        Some(s) => {
             let mut rng = StdRng::seed_from_u64(ExecutionBackend::eval_seed(
-                *seed,
+                seed,
                 inputs,
                 params,
                 override_salt(override_angle),
             ));
-            readout
-                .evaluate_shots(&state, *shots, &mut rng)
-                .map_err(RuntimeError::from)
-        }
-        ExecutionBackend::Noisy { shots, seed, .. } => {
-            let BackendPrep::Density(pb) = prep else {
-                unreachable!("noisy backend_eval called without a density prebind")
-            };
-            let rho = run_density(pb, inputs, override_angle)?;
-            match shots {
-                None => readout.evaluate_density(&rho).map_err(RuntimeError::from),
-                Some(s) => {
-                    let mut rng = StdRng::seed_from_u64(ExecutionBackend::eval_seed(
-                        *seed,
-                        inputs,
-                        params,
-                        override_salt(override_angle),
-                    ));
-                    readout
-                        .evaluate_shots_density(&rho, *s, &mut rng)
-                        .map_err(RuntimeError::from)
-                }
-            }
-        }
-        ExecutionBackend::Trajectory { samples, seed, .. } => {
-            let BackendPrep::Traj(pb) = prep else {
-                unreachable!("trajectory backend_eval called without a trajectory prebind")
-            };
-            let eval_seed =
-                ExecutionBackend::eval_seed(*seed, inputs, params, override_salt(override_angle));
-            Ok(trajectory_outputs(
-                pb,
-                readout,
-                inputs,
-                *samples,
-                eval_seed,
-                override_angle,
-            ))
+            readout.evaluate_shots_density(rho, s, &mut rng)
         }
     }
+    .map_err(RuntimeError::from)
 }
 
 /// The base (unshifted) angle of an occurrence under the given bindings.
@@ -757,25 +798,6 @@ fn occurrence_angle(
         CGate::Rot { angle, .. } | CGate::CRot { angle, .. } => angle.value(inputs, params),
         other => unreachable!("occurrence points at non-rotation gate {other:?}"),
     }
-}
-
-/// The shift-rule contribution of one occurrence, per readout output.
-/// The two-/four-term combination itself lives in
-/// [`qmarl_vqc::grad::shift_rule`] — shared with the serial engine so the
-/// two gradient paths cannot drift apart — and only the circuit evaluator
-/// (compiled raw schedule with one overridden angle) is supplied here.
-fn occurrence_shift(
-    compiled: &CompiledCircuit,
-    readout: &Readout,
-    inputs: &[f64],
-    params: &[f64],
-    occ: Occurrence,
-) -> Result<Vec<f64>, RuntimeError> {
-    let theta = occurrence_angle(compiled, occ, inputs, params);
-    qmarl_vqc::grad::shift_rule(theta, occ.controlled, |t| {
-        let s = run_raw_with_override(compiled, inputs, params, occ.raw_idx, t);
-        readout.evaluate(&s).map_err(RuntimeError::from)
-    })
 }
 
 #[cfg(test)]
@@ -985,6 +1007,205 @@ mod tests {
             let reference = jacobian_parameter_shift(&circuit, &readout, item, &params).unwrap();
             assert!(jac.max_abs_diff(&reference) < 1e-12);
         }
+    }
+
+    /// A circuit exercising every corner of the shift walk: an occurrence
+    /// at raw index 0, controlled rotations (four-term rule) on two axes,
+    /// parameters 0 and 2 each driving two occurrences, input rotations
+    /// between occurrences, and an occurrence as the last gate.
+    fn shift_corner_circuit() -> qmarl_vqc::ir::Circuit {
+        use qmarl_qsim::gate::RotationAxis as Ax;
+        use qmarl_vqc::ir::{Angle, Circuit, FixedGate, InputId, ParamId};
+        let mut c = Circuit::new(3);
+        c.rot(0, Ax::Y, Angle::Param(ParamId(0))).unwrap();
+        c.rot(1, Ax::X, Angle::Input(InputId(0))).unwrap();
+        c.fixed(2, FixedGate::H).unwrap();
+        c.controlled_rot(0, 1, Ax::X, Angle::Param(ParamId(1)))
+            .unwrap();
+        c.cnot(1, 2).unwrap();
+        c.rot(2, Ax::Z, Angle::Param(ParamId(2))).unwrap();
+        c.cz(0, 2).unwrap();
+        c.controlled_rot(2, 0, Ax::Z, Angle::Param(ParamId(3)))
+            .unwrap();
+        c.rot(1, Ax::Y, Angle::Input(InputId(1))).unwrap();
+        c.rot(0, Ax::Y, Angle::Param(ParamId(0))).unwrap();
+        c.rot(2, Ax::X, Angle::Param(ParamId(2))).unwrap();
+        c
+    }
+
+    /// Input rotations and constants only: no trainable occurrence.
+    fn untrainable_circuit() -> qmarl_vqc::ir::Circuit {
+        use qmarl_qsim::gate::RotationAxis as Ax;
+        use qmarl_vqc::ir::{Angle, Circuit, FixedGate, InputId};
+        let mut c = Circuit::new(2);
+        c.rot(0, Ax::Y, Angle::Input(InputId(0))).unwrap();
+        c.fixed(1, FixedGate::H).unwrap();
+        c.cnot(0, 1).unwrap();
+        c.rot(1, Ax::Z, Angle::Const(0.3)).unwrap();
+        c.rot(0, Ax::X, Angle::Input(InputId(1))).unwrap();
+        c
+    }
+
+    fn inputs_for(compiled: &CompiledCircuit, n: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|b| {
+                (0..compiled.n_inputs())
+                    .map(|i| 0.37 * (b * 3 + i) as f64 - 1.1)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The naive reference of the shift paths: the forward pass on the
+    /// fused schedule, and every shifted angle run through the **full**
+    /// raw schedule from `|0…0⟩`, folded in occurrence order.
+    fn naive_shift_reference(
+        compiled: &CompiledCircuit,
+        readout: &Readout,
+        item: &[f64],
+        params: &[f64],
+        eval: impl Fn(&StateVector, Option<(usize, f64)>) -> Vec<f64>,
+    ) -> (Vec<f64>, Jacobian) {
+        let fused =
+            run_schedule_unchecked(compiled.n_qubits(), compiled.fused_schedule(), item, params);
+        let forward = eval(&fused, None);
+        let mut jac = Jacobian::zeros(readout.output_len(), compiled.n_params());
+        for &occ in compiled.occurrences() {
+            let theta = occurrence_angle(compiled, occ, item, params);
+            let grads = shift_rule(theta, occ.controlled, |t| {
+                let state =
+                    crate::exec::run_raw_with_override(compiled, item, params, occ.raw_idx, t);
+                Ok::<_, RuntimeError>(eval(&state, Some((occ.raw_idx, t))))
+            })
+            .unwrap();
+            for (j, g) in grads.into_iter().enumerate() {
+                *jac.get_mut(j, occ.param) += g;
+            }
+        }
+        (forward, jac)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn jac_bits(jac: &Jacobian) -> Vec<u64> {
+        (0..jac.n_outputs())
+            .flat_map(|j| bits(jac.row(j)))
+            .collect()
+    }
+
+    #[test]
+    fn sampled_shift_walk_is_bit_identical_to_full_raw_runs() {
+        let backend = ExecutionBackend::Sampled {
+            shots: 64,
+            seed: 21,
+        };
+        let paper = paper_circuit();
+        let cases = [
+            (shift_corner_circuit(), vec![0.4, -0.8, 1.7, 0.3]),
+            (untrainable_circuit(), Vec::new()),
+            (paper, init_params(20, 43)),
+        ];
+        for (circuit, params) in &cases {
+            let compiled = compile(circuit);
+            let n = compiled.n_qubits();
+            for readout in [
+                Readout::z_all(n),
+                Readout::WeightedZSum {
+                    weights: (0..n).map(|q| 0.5 - 0.3 * q as f64).collect(),
+                },
+            ] {
+                for batch in [1usize, 7] {
+                    let inputs = inputs_for(&compiled, batch);
+                    let reference: Vec<(Vec<f64>, Jacobian)> = inputs
+                        .iter()
+                        .map(|item| {
+                            naive_shift_reference(&compiled, &readout, item, params, |state, at| {
+                                let stream = ExecutionBackend::eval_seed(
+                                    21,
+                                    item,
+                                    params,
+                                    override_salt(at),
+                                );
+                                sampled_readout(state, &readout, 64, stream).unwrap()
+                            })
+                        })
+                        .collect();
+                    for workers in [1usize, 2, 4] {
+                        let (outs, jacs) = BatchExecutor::new(workers)
+                            .forward_and_jacobian_batch_backend(
+                                &compiled, &readout, &inputs, params, &backend,
+                            )
+                            .unwrap();
+                        for (b, ((out, jac), (out_ref, jac_ref))) in
+                            outs.iter().zip(&jacs).zip(&reference).enumerate()
+                        {
+                            let at = format!(
+                                "{} occurrences, batch {batch}, workers {workers}, item {b}",
+                                compiled.occurrences().len()
+                            );
+                            assert_eq!(bits(out), bits(out_ref), "forward: {at}");
+                            assert_eq!(jac_bits(jac), jac_bits(jac_ref), "jacobian: {at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ideal_shift_walk_matches_full_raw_runs_and_vqc_parameter_shift() {
+        let cases = [
+            (shift_corner_circuit(), vec![0.4, -0.8, 1.7, 0.3]),
+            (untrainable_circuit(), Vec::new()),
+        ];
+        for (circuit, params) in &cases {
+            let compiled = compile(circuit);
+            let readout = Readout::z_all(compiled.n_qubits());
+            for batch in [1usize, 7] {
+                let inputs = inputs_for(&compiled, batch);
+                for workers in [1usize, 2, 4] {
+                    let ex = BatchExecutor::new(workers);
+                    let (outs, jacs) = ex
+                        .forward_and_jacobian_batch(&compiled, &readout, &inputs, params)
+                        .unwrap();
+                    let jacs_only = ex
+                        .jacobian_batch(&compiled, &readout, &inputs, params)
+                        .unwrap();
+                    for (b, item) in inputs.iter().enumerate() {
+                        let (out_ref, jac_ref) =
+                            naive_shift_reference(&compiled, &readout, item, params, |state, _| {
+                                readout.evaluate(state).unwrap()
+                            });
+                        let at = format!("batch {batch}, workers {workers}, item {b}");
+                        assert_eq!(bits(&outs[b]), bits(&out_ref), "forward: {at}");
+                        assert_eq!(jac_bits(&jacs[b]), jac_bits(&jac_ref), "jacobian: {at}");
+                        assert_eq!(jac_bits(&jacs_only[b]), jac_bits(&jac_ref), "{at}");
+                        let vqc =
+                            jacobian_parameter_shift(circuit, &readout, item, params).unwrap();
+                        assert!(jacs[b].max_abs_diff(&vqc) < 1e-12, "vqc oracle: {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn occurrence_chunks_cover_the_table_contiguously() {
+        let compiled = compile(&paper_circuit());
+        let occurrences = compiled.occurrences().len();
+        for parts in [1usize, 2, 3, 4, 8, occurrences, 10 * occurrences] {
+            let chunks = occurrence_chunks(&compiled, parts);
+            assert_eq!(chunks.len(), parts.min(occurrences), "parts {parts}");
+            assert_eq!(chunks[0].start, 0);
+            assert_eq!(chunks.last().unwrap().end, occurrences);
+            for pair in chunks.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start, "parts {parts}");
+            }
+        }
+        let none = compile(&untrainable_circuit());
+        assert_eq!(occurrence_chunks(&none, 4), vec![0..0]);
     }
 
     #[test]

@@ -110,7 +110,10 @@ pub fn run_compiled(
 }
 
 /// Runs the **raw** schedule with gate `override_idx`'s angle forced to
-/// `theta` — the parameter-shift rule's primitive. No binding validation.
+/// `theta`, from `|0…0⟩`. No binding validation. The naive test oracle of
+/// the prefix-shared shift walk ([`crate::prebound::ShiftWalk`]), which
+/// must reproduce it bit for bit.
+#[cfg(test)]
 pub(crate) fn run_raw_with_override(
     compiled: &CompiledCircuit,
     inputs: &[f64],

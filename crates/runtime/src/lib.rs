@@ -29,8 +29,10 @@
 //!   model) shares one `Arc<CompiledCircuit>`.
 //! * [`batch`] — [`batch::BatchExecutor`]: B statevectors over one
 //!   shared schedule, batched readouts, and a batched parameter-shift
-//!   path that schedules **every** shift evaluation of a whole minibatch
-//!   as one flat queue. Batched results are bit-identical to serial ones
+//!   path that walks each item's raw schedule once and forks every
+//!   ±shift evaluation from the shared prefix, one task per item (or per
+//!   occurrence chunk when items are fewer than workers). Batched
+//!   results are bit-identical to serial ones
 //!   (fold order is fixed; property-tested at 1e-12 against
 //!   `vqc::exec::run`).
 //! * [`backend`] — [`backend::ExecutionBackend`]: the execution-model
@@ -42,7 +44,7 @@
 //!   statevector cost). String-constructible
 //!   (`"sampled:shots=1024"`), threaded through every executor queue and
 //!   [`qnn::CompiledVqc`]; stochastic backends differentiate by the
-//!   batched parameter-shift queue (adjoint stays `Ideal`-only).
+//!   batched parameter-shift path (adjoint stays `Ideal`-only).
 //! * [`superop`] — the compiled Noisy hot path: the raw schedule plus
 //!   its channels prebind **once** per evaluation batch into dense
 //!   per-gate superoperators ([`qmarl_qsim::superop`]) applied over

@@ -15,6 +15,11 @@
 //! actually enters — on the paper's shapes that cuts the dominant
 //! trig cost of vectorized rollout by roughly the ansatz/encoder ratio.
 //!
+//! `prebind_raw` binds the **raw** (unfused) schedule the same way for
+//! the parameter-shift gradient, whose `ShiftWalk` walks one item's raw
+//! schedule once and forks every ±shift evaluation from the shared
+//! prefix.
+//!
 //! **Exactness.** Prebinding reorders no floating-point operation: angles
 //! resolve through the same [`FusedAngle::value`] and kernels consume the
 //! same `sin_cos()` results the plain path computes internally, so
@@ -156,14 +161,36 @@ pub fn prebind(
     compiled: &CompiledCircuit,
     params: &[f64],
 ) -> Result<PreboundCircuit, RuntimeError> {
+    prebind_schedule(compiled, compiled.fused_schedule(), params)
+}
+
+/// Binds the **raw** (unfused) schedule the same way — the schedule of
+/// the parameter-shift walk ([`ShiftWalk`]), which overrides individual
+/// trainable occurrences and therefore cannot run the fused schedule.
+///
+/// # Errors
+///
+/// Returns [`RuntimeError::ParamLenMismatch`] when `params` does not match
+/// the compiled arity.
+pub(crate) fn prebind_raw(
+    compiled: &CompiledCircuit,
+    params: &[f64],
+) -> Result<PreboundCircuit, RuntimeError> {
+    prebind_schedule(compiled, compiled.raw_schedule(), params)
+}
+
+fn prebind_schedule(
+    compiled: &CompiledCircuit,
+    schedule: &[CGate],
+    params: &[f64],
+) -> Result<PreboundCircuit, RuntimeError> {
     if params.len() != compiled.n_params() {
         return Err(RuntimeError::ParamLenMismatch {
             expected: compiled.n_params(),
             actual: params.len(),
         });
     }
-    let ops = compiled
-        .fused_schedule()
+    let ops = schedule
         .iter()
         .map(|gate| match gate {
             CGate::Rot { qubit, axis, angle } => {
@@ -245,51 +272,57 @@ pub(crate) fn run_prebound_unchecked(pb: &PreboundCircuit, inputs: &[f64]) -> St
     let mut state = StateVector::zero(pb.n_qubits);
     let amps = state.amplitudes_mut();
     for op in &pb.ops {
-        match op {
-            PreOp::RotSC { qubit, axis, s, c } => match axis {
-                RotationAxis::X => apply::apply_rx_sc(amps, *qubit, *s, *c),
-                RotationAxis::Y => apply::apply_ry_sc(amps, *qubit, *s, *c),
-                RotationAxis::Z => apply::apply_rz_sc(amps, *qubit, *s, *c),
-            },
-            PreOp::CRotSC {
-                control,
-                target,
-                axis,
-                s,
-                c,
-            } => match axis {
-                RotationAxis::X => apply::apply_crx_sc(amps, *control, *target, *s, *c),
-                RotationAxis::Y => apply::apply_cry_sc(amps, *control, *target, *s, *c),
-                RotationAxis::Z => apply::apply_crz_sc(amps, *control, *target, *s, *c),
-            },
-            PreOp::Rot { qubit, axis, angle } => {
-                let theta = angle.value(inputs, &pb.params);
-                match axis {
-                    RotationAxis::X => apply::apply_rx(amps, *qubit, theta),
-                    RotationAxis::Y => apply::apply_ry(amps, *qubit, theta),
-                    RotationAxis::Z => apply::apply_rz(amps, *qubit, theta),
-                }
-            }
-            PreOp::CRot {
-                control,
-                target,
-                axis,
-                angle,
-            } => {
-                let theta = angle.value(inputs, &pb.params);
-                match axis {
-                    RotationAxis::X => apply::apply_crx(amps, *control, *target, theta),
-                    RotationAxis::Y => apply::apply_cry(amps, *control, *target, theta),
-                    RotationAxis::Z => apply::apply_crz(amps, *control, *target, theta),
-                }
-            }
-            PreOp::Cnot { control, target } => apply::apply_cnot(amps, *control, *target),
-            PreOp::Cz { control, target } => apply::apply_cz(amps, *control, *target),
-            PreOp::Fixed { qubit, gate } => apply::apply_gate1(amps, *qubit, gate),
-            PreOp::Fixed2 { qa, qb, gate } => apply::apply_gate2(amps, *qa, *qb, gate),
-        }
+        apply_op(amps, op, inputs, &pb.params);
     }
     state
+}
+
+/// Applies one prebound op to a single statevector.
+#[inline]
+fn apply_op(amps: &mut [Complex64], op: &PreOp, inputs: &[f64], params: &[f64]) {
+    match op {
+        PreOp::RotSC { qubit, axis, s, c } => match axis {
+            RotationAxis::X => apply::apply_rx_sc(amps, *qubit, *s, *c),
+            RotationAxis::Y => apply::apply_ry_sc(amps, *qubit, *s, *c),
+            RotationAxis::Z => apply::apply_rz_sc(amps, *qubit, *s, *c),
+        },
+        PreOp::CRotSC {
+            control,
+            target,
+            axis,
+            s,
+            c,
+        } => match axis {
+            RotationAxis::X => apply::apply_crx_sc(amps, *control, *target, *s, *c),
+            RotationAxis::Y => apply::apply_cry_sc(amps, *control, *target, *s, *c),
+            RotationAxis::Z => apply::apply_crz_sc(amps, *control, *target, *s, *c),
+        },
+        PreOp::Rot { qubit, axis, angle } => {
+            let theta = angle.value(inputs, params);
+            match axis {
+                RotationAxis::X => apply::apply_rx(amps, *qubit, theta),
+                RotationAxis::Y => apply::apply_ry(amps, *qubit, theta),
+                RotationAxis::Z => apply::apply_rz(amps, *qubit, theta),
+            }
+        }
+        PreOp::CRot {
+            control,
+            target,
+            axis,
+            angle,
+        } => {
+            let theta = angle.value(inputs, params);
+            match axis {
+                RotationAxis::X => apply::apply_crx(amps, *control, *target, theta),
+                RotationAxis::Y => apply::apply_cry(amps, *control, *target, theta),
+                RotationAxis::Z => apply::apply_crz(amps, *control, *target, theta),
+            }
+        }
+        PreOp::Cnot { control, target } => apply::apply_cnot(amps, *control, *target),
+        PreOp::Cz { control, target } => apply::apply_cz(amps, *control, *target),
+        PreOp::Fixed { qubit, gate } => apply::apply_gate1(amps, *qubit, gate),
+        PreOp::Fixed2 { qa, qb, gate } => apply::apply_gate2(amps, *qa, *qb, gate),
+    }
 }
 
 /// Runs a prebound schedule from `|0…0⟩`, returning the final state.
@@ -306,6 +339,81 @@ pub fn run_prebound(pb: &PreboundCircuit, inputs: &[f64]) -> Result<StateVector,
         });
     }
     Ok(run_prebound_unchecked(pb, inputs))
+}
+
+/// One input vector's **prefix-shared parameter-shift walk** over a
+/// prebound raw schedule ([`prebind_raw`]).
+///
+/// The walk holds the state after raw gates `0..pos`. [`ShiftWalk::shifted`]
+/// forks it: copy the prefix, apply gate `pos` at an overridden angle, then
+/// run the suffix `pos+1..`. A fork applies exactly the gates, in exactly
+/// the order, of a from-scratch raw run with that one angle overridden, so
+/// its final state is bit-identical to that run at `G − pos` gate
+/// applications instead of `G`. Every ± term of every occurrence shares
+/// the prefix, and [`ShiftWalk::advance_to`] extends it (unshifted) to the
+/// next occurrence.
+pub(crate) struct ShiftWalk<'a> {
+    pb: &'a PreboundCircuit,
+    inputs: &'a [f64],
+    prefix: StateVector,
+    pos: usize,
+    fork: StateVector,
+}
+
+impl<'a> ShiftWalk<'a> {
+    /// A walk at `|0…0⟩`, before raw gate 0. Input lengths are the
+    /// caller's responsibility.
+    pub(crate) fn new(pb: &'a PreboundCircuit, inputs: &'a [f64]) -> Self {
+        ShiftWalk {
+            pb,
+            inputs,
+            prefix: StateVector::zero(pb.n_qubits),
+            pos: 0,
+            fork: StateVector::zero(pb.n_qubits),
+        }
+    }
+
+    /// Extends the prefix through raw gates `pos..k`, unshifted.
+    pub(crate) fn advance_to(&mut self, k: usize) {
+        debug_assert!(k >= self.pos, "the walk only moves forward");
+        let amps = self.prefix.amplitudes_mut();
+        for op in &self.pb.ops[self.pos..k] {
+            apply_op(amps, op, self.inputs, &self.pb.params);
+        }
+        self.pos = k;
+    }
+
+    /// The final state with raw gate `pos` — a trainable, hence
+    /// parameter-only, rotation — run at angle `theta`.
+    pub(crate) fn shifted(&mut self, theta: f64) -> &StateVector {
+        // The same `sin_cos` the plain kernels take of an overridden angle.
+        let (s, c) = (theta / 2.0).sin_cos();
+        let gate = match self.pb.ops[self.pos] {
+            PreOp::RotSC { qubit, axis, .. } => PreOp::RotSC { qubit, axis, s, c },
+            PreOp::CRotSC {
+                control,
+                target,
+                axis,
+                ..
+            } => PreOp::CRotSC {
+                control,
+                target,
+                axis,
+                s,
+                c,
+            },
+            ref other => {
+                unreachable!("a trainable occurrence is a parameter-only rotation: {other:?}")
+            }
+        };
+        let amps = self.fork.amplitudes_mut();
+        amps.copy_from_slice(self.prefix.amplitudes());
+        apply_op(amps, &gate, self.inputs, &self.pb.params);
+        for op in &self.pb.ops[self.pos + 1..] {
+            apply_op(amps, op, self.inputs, &self.pb.params);
+        }
+        &self.fork
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -58,7 +58,7 @@ impl CompiledVqc {
     /// [`ExecutionBackend::Ideal`], which is bit-identical to not setting
     /// a backend at all). Under `Sampled`/`Noisy`, every forward pass
     /// runs on that backend and **all** gradient requests route through
-    /// the batched parameter-shift queue — the adjoint and prebound paths
+    /// the batched parameter-shift path — the adjoint and prebound paths
     /// need exact statevectors and stay `Ideal`-only.
     pub fn with_backend(mut self, backend: ExecutionBackend) -> Self {
         self.backend = backend;
@@ -180,8 +180,9 @@ impl CompiledVqc {
     }
 
     /// Batched forward + Jacobian over a minibatch of observations under
-    /// shared parameters — the training hot path. All shift evaluations
-    /// across the whole minibatch form one flat work queue.
+    /// shared parameters, on the model's backend (see
+    /// [`BatchExecutor::forward_and_jacobian_batch_backend`] for the
+    /// per-backend gradient route).
     ///
     /// # Errors
     ///
@@ -595,7 +596,7 @@ mod tests {
             .map(|b| (0..4).map(|i| 0.08 * (b * 4 + i) as f64).collect())
             .collect();
         // Adjoint request under a sampled backend is served by the
-        // backend parameter-shift queue — the three entry points agree
+        // backend parameter-shift path — the three entry points agree
         // bit for bit because the seed derivation is content-addressed.
         let via_adjoint_request = compiled
             .forward_with_jacobian(&batch[0], &params, GradMethod::Adjoint)

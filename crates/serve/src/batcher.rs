@@ -19,6 +19,7 @@
 //! sender, `recv` returns `Err` and the batcher exits after answering
 //! everything already queued. No request is dropped.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -270,7 +271,14 @@ fn execute_tick(jobs: &mut Vec<Job>, slot: &PolicySlot, stats: &ServeStats, dead
     }
 
     let start = Instant::now();
-    let result = policy.act_batch(&flat, batch.len());
+    // A panic below `act_batch` (core, runtime or a kernel) is contained
+    // to this tick: its jobs get typed errors and the batcher thread
+    // lives on. The policy is only read, so unwinding leaves it intact;
+    // the panic hook has already reported the payload.
+    let result = match catch_unwind(AssertUnwindSafe(|| policy.act_batch(&flat, batch.len()))) {
+        Ok(result) => result.map_err(|e| e.to_string()),
+        Err(_) => Err("the policy panicked while serving this batch".to_string()),
+    };
     let elapsed = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
 
     stats.batches_executed.fetch_add(1, Ordering::Relaxed);
@@ -286,8 +294,7 @@ fn execute_tick(jobs: &mut Vec<Job>, slot: &PolicySlot, stats: &ServeStats, dead
                 let _ = job.reply.send(Ok(out));
             }
         }
-        Err(e) => {
-            let msg = e.to_string();
+        Err(msg) => {
             for job in &batch {
                 stats.requests_rejected.fetch_add(1, Ordering::Relaxed);
                 let _ = job.reply.send(Err(JobError::Failed(msg.clone())));

@@ -154,6 +154,78 @@ fn non_finite_observations_get_typed_errors_and_the_connection_survives() {
     assert_eq!(report.requests_served, 4);
 }
 
+/// A one-agent policy that panics on any observation whose first feature
+/// exceeds 0.5 and answers a uniform distribution otherwise.
+#[derive(Clone)]
+struct PanicsOnLargeFirstFeature;
+
+impl Actor for PanicsOnLargeFirstFeature {
+    fn obs_dim(&self) -> usize {
+        2
+    }
+
+    fn n_actions(&self) -> usize {
+        2
+    }
+
+    fn param_count(&self) -> usize {
+        0
+    }
+
+    fn probs(&self, obs: &[f64]) -> Result<Vec<f64>, CoreError> {
+        assert!(obs[0] <= 0.5, "poisoned observation");
+        Ok(vec![0.5, 0.5])
+    }
+
+    fn policy_gradient_with_entropy(
+        &self,
+        _obs: &[f64],
+        _action: usize,
+        _advantage: f64,
+        _entropy_coef: f64,
+    ) -> Result<Vec<f64>, CoreError> {
+        Ok(Vec::new())
+    }
+
+    fn params(&self) -> Vec<f64> {
+        Vec::new()
+    }
+
+    fn set_params(&mut self, _params: &[f64]) -> Result<(), CoreError> {
+        Ok(())
+    }
+
+    fn clone_box(&self) -> Box<dyn Actor> {
+        Box::new(self.clone())
+    }
+}
+
+/// A panic inside the policy fails only its own tick, with a typed
+/// ERROR; the batcher keeps running and the same connection is served.
+#[test]
+fn a_panicking_policy_fails_its_tick_and_the_batcher_keeps_serving() {
+    let policy = ServablePolicy::from_actors("panics", vec![Box::new(PanicsOnLargeFirstFeature)])
+        .expect("policy");
+    let handle = serve(policy, ServerConfig::default()).expect("serve");
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+
+    for _ in 0..2 {
+        match client.act(&[0.9, 0.0]) {
+            Err(ServeError::Server(msg)) => assert!(msg.contains("panicked"), "got: {msg}"),
+            other => panic!("expected a typed ERROR for a panicking tick, got {other:?}"),
+        }
+        let actions = client
+            .act(&[0.1, 0.0])
+            .expect("the next request on the same connection");
+        assert_eq!(actions.len(), 1);
+    }
+    drop(client);
+
+    let report = handle.shutdown();
+    assert_eq!(report.requests_rejected, 2);
+    assert_eq!(report.requests_served, 2);
+}
+
 /// Shutdown drains: a request parked inside an open batch window is
 /// answered, not dropped, when shutdown lands mid-window.
 #[test]
