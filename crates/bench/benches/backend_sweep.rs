@@ -60,17 +60,19 @@ fn trainer(
     build_scenario_trainer(scenario, backend, &train, Some(EPISODE_LIMIT)).expect("trainer")
 }
 
-/// Environment steps/s of deterministic evaluation rollouts.
+/// Environment steps/s of deterministic evaluation rollouts, all
+/// `episodes` in one lockstep wave.
 fn eval_steps_per_sec(t: &mut CtdeTrainer<Box<dyn ScenarioEnv>>, episodes: usize) -> f64 {
-    t.evaluate_parallel(1, 0).expect("warmup");
+    t.evaluate_vec(1, 1).expect("warmup");
     let start = Instant::now();
-    t.evaluate_parallel(episodes, 0).expect("evaluate");
+    t.evaluate_vec(episodes, episodes).expect("evaluate");
     (episodes * EPISODE_LIMIT) as f64 / start.elapsed().as_secs_f64()
 }
 
 /// Optimizer-ready gradients/s of one update sweep over a filled replay.
 fn grad_steps_per_sec(t: &mut CtdeTrainer<Box<dyn ScenarioEnv>>, reps: usize) -> f64 {
-    t.run_epoch_parallel(BATCH_EPISODES, 0).expect("fill epoch");
+    t.run_epoch_vec(BATCH_EPISODES, BATCH_EPISODES)
+        .expect("fill epoch");
     let grad_steps = (BATCH_EPISODES * EPISODE_LIMIT * (t.actors().len() + 1)) as f64;
     let start = Instant::now();
     for _ in 0..reps {
@@ -86,7 +88,7 @@ fn bench_backend_rollouts(c: &mut Criterion) {
         let backend: ExecutionBackend = spec.parse().expect("spec");
         group.bench_with_input(BenchmarkId::new(backend.kind(), spec), &backend, |b, be| {
             let mut t = trainer("single-hop", be, 3);
-            b.iter(|| black_box(t.evaluate_parallel(1, 0).expect("evaluate")));
+            b.iter(|| black_box(t.evaluate_vec(1, 1).expect("evaluate")));
         });
     }
     group.finish();

@@ -1,12 +1,12 @@
-//! Vectorized vs per-episode rollout throughput.
+//! Lockstep rollout throughput: one lane vs all episodes in one wave.
 //!
-//! The acceptance bar for the vectorized environment layer: on the
-//! paper-default scenario with quantum actors, lockstep collection
-//! (`CtdeTrainer::rollout_vec` — one flat prebound circuit batch per
-//! tick) must deliver ≥ 2× the steps/sec of the per-episode engine
-//! (`CtdeTrainer::rollout_parallel`). Both engines produce bit-identical
-//! episodes (property-tested in `qmarl-runtime`), so this comparison is
-//! pure throughput.
+//! On the paper-default scenario with quantum actors,
+//! `CtdeTrainer::rollout_vec` collects the same episodes bit for bit at
+//! any lane count (the collector's determinism contract), so this
+//! comparison is pure throughput: `lanes = 1` evaluates one
+//! `agents`-circuit batch per environment step, `lanes = N` fuses every
+//! live episode's step into one flat prebound batch of `N × agents`
+//! circuits per tick.
 //!
 //! Besides the criterion rows, the bench emits `BENCH_rollout.json` at
 //! the repository root with absolute steps/sec, so the performance
@@ -35,32 +35,30 @@ fn trainer(seed: u64) -> CtdeTrainer<SingleHopEnv> {
     CtdeTrainer::new(env, actors, critic, TrainConfig::paper_default()).expect("trainer")
 }
 
-fn bench_rollout_engines(c: &mut Criterion) {
+fn bench_rollout_lanes(c: &mut Criterion) {
     let mut group = c.benchmark_group("rollout_paper_default");
     group.sample_size(10);
     for episodes in [8usize, 16] {
-        group.bench_with_input(
-            BenchmarkId::new("per_episode", episodes),
-            &episodes,
-            |b, &eps| {
+        for (name, lanes) in [("lanes_1", 1), ("lanes_n", episodes)] {
+            group.bench_with_input(BenchmarkId::new(name, episodes), &episodes, |b, &eps| {
                 let mut t = trainer(1);
-                b.iter(|| black_box(t.rollout_parallel(eps, 0, false).expect("rollout")));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("vectorized", episodes),
-            &episodes,
-            |b, &eps| {
-                let mut t = trainer(1);
-                b.iter(|| black_box(t.rollout_vec(eps, eps, false).expect("rollout")));
-            },
-        );
+                b.iter(|| black_box(t.rollout_vec(eps, lanes, false).expect("rollout")));
+            });
+        }
     }
     group.finish();
 }
 
-/// Wall-clock steps/sec of one engine, mean over `reps` collections.
-fn steps_per_sec<F: FnMut() -> usize>(reps: usize, mut collect: F) -> f64 {
+/// Wall-clock steps/sec of one lane count, mean over `reps` collections.
+fn steps_per_sec(reps: usize, episodes: usize, lanes: usize) -> f64 {
+    let mut t = trainer(2);
+    let mut collect = || -> usize {
+        t.rollout_vec(episodes, lanes, false)
+            .expect("rollout")
+            .iter()
+            .map(|(ep, _, _)| ep.len())
+            .sum()
+    };
     let mut steps = collect(); // warmup (counted for shape only)
     let start = Instant::now();
     for _ in 0..reps {
@@ -69,34 +67,20 @@ fn steps_per_sec<F: FnMut() -> usize>(reps: usize, mut collect: F) -> f64 {
     steps as f64 * reps as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Measures both engines head-to-head and records the result as JSON.
+/// Measures both lane counts head-to-head and records the result as JSON.
 fn emit_rollout_json(c: &mut Criterion) {
     let quick = std::env::var_os("QMARL_BENCH_QUICK").is_some_and(|v| v != "0");
     let (episodes, reps) = if quick { (8usize, 2usize) } else { (16, 8) };
 
-    let mut t = trainer(2);
-    let parallel = steps_per_sec(reps, || {
-        t.rollout_parallel(episodes, 0, false)
-            .expect("rollout")
-            .iter()
-            .map(|(ep, _, _)| ep.len())
-            .sum()
-    });
-    let mut t = trainer(2);
-    let vectorized = steps_per_sec(reps, || {
-        t.rollout_vec(episodes, episodes, false)
-            .expect("rollout")
-            .iter()
-            .map(|(ep, _, _)| ep.len())
-            .sum()
-    });
-    let speedup = vectorized / parallel;
+    let single = steps_per_sec(reps, episodes, 1);
+    let wide = steps_per_sec(reps, episodes, episodes);
+    let speedup = wide / single;
 
     let json = format!(
         "{{\n  \"bench\": \"rollout\",\n  \"scenario\": \"single-hop (paper default, T={EPISODE_LIMIT})\",\n  \
          \"episodes_per_collection\": {episodes},\n  \"actors\": \"quantum 4q/50p\",\n  \
-         \"steps_per_sec\": {{\n    \"per_episode\": {parallel:.0},\n    \"vectorized\": {vectorized:.0}\n  }},\n  \
-         \"vectorized_speedup\": {speedup:.2}\n}}\n"
+         \"steps_per_sec\": {{\n    \"lanes_1\": {single:.0},\n    \"lanes_{episodes}\": {wide:.0}\n  }},\n  \
+         \"lanes_speedup\": {speedup:.2}\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_rollout.json");
     if quick {
@@ -110,10 +94,10 @@ fn emit_rollout_json(c: &mut Criterion) {
         }
     }
     println!(
-        "rollout_vec: per-episode {parallel:.0} steps/s, vectorized {vectorized:.0} steps/s ({speedup:.2}x)"
+        "rollout_vec: lanes=1 {single:.0} steps/s, lanes={episodes} {wide:.0} steps/s ({speedup:.2}x)"
     );
     let _ = c; // the JSON pass is measured manually, outside criterion
 }
 
-criterion_group!(benches, bench_rollout_engines, emit_rollout_json);
+criterion_group!(benches, bench_rollout_lanes, emit_rollout_json);
 criterion_main!(benches);

@@ -107,46 +107,5 @@ fn bench_gradient_batch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_rollout_workers(c: &mut Criterion) {
-    use qmarl_env::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::Rng;
-
-    let mut cfg = EnvConfig::paper_default();
-    cfg.episode_limit = 50;
-    let template = SingleHopEnv::new(cfg, 1).expect("env");
-    let policy = |_i: usize| {
-        |obs: &[Vec<f64>], rng: &mut StdRng| -> Result<(Vec<usize>, f64), RuntimeError> {
-            Ok((obs.iter().map(|_| rng.gen_range(0..4)).collect(), 0.0))
-        }
-    };
-    let mut group = c.benchmark_group("runtime_rollout_16eps");
-    group.sample_size(10);
-    for workers in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
-            b.iter(|| {
-                black_box(
-                    collect_episodes(
-                        &template,
-                        policy,
-                        16,
-                        &RolloutConfig {
-                            workers: w,
-                            base_seed: 3,
-                        },
-                    )
-                    .expect("rollout"),
-                )
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_forward_batch,
-    bench_gradient_batch,
-    bench_rollout_workers
-);
+criterion_group!(benches, bench_forward_batch, bench_gradient_batch);
 criterion_main!(benches);

@@ -12,9 +12,14 @@
 //!   interrupted run resumed through
 //!   [`CtdeTrainer::restore_state`](crate::trainer::CtdeTrainer::restore_state)
 //!   continues **bit-identically** to one that was never interrupted
-//!   (on the vectorized/parallel collection surfaces, whose episode
-//!   randomness derives from `(seed, round)` rather than live
-//!   environment state).
+//!   (on the vectorized collection surface, whose episode randomness
+//!   derives from `(seed, round)` rather than live environment state).
+//!
+//! Both formats hold only finite parameters and Adam moments. The parsers
+//! reject `NaN`, `inf` and overflowing literals such as `1e400` (all of
+//! which `f64::from_str` accepts) with [`CoreError::CorruptCheckpoint`],
+//! and `save` refuses to write them, so neither a resumed trainer nor a
+//! hot-swapped server can pick up a poisoned model.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -42,6 +47,26 @@ const TRAINER_MAGIC: &str = "qmarl-trainer-checkpoint v1";
 /// round-trips verbatim.
 fn sanitize_label(label: &str) -> String {
     label.replace(['\n', '\r'], " ")
+}
+
+/// Rejects the first non-finite entry of a parameter or moment vector,
+/// naming its section and index.
+fn check_finite(section: &str, xs: &[f64]) -> Result<(), CoreError> {
+    match xs.iter().position(|x| !x.is_finite()) {
+        None => Ok(()),
+        Some(i) => Err(CoreError::CorruptCheckpoint(format!(
+            "{section} index {i} is non-finite ({})",
+            xs[i]
+        ))),
+    }
+}
+
+/// Rejects the first non-finite actor or critic parameter.
+fn check_params_finite(actors: &[Vec<f64>], critic: &[f64]) -> Result<(), CoreError> {
+    for (n, params) in actors.iter().enumerate() {
+        check_finite(&format!("actor {n} parameters"), params)?;
+    }
+    check_finite("critic parameters", critic)
 }
 
 /// A framework's trained parameters, detached from the model objects.
@@ -120,7 +145,7 @@ impl FrameworkSnapshot {
     /// # Errors
     ///
     /// Returns [`CoreError::CorruptCheckpoint`] describing the first
-    /// syntax problem.
+    /// syntax problem or non-finite parameter.
     pub fn from_text(text: &str) -> Result<Self, CoreError> {
         let bad = |msg: &str| CoreError::CorruptCheckpoint(format!("checkpoint parse: {msg}"));
         let mut lines = text.lines();
@@ -174,11 +199,13 @@ impl FrameworkSnapshot {
         if lines.next().is_some() {
             return Err(bad("trailing content after the critic section"));
         }
-        Ok(FrameworkSnapshot {
+        let snapshot = FrameworkSnapshot {
             label,
             actor_params,
             critic_params,
-        })
+        };
+        check_params_finite(&snapshot.actor_params, &snapshot.critic_params)?;
+        Ok(snapshot)
     }
 
     /// Writes the checkpoint to a file **atomically** (write to a `.tmp`
@@ -188,8 +215,10 @@ impl FrameworkSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::CorruptCheckpoint`] wrapping the I/O failure.
+    /// Returns [`CoreError::CorruptCheckpoint`] for a non-finite
+    /// parameter (nothing is written) or wrapping the I/O failure.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), CoreError> {
+        check_params_finite(&self.actor_params, &self.critic_params)?;
         let path = path.as_ref();
         let io_err =
             |what: &str, e: std::io::Error| CoreError::CorruptCheckpoint(format!("{what}: {e}"));
@@ -225,8 +254,8 @@ impl FrameworkSnapshot {
 /// and restored by [`CtdeTrainer::restore_state`](crate::trainer::CtdeTrainer::restore_state)
 /// into a trainer built with the **same configuration** (the `seed` field
 /// guards the pairing). The environment itself is deliberately absent:
-/// the vectorized and parallel collection surfaces reseed every episode
-/// from `(config.seed, parallel_rounds, episode index)`, so restoring the
+/// the vectorized collection surface reseeds every episode from
+/// `(config.seed, parallel_rounds, episode index)`, so restoring the
 /// round counter restores the exact episode stream.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TrainerCheckpoint {
@@ -237,7 +266,8 @@ pub struct TrainerCheckpoint {
     pub seed: u64,
     /// Epochs completed.
     pub epoch: usize,
-    /// Completed parallel/vectorized collection rounds.
+    /// Completed multi-episode collection rounds (written as the
+    /// `rounds` key).
     pub parallel_rounds: u64,
     /// The trainer's own RNG stream (serial rollout action sampling).
     pub rng_state: [u64; 4],
@@ -284,6 +314,24 @@ fn parse_vec_line(
 }
 
 impl TrainerCheckpoint {
+    /// Checks that every parameter vector (actors, critic, target) and
+    /// every Adam moment is finite.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::CorruptCheckpoint`] naming the first
+    /// non-finite value's section and index.
+    fn check_finite(&self) -> Result<(), CoreError> {
+        check_params_finite(&self.actor_params, &self.critic_params)?;
+        check_finite("target parameters", &self.target_params)?;
+        for (n, opt) in self.actor_opts.iter().enumerate() {
+            check_finite(&format!("actor {n} Adam m"), &opt.m)?;
+            check_finite(&format!("actor {n} Adam v"), &opt.v)?;
+        }
+        check_finite("critic Adam m", &self.critic_opt.m)?;
+        check_finite("critic Adam v", &self.critic_opt.v)
+    }
+
     /// Serialises to the trainer-checkpoint text format.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -359,7 +407,8 @@ impl TrainerCheckpoint {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] describing the first syntax
-    /// problem.
+    /// problem, or [`CoreError::CorruptCheckpoint`] for a non-finite
+    /// parameter or Adam moment.
     pub fn from_text(text: &str) -> Result<Self, CoreError> {
         let bad = |msg: &str| CoreError::InvalidConfig(format!("trainer checkpoint parse: {msg}"));
         let mut lines = text.lines();
@@ -506,7 +555,7 @@ impl TrainerCheckpoint {
         if lines.next().is_some() {
             return Err(bad("trailing content after the history section"));
         }
-        Ok(TrainerCheckpoint {
+        let checkpoint = TrainerCheckpoint {
             label,
             seed,
             epoch,
@@ -519,7 +568,9 @@ impl TrainerCheckpoint {
             critic_opt,
             replay,
             history,
-        })
+        };
+        checkpoint.check_finite()?;
+        Ok(checkpoint)
     }
 
     /// Writes the checkpoint to a file **atomically** (write to a
@@ -528,8 +579,11 @@ impl TrainerCheckpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] wrapping the I/O failure.
+    /// Returns [`CoreError::CorruptCheckpoint`] for a non-finite
+    /// parameter or Adam moment (nothing is written), or
+    /// [`CoreError::InvalidConfig`] wrapping the I/O failure.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), CoreError> {
+        self.check_finite()?;
         let path = path.as_ref();
         let io_err =
             |what: &str, e: std::io::Error| CoreError::InvalidConfig(format!("{what}: {e}"));
@@ -800,6 +854,112 @@ mod tests {
         assert!(TrainerCheckpoint::from_text(&good).is_ok());
         let doubled = format!("{good}{good}");
         assert!(TrainerCheckpoint::from_text(&doubled).is_err());
+    }
+
+    /// The spellings `f64::from_str` accepts for non-finite values
+    /// (`1e400` overflows to `inf`).
+    const NON_FINITE: [&str; 4] = ["NaN", "inf", "-inf", "1e400"];
+
+    /// Asserts a non-finite rejection naming `section` and `index`.
+    fn assert_rejected(
+        result: Result<impl std::fmt::Debug, CoreError>,
+        section: &str,
+        index: usize,
+    ) {
+        match result {
+            Err(CoreError::CorruptCheckpoint(msg)) => assert!(
+                msg.contains(section) && msg.contains(&format!("index {index}")),
+                "message {msg:?} must name {section} index {index}"
+            ),
+            other => panic!("expected CorruptCheckpoint for {section}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn snapshot_rejects_non_finite_parameters() {
+        for bad in NON_FINITE {
+            let actor = format!(
+                "qmarl-checkpoint v1\nlabel x\nactors 1\nactor 0 2\n1e0\n{bad}\ncritic 1\n2e0\n"
+            );
+            assert_rejected(
+                FrameworkSnapshot::from_text(&actor),
+                "actor 0 parameters",
+                1,
+            );
+            let critic = format!(
+                "qmarl-checkpoint v1\nlabel x\nactors 1\nactor 0 1\n1e0\ncritic 3\n2e0\n3e0\n{bad}\n"
+            );
+            assert_rejected(
+                FrameworkSnapshot::from_text(&critic),
+                "critic parameters",
+                2,
+            );
+        }
+
+        // `save` refuses the same values and writes nothing.
+        let dir = std::env::temp_dir().join("qmarl_snap_non_finite_test");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("nan.snap");
+        let snap = FrameworkSnapshot {
+            label: "nan".into(),
+            actor_params: vec![vec![0.5, f64::NAN]],
+            critic_params: vec![0.25],
+        };
+        assert_rejected(snap.save(&path), "actor 0 parameters", 1);
+        assert!(!path.exists() && !path.with_extension("tmp").exists());
+    }
+
+    #[test]
+    fn trainer_checkpoint_rejects_non_finite_parameters_and_moments() {
+        let cfg = tiny_config();
+        let mut trainer = build_trainer(FrameworkKind::Comp2, &cfg).expect("builds");
+        trainer.train_vec(1, 1, 1).expect("trains");
+        let ckpt = trainer.capture_state("finite");
+        let text = ckpt.to_text();
+        assert!(TrainerCheckpoint::from_text(&text).is_ok());
+
+        // Replace value `index` of the first line tagged `tag`.
+        let poison = |tag: &str, index: usize, bad: &str| -> String {
+            let mut done = false;
+            let mut out = String::new();
+            for line in text.lines() {
+                match line.strip_prefix(tag).and_then(|r| r.strip_prefix(' ')) {
+                    Some(values) if !done => {
+                        done = true;
+                        let mut words: Vec<&str> = values.split(' ').collect();
+                        words[index] = bad;
+                        out.push_str(&format!("{tag} {}\n", words.join(" ")));
+                    }
+                    _ => out.push_str(&format!("{line}\n")),
+                }
+            }
+            assert!(done, "no {tag:?} line");
+            out
+        };
+        for bad in NON_FINITE {
+            for (tag, section) in [
+                ("actor 0", "actor 0 parameters"),
+                ("critic", "critic parameters"),
+                ("target", "target parameters"),
+                ("m", "actor 0 Adam m"),
+                ("v", "actor 0 Adam v"),
+            ] {
+                assert_rejected(
+                    TrainerCheckpoint::from_text(&poison(tag, 1, bad)),
+                    section,
+                    1,
+                );
+            }
+        }
+
+        // `save` refuses the same values and writes nothing.
+        let dir = std::env::temp_dir().join("qmarl_trainer_non_finite_test");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("inf.ckpt");
+        let mut bad = ckpt;
+        bad.critic_opt.v[2] = f64::INFINITY;
+        assert_rejected(bad.save(&path), "critic Adam v", 2);
+        assert!(!path.exists() && !path.with_extension("tmp").exists());
     }
 
     #[test]

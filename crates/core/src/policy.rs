@@ -17,9 +17,9 @@ use crate::error::CoreError;
 
 /// A trainable stochastic policy over a discrete action set.
 ///
-/// `Sync` is required so frozen-parameter policies can be shared with
-/// parallel rollout workers (`&dyn Actor` crosses threads during
-/// [`crate::trainer::CtdeTrainer::rollout_parallel`]).
+/// `Send + Sync` is required so frozen-parameter policies can be shared
+/// across threads: a [`crate::serving::ServablePolicy`] owns its actors
+/// and is read by the serving batcher while a hot-swap slot holds it.
 pub trait Actor: Send + Sync {
     /// Observation dimensionality.
     fn obs_dim(&self) -> usize;
@@ -124,8 +124,7 @@ pub trait Actor: Send + Sync {
     /// Returns [`CoreError::ParamLenMismatch`] on length mismatch.
     fn set_params(&mut self, params: &[f64]) -> Result<(), CoreError>;
 
-    /// A boxed deep copy — how parallel rollout workers get private
-    /// policy handles (mirrors [`crate::value::Critic::clone_box`]).
+    /// A boxed deep copy (mirrors [`crate::value::Critic::clone_box`]).
     fn clone_box(&self) -> Box<dyn Actor>;
 }
 

@@ -2,9 +2,10 @@
 //!
 //! [`ActorsVecPolicy`] implements `qmarl_runtime`'s `VecRolloutPolicy`
 //! over the trainer's `Box<dyn Actor>` set. At every lockstep tick it
-//! evaluates **all agents of all live lanes** and then samples exactly
-//! like the serial engine (per lane, agent order), so vectorized traces
-//! are bit-identical to serial ones. Two evaluation routes:
+//! evaluates **all agents of all live lanes** and then samples from each
+//! lane's own RNG in agent order, so traces never depend on which other
+//! lanes share the tick (the lane-count-invariance contract of
+//! `qmarl_runtime::rollout`). Two evaluation routes:
 //!
 //! * **Flat circuit batch** — when every actor reports a compiled-runtime
 //!   handle ([`Actor::runtime_handle`]) over the *same* compiled circuit
@@ -24,7 +25,7 @@
 use rand::rngs::StdRng;
 
 use qmarl_neural::prelude::{entropy, softmax};
-use qmarl_runtime::vec_rollout::{VecDecision, VecRolloutPolicy};
+use qmarl_runtime::rollout::{VecDecision, VecRolloutPolicy};
 
 use crate::error::CoreError;
 use crate::policy::{select_action, Actor};
@@ -63,7 +64,7 @@ impl FlatBatch {
             // evaluates exact statevectors, so any non-Ideal execution
             // backend opts the whole tick out (the per-agent route's
             // `probs_batch` is backend-aware and, by the content-addressed
-            // seed contract, still bit-identical to serial collection).
+            // seed contract, still lane-count invariant).
             if compiled.model() != first.model()
                 || !std::sync::Arc::ptr_eq(compiled.compiled(), first.compiled())
                 || !compiled.backend().is_ideal()
@@ -201,8 +202,8 @@ impl<'a> ActorsVecPolicy<'a> {
         })
     }
 
-    /// The shared sampling discipline — this loop IS the bit-exactness
-    /// contract with the serial engine: one distribution per agent in
+    /// The shared sampling discipline — this loop IS the lane-count
+    /// invariance contract: one distribution per agent in
     /// agent order per lane, one RNG draw per sample, entropy folded in
     /// the same order. Both evaluation routes must go through it so they
     /// cannot drift apart.

@@ -201,9 +201,9 @@ impl SingleHopEnv {
 
     /// Re-seeds the internal RNG, clears hidden arrival-sampler state and
     /// resets the episode, making this instance's future stream fully
-    /// determined by `seed`. This is the hook rollout engines (parallel
-    /// workers and vectorized lanes alike) use to give each episode its
-    /// own derived, reproducible randomness independent of scheduling.
+    /// determined by `seed`. This is the hook the episode collector's
+    /// vectorized lanes use to give each episode its own derived,
+    /// reproducible randomness independent of scheduling.
     pub fn reseed(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed);
         for sampler in &mut self.arrivals {

@@ -32,8 +32,8 @@ use crate::multi_agent::{MultiAgentEnv, StepInfo};
 
 /// An environment whose entire future randomness is determined by a
 /// single seed: [`SeedableEnv::reseed`] re-seeds the internal RNG and
-/// resets the episode. This is the capability rollout engines use to give
-/// each episode private, reproducible randomness independent of worker
+/// resets the episode. This is the capability the episode collector uses
+/// to give each episode private, reproducible randomness independent of
 /// scheduling or batch width.
 pub trait SeedableEnv: MultiAgentEnv {
     /// Makes this instance's future stream fully determined by `seed`
@@ -117,8 +117,8 @@ pub trait VectorEnv {
 ///
 /// Each lane is a full clone of the template, re-seeded per episode via
 /// [`SeedableEnv::reseed`] — so a lane's trajectory is *exactly* the
-/// trajectory the serial engine would produce for the same seed, and
-/// vectorized collection can be bit-identical to serial collection.
+/// trajectory a serial one-episode-at-a-time loop would produce for the
+/// same seed, and vectorized collection can be bit-identical to it.
 #[derive(Debug, Clone)]
 pub struct ReplicatedVecEnv<E> {
     lanes: Vec<E>,
@@ -189,8 +189,8 @@ impl<E: SeedableEnv + Clone> VectorEnv for ReplicatedVecEnv<E> {
             states: Vec::with_capacity(seeds.len() * sd),
         };
         for (lane, &seed) in seeds.iter().enumerate() {
-            // reseed-then-reset mirrors the serial rollout engine exactly
-            // (it reseeds the template clone, then run_episode resets).
+            // reseed-then-reset mirrors a serial one-episode-at-a-time loop
+            // exactly (reseed the template clone, then reset).
             self.lanes[lane].reseed(seed);
             let (obs, state) = self.lanes[lane].reset();
             for o in &obs {

@@ -232,6 +232,26 @@ mod tests {
     }
 
     #[test]
+    fn lane_count_never_changes_a_cell() {
+        // End to end through run_cell: three episodes per epoch collected
+        // on one lane (three waves) or three lanes (one wave) train the
+        // same curve and the same parameters, bit for bit.
+        let run = |lanes: usize| {
+            let spec: ExperimentSpec = format!(
+                "name=lanes;scenarios=single-hop;seeds=4;epochs=2;episodes=3;lanes={lanes};limit=5"
+            )
+            .parse()
+            .unwrap();
+            let cell = spec.expand().remove(0);
+            run_cell(&spec, &cell, &CellOptions::default()).unwrap()
+        };
+        let (one, three) = (run(1), run(3));
+        assert_eq!(one.history.len(), 2);
+        assert_eq!(one.history, three.history);
+        assert_eq!(one.snapshot, three.snapshot);
+    }
+
+    #[test]
     fn checkpoint_cadence_without_directory_is_rejected() {
         let mut spec = tiny_spec();
         spec.checkpoint_every = 1;

@@ -25,7 +25,7 @@
 //!
 //! # Determinism contract
 //!
-//! Stochastic backends mirror the rollout engine's seeding discipline:
+//! Stochastic backends mirror the episode collector's seeding discipline:
 //! nothing ever draws from a shared mutable RNG. Each evaluation's sample
 //! stream is seeded by
 //!
@@ -39,7 +39,7 @@
 //! therefore *content-addressed*: it does not depend on batch position,
 //! batch size, worker count or thread scheduling, so sampled results are
 //! worker-count invariant and identical between the serial and batched
-//! execution paths — the same guarantee the rollout engine makes for
+//! execution paths — the same guarantee the episode collector makes for
 //! episodes, extended down to single circuit evaluations.
 
 use std::fmt;

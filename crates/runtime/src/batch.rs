@@ -8,10 +8,13 @@
 //!
 //! * [`BatchExecutor::run_batch`] — final states for B input vectors
 //!   under shared parameters,
-//! * [`BatchExecutor::run_batch_with_params`] — per-item parameters too
-//!   (N agents with identical circuit shape but private weights),
 //! * [`BatchExecutor::expectation_batch`] — readout vectors instead of
 //!   raw states,
+//! * [`BatchExecutor::expectation_batch_prebound`] /
+//!   [`BatchExecutor::forward_and_jacobian_batch_prebound`] — forward
+//!   and adjoint batches over parameter-prebound lane slabs, grouped by
+//!   parameter set (N agents with identical circuit shape but private
+//!   weights: the rollout tick and the update sweep),
 //! * [`BatchExecutor::jacobian_batch`] /
 //!   [`BatchExecutor::forward_and_jacobian_batch`] — the batched
 //!   parameter-shift path (also `Sampled`'s, via
@@ -139,34 +142,6 @@ impl BatchExecutor {
         }))
     }
 
-    /// Runs the fused schedule for every `(inputs, params)` pair — the
-    /// multi-agent case: one circuit shape, per-agent weights.
-    ///
-    /// # Errors
-    ///
-    /// Returns a binding-length error naming the first offending pair.
-    pub fn run_batch_with_params(
-        &self,
-        compiled: &CompiledCircuit,
-        bindings: &[(Vec<f64>, Vec<f64>)],
-    ) -> Result<Vec<StateVector>, RuntimeError> {
-        for (inputs, params) in bindings {
-            check_bindings(compiled, inputs, params)?;
-        }
-        Ok(par::parallel_map(
-            bindings,
-            self.workers,
-            |_, (inputs, params)| {
-                run_schedule_unchecked(
-                    compiled.n_qubits(),
-                    compiled.fused_schedule(),
-                    inputs,
-                    params,
-                )
-            },
-        ))
-    }
-
     /// Batched forward pass through a readout: one output vector per
     /// input vector.
     ///
@@ -189,36 +164,6 @@ impl BatchExecutor {
                 compiled.n_qubits(),
                 compiled.fused_schedule(),
                 item,
-                params,
-            );
-            readout.evaluate(&state).map_err(RuntimeError::from)
-        })
-    }
-
-    /// Batched forward pass through a readout with **per-item parameters
-    /// by reference** — the vectorized rollout hot path, where one tick
-    /// contributes `lanes × agents` circuit evaluations whose inputs and
-    /// parameters are slices into caller-owned slabs (no per-item
-    /// allocation or parameter cloning).
-    ///
-    /// # Errors
-    ///
-    /// Returns binding-length or readout-validation errors.
-    pub fn expectation_batch_with_params(
-        &self,
-        compiled: &CompiledCircuit,
-        readout: &Readout,
-        bindings: &[(&[f64], &[f64])],
-    ) -> Result<Vec<Vec<f64>>, RuntimeError> {
-        readout.validate(compiled.n_qubits())?;
-        for (inputs, params) in bindings {
-            check_bindings(compiled, inputs, params)?;
-        }
-        par::try_parallel_map(bindings, self.workers, |_, &(inputs, params)| {
-            let state = run_schedule_unchecked(
-                compiled.n_qubits(),
-                compiled.fused_schedule(),
-                inputs,
                 params,
             );
             readout.evaluate(&state).map_err(RuntimeError::from)
@@ -835,21 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn per_item_params_batch() {
-        let circuit = paper_circuit();
-        let compiled = compile(&circuit);
-        let bindings: Vec<(Vec<f64>, Vec<f64>)> = (0..4)
-            .map(|b| (batch_inputs(4)[b].clone(), init_params(20, b as u64)))
-            .collect();
-        let ex = BatchExecutor::default();
-        let states = ex.run_batch_with_params(&compiled, &bindings).unwrap();
-        for ((inputs, params), state) in bindings.iter().zip(&states) {
-            let reference = qmarl_vqc::exec::run(&circuit, inputs, params).unwrap();
-            assert!((state.fidelity(&reference).unwrap() - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn expectation_batch_matches_readout() {
         let circuit = paper_circuit();
         let compiled = compile(&circuit);
@@ -868,36 +798,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn expectation_with_params_matches_per_item_runs() {
-        let circuit = paper_circuit();
-        let compiled = compile(&circuit);
-        let inputs = batch_inputs(4);
-        let param_sets: Vec<Vec<f64>> = (0..4).map(|b| init_params(20, 40 + b as u64)).collect();
-        let bindings: Vec<(&[f64], &[f64])> = inputs
-            .iter()
-            .zip(&param_sets)
-            .map(|(i, p)| (i.as_slice(), p.as_slice()))
-            .collect();
-        let readout = Readout::z_all(4);
-        let ex = BatchExecutor::new(3);
-        let outs = ex
-            .expectation_batch_with_params(&compiled, &readout, &bindings)
-            .unwrap();
-        for ((inputs, params), out) in bindings.iter().zip(&outs) {
-            let reference = readout
-                .evaluate(&qmarl_vqc::exec::run(&circuit, inputs, params).unwrap())
-                .unwrap();
-            assert_eq!(out, &reference, "must be bit-identical to serial");
-        }
-        // Bad bindings are rejected up front.
-        let short = [0.0; 3];
-        let bad: Vec<(&[f64], &[f64])> = vec![(&short, param_sets[0].as_slice())];
-        assert!(ex
-            .expectation_batch_with_params(&compiled, &readout, &bad)
-            .is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # qmarl-runtime — batched circuit execution + parallel rollout engine
+//! # qmarl-runtime — batched circuit execution + lockstep episode collection
 //!
 //! The execution engine of the
 //! [QMARL reproduction](https://arxiv.org/abs/2203.10443). The paper's
@@ -54,15 +54,13 @@
 //!   as lanes of one slab walk, per-sample Pauli errors drawn from
 //!   derived per-sample streams (worker-count invariant, serial ≡
 //!   batched), converging to the density result at `O(1/√samples)`.
-//! * [`rollout`] — parallel rollout workers with a per-*episode* seed
-//!   derivation, so collected traces are identical for any worker count
-//!   (see the module docs for the determinism contract).
-//! * [`vec_rollout`] — the vectorized collector: a
+//! * [`rollout`] — the episode collector: a
 //!   [`qmarl_env::vector::VectorEnv`] advances all in-flight episodes in
 //!   lockstep and the policy sees every live lane at once, so all
 //!   `lanes × agents` circuit evaluations of a tick reach the
-//!   [`batch::BatchExecutor`] as one flat batch. Bit-identical to the
-//!   per-episode engine under the same seed derivation.
+//!   [`batch::BatchExecutor`] as one flat batch. Seeds attach to the
+//!   *episode*, so collected traces are identical for any lane count
+//!   (see the module docs for the determinism contract).
 //! * [`qnn`] — [`qnn::CompiledVqc`], the model-facing wrapper
 //!   `qmarl-core`'s quantum actors and critics execute through.
 //!
@@ -103,7 +101,6 @@ pub mod qnn;
 pub mod rollout;
 pub mod superop;
 pub mod trajectory;
-pub mod vec_rollout;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
@@ -119,10 +116,9 @@ pub mod prelude {
     };
     pub use crate::qnn::{CompiledVqc, PreboundVqc};
     pub use crate::rollout::{
-        collect_episodes, derive_seed, EpisodeTrace, RolloutConfig, RolloutError, RolloutPolicy,
-        TraceStep, WorkerEnv,
+        collect_episodes_vec, derive_seed, EpisodeTrace, RolloutError, TraceStep, VecDecision,
+        VecRolloutPolicy,
     };
     pub use crate::superop::{prebind_density, run_density, DensityPrebound};
     pub use crate::trajectory::{prebind_trajectory, TrajPrebound};
-    pub use crate::vec_rollout::{collect_episodes_vec, VecDecision, VecRolloutPolicy};
 }

@@ -264,21 +264,6 @@ impl CompiledVqc {
             .collect())
     }
 
-    /// Batched **adjoint** forward + Jacobian — alias for
-    /// [`CompiledVqc::forward_with_jacobian_batch_prebound`], kept for the
-    /// PR-1 API surface.
-    ///
-    /// # Errors
-    ///
-    /// Returns binding-length errors.
-    pub fn forward_with_jacobian_batch_adjoint(
-        &self,
-        inputs: &[Vec<f64>],
-        params: &[f64],
-    ) -> Result<Vec<(Vec<f64>, Jacobian)>, RuntimeError> {
-        self.forward_with_jacobian_batch_prebound(inputs, params)
-    }
-
     /// Batched scalar evaluation (critic values): the first output of
     /// every sample's forward pass.
     ///
@@ -508,7 +493,7 @@ mod tests {
         }
         // Adjoint batch agrees with parameter-shift to gradient precision.
         let adjoint = compiled
-            .forward_with_jacobian_batch_adjoint(&batch, &params)
+            .forward_with_jacobian_batch_prebound(&batch, &params)
             .unwrap();
         for ((_, a), (_, b)) in adjoint.iter().zip(&results) {
             assert!(a.max_abs_diff(b) < 1e-9);

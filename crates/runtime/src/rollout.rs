@@ -1,84 +1,37 @@
-//! Parallel rollout workers with a deterministic seeding contract.
+//! Episode collection: lockstep ticks over a [`VectorEnv`].
 //!
 //! Training and evaluation both need many episodes under frozen policy
-//! parameters — and episodes are independent given their randomness. The
-//! engine here gives **each episode** (not each worker) its own derived
-//! RNG streams, so:
+//! parameters. A [`VectorEnv`] advances `B` episodes ("lanes") in
+//! lockstep, and at every tick the policy sees **all live lanes at once**
+//! as one flat struct-of-arrays observation slab. A policy backed by
+//! [`crate::batch::BatchExecutor`] turns that slab into one flat forward
+//! batch of `lanes × agents` circuits per tick — the shape the executor
+//! is built for. A single-stream rollout is just `lanes = 1`.
 //!
-//! > **Determinism contract.** The trace of episode `i` depends only on
-//! > `(base_seed, i)`, the environment template and the policy — *never*
-//! > on the worker count or thread scheduling. Collecting N episodes with
-//! > 1 worker and with 16 workers yields identical results, in identical
-//! > (episode-index) order.
+//! ## Determinism contract
 //!
-//! Mechanically: a worker picks the next episode index off the shared
-//! work queue, clones the environment template, calls
-//! [`WorkerEnv::reseed`] with `derive_seed(base_seed, ENV_STREAM, i)`,
-//! seeds the action-sampling RNG with `derive_seed(base_seed,
-//! POLICY_STREAM, i)`, and runs the episode to completion. Results are
-//! folded back in episode order (the "shared replay sink" is fed in
-//! deterministic order precisely so replay contents don't depend on which
-//! worker finished first).
+//! > The trace of episode `i` depends only on `(base_seed, i)`, the
+//! > environment template and the policy — never on the lane count. The
+//! > environment stream seeds from `derive_seed(base_seed, ENV_STREAM,
+//! > i)` and the action stream from `derive_seed(base_seed,
+//! > POLICY_STREAM, i)`, so for a policy that consumes its per-lane RNG
+//! > like a one-episode-at-a-time loop would, the collected traces are
+//! > **bit-identical** to that loop's (property-tested per scenario
+//! > against a scheduler-free serial reference in
+//! > `tests/vec_equivalence.rs`).
+//!
+//! Collections larger than the lane count run as successive waves: the
+//! first `B` episodes fill the lanes, the next `B` re-seed them, and so
+//! on — episode indexing (and therefore seeding) is independent of `B`.
+//! Traces come back in episode-index order.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qmarl_env::error::EnvError;
 use qmarl_env::metrics::{EpisodeMetrics, MetricsAccumulator};
-use qmarl_env::multi_agent::{MultiAgentEnv, StepInfo};
-use qmarl_env::vector::SeedableEnv;
-use qmarl_qsim::par;
-
-/// An environment usable by rollout workers: cloneable (each episode gets
-/// a private copy) and re-seedable (each episode gets private
-/// randomness).
-///
-/// Blanket-implemented for every [`SeedableEnv`] that is `Clone + Send +
-/// Sync` — `SingleHopEnv`, `MultiHopEnv`, boxed registry scenarios, and
-/// any future environment that implements the env crate's seeding trait.
-pub trait WorkerEnv: MultiAgentEnv + Clone + Send + Sync {
-    /// Makes this instance's future stream fully determined by `seed`
-    /// (also resets the episode).
-    fn reseed(&mut self, seed: u64);
-}
-
-impl<E: SeedableEnv + Clone + Send + Sync> WorkerEnv for E {
-    fn reseed(&mut self, seed: u64) {
-        SeedableEnv::reseed(self, seed);
-    }
-}
-
-/// A decision rule driving rollouts: joint actions from joint
-/// observations. `aux` is a policy-defined per-step scalar carried into
-/// the trace (the trainers store mean policy entropy there).
-pub trait RolloutPolicy {
-    /// The policy's error type.
-    type Error: Send;
-
-    /// Chooses one action per agent; `rng` is the episode's private
-    /// action-sampling stream.
-    ///
-    /// # Errors
-    ///
-    /// Policy evaluation errors abort the whole collection.
-    fn act(
-        &mut self,
-        observations: &[Vec<f64>],
-        rng: &mut StdRng,
-    ) -> Result<(Vec<usize>, f64), Self::Error>;
-}
-
-/// Blanket impl so plain closures work as policies.
-impl<F, E> RolloutPolicy for F
-where
-    F: FnMut(&[Vec<f64>], &mut StdRng) -> Result<(Vec<usize>, f64), E>,
-    E: Send,
-{
-    type Error = E;
-    fn act(&mut self, observations: &[Vec<f64>], rng: &mut StdRng) -> Result<(Vec<usize>, f64), E> {
-        self(observations, rng)
-    }
-}
+use qmarl_env::multi_agent::StepInfo;
+use qmarl_env::vector::VectorEnv;
 
 /// One recorded timestep (the runtime-level mirror of the trainer's
 /// transition tuple).
@@ -163,46 +116,13 @@ impl<E: std::fmt::Display> std::fmt::Display for RolloutError<E> {
 
 impl<E: std::fmt::Debug + std::fmt::Display> std::error::Error for RolloutError<E> {}
 
-/// How a collection run distributes and seeds its episodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RolloutConfig {
-    /// Worker threads (`0` = auto-detect). Never affects results.
-    pub workers: usize,
-    /// Base seed every episode's streams derive from.
-    pub base_seed: u64,
-}
-
-impl RolloutConfig {
-    /// A config with auto-detected workers.
-    pub fn new(base_seed: u64) -> Self {
-        RolloutConfig {
-            workers: 0,
-            base_seed,
-        }
-    }
-
-    /// Overrides the worker count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    fn effective_workers(&self) -> usize {
-        if self.workers == 0 {
-            par::default_workers()
-        } else {
-            self.workers
-        }
-    }
-}
-
 /// Stream tag for environment randomness.
 pub(crate) const ENV_STREAM: u64 = 0x45;
 /// Stream tag for policy action sampling.
 pub(crate) const POLICY_STREAM: u64 = 0x50;
 
 /// Derives an independent seed from `(base, stream, index)` via SplitMix64
-/// finalisation — the same derivation for every worker count, which is
+/// finalisation — the same derivation for every lane count, which is
 /// what makes the determinism contract hold.
 pub fn derive_seed(base: u64, stream: u64, index: u64) -> u64 {
     let mut z = base
@@ -213,122 +133,267 @@ pub fn derive_seed(base: u64, stream: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs one episode to completion on a freshly seeded env/policy pair.
-fn run_episode<E: WorkerEnv, P: RolloutPolicy>(
-    env: &mut E,
-    policy: &mut P,
-    rng: &mut StdRng,
-    index: usize,
-) -> Result<EpisodeTrace, RolloutError<P::Error>> {
-    let (mut obs, mut state) = env.reset();
-    let mut steps = Vec::with_capacity(env.episode_limit());
-    loop {
-        let (actions, aux) = policy.act(&obs, rng).map_err(RolloutError::Policy)?;
-        let out = env.step(&actions).map_err(RolloutError::Env)?;
-        steps.push(TraceStep {
-            state: std::mem::take(&mut state),
-            observations: std::mem::take(&mut obs),
-            actions,
-            reward: out.reward,
-            next_state: out.state.clone(),
-            next_observations: out.observations.clone(),
-            done: out.done,
-            info: out.info,
-            aux,
-        });
-        obs = out.observations;
-        state = out.state;
-        if out.done {
-            return Ok(EpisodeTrace { index, steps });
-        }
+/// One lockstep decision for all live lanes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VecDecision {
+    /// Flat joint actions, row-major: `lanes.len() · n_agents` indices.
+    pub actions: Vec<usize>,
+    /// Policy-defined per-lane scalar (the trainers record mean policy
+    /// entropy), one per row.
+    pub aux: Vec<f64>,
+}
+
+/// A decision rule evaluated across all live lanes at once.
+///
+/// `observations` is the SoA slab (`rows × n_agents × obs_dim`);
+/// `lanes[r]` names row `r`'s wave-lane, which is also its index into
+/// `rngs`. For traces to be independent of the lane count, a policy
+/// must consume `rngs[lanes[r]]` the same way whatever else shares the
+/// tick: once per agent in agent order when sampling, not at all when
+/// deterministic.
+pub trait VecRolloutPolicy {
+    /// The policy's error type.
+    type Error: Send;
+
+    /// Chooses joint actions for every live lane at one lockstep tick.
+    ///
+    /// # Errors
+    ///
+    /// Policy evaluation errors abort the whole collection.
+    fn act_vec(
+        &mut self,
+        observations: &[f64],
+        lanes: &[usize],
+        rngs: &mut [StdRng],
+    ) -> Result<VecDecision, Self::Error>;
+}
+
+/// Blanket impl so plain closures work as vectorized policies.
+impl<F, E> VecRolloutPolicy for F
+where
+    F: FnMut(&[f64], &[usize], &mut [StdRng]) -> Result<VecDecision, E>,
+    E: Send,
+{
+    type Error = E;
+    fn act_vec(
+        &mut self,
+        observations: &[f64],
+        lanes: &[usize],
+        rngs: &mut [StdRng],
+    ) -> Result<VecDecision, E> {
+        self(observations, lanes, rngs)
     }
 }
 
-/// Collects `n_episodes` episodes in parallel, returning them **in
-/// episode-index order** (see the module-level determinism contract).
-///
-/// `policy_factory(i)` builds episode `i`'s policy; for frozen-parameter
-/// rollouts it typically clones shared actor handles.
+/// Splits one SoA observation row back into per-agent vectors.
+fn unflatten_obs(row: &[f64], n_agents: usize, obs_dim: usize) -> Vec<Vec<f64>> {
+    (0..n_agents)
+        .map(|n| row[n * obs_dim..(n + 1) * obs_dim].to_vec())
+        .collect()
+}
+
+/// Collects `n_episodes` episodes over the vector environment's lanes,
+/// returning them **in episode-index order** (see the module-level
+/// determinism contract). Episodes beyond the lane count run as
+/// successive waves.
 ///
 /// # Errors
 ///
-/// Returns the lowest-indexed episode's error.
-pub fn collect_episodes<E, P, F>(
-    template: &E,
-    policy_factory: F,
+/// Propagates environment and policy errors.
+pub fn collect_episodes_vec<V, P>(
+    venv: &mut V,
+    policy: &mut P,
     n_episodes: usize,
-    config: &RolloutConfig,
+    base_seed: u64,
 ) -> Result<Vec<EpisodeTrace>, RolloutError<P::Error>>
 where
-    E: WorkerEnv,
-    P: RolloutPolicy,
-    F: Fn(usize) -> P + Sync,
+    V: VectorEnv,
+    P: VecRolloutPolicy,
 {
-    let indices: Vec<usize> = (0..n_episodes).collect();
-    par::try_parallel_map(&indices, config.effective_workers(), |_, &i| {
-        let mut env = template.clone();
-        env.reseed(derive_seed(config.base_seed, ENV_STREAM, i as u64));
-        let mut rng = StdRng::seed_from_u64(derive_seed(config.base_seed, POLICY_STREAM, i as u64));
-        let mut policy = policy_factory(i);
-        run_episode(&mut env, &mut policy, &mut rng, i)
-    })
+    let lanes_max = venv.batch_size();
+    let (na, od, sd) = (venv.n_agents(), venv.obs_dim(), venv.state_dim());
+    let mut traces = Vec::with_capacity(n_episodes);
+
+    let mut wave_start = 0;
+    while wave_start < n_episodes {
+        let ids: Vec<usize> = (wave_start..(wave_start + lanes_max).min(n_episodes)).collect();
+        let k = ids.len();
+        let seeds: Vec<u64> = ids
+            .iter()
+            .map(|&i| derive_seed(base_seed, ENV_STREAM, i as u64))
+            .collect();
+        let mut rngs: Vec<StdRng> = ids
+            .iter()
+            .map(|&i| StdRng::seed_from_u64(derive_seed(base_seed, POLICY_STREAM, i as u64)))
+            .collect();
+
+        let reset = venv.reset_lanes(&seeds).map_err(RolloutError::Env)?;
+        let mut prev_obs: Vec<Vec<Vec<f64>>> = (0..k)
+            .map(|r| unflatten_obs(&reset.observations[r * na * od..(r + 1) * na * od], na, od))
+            .collect();
+        let mut prev_state: Vec<Vec<f64>> = (0..k)
+            .map(|r| reset.states[r * sd..(r + 1) * sd].to_vec())
+            .collect();
+        let mut steps: Vec<Vec<TraceStep>> = (0..k)
+            .map(|_| Vec::with_capacity(venv.episode_limit()))
+            .collect();
+
+        let mut live: Vec<usize> = reset.lanes;
+        let mut obs_soa = reset.observations;
+        while !live.is_empty() {
+            let decision = policy
+                .act_vec(&obs_soa, &live, &mut rngs)
+                .map_err(RolloutError::Policy)?;
+            let out = venv
+                .step_lanes(&decision.actions)
+                .map_err(RolloutError::Env)?;
+            debug_assert_eq!(out.lanes, live, "lockstep rows must track live lanes");
+
+            for (row, &lane) in out.lanes.iter().enumerate() {
+                let next_state = out.states[row * sd..(row + 1) * sd].to_vec();
+                let next_obs = unflatten_obs(
+                    &out.observations[row * na * od..(row + 1) * na * od],
+                    na,
+                    od,
+                );
+                let state = std::mem::replace(&mut prev_state[lane], next_state.clone());
+                let observations = std::mem::replace(&mut prev_obs[lane], next_obs.clone());
+                steps[lane].push(TraceStep {
+                    state,
+                    observations,
+                    actions: decision.actions[row * na..(row + 1) * na].to_vec(),
+                    reward: out.rewards[row],
+                    next_state,
+                    next_observations: next_obs,
+                    done: out.dones[row],
+                    info: out.infos[row].clone(),
+                    aux: decision.aux[row],
+                });
+            }
+
+            if out.dones.iter().any(|&d| d) {
+                // Compact the SoA slab down to the lanes still running.
+                let mut next_live = Vec::with_capacity(live.len());
+                let mut next_soa = Vec::with_capacity(out.observations.len());
+                for (row, &lane) in out.lanes.iter().enumerate() {
+                    if !out.dones[row] {
+                        next_live.push(lane);
+                        next_soa.extend_from_slice(
+                            &out.observations[row * na * od..(row + 1) * na * od],
+                        );
+                    }
+                }
+                live = next_live;
+                obs_soa = next_soa;
+            } else {
+                live = out.lanes;
+                obs_soa = out.observations;
+            }
+        }
+
+        for (lane, lane_steps) in steps.into_iter().enumerate() {
+            traces.push(EpisodeTrace {
+                index: ids[lane],
+                steps: lane_steps,
+            });
+        }
+        wave_start += k;
+    }
+    Ok(traces)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use qmarl_env::single_hop::{EnvConfig, SingleHopEnv};
+    use qmarl_env::vector::ReplicatedVecEnv;
     use rand::Rng;
 
-    fn tiny_env() -> SingleHopEnv {
+    fn tiny_env(limit: usize) -> SingleHopEnv {
         let mut cfg = EnvConfig::paper_default();
-        cfg.episode_limit = 12;
+        cfg.episode_limit = limit;
         SingleHopEnv::new(cfg, 0).unwrap()
     }
 
-    /// A stochastic test policy: uniform random joint actions.
-    #[allow(clippy::type_complexity)] // the RolloutPolicy closure shape, spelled out
+    /// A stochastic test policy: uniform random joint actions, aux 1.5,
+    /// one draw per agent in agent order from each lane's RNG.
     fn random_policy(
-        _episode: usize,
-    ) -> impl FnMut(&[Vec<f64>], &mut StdRng) -> Result<(Vec<usize>, f64), EnvError> {
-        |obs: &[Vec<f64>], rng: &mut StdRng| {
-            let actions = obs.iter().map(|_| rng.gen_range(0..4)).collect();
-            Ok((actions, 1.5))
+        _obs: &[f64],
+        lanes: &[usize],
+        rngs: &mut [StdRng],
+    ) -> Result<VecDecision, EnvError> {
+        let n_agents = 4;
+        let mut actions = Vec::with_capacity(lanes.len() * n_agents);
+        for &lane in lanes {
+            for _ in 0..n_agents {
+                actions.push(rngs[lane].gen_range(0..4));
+            }
+        }
+        Ok(VecDecision {
+            actions,
+            aux: vec![1.5; lanes.len()],
+        })
+    }
+
+    fn collect(template: &SingleHopEnv, lanes: usize, n: usize, seed: u64) -> Vec<EpisodeTrace> {
+        let mut venv = ReplicatedVecEnv::new(template, lanes).unwrap();
+        collect_episodes_vec(&mut venv, &mut random_policy, n, seed).unwrap()
+    }
+
+    #[test]
+    fn lane_count_never_changes_results() {
+        // Including partial final waves (5 episodes over 2 or 3 lanes).
+        let template = tiny_env(9);
+        let reference = collect(&template, 1, 5, 42);
+        for lanes in [2usize, 3, 5, 8] {
+            assert_eq!(collect(&template, lanes, 5, 42), reference, "lanes={lanes}");
         }
     }
 
     #[test]
     fn worker_count_never_changes_results() {
-        let env = tiny_env();
-        let reference = collect_episodes(
-            &env,
-            random_policy,
-            8,
-            &RolloutConfig::new(42).with_workers(1),
-        )
-        .unwrap();
-        for workers in [2, 4, 16] {
-            let got = collect_episodes(
-                &env,
-                random_policy,
-                8,
-                &RolloutConfig::new(42).with_workers(workers),
-            )
+        // Each agent acts greedily on a circuit batch run on `workers`
+        // threads, perturbed by one draw from its lane's RNG.
+        use crate::batch::BatchExecutor;
+        use qmarl_vqc::ansatz::{init_params, layered_ansatz};
+        use qmarl_vqc::observable::Readout;
+        let mut circuit = qmarl_vqc::encoder::layered_angle_encoder(4, 4).unwrap();
+        circuit
+            .append_shifted(&layered_ansatz(4, 8).unwrap())
             .unwrap();
-            assert_eq!(got, reference, "workers={workers}");
+        let compiled = crate::compile::compile(&circuit);
+        let (params, readout) = (init_params(8, 3), Readout::z_all(4));
+        let collect_with = |workers: usize| {
+            let executor = BatchExecutor::new(workers);
+            let mut policy = |obs: &[f64],
+                              lanes: &[usize],
+                              rngs: &mut [StdRng]|
+             -> Result<VecDecision, crate::error::RuntimeError> {
+                let rows: Vec<Vec<f64>> = obs.chunks(4).map(<[f64]>::to_vec).collect();
+                let scores = executor.expectation_batch(&compiled, &readout, &rows, &params)?;
+                let actions = scores
+                    .iter()
+                    .enumerate()
+                    .map(|(k, s)| {
+                        let greedy = (0..4).max_by(|&a, &b| s[a].total_cmp(&s[b])).unwrap();
+                        (greedy + rngs[lanes[k / 4]].gen_range(0..2)) % 4
+                    })
+                    .collect();
+                let aux = scores.chunks(4).map(|agents| agents[0][0]).collect();
+                Ok(VecDecision { actions, aux })
+            };
+            let mut venv = ReplicatedVecEnv::new(&tiny_env(8), 3).unwrap();
+            collect_episodes_vec(&mut venv, &mut policy, 5, 42).unwrap()
+        };
+        let reference = collect_with(1);
+        for workers in [2usize, 4, 16] {
+            assert_eq!(collect_with(workers), reference, "workers={workers}");
         }
     }
 
     #[test]
     fn episodes_have_distinct_randomness() {
-        let env = tiny_env();
-        let traces = collect_episodes(
-            &env,
-            random_policy,
-            4,
-            &RolloutConfig::new(7).with_workers(2),
-        )
-        .unwrap();
+        let traces = collect(&tiny_env(12), 2, 4, 7);
         assert_eq!(traces.len(), 4);
         for (i, t) in traces.iter().enumerate() {
             assert_eq!(t.index, i);
@@ -341,39 +406,54 @@ mod tests {
 
     #[test]
     fn base_seed_changes_everything() {
-        let env = tiny_env();
-        let a = collect_episodes(&env, random_policy, 2, &RolloutConfig::new(1)).unwrap();
-        let b = collect_episodes(&env, random_policy, 2, &RolloutConfig::new(2)).unwrap();
-        assert_ne!(a, b);
-        let a2 = collect_episodes(&env, random_policy, 2, &RolloutConfig::new(1)).unwrap();
-        assert_eq!(a, a2);
+        let env = tiny_env(12);
+        let a = collect(&env, 2, 2, 1);
+        assert_ne!(a, collect(&env, 2, 2, 2));
+        assert_eq!(a, collect(&env, 2, 2, 1));
+    }
+
+    #[test]
+    fn wave_chunking_preserves_episode_indexing() {
+        let template = tiny_env(4);
+        let traces = collect(&template, 2, 5, 7);
+        assert_eq!(traces.len(), 5);
+        for (i, t) in traces.iter().enumerate() {
+            assert_eq!(t.index, i);
+            assert_eq!(t.steps.len(), 4);
+            assert!(t.steps.last().unwrap().done);
+        }
+        // Lane count must not change which episodes were collected.
+        assert_eq!(collect(&template, 5, 5, 7), traces);
+    }
+
+    #[test]
+    fn empty_collection_is_empty() {
+        assert!(collect(&tiny_env(4), 2, 0, 0).is_empty());
     }
 
     #[test]
     fn trace_bookkeeping_is_consistent() {
-        let env = tiny_env();
-        let traces = collect_episodes(&env, random_policy, 1, &RolloutConfig::new(3)).unwrap();
-        let t = &traces[0];
-        let m = t.metrics();
-        assert_eq!(m.len, t.steps.len());
-        assert!((m.total_reward - t.total_reward()).abs() < 1e-12);
-        assert!((t.mean_aux() - 1.5).abs() < 1e-15);
-        // Chaining: next_state of step k equals state of step k+1.
-        for w in t.steps.windows(2) {
-            assert_eq!(w[0].next_state, w[1].state);
-            assert_eq!(w[0].next_observations, w[1].observations);
+        for t in &collect(&tiny_env(6), 3, 3, 3) {
+            let m = t.metrics();
+            assert_eq!(m.len, t.steps.len());
+            assert!((m.total_reward - t.total_reward()).abs() < 1e-12);
+            assert!((t.mean_aux() - 1.5).abs() < 1e-15);
+            // Chaining: next_state of step k equals state of step k+1.
+            for w in t.steps.windows(2) {
+                assert_eq!(w[0].next_state, w[1].state);
+                assert_eq!(w[0].next_observations, w[1].observations);
+            }
         }
     }
 
     #[test]
     fn policy_errors_propagate() {
-        let env = tiny_env();
-        let failing = |_i: usize| {
-            |_obs: &[Vec<f64>], _rng: &mut StdRng| -> Result<(Vec<usize>, f64), String> {
-                Err("no policy".to_string())
-            }
-        };
-        let err = collect_episodes(&env, failing, 3, &RolloutConfig::new(0)).unwrap_err();
+        let mut venv = ReplicatedVecEnv::new(&tiny_env(4), 2).unwrap();
+        let mut failing = |_obs: &[f64],
+                           _lanes: &[usize],
+                           _rngs: &mut [StdRng]|
+         -> Result<VecDecision, String> { Err("no policy".into()) };
+        let err = collect_episodes_vec(&mut venv, &mut failing, 3, 0).unwrap_err();
         assert!(matches!(err, RolloutError::Policy(ref m) if m == "no policy"));
     }
 

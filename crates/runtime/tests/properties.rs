@@ -232,11 +232,14 @@ proptest! {
     }
 }
 
+mod common;
+
+/// The lockstep collector's lanes are its parallel episode streams.
 mod rollout_equivalence {
-    use super::*;
+    use super::common::{random_policy, serial_reference};
     use qmarl_env::single_hop::{EnvConfig, SingleHopEnv};
-    use rand::rngs::StdRng;
-    use rand::Rng;
+    use qmarl_env::vector::ReplicatedVecEnv;
+    use qmarl_runtime::rollout::{collect_episodes_vec, EpisodeTrace};
 
     fn env(limit: usize) -> SingleHopEnv {
         let mut cfg = EnvConfig::paper_default();
@@ -244,99 +247,26 @@ mod rollout_equivalence {
         SingleHopEnv::new(cfg, 0).unwrap()
     }
 
-    #[allow(clippy::type_complexity)] // the RolloutPolicy closure shape, spelled out
-    fn policy(
-        _episode: usize,
-    ) -> impl FnMut(&[Vec<f64>], &mut StdRng) -> Result<(Vec<usize>, f64), RuntimeError> {
-        |obs: &[Vec<f64>], rng: &mut StdRng| {
-            Ok((obs.iter().map(|_| rng.gen_range(0..4)).collect(), 0.0))
-        }
-    }
-
-    /// A hand-written serial reference: run the same derivation loop with
-    /// no parallel scheduler at all.
-    fn serial_reference(
-        template: &SingleHopEnv,
-        n_episodes: usize,
-        base_seed: u64,
-    ) -> Vec<EpisodeTrace> {
-        use qmarl_env::multi_agent::MultiAgentEnv;
-        use rand::SeedableRng;
-        (0..n_episodes)
-            .map(|i| {
-                let mut env = template.clone();
-                env.reseed(derive_seed(base_seed, 0x45, i as u64));
-                let mut rng = StdRng::seed_from_u64(derive_seed(base_seed, 0x50, i as u64));
-                let mut p = policy(i);
-                let (mut obs, mut state) = env.reset();
-                let mut steps = Vec::new();
-                loop {
-                    let (actions, aux) = p(&obs, &mut rng).unwrap();
-                    let out = env.step(&actions).unwrap();
-                    steps.push(TraceStep {
-                        state: state.clone(),
-                        observations: obs.clone(),
-                        actions,
-                        reward: out.reward,
-                        next_state: out.state.clone(),
-                        next_observations: out.observations.clone(),
-                        done: out.done,
-                        info: out.info,
-                        aux,
-                    });
-                    obs = out.observations;
-                    state = out.state;
-                    if out.done {
-                        break;
-                    }
-                }
-                EpisodeTrace { index: i, steps }
-            })
-            .collect()
+    fn collect(template: &SingleHopEnv, lanes: usize, n: usize, seed: u64) -> Vec<EpisodeTrace> {
+        let mut venv = ReplicatedVecEnv::new(template, lanes).unwrap();
+        collect_episodes_vec(&mut venv, &mut random_policy(4, 4), n, seed).unwrap()
     }
 
     #[test]
     fn parallel_rollouts_equal_serial_reference_for_one_worker() {
         let template = env(10);
-        let engine = collect_episodes(
-            &template,
-            policy,
-            5,
-            &RolloutConfig {
-                workers: 1,
-                base_seed: 99,
-            },
-        )
-        .unwrap();
-        let reference = serial_reference(&template, 5, 99);
-        assert_eq!(engine, reference);
+        assert_eq!(
+            collect(&template, 1, 5, 99),
+            serial_reference(&template, 5, 99)
+        );
     }
 
     #[test]
     fn parallel_rollouts_independent_of_worker_count() {
         let template = env(15);
-        let one = collect_episodes(
-            &template,
-            policy,
-            6,
-            &RolloutConfig {
-                workers: 1,
-                base_seed: 5,
-            },
-        )
-        .unwrap();
-        for workers in [2, 3, 8] {
-            let many = collect_episodes(
-                &template,
-                policy,
-                6,
-                &RolloutConfig {
-                    workers,
-                    base_seed: 5,
-                },
-            )
-            .unwrap();
-            assert_eq!(one, many, "workers={workers}");
+        let one = collect(&template, 1, 6, 5);
+        for lanes in [2, 3, 8] {
+            assert_eq!(collect(&template, lanes, 6, 5), one, "lanes={lanes}");
         }
     }
 }

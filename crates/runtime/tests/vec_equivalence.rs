@@ -1,38 +1,23 @@
-//! The vectorized collector's hard guarantee, property-tested:
+//! The episode collector's hard guarantee, property-tested:
 //!
 //! > For **every registered scenario** and lane counts {1, 3, 16}, the
-//! > lockstep vectorized engine reproduces the serial per-episode
-//! > engine's traces — rewards, states, observations, metrics — **bit
+//! > lockstep collector reproduces a hand-written, scheduler-free serial
+//! > loop's traces — rewards, states, observations, metrics — **bit
 //! > exactly** per episode under the shared `derive_seed` contract.
 //!
 //! The policies used here are RNG-consuming (uniform random joint
 //! actions), so the test also pins the action-stream discipline: a
 //! vectorized policy must draw from each lane's RNG exactly as the serial
-//! policy draws from the episode RNG.
+//! loop draws from the episode RNG.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::Rng;
 
-use qmarl_env::error::EnvError;
 use qmarl_env::scenario::{scenarios, ScenarioParams};
 use qmarl_env::vector::ReplicatedVecEnv;
-use qmarl_runtime::rollout::{collect_episodes, RolloutConfig};
-use qmarl_runtime::vec_rollout::{collect_episodes_vec, VecDecision};
+use qmarl_runtime::rollout::collect_episodes_vec;
 
-/// The serial engine's per-episode policy shape.
-type BoxedSerialPolicy =
-    Box<dyn FnMut(&[Vec<f64>], &mut StdRng) -> Result<(Vec<usize>, f64), EnvError>>;
-
-/// Serial reference: uniform random joint actions, one draw per agent.
-fn serial_policy(n_agents: usize, n_actions: usize) -> impl Fn(usize) -> BoxedSerialPolicy {
-    move |_episode| {
-        Box::new(move |_obs: &[Vec<f64>], rng: &mut StdRng| {
-            let actions = (0..n_agents).map(|_| rng.gen_range(0..n_actions)).collect();
-            Ok((actions, 0.25))
-        })
-    }
-}
+mod common;
+use common::{random_policy, serial_reference};
 
 proptest! {
     /// Serial ≡ vectorized, per scenario, per lane count, bit for bit.
@@ -46,37 +31,13 @@ proptest! {
             let template = spec
                 .build_with(&params)
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.name()));
-            let n_agents = template.n_agents();
-            let n_actions = template.n_actions();
-            let config = RolloutConfig::new(base_seed).with_workers(1);
-
-            let reference = collect_episodes(
-                &template,
-                serial_policy(n_agents, n_actions),
-                n_episodes,
-                &config,
-            )
-            .unwrap();
+            let mut policy = random_policy(template.n_agents(), template.n_actions());
+            let reference = serial_reference(&template, n_episodes, base_seed);
 
             for lanes in [1usize, 3, 16] {
                 let mut venv = ReplicatedVecEnv::new(&template, lanes).unwrap();
-                let mut vec_policy = |_obs: &[f64],
-                                      rows: &[usize],
-                                      rngs: &mut [StdRng]|
-                 -> Result<VecDecision, EnvError> {
-                    let mut actions = Vec::with_capacity(rows.len() * n_agents);
-                    for &lane in rows {
-                        for _ in 0..n_agents {
-                            actions.push(rngs[lane].gen_range(0..n_actions));
-                        }
-                    }
-                    Ok(VecDecision {
-                        actions,
-                        aux: vec![0.25; rows.len()],
-                    })
-                };
                 let got =
-                    collect_episodes_vec(&mut venv, &mut vec_policy, n_episodes, &config).unwrap();
+                    collect_episodes_vec(&mut venv, &mut policy, n_episodes, base_seed).unwrap();
                 prop_assert_eq!(
                     &got,
                     &reference,
@@ -103,20 +64,11 @@ proptest! {
         let template = spec
             .build_with(&ScenarioParams::seeded(0).with_episode_limit(5))
             .unwrap();
-        let config = RolloutConfig::new(base_seed);
-        let policy = |_obs: &[f64], rows: &[usize], rngs: &mut [StdRng]| {
-            let mut actions = Vec::with_capacity(rows.len() * 4);
-            for &lane in rows {
-                for _ in 0..4 {
-                    actions.push(rngs[lane].gen_range(0..4));
-                }
-            }
-            Ok::<_, EnvError>(VecDecision { actions, aux: vec![0.0; rows.len()] })
-        };
+        let mut policy = random_policy(4, 4);
         let mut venv = ReplicatedVecEnv::new(&template, 3).unwrap();
-        let small = collect_episodes_vec(&mut venv, &mut { policy }, 2, &config).unwrap();
+        let small = collect_episodes_vec(&mut venv, &mut policy, 2, base_seed).unwrap();
         let mut venv = ReplicatedVecEnv::new(&template, 3).unwrap();
-        let large = collect_episodes_vec(&mut venv, &mut { policy }, 7, &config).unwrap();
+        let large = collect_episodes_vec(&mut venv, &mut policy, 7, base_seed).unwrap();
         prop_assert_eq!(&large[..2], &small[..]);
     }
 }

@@ -444,6 +444,71 @@ fn watcher_skips_torn_snapshots_and_recovers_on_the_next_valid_one() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A well-formed snapshot whose parameters are not finite is a corrupt
+/// file, not a policy: the watcher counts it as a skip and the previous
+/// policy keeps answering, bit for bit.
+#[test]
+fn watcher_skips_non_finite_snapshots_and_keeps_the_previous_policy() {
+    let train = TrainConfig::paper_default();
+    let dir = scratch_dir("nan");
+    let reference = paper_policy();
+    let handle = serve(paper_policy(), ServerConfig::default()).expect("serve");
+    let watcher = spawn_watcher(
+        WatchConfig {
+            dir: dir.clone(),
+            poll_interval: Duration::from_millis(10),
+            kind: KIND,
+            scenario: SCENARIO.into(),
+            backend: ExecutionBackend::Ideal,
+            train: train.clone(),
+            stats: Some(handle.stats().clone()),
+            faults: None,
+        },
+        handle.slot().clone(),
+    )
+    .expect("watcher");
+
+    // Right shape for this server, one NaN weight. `save` refuses it, so
+    // write the text directly (tmp + rename: one fingerprint, one skip).
+    let mut actor_params: Vec<Vec<f64>> = paper_actors(&train).iter().map(|a| a.params()).collect();
+    actor_params[0][0] = f64::NAN;
+    let poisoned = FrameworkSnapshot {
+        label: "nan".into(),
+        actor_params,
+        critic_params: Vec::new(),
+    };
+    let tmp = dir.join("nan.ckpt.tmp");
+    std::fs::write(&tmp, poisoned.to_text()).expect("write nan");
+    std::fs::rename(&tmp, dir.join("nan.ckpt")).expect("rename nan");
+    wait_until(
+        "the NaN snapshot to be skipped",
+        Duration::from_secs(10),
+        || watcher.corrupt_skips.load(Ordering::SeqCst) >= 1,
+    );
+    assert_eq!(watcher.swaps_applied.load(Ordering::SeqCst), 0);
+    assert_eq!(watcher.mismatch_rejects.load(Ordering::SeqCst), 0);
+
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+    let info = client.info().expect("info");
+    assert_eq!(info.policy_version, 1, "a NaN snapshot must never swap in");
+    assert_eq!(info.corrupt_skips, 1);
+    for salt in 0..5 {
+        let obs = obs_slab(salt, reference.request_len());
+        let expected: Vec<u16> = reference
+            .act(&obs)
+            .expect("reference")
+            .iter()
+            .map(|&a| a as u16)
+            .collect();
+        assert_eq!(client.act(&obs).expect("act"), expected);
+    }
+    drop(client);
+
+    watcher.stop();
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Regression: a connection that lands in the listen backlog after the
 /// drain flag is set gets a typed ERROR frame back, not a silent reset.
 ///
