@@ -4,9 +4,10 @@
 //! 3-layer ansatz, `BatchExecutor` must beat a serial `vqc::exec::run`
 //! loop at batch sizes ≥ 32. The serial baselines below re-interpret the
 //! circuit IR per evaluation (what the stack did before the runtime
-//! existed); the batched rows run one compiled, fused schedule across the
-//! work-queue scheduler. `compiled_serial` isolates the compilation win
-//! from the parallelism win.
+//! existed); the batched rows run the `Ideal` forward pass (one prebound,
+//! fused schedule over lane slabs) across the work-queue scheduler.
+//! `compiled_serial` isolates the compilation win from the parallelism
+//! win.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -33,6 +34,17 @@ fn bench_forward_batch(c: &mut Criterion) {
     let circuit = three_layer_circuit();
     let compiled = compile(&circuit);
     let params = init_params(circuit.param_count(), 7);
+    let readout = Readout::z_all(4);
+    let forward = |ex: &BatchExecutor, inputs: &[Vec<f64>]| {
+        ex.expectation_batch_backend(
+            &compiled,
+            &readout,
+            inputs,
+            &params,
+            &ExecutionBackend::Ideal,
+        )
+        .expect("batch")
+    };
     let mut group = c.benchmark_group("runtime_forward_4q3l");
     for batch in [1usize, 8, 32, 128] {
         let inputs = batch_inputs(batch);
@@ -42,9 +54,8 @@ fn bench_forward_batch(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     for item in &inputs {
-                        black_box(
-                            qmarl_vqc::exec::run(&circuit, black_box(item), &params).expect("run"),
-                        );
+                        let state = qmarl_vqc::exec::run(&circuit, black_box(item), &params);
+                        black_box(readout.evaluate(&state.expect("run")).expect("readout"));
                     }
                 });
             },
@@ -54,22 +65,12 @@ fn bench_forward_batch(c: &mut Criterion) {
             &batch,
             |b, _| {
                 let ex = BatchExecutor::serial();
-                b.iter(|| {
-                    black_box(
-                        ex.run_batch(&compiled, black_box(&inputs), &params)
-                            .expect("batch"),
-                    )
-                });
+                b.iter(|| black_box(forward(&ex, black_box(&inputs))));
             },
         );
         group.bench_with_input(BenchmarkId::new("batched", batch), &batch, |b, _| {
             let ex = BatchExecutor::default();
-            b.iter(|| {
-                black_box(
-                    ex.run_batch(&compiled, black_box(&inputs), &params)
-                        .expect("batch"),
-                )
-            });
+            b.iter(|| black_box(forward(&ex, black_box(&inputs))));
         });
     }
     group.finish();
@@ -98,8 +99,14 @@ fn bench_gradient_batch(c: &mut Criterion) {
             let ex = BatchExecutor::default();
             b.iter(|| {
                 black_box(
-                    ex.jacobian_batch(&compiled, &readout, black_box(&inputs), &params)
-                        .expect("jacobian"),
+                    ex.forward_and_jacobian_batch_backend(
+                        &compiled,
+                        &readout,
+                        black_box(&inputs),
+                        &params,
+                        &ExecutionBackend::Ideal,
+                    )
+                    .expect("jacobian"),
                 )
             });
         });

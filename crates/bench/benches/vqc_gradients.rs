@@ -70,36 +70,5 @@ fn bench_gradient_methods(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_parameter_shift(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parameter_shift_threads");
-    group.sample_size(30);
-    let critic = critic_model();
-    let cp = critic.init_params(4);
-    let circ_params = &cp[..critic.circuit_param_count()];
-    let state: Vec<f64> = (0..16)
-        .map(|i| std::f64::consts::PI * i as f64 / 16.0)
-        .collect();
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_function(format!("{threads}_threads"), |b| {
-            b.iter(|| {
-                jacobian_parameter_shift_parallel(
-                    critic.circuit(),
-                    critic.readout(),
-                    black_box(&state),
-                    circ_params,
-                    threads,
-                )
-                .expect("jacobian")
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_forward,
-    bench_gradient_methods,
-    bench_parallel_parameter_shift
-);
+criterion_group!(benches, bench_forward, bench_gradient_methods);
 criterion_main!(benches);

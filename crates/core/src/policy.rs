@@ -178,7 +178,8 @@ pub fn select_action<R: Rng + ?Sized>(probs: &[f64], deterministic: bool, rng: &
 ///
 /// Evaluation runs through the batched runtime ([`CompiledVqc`]): the
 /// circuit is compiled once (shared process-wide with every same-shaped
-/// actor) and forward passes execute the fused schedule.
+/// actor) and forward passes run the fused schedule prebound to the
+/// current parameters, a single observation as a one-lane slab.
 #[derive(Debug, Clone)]
 pub struct QuantumActor {
     model: CompiledVqc,

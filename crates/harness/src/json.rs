@@ -66,7 +66,8 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document (the full input must be one value).
+    /// Parses a JSON document (the full input must be one value, nested
+    /// at most [`MAX_DEPTH`] arrays/objects deep).
     ///
     /// # Errors
     ///
@@ -74,8 +75,10 @@ impl Json {
     /// offset.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -180,9 +183,16 @@ fn render_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so the cap turns a hostile `[[[[…` document
+/// into an error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -211,8 +221,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -310,10 +334,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte aware).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-utf8 string content".to_string())?;
-                    let c = rest.chars().next().expect("peeked byte exists");
+                    // Consume one UTF-8 scalar (multi-byte aware); `pos`
+                    // only ever advances by whole scalars.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| format!("broken string content at byte {}", self.pos))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -420,6 +447,15 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        // Deep enough to overflow a recursive descent without the cap.
+        assert!(Json::parse(&"[{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

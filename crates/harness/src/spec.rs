@@ -224,7 +224,8 @@ impl ExperimentSpec {
     /// # Errors
     ///
     /// Returns [`HarnessError::InvalidSpec`] naming the first problem:
-    /// empty axes, a zero epoch/episode budget, an unknown scenario,
+    /// empty axes, more than [`MAX_SEEDS`] seeds, a zero epoch/episode
+    /// budget, an unknown scenario,
     /// checkpointing on the serial collector, or a framework × backend
     /// pair with no circuits to execute (classical × stochastic).
     pub fn validate(&self) -> Result<(), HarnessError> {
@@ -239,6 +240,12 @@ impl ExperimentSpec {
             || self.seeds.is_empty()
         {
             return bad("every grid axis (scenarios/frameworks/backends/engines/seeds) needs at least one entry".into());
+        }
+        if self.seeds.len() > MAX_SEEDS {
+            return bad(format!(
+                "{} seeds exceed the cap of {MAX_SEEDS}",
+                self.seeds.len()
+            ));
         }
         if self.epochs == 0 {
             return bad("epochs must be positive".into());
@@ -518,13 +525,28 @@ fn parse_mode(s: &str) -> Result<RolloutMode, HarnessError> {
     }
 }
 
+/// The most seeds one spec may list (ranges count expanded). Seed
+/// strings come from the command line and spec files, so the cap is
+/// checked **before** a range is expanded: `seeds=0..18446744073709551615`
+/// is an [`HarnessError::InvalidSpec`], not a 2⁶⁴-entry allocation.
+pub const MAX_SEEDS: usize = 1 << 16;
+
 /// Parses a seed list: comma-separated entries, each a number or a
-/// half-open `a..b` range (`"0..3,100"` → `[0, 1, 2, 100]`).
+/// half-open `a..b` range (`"0..3,100"` → `[0, 1, 2, 100]`), at most
+/// [`MAX_SEEDS`] seeds in all.
 fn parse_seeds(s: &str) -> Result<Vec<u64>, HarnessError> {
     let bad = |msg: String| HarnessError::InvalidSpec(msg);
+    let too_many = |entry: &str| {
+        bad(format!(
+            "seed entry {entry:?} takes the seed list past {MAX_SEEDS} seeds"
+        ))
+    };
     let mut seeds = Vec::new();
     for entry in s.split(',') {
         let entry = entry.trim();
+        if seeds.len() >= MAX_SEEDS {
+            return Err(too_many(entry));
+        }
         if let Some((a, b)) = entry.split_once("..") {
             let lo: u64 = a
                 .trim()
@@ -536,6 +558,9 @@ fn parse_seeds(s: &str) -> Result<Vec<u64>, HarnessError> {
                 .map_err(|_| bad(format!("malformed seed range end {b:?}")))?;
             if hi <= lo {
                 return Err(bad(format!("empty seed range {entry:?}")));
+            }
+            if hi - lo > (MAX_SEEDS - seeds.len()) as u64 {
+                return Err(too_many(entry));
             }
             seeds.extend(lo..hi);
         } else {
@@ -561,7 +586,7 @@ impl FromStr for ExperimentSpec {
     /// | `frameworks` | comma list of `Proposed`/`Comp1`/`Comp2`/`Comp3` | `Proposed` |
     /// | `backends` | comma list of backend specs (`ideal`, `sampled:shots=64`, `noisy:p1=0.01:p2=0.02`, `trajectory:p1=0.01:p2=0.02:samples=16`, …) | `ideal` |
     /// | `engines` | comma list of `batched`/`serial` | `batched` |
-    /// | `seeds` | numbers and `a..b` half-open ranges | required |
+    /// | `seeds` | numbers and `a..b` half-open ranges, at most [`MAX_SEEDS`] | required |
     /// | `epochs` | training epochs per cell | required |
     /// | `episodes` | episodes per epoch | `1` |
     /// | `lanes` | vector-env lanes | `episodes` |
@@ -737,6 +762,36 @@ mod tests {
         }
         assert!(ExperimentSpec::from_json("[1,2]").is_err());
         assert!(ExperimentSpec::from_json(r#"{"name":3}"#).is_err());
+    }
+
+    #[test]
+    fn oversized_seed_ranges_are_rejected_before_allocating() {
+        let invalid = |r: Result<ExperimentSpec, HarnessError>| matches!(r, Err(HarnessError::InvalidSpec(msg)) if msg.contains("seed"));
+        // 2^64 − 1 seeds (once a capacity-overflow panic) and 2^40 seeds
+        // (once an 8 TiB allocation abort), in the compact and JSON forms.
+        for range in ["0..18446744073709551615", "0..1099511627776"] {
+            let compact = format!("name=x;scenarios=single-hop;seeds={range};epochs=1");
+            assert!(invalid(compact.parse()), "{compact}");
+            let json = format!(
+                r#"{{"name":"x","scenarios":["single-hop"],"seeds":"{range}","epochs":1}}"#
+            );
+            assert!(invalid(ExperimentSpec::from_json(&json)), "{json}");
+        }
+        // The cap is exact and counts every entry, ranges expanded.
+        let spec = |seeds: String| {
+            format!("name=x;scenarios=single-hop;seeds={seeds};epochs=1").parse::<ExperimentSpec>()
+        };
+        let at_cap = spec(format!("0..{MAX_SEEDS}")).unwrap();
+        assert_eq!(at_cap.seeds.len(), MAX_SEEDS);
+        assert!(invalid(spec(format!("0..{MAX_SEEDS},{MAX_SEEDS}"))));
+        assert!(invalid(spec(format!("{MAX_SEEDS},0..{MAX_SEEDS}"))));
+        // A JSON array past the cap fails validation the same way.
+        let seeds: Vec<String> = (0..=MAX_SEEDS).map(|s| s.to_string()).collect();
+        let json = format!(
+            r#"{{"name":"x","scenarios":["single-hop"],"seeds":[{}],"epochs":1}}"#,
+            seeds.join(",")
+        );
+        assert!(invalid(ExperimentSpec::from_json(&json)));
     }
 
     #[test]

@@ -6,19 +6,17 @@
 //! each of those into a flat work queue drained by the shared
 //! [`qmarl_qsim::par`] scheduler:
 //!
-//! * [`BatchExecutor::run_batch`] — final states for B input vectors
-//!   under shared parameters,
-//! * [`BatchExecutor::expectation_batch`] — readout vectors instead of
-//!   raw states,
 //! * [`BatchExecutor::expectation_batch_prebound`] /
 //!   [`BatchExecutor::forward_and_jacobian_batch_prebound`] — forward
 //!   and adjoint batches over parameter-prebound lane slabs, grouped by
 //!   parameter set (N agents with identical circuit shape but private
 //!   weights: the rollout tick and the update sweep),
-//! * [`BatchExecutor::jacobian_batch`] /
-//!   [`BatchExecutor::forward_and_jacobian_batch`] — the batched
-//!   parameter-shift path (also `Sampled`'s, via
-//!   [`BatchExecutor::forward_and_jacobian_batch_backend`]): a
+//! * [`BatchExecutor::expectation_batch_backend`] — one model's forward
+//!   batch under an [`ExecutionBackend`]. `Ideal` prebinds the fused
+//!   schedule once and runs the batch as one group of prebound lane
+//!   slabs (a single request is a one-lane slab),
+//! * [`BatchExecutor::forward_and_jacobian_batch_backend`] — the
+//!   gradient path of every backend. `Ideal` and `Sampled` run a
 //!   **prefix-shared shift walk** per item over the raw schedule,
 //!   prebound once per batch. Each ±shift evaluation forks from the
 //!   state just before its occurrence and runs only the suffix, so the
@@ -43,17 +41,13 @@ use rand::SeedableRng;
 use crate::backend::ExecutionBackend;
 use crate::compile::{CGate, CompiledCircuit, Occurrence};
 use crate::error::RuntimeError;
-use crate::exec::{check_bindings, run_schedule_unchecked};
+use crate::exec::check_bindings;
 use crate::prebound::{
-    prebind_raw, readouts_from_slab, run_adjoint_slab, run_prebound_slab_raw, PreboundAdjoint,
-    PreboundCircuit, ShiftWalk,
+    prebind, prebind_raw, readouts_from_slab, run_adjoint_slab, run_prebound_slab_raw,
+    run_prebound_unchecked, PreboundAdjoint, PreboundCircuit, ShiftWalk,
 };
-use crate::superop::{
-    extract_lane, prebind_density, run_density, run_density_slab, DensityPrebound,
-};
-use crate::trajectory::{
-    prebind_trajectory, run_trajectory_adjoint, trajectory_outputs, TrajPrebound,
-};
+use crate::superop::{extract_lane, prebind_density, run_density, run_density_slab};
+use crate::trajectory::{prebind_trajectory, run_trajectory_adjoint, trajectory_outputs};
 
 /// One shared-parameter group of a prebound batch: a frozen schedule plus
 /// the input vectors to run under it.
@@ -64,6 +58,10 @@ pub struct PreboundGroup<'a> {
     /// Input vectors, as slices into caller-owned storage.
     pub inputs: Vec<&'a [f64]>,
 }
+
+/// One prebound group's `(n_qubits, n_inputs, input lanes)`, as the
+/// shared lane-chunk queue sees it.
+type LaneShape<'a> = (usize, usize, &'a [&'a [f64]]);
 
 /// Per-group, per-item `(raw readout vector, circuit-parameter Jacobian)`
 /// results of a prebound adjoint batch.
@@ -122,63 +120,15 @@ impl BatchExecutor {
         self.workers
     }
 
-    /// Runs the fused schedule for every input vector under shared
-    /// parameters, returning final states in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns a binding-length error naming the first offending item.
-    pub fn run_batch(
-        &self,
-        compiled: &CompiledCircuit,
-        inputs: &[Vec<f64>],
-        params: &[f64],
-    ) -> Result<Vec<StateVector>, RuntimeError> {
-        for item in inputs {
-            check_bindings(compiled, item, params)?;
-        }
-        Ok(par::parallel_map(inputs, self.workers, |_, item| {
-            run_schedule_unchecked(compiled.n_qubits(), compiled.fused_schedule(), item, params)
-        }))
-    }
-
-    /// Batched forward pass through a readout: one output vector per
-    /// input vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns binding-length or readout-validation errors.
-    pub fn expectation_batch(
-        &self,
-        compiled: &CompiledCircuit,
-        readout: &Readout,
-        inputs: &[Vec<f64>],
-        params: &[f64],
-    ) -> Result<Vec<Vec<f64>>, RuntimeError> {
-        readout.validate(compiled.n_qubits())?;
-        for item in inputs {
-            check_bindings(compiled, item, params)?;
-        }
-        par::try_parallel_map(inputs, self.workers, |_, item| {
-            let state = run_schedule_unchecked(
-                compiled.n_qubits(),
-                compiled.fused_schedule(),
-                item,
-                params,
-            );
-            readout.evaluate(&state).map_err(RuntimeError::from)
-        })
-    }
-
     /// Batched forward pass over **prebound** schedules, grouped by
     /// parameter set — the vectorized rollout tick. Each group's frozen
     /// parameters were resolved once by [`crate::prebound::prebind`]
     /// (hoisting all parameter-only trig); a task runs a contiguous lane
     /// chunk of one group through a single slab schedule walk, and the
     /// whole tick's chunks form one flat work queue. Outputs come back
-    /// per group, per item, bit-identical to
-    /// [`BatchExecutor::expectation_batch`] under the same bindings
-    /// (lanes are independent, so chunking cannot change any value).
+    /// per group, per item, bit-identical to a one-lane walk of the same
+    /// bindings (lanes are independent, so chunking cannot change any
+    /// value).
     ///
     /// # Errors
     ///
@@ -188,48 +138,25 @@ impl BatchExecutor {
         readout: &Readout,
         groups: &[PreboundGroup<'_>],
     ) -> Result<Vec<Vec<Vec<f64>>>, RuntimeError> {
-        let mut total_items = 0usize;
-        for group in groups {
-            readout.validate(group.circuit.n_qubits())?;
-            total_items += group.inputs.len();
-            for inputs in &group.inputs {
-                if inputs.len() != group.circuit.n_inputs() {
-                    return Err(RuntimeError::InputLenMismatch {
-                        expected: group.circuit.n_inputs(),
-                        actual: inputs.len(),
-                    });
-                }
-            }
-        }
-        // One task per (group, lane chunk): big enough to amortise the
-        // slab walk, small enough to fill every worker.
-        let chunk = (total_items / self.workers.max(1)).clamp(1, 64);
-        let tasks: Vec<(usize, usize, usize)> = groups
+        // Chunks of up to 64 lanes: big enough to amortise the slab walk,
+        // small enough to fill every worker. Validation already ran, so
+        // the per-task work is infallible: walk the chunk's slab once,
+        // then fold each lane's readout straight off it.
+        let shapes: Vec<LaneShape<'_>> = groups
             .iter()
-            .enumerate()
-            .flat_map(|(g, group)| {
-                (0..group.inputs.len())
-                    .step_by(chunk)
-                    .map(move |start| (g, start, (start + chunk).min(group.inputs.len())))
+            .map(|g| {
+                (
+                    g.circuit.n_qubits(),
+                    g.circuit.n_inputs(),
+                    g.inputs.as_slice(),
+                )
             })
             .collect();
-        // Readout validation already ran, so the per-task work is
-        // infallible: walk the chunk's slab once, then fold each lane's
-        // readout straight off it.
-        let results: Vec<Vec<Vec<f64>>> =
-            par::parallel_map(&tasks, self.workers, |_, &(g, start, end)| {
-                let chunk_inputs = &groups[g].inputs[start..end];
-                let slab = run_prebound_slab_raw(groups[g].circuit, chunk_inputs);
-                readouts_from_slab(readout, &slab, chunk_inputs.len())
-            });
-        let mut out: Vec<Vec<Vec<f64>>> = groups
-            .iter()
-            .map(|group| Vec::with_capacity(group.inputs.len()))
-            .collect();
-        for (&(g, _, _), chunk_results) in tasks.iter().zip(results) {
-            out[g].extend(chunk_results);
-        }
-        Ok(out)
+        self.lane_chunks(readout, &shapes, 64, |g, lanes| {
+            let inputs = &groups[g].inputs[lanes];
+            let slab = run_prebound_slab_raw(groups[g].circuit, inputs);
+            readouts_from_slab(readout, &slab, inputs.len())
+        })
     }
 
     /// Batched **prebound adjoint** forward + Jacobian, grouped by
@@ -253,57 +180,85 @@ impl BatchExecutor {
         readout: &Readout,
         groups: &[AdjointGroup<'_>],
     ) -> Result<AdjointBatchResults, RuntimeError> {
-        let mut total_items = 0usize;
-        for group in groups {
-            readout.validate(group.circuit.n_qubits())?;
-            total_items += group.inputs.len();
-            for inputs in &group.inputs {
-                if inputs.len() != group.circuit.n_inputs() {
-                    return Err(RuntimeError::InputLenMismatch {
-                        expected: group.circuit.n_inputs(),
-                        actual: inputs.len(),
-                    });
-                }
-            }
-        }
-        // One task per (group, lane chunk): the adjoint walk keeps
-        // (2 + outputs) slabs live, so chunks stay small enough for cache
-        // while still amortising the per-walk dispatch.
-        let chunk = (total_items / self.workers.max(1)).clamp(1, 32);
-        let tasks: Vec<(usize, usize, usize)> = groups
+        // Chunks of up to 32 lanes: the adjoint walk keeps (2 + outputs)
+        // slabs live, so chunks stay small enough for cache while still
+        // amortising the per-walk dispatch.
+        let shapes: Vec<LaneShape<'_>> = groups
             .iter()
-            .enumerate()
-            .flat_map(|(g, group)| {
-                (0..group.inputs.len())
-                    .step_by(chunk)
-                    .map(move |start| (g, start, (start + chunk).min(group.inputs.len())))
+            .map(|g| {
+                (
+                    g.circuit.n_qubits(),
+                    g.circuit.n_inputs(),
+                    g.inputs.as_slice(),
+                )
             })
             .collect();
-        let results: Vec<Vec<(Vec<f64>, Jacobian)>> =
-            par::parallel_map(&tasks, self.workers, |_, &(g, start, end)| {
-                run_adjoint_slab(groups[g].circuit, readout, &groups[g].inputs[start..end])
-            });
-        let mut out: AdjointBatchResults = groups
+        self.lane_chunks(readout, &shapes, 32, |g, lanes| {
+            run_adjoint_slab(groups[g].circuit, readout, &groups[g].inputs[lanes])
+        })
+    }
+
+    /// The shared queue of the two prebound batches. Validates the
+    /// readout and every group's input lengths, then runs `run(group,
+    /// lanes)` over contiguous lane chunks of at most `cap` lanes, sized
+    /// to fill every worker, as one flat work queue, and regroups the
+    /// per-lane results in input order. Lanes are independent, so the
+    /// chunking cannot change any value.
+    fn lane_chunks<T: Send>(
+        &self,
+        readout: &Readout,
+        groups: &[LaneShape<'_>],
+        cap: usize,
+        run: impl Fn(usize, Range<usize>) -> Vec<T> + Sync,
+    ) -> Result<Vec<Vec<T>>, RuntimeError> {
+        for &(n_qubits, n_inputs, inputs) in groups {
+            readout.validate(n_qubits)?;
+            if let Some(bad) = inputs.iter().find(|lane| lane.len() != n_inputs) {
+                return Err(RuntimeError::InputLenMismatch {
+                    expected: n_inputs,
+                    actual: bad.len(),
+                });
+            }
+        }
+        let total_items: usize = groups.iter().map(|&(_, _, inputs)| inputs.len()).sum();
+        let chunk = (total_items / self.workers.max(1)).clamp(1, cap);
+        let tasks: Vec<(usize, Range<usize>)> = groups
             .iter()
-            .map(|group| Vec::with_capacity(group.inputs.len()))
+            .enumerate()
+            .flat_map(|(g, &(_, _, inputs))| {
+                (0..inputs.len())
+                    .step_by(chunk)
+                    .map(move |start| (g, start..(start + chunk).min(inputs.len())))
+            })
             .collect();
-        for (&(g, _, _), chunk_results) in tasks.iter().zip(results) {
-            out[g].extend(chunk_results);
+        let results =
+            par::parallel_map(&tasks, self.workers, |_, (g, lanes)| run(*g, lanes.clone()));
+        let mut out: Vec<Vec<T>> = groups
+            .iter()
+            .map(|&(_, _, inputs)| Vec::with_capacity(inputs.len()))
+            .collect();
+        for ((g, _), chunk_results) in tasks.iter().zip(results) {
+            out[*g].extend(chunk_results);
         }
         Ok(out)
     }
 
     /// Batched forward pass under an [`ExecutionBackend`]: one readout
-    /// vector per input vector. `Ideal` delegates to
-    /// [`BatchExecutor::expectation_batch`] and is bit-identical to it;
-    /// the stochastic backends are worker-count invariant by the
-    /// content-addressed seed derivation (see [`crate::backend`]).
+    /// vector per input vector. The stochastic backends are worker-count
+    /// invariant by the content-addressed seed derivation (see
+    /// [`crate::backend`]).
     ///
-    /// `Noisy` prebinds the superoperator schedule once and runs the
-    /// batch as lane **chunks** of one density slab walk per task
-    /// (lanes are independent, so chunking cannot change any value);
-    /// `Sampled` and `Trajectory` evaluations are one task each — a
-    /// trajectory evaluation already fills a slab with its samples.
+    /// * `Ideal` prebinds the fused schedule once
+    ///   ([`crate::prebound::prebind`]) and runs the batch as one group of
+    ///   [`BatchExecutor::expectation_batch_prebound`] lane slabs; a single
+    ///   item is a one-lane slab.
+    /// * `Sampled` prebinds the same way and runs one task per item: the
+    ///   item's final state, then `shots` samples from its own stream.
+    /// * `Noisy` prebinds the superoperator schedule once and runs the
+    ///   batch as lane **chunks** of one density slab walk per task
+    ///   (lanes are independent, so chunking cannot change any value).
+    /// * `Trajectory` runs one task per item — a trajectory evaluation
+    ///   already fills a slab with its samples.
     ///
     /// # Errors
     ///
@@ -316,16 +271,31 @@ impl BatchExecutor {
         params: &[f64],
         backend: &ExecutionBackend,
     ) -> Result<Vec<Vec<f64>>, RuntimeError> {
-        if backend.is_ideal() {
-            return self.expectation_batch(compiled, readout, inputs, params);
-        }
         backend.validate()?;
         readout.validate(compiled.n_qubits())?;
         for item in inputs {
             check_bindings(compiled, item, params)?;
         }
-        match (backend, BackendPrep::new(compiled, params, backend)?) {
-            (ExecutionBackend::Noisy { shots, seed, .. }, BackendPrep::Density(pb)) => {
+        match backend {
+            ExecutionBackend::Ideal => {
+                let pb = prebind(compiled, params)?;
+                let group = PreboundGroup {
+                    circuit: &pb,
+                    inputs: inputs.iter().map(Vec::as_slice).collect(),
+                };
+                let groups = self.expectation_batch_prebound(readout, &[group])?;
+                Ok(groups.into_iter().flatten().collect())
+            }
+            ExecutionBackend::Sampled { shots, seed } => {
+                let pb = prebind(compiled, params)?;
+                par::try_parallel_map(inputs, self.workers, |_, item| {
+                    let state = run_prebound_unchecked(&pb, item);
+                    let stream = ExecutionBackend::eval_seed(*seed, item, params, 0);
+                    sampled_readout(&state, readout, *shots, stream)
+                })
+            }
+            ExecutionBackend::Noisy { model, shots, seed } => {
+                let pb = prebind_density(compiled, params, model)?;
                 // Lane-chunked slab walk. The chunk cap stays small: an
                 // 8-qubit density lane is 65 536 amplitudes, so 16 lanes
                 // keep the slab around cache-friendly sizes.
@@ -359,35 +329,31 @@ impl BatchExecutor {
                 })?;
                 Ok(results.into_iter().flatten().collect())
             }
-            (ExecutionBackend::Trajectory { samples, seed, .. }, BackendPrep::Traj(pb)) => {
+            ExecutionBackend::Trajectory {
+                model,
+                samples,
+                seed,
+            } => {
+                let pb = prebind_trajectory(compiled, params, model)?;
                 Ok(par::parallel_map(inputs, self.workers, |_, item| {
                     let eval_seed = ExecutionBackend::eval_seed(*seed, item, params, 0);
                     trajectory_outputs(&pb, readout, item, *samples, eval_seed, None)
                 }))
             }
-            (ExecutionBackend::Sampled { shots, seed }, _) => {
-                par::try_parallel_map(inputs, self.workers, |_, item| {
-                    let state = run_schedule_unchecked(
-                        compiled.n_qubits(),
-                        compiled.fused_schedule(),
-                        item,
-                        params,
-                    );
-                    let stream = ExecutionBackend::eval_seed(*seed, item, params, 0);
-                    sampled_readout(&state, readout, *shots, stream)
-                })
-            }
-            _ => unreachable!("BackendPrep::new pairs every backend with its own prep"),
         }
     }
 
-    /// Batched forward **and** Jacobian under an [`ExecutionBackend`] —
-    /// the gradient path of the stochastic backends:
+    /// Batched forward **and** Jacobian under an [`ExecutionBackend`]:
     ///
-    /// * `Sampled` runs the prefix-shared shift walk (see
-    ///   [`BatchExecutor::forward_and_jacobian_batch`]): each ±shift
-    ///   evaluation is forked from its item's raw-schedule prefix and
-    ///   shot-sampled from its own content-addressed stream, so the
+    /// * `Ideal` and `Sampled` run the **prefix-shared shift walk**. The
+    ///   raw schedule is prebound once per batch (parameter-only trig
+    ///   hoisted); a task walks one item's raw schedule a single time
+    ///   and, at each trainable occurrence, forks the ±shift evaluations
+    ///   from the shared prefix, so an occurrence at raw index `k` costs
+    ///   `2·(G − k)` gate applications (four terms for controlled
+    ///   rotations) instead of `2·G`. The forward pass runs the prebound
+    ///   fused schedule in the item's first task. `Sampled` shot-samples
+    ///   every evaluation from its own content-addressed stream, so the
     ///   gradients carry exactly the noise hardware execution would.
     /// * `Noisy` keeps one task per (item, occurrence) over its prebound
     ///   superoperator schedule; every forward and ±shift evaluation runs
@@ -395,8 +361,13 @@ impl BatchExecutor {
     /// * `Trajectory` runs one **per-trajectory adjoint** task per
     ///   minibatch item (exact gradient of the sampled estimator — the
     ///   jump draws are parameter-independent).
-    /// * `Ideal` delegates to [`BatchExecutor::forward_and_jacobian_batch`]
-    ///   and is bit-identical to it.
+    ///
+    /// A shift-walk task is one item while the batch alone fills every
+    /// worker; otherwise each item splits into contiguous occurrence
+    /// chunks of about equal gate work, each re-walking its own prefix,
+    /// so a one-item call still uses every worker. Shift-walk outputs are
+    /// bit-identical to running the full raw schedule per shifted angle,
+    /// folded in (item, occurrence) order whatever the chunking.
     ///
     /// # Errors
     ///
@@ -409,17 +380,19 @@ impl BatchExecutor {
         params: &[f64],
         backend: &ExecutionBackend,
     ) -> Result<(Vec<Vec<f64>>, Vec<Jacobian>), RuntimeError> {
-        if backend.is_ideal() {
-            return self.forward_and_jacobian_batch(compiled, readout, inputs, params);
-        }
         backend.validate()?;
         readout.validate(compiled.n_qubits())?;
         for item in inputs {
             check_bindings(compiled, item, params)?;
         }
-        match (backend, BackendPrep::new(compiled, params, backend)?) {
-            (ExecutionBackend::Sampled { shots, seed }, _) => {
-                self.shift_walk_batch(compiled, readout, inputs, params, true, |item| {
+        match backend {
+            ExecutionBackend::Ideal => {
+                self.shift_walk_batch(compiled, readout, inputs, params, |_| {
+                    |state: &StateVector, _| readout.evaluate(state).map_err(RuntimeError::from)
+                })
+            }
+            ExecutionBackend::Sampled { shots, seed } => {
+                self.shift_walk_batch(compiled, readout, inputs, params, |item| {
                     // Every evaluation of the item hashes the same
                     // bindings; only the salt differs.
                     let bindings = ExecutionBackend::bindings_hash(item, params);
@@ -434,14 +407,20 @@ impl BatchExecutor {
             // per-trajectory adjoint sweep, with the forward outputs
             // bit-identical to the plain forward pass (same walk, same
             // streams).
-            (ExecutionBackend::Trajectory { samples, seed, .. }, BackendPrep::Traj(pb)) => {
+            ExecutionBackend::Trajectory {
+                model,
+                samples,
+                seed,
+            } => {
+                let pb = prebind_trajectory(compiled, params, model)?;
                 let results = par::parallel_map(inputs, self.workers, |_, item| {
                     let eval_seed = ExecutionBackend::eval_seed(*seed, item, params, 0);
                     run_trajectory_adjoint(&pb, readout, item, *samples, eval_seed)
                 });
                 Ok(results.into_iter().unzip())
             }
-            (ExecutionBackend::Noisy { shots, seed, .. }, BackendPrep::Density(pb)) => {
+            ExecutionBackend::Noisy { model, shots, seed } => {
+                let pb = prebind_density(compiled, params, model)?;
                 let eval = |item: &[f64], at: Option<(usize, f64)>| {
                     let rho = run_density(&pb, item, at)?;
                     density_readout(&rho, readout, item, params, *shots, *seed, at)
@@ -458,7 +437,7 @@ impl BatchExecutor {
                         None => eval(item, None).map(|out| (out, None)),
                         Some(o) => {
                             let occ = occurrences[o];
-                            let theta = occurrence_angle(compiled, occ, item, params);
+                            let theta = occurrence_angle(compiled, occ, item, params)?;
                             shift_rule(theta, occ.controlled, |t| {
                                 eval(item, Some((occ.raw_idx, t)))
                             })
@@ -482,64 +461,7 @@ impl BatchExecutor {
                 }
                 Ok((outputs, jacobians))
             }
-            _ => unreachable!("BackendPrep::new pairs every backend with its own prep"),
         }
-    }
-
-    /// Batched parameter-shift Jacobians: one Jacobian per input vector,
-    /// from the prefix-shared shift walk (see
-    /// [`BatchExecutor::forward_and_jacobian_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns binding-length or readout-validation errors.
-    pub fn jacobian_batch(
-        &self,
-        compiled: &CompiledCircuit,
-        readout: &Readout,
-        inputs: &[Vec<f64>],
-        params: &[f64],
-    ) -> Result<Vec<Jacobian>, RuntimeError> {
-        readout.validate(compiled.n_qubits())?;
-        for item in inputs {
-            check_bindings(compiled, item, params)?;
-        }
-        let (_, jacobians) =
-            self.shift_walk_batch(compiled, readout, inputs, params, false, |_| exact(readout))?;
-        Ok(jacobians)
-    }
-
-    /// Batched forward **and** parameter-shift Jacobian by the
-    /// prefix-shared shift walk. The raw schedule is prebound once per
-    /// batch (parameter-only trig hoisted); a task walks one item's
-    /// raw schedule a single time and, at each trainable occurrence,
-    /// forks the ±shift evaluations from the shared prefix, so an
-    /// occurrence at raw index `k` costs `2·(G − k)` gate applications
-    /// (four terms for controlled rotations) instead of `2·G`. The
-    /// forward pass runs the fused schedule in the item's first task.
-    ///
-    /// A task is one item while the batch alone fills every worker;
-    /// otherwise each item splits into contiguous occurrence chunks of
-    /// about equal gate work, each re-walking its own prefix, so a
-    /// one-item call still uses every worker. Outputs are bit-identical
-    /// to running the full raw schedule per shifted angle, folded in
-    /// (item, occurrence) order whatever the chunking.
-    ///
-    /// # Errors
-    ///
-    /// Returns binding-length or readout-validation errors.
-    pub fn forward_and_jacobian_batch(
-        &self,
-        compiled: &CompiledCircuit,
-        readout: &Readout,
-        inputs: &[Vec<f64>],
-        params: &[f64],
-    ) -> Result<(Vec<Vec<f64>>, Vec<Jacobian>), RuntimeError> {
-        readout.validate(compiled.n_qubits())?;
-        for item in inputs {
-            check_bindings(compiled, item, params)?;
-        }
-        self.shift_walk_batch(compiled, readout, inputs, params, true, |_| exact(readout))
     }
 
     /// The shared body of the statevector shift paths. `reader(item)`
@@ -552,13 +474,13 @@ impl BatchExecutor {
         readout: &Readout,
         inputs: &[Vec<f64>],
         params: &[f64],
-        with_forward: bool,
         reader: R,
     ) -> Result<(Vec<Vec<f64>>, Vec<Jacobian>), RuntimeError>
     where
         R: Fn(&[f64]) -> E + Sync,
         E: Fn(&StateVector, Option<(usize, f64)>) -> Result<Vec<f64>, RuntimeError>,
     {
+        let fused = prebind(compiled, params)?;
         let raw = prebind_raw(compiled, params)?;
         let occurrences = compiled.occurrences();
         let parts = if inputs.len() >= self.workers {
@@ -573,14 +495,8 @@ impl BatchExecutor {
         let results = par::try_parallel_map(&tasks, self.workers, |_, &(b, c)| {
             let item = inputs[b].as_slice();
             let eval = reader(item);
-            let forward = if with_forward && c == 0 {
-                let state = run_schedule_unchecked(
-                    compiled.n_qubits(),
-                    compiled.fused_schedule(),
-                    item,
-                    params,
-                );
-                Some(eval(&state, None)?)
+            let forward = if c == 0 {
+                Some(eval(&run_prebound_unchecked(&fused, item), None)?)
             } else {
                 None
             };
@@ -588,9 +504,9 @@ impl BatchExecutor {
             let mut grads = Vec::with_capacity(chunks[c].len());
             for occ in &occurrences[chunks[c].clone()] {
                 walk.advance_to(occ.raw_idx);
-                let theta = occurrence_angle(compiled, *occ, item, params);
+                let theta = occurrence_angle(compiled, *occ, item, params)?;
                 grads.push(shift_rule(theta, occ.controlled, |t| {
-                    eval(walk.shifted(t), Some((occ.raw_idx, t)))
+                    eval(walk.shifted(t)?, Some((occ.raw_idx, t)))
                 })?);
             }
             Ok::<_, RuntimeError>((forward, grads))
@@ -637,41 +553,6 @@ fn occurrence_chunks(compiled: &CompiledCircuit, parts: usize) -> Vec<Range<usiz
     chunks
 }
 
-/// Per-batch backend preparation, built **once** before a queue drains:
-/// the noisy backend's superoperator prebind and the trajectory backend's
-/// schedule prebind both hoist their per-gate work here so every task in
-/// the queue (forward passes and shift evaluations alike) reuses it.
-// One value exists per batch and it is only ever borrowed, so the size
-// spread between `Plain` and the prebind variants costs nothing.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum BackendPrep {
-    /// Ideal/Sampled: the statevector paths need no extra prep here.
-    Plain,
-    /// Noisy: per-gate superoperators prebound over `(params, noise)`.
-    Density(DensityPrebound),
-    /// Trajectory: raw schedule prebound over `(params, noise)`.
-    Traj(TrajPrebound),
-}
-
-impl BackendPrep {
-    fn new(
-        compiled: &CompiledCircuit,
-        params: &[f64],
-        backend: &ExecutionBackend,
-    ) -> Result<BackendPrep, RuntimeError> {
-        match backend {
-            ExecutionBackend::Ideal | ExecutionBackend::Sampled { .. } => Ok(BackendPrep::Plain),
-            ExecutionBackend::Noisy { model, .. } => Ok(BackendPrep::Density(prebind_density(
-                compiled, params, model,
-            )?)),
-            ExecutionBackend::Trajectory { model, .. } => Ok(BackendPrep::Traj(
-                prebind_trajectory(compiled, params, model)?,
-            )),
-        }
-    }
-}
-
 /// The sample-stream salt of an evaluation: 0 for the plain forward pass,
 /// a mix of the overridden gate index and angle bits for shift
 /// evaluations, so each distinct circuit instance draws its own stream.
@@ -682,13 +563,6 @@ fn override_salt(override_angle: Option<(usize, f64)>) -> u64 {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(theta.to_bits()),
     }
-}
-
-/// The exact readout of the `Ideal` shift paths, for any item.
-fn exact(
-    readout: &Readout,
-) -> impl Fn(&StateVector, Option<(usize, f64)>) -> Result<Vec<f64>, RuntimeError> + '_ {
-    |state, _| readout.evaluate(state).map_err(RuntimeError::from)
 }
 
 /// The `Sampled` readout of one final state: `shots` samples drawn from
@@ -733,15 +607,22 @@ fn density_readout(
 }
 
 /// The base (unshifted) angle of an occurrence under the given bindings.
+/// Compilation only records rotations as occurrences; any other gate is
+/// reported as a typed error rather than trusted.
 fn occurrence_angle(
     compiled: &CompiledCircuit,
     occ: Occurrence,
     inputs: &[f64],
     params: &[f64],
-) -> f64 {
-    match &compiled.raw_schedule()[occ.raw_idx] {
-        CGate::Rot { angle, .. } | CGate::CRot { angle, .. } => angle.value(inputs, params),
-        other => unreachable!("occurrence points at non-rotation gate {other:?}"),
+) -> Result<f64, RuntimeError> {
+    match compiled.raw_schedule().get(occ.raw_idx) {
+        Some(CGate::Rot { angle, .. } | CGate::CRot { angle, .. }) => {
+            Ok(angle.value(inputs, params))
+        }
+        other => Err(RuntimeError::InvalidConfig(format!(
+            "trainable occurrence at raw gate {} is not a rotation: {other:?}",
+            occ.raw_idx
+        ))),
     }
 }
 
@@ -765,17 +646,54 @@ mod tests {
             .collect()
     }
 
+    const IDEAL: ExecutionBackend = ExecutionBackend::Ideal;
+
+    /// The `Ideal` forward batch.
+    fn ideal_forward(
+        ex: &BatchExecutor,
+        compiled: &CompiledCircuit,
+        readout: &Readout,
+        inputs: &[Vec<f64>],
+        params: &[f64],
+    ) -> Vec<Vec<f64>> {
+        let outs = ex.expectation_batch_backend(compiled, readout, inputs, params, &IDEAL);
+        outs.unwrap()
+    }
+
+    /// The `Ideal` forward + parameter-shift Jacobian batch.
+    fn ideal_shift(
+        ex: &BatchExecutor,
+        compiled: &CompiledCircuit,
+        readout: &Readout,
+        inputs: &[Vec<f64>],
+        params: &[f64],
+    ) -> (Vec<Vec<f64>>, Vec<Jacobian>) {
+        let outs = ex.forward_and_jacobian_batch_backend(compiled, readout, inputs, params, &IDEAL);
+        outs.unwrap()
+    }
+
     #[test]
     fn batch_matches_serial_interpreter() {
         let circuit = paper_circuit();
         let compiled = compile(&circuit);
         let params = init_params(20, 3);
         let inputs = batch_inputs(7);
-        let ex = BatchExecutor::new(4);
-        let states = ex.run_batch(&compiled, &inputs, &params).unwrap();
-        for (item, state) in inputs.iter().zip(&states) {
-            let reference = qmarl_vqc::exec::run(&circuit, item, &params).unwrap();
-            assert!((state.fidelity(&reference).unwrap() - 1.0).abs() < 1e-12);
+        let readout = Readout::z_all(4);
+        for workers in [1usize, 4] {
+            let outs = ideal_forward(
+                &BatchExecutor::new(workers),
+                &compiled,
+                &readout,
+                &inputs,
+                &params,
+            );
+            assert_eq!(outs.len(), inputs.len());
+            for (item, out) in inputs.iter().zip(&outs) {
+                let state = qmarl_vqc::exec::run(&circuit, item, &params).unwrap();
+                for (a, b) in out.iter().zip(&readout.evaluate(&state).unwrap()) {
+                    assert!((a - b).abs() < 1e-12, "workers {workers}");
+                }
+            }
         }
     }
 
@@ -785,59 +703,23 @@ mod tests {
         let compiled = compile(&circuit);
         let params = init_params(20, 5);
         let inputs = batch_inputs(5);
-        let readout = Readout::z_all(4);
         let ex = BatchExecutor::new(3);
-        let outs = ex
-            .expectation_batch(&compiled, &readout, &inputs, &params)
-            .unwrap();
-        for (item, out) in inputs.iter().zip(&outs) {
-            let reference = readout
-                .evaluate(&qmarl_vqc::exec::run(&circuit, item, &params).unwrap())
-                .unwrap();
-            for (a, b) in out.iter().zip(&reference) {
-                assert!((a - b).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn prebound_batch_matches_expectation_batch_bit_exactly() {
-        let circuit = paper_circuit();
-        let compiled = compile(&circuit);
-        let readout = Readout::z_all(4);
-        let param_sets: Vec<Vec<f64>> = (0..3).map(|g| init_params(20, 60 + g as u64)).collect();
-        let inputs = batch_inputs(5);
-        let prebound: Vec<_> = param_sets
-            .iter()
-            .map(|p| crate::prebound::prebind(&compiled, p).unwrap())
-            .collect();
-        let groups: Vec<PreboundGroup<'_>> = prebound
-            .iter()
-            .map(|pb| PreboundGroup {
-                circuit: pb,
-                inputs: inputs.iter().map(|v| v.as_slice()).collect(),
-            })
-            .collect();
-        for workers in [1usize, 4] {
-            let ex = BatchExecutor::new(workers);
-            let out = ex.expectation_batch_prebound(&readout, &groups).unwrap();
-            for (g, params) in param_sets.iter().enumerate() {
-                let reference = ex
-                    .expectation_batch(&compiled, &readout, &inputs, params)
+        for readout in [
+            Readout::mean_z(4),
+            Readout::WeightedZSum {
+                weights: vec![0.4, -1.2, 0.1, 0.9],
+            },
+        ] {
+            let outs = ideal_forward(&ex, &compiled, &readout, &inputs, &params);
+            for (item, out) in inputs.iter().zip(&outs) {
+                let reference = readout
+                    .evaluate(&qmarl_vqc::exec::run(&circuit, item, &params).unwrap())
                     .unwrap();
-                assert_eq!(out[g], reference, "group {g} workers {workers}");
+                for (a, b) in out.iter().zip(&reference) {
+                    assert!((a - b).abs() < 1e-12);
+                }
             }
         }
-        // Arity errors are typed, not panics.
-        let short = [0.0; 2];
-        let bad = vec![PreboundGroup {
-            circuit: &prebound[0],
-            inputs: vec![&short],
-        }];
-        assert!(matches!(
-            BatchExecutor::serial().expectation_batch_prebound(&readout, &bad),
-            Err(RuntimeError::InputLenMismatch { .. })
-        ));
     }
 
     #[test]
@@ -899,10 +781,13 @@ mod tests {
         let params = init_params(20, 7);
         let inputs = batch_inputs(3);
         let readout = Readout::z_all(4);
-        let ex = BatchExecutor::new(4);
-        let jacs = ex
-            .jacobian_batch(&compiled, &readout, &inputs, &params)
-            .unwrap();
+        let (_, jacs) = ideal_shift(
+            &BatchExecutor::new(4),
+            &compiled,
+            &readout,
+            &inputs,
+            &params,
+        );
         for (item, jac) in inputs.iter().zip(&jacs) {
             let reference = jacobian_parameter_shift(&circuit, &readout, item, &params).unwrap();
             assert!(jac.max_abs_diff(&reference) < 1e-12);
@@ -957,8 +842,8 @@ mod tests {
     }
 
     /// The naive reference of the shift paths: the forward pass on the
-    /// fused schedule, and every shifted angle run through the **full**
-    /// raw schedule from `|0…0⟩`, folded in occurrence order.
+    /// prebound fused schedule, and every shifted angle run through the
+    /// **full** raw schedule from `|0…0⟩`, folded in occurrence order.
     fn naive_shift_reference(
         compiled: &CompiledCircuit,
         readout: &Readout,
@@ -966,15 +851,14 @@ mod tests {
         params: &[f64],
         eval: impl Fn(&StateVector, Option<(usize, f64)>) -> Vec<f64>,
     ) -> (Vec<f64>, Jacobian) {
-        let fused =
-            run_schedule_unchecked(compiled.n_qubits(), compiled.fused_schedule(), item, params);
-        let forward = eval(&fused, None);
+        let fused = crate::prebound::run_prebound(&prebind(compiled, params).unwrap(), item);
+        let forward = eval(&fused.unwrap(), None);
         let mut jac = Jacobian::zeros(readout.output_len(), compiled.n_params());
         for &occ in compiled.occurrences() {
-            let theta = occurrence_angle(compiled, occ, item, params);
+            let theta = occurrence_angle(compiled, occ, item, params).unwrap();
             let grads = shift_rule(theta, occ.controlled, |t| {
                 let state =
-                    crate::exec::run_raw_with_override(compiled, item, params, occ.raw_idx, t);
+                    crate::prebound::run_raw_with_override(compiled, item, params, occ.raw_idx, t);
                 Ok::<_, RuntimeError>(eval(&state, Some((occ.raw_idx, t))))
             })
             .unwrap();
@@ -1067,12 +951,7 @@ mod tests {
                 let inputs = inputs_for(&compiled, batch);
                 for workers in [1usize, 2, 4] {
                     let ex = BatchExecutor::new(workers);
-                    let (outs, jacs) = ex
-                        .forward_and_jacobian_batch(&compiled, &readout, &inputs, params)
-                        .unwrap();
-                    let jacs_only = ex
-                        .jacobian_batch(&compiled, &readout, &inputs, params)
-                        .unwrap();
+                    let (outs, jacs) = ideal_shift(&ex, &compiled, &readout, &inputs, params);
                     for (b, item) in inputs.iter().enumerate() {
                         let (out_ref, jac_ref) =
                             naive_shift_reference(&compiled, &readout, item, params, |state, _| {
@@ -1081,7 +960,6 @@ mod tests {
                         let at = format!("batch {batch}, workers {workers}, item {b}");
                         assert_eq!(bits(&outs[b]), bits(&out_ref), "forward: {at}");
                         assert_eq!(jac_bits(&jacs[b]), jac_bits(&jac_ref), "jacobian: {at}");
-                        assert_eq!(jac_bits(&jacs_only[b]), jac_bits(&jac_ref), "{at}");
                         let vqc =
                             jacobian_parameter_shift(circuit, &readout, item, params).unwrap();
                         assert!(jacs[b].max_abs_diff(&vqc) < 1e-12, "vqc oracle: {at}");
@@ -1116,19 +994,23 @@ mod tests {
         let inputs = batch_inputs(4);
         let readout = Readout::mean_z(4);
         let ex = BatchExecutor::new(4);
-        let (outs, jacs) = ex
-            .forward_and_jacobian_batch(&compiled, &readout, &inputs, &params)
-            .unwrap();
-        let outs_ref = ex
-            .expectation_batch(&compiled, &readout, &inputs, &params)
-            .unwrap();
-        let jacs_ref = ex
-            .jacobian_batch(&compiled, &readout, &inputs, &params)
-            .unwrap();
-        assert_eq!(outs, outs_ref);
-        for (a, b) in jacs.iter().zip(&jacs_ref) {
+        let (outs, jacs) = ideal_shift(&ex, &compiled, &readout, &inputs, &params);
+        // The shift walk's single-state forward pass and the slab forward
+        // batch read the same prebound schedule out bit for bit.
+        assert_eq!(
+            outs,
+            ideal_forward(&ex, &compiled, &readout, &inputs, &params)
+        );
+        for (item, jac) in inputs.iter().zip(&jacs) {
+            let (_, single) = ideal_shift(
+                &ex,
+                &compiled,
+                &readout,
+                std::slice::from_ref(item),
+                &params,
+            );
             assert!(
-                a.max_abs_diff(b) == 0.0,
+                jac.max_abs_diff(&single[0]) == 0.0,
                 "same fold order must be bit-identical"
             );
         }
@@ -1144,58 +1026,12 @@ mod tests {
         let serial = BatchExecutor::serial();
         let parallel = BatchExecutor::new(8);
         assert_eq!(
-            serial
-                .expectation_batch(&compiled, &readout, &inputs, &params)
-                .unwrap(),
-            parallel
-                .expectation_batch(&compiled, &readout, &inputs, &params)
-                .unwrap(),
+            ideal_forward(&serial, &compiled, &readout, &inputs, &params),
+            ideal_forward(&parallel, &compiled, &readout, &inputs, &params),
         );
-        let js = serial
-            .jacobian_batch(&compiled, &readout, &inputs, &params)
-            .unwrap();
-        let jp = parallel
-            .jacobian_batch(&compiled, &readout, &inputs, &params)
-            .unwrap();
+        let (_, js) = ideal_shift(&serial, &compiled, &readout, &inputs, &params);
+        let (_, jp) = ideal_shift(&parallel, &compiled, &readout, &inputs, &params);
         for (a, b) in js.iter().zip(&jp) {
-            assert_eq!(a.max_abs_diff(b), 0.0);
-        }
-    }
-
-    #[test]
-    fn ideal_backend_is_bit_identical_to_plain_batch() {
-        let circuit = paper_circuit();
-        let compiled = compile(&circuit);
-        let params = init_params(20, 13);
-        let inputs = batch_inputs(5);
-        let readout = Readout::z_all(4);
-        let ex = BatchExecutor::new(4);
-        assert_eq!(
-            ex.expectation_batch_backend(
-                &compiled,
-                &readout,
-                &inputs,
-                &params,
-                &ExecutionBackend::Ideal
-            )
-            .unwrap(),
-            ex.expectation_batch(&compiled, &readout, &inputs, &params)
-                .unwrap()
-        );
-        let (outs_b, jacs_b) = ex
-            .forward_and_jacobian_batch_backend(
-                &compiled,
-                &readout,
-                &inputs,
-                &params,
-                &ExecutionBackend::Ideal,
-            )
-            .unwrap();
-        let (outs, jacs) = ex
-            .forward_and_jacobian_batch(&compiled, &readout, &inputs, &params)
-            .unwrap();
-        assert_eq!(outs_b, outs);
-        for (a, b) in jacs_b.iter().zip(&jacs) {
             assert_eq!(a.max_abs_diff(b), 0.0);
         }
     }
@@ -1234,9 +1070,13 @@ mod tests {
             }
         }
         // The sampled expectations really are noisy, not exact.
-        let exact = BatchExecutor::serial()
-            .expectation_batch(&compiled, &readout, &inputs, &params)
-            .unwrap();
+        let exact = ideal_forward(
+            &BatchExecutor::serial(),
+            &compiled,
+            &readout,
+            &inputs,
+            &params,
+        );
         assert_ne!(reference, exact);
         // A different root seed draws a different stream.
         let reseeded = BatchExecutor::serial()
@@ -1262,9 +1102,7 @@ mod tests {
         let inputs = batch_inputs(3);
         let readout = Readout::z_all(4);
         let ex = BatchExecutor::default();
-        let exact = ex
-            .expectation_batch(&compiled, &readout, &inputs, &params)
-            .unwrap();
+        let exact = ideal_forward(&ex, &compiled, &readout, &inputs, &params);
         let shots = 100_000;
         let sampled = ex
             .expectation_batch_backend(
@@ -1315,9 +1153,7 @@ mod tests {
         let (_, jacs) = ex
             .forward_and_jacobian_batch_backend(&compiled, &readout, &inputs, &params, &backend)
             .unwrap();
-        let ideal_jacs = ex
-            .jacobian_batch(&compiled, &readout, &inputs, &params)
-            .unwrap();
+        let (_, ideal_jacs) = ideal_shift(&ex, &compiled, &readout, &inputs, &params);
         assert!(jacs
             .iter()
             .zip(&ideal_jacs)
@@ -1412,9 +1248,7 @@ mod tests {
                 },
             )
             .unwrap();
-        let ideal = ex
-            .expectation_batch(&compiled, &readout, &inputs, &params)
-            .unwrap();
+        let ideal = ideal_forward(&ex, &compiled, &readout, &inputs, &params);
         for (a, b) in traj.iter().flatten().zip(ideal.iter().flatten()) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -1488,14 +1322,36 @@ mod tests {
     fn bad_bindings_rejected() {
         let compiled = compile(&paper_circuit());
         let ex = BatchExecutor::default();
+        let (readout, ideal) = (Readout::z_all(4), IDEAL);
+        let params = init_params(20, 0);
         let bad = vec![vec![0.0; 3]];
-        assert!(ex.run_batch(&compiled, &bad, &init_params(20, 0)).is_err());
+        assert!(matches!(
+            ex.expectation_batch_backend(&compiled, &readout, &bad, &params, &ideal),
+            Err(RuntimeError::InputLenMismatch { .. })
+        ));
         let good = vec![vec![0.0; 4]];
-        assert!(ex.run_batch(&compiled, &good, &[0.0; 19]).is_err());
+        assert!(matches!(
+            ex.expectation_batch_backend(&compiled, &readout, &good, &[0.0; 19], &ideal),
+            Err(RuntimeError::ParamLenMismatch { .. })
+        ));
         let bad_readout = Readout::ZPerQubit { qubits: vec![7] };
         assert!(ex
-            .expectation_batch(&compiled, &bad_readout, &good, &init_params(20, 0))
+            .expectation_batch_backend(&compiled, &bad_readout, &good, &params, &ideal)
             .is_err());
+        assert!(ex
+            .forward_and_jacobian_batch_backend(&compiled, &bad_readout, &good, &params, &ideal)
+            .is_err());
+        // The prebound queue types its arity errors too.
+        let pb = prebind(&compiled, &params).unwrap();
+        let short = [0.0; 2];
+        let group = PreboundGroup {
+            circuit: &pb,
+            inputs: vec![&short],
+        };
+        assert!(matches!(
+            ex.expectation_batch_prebound(&readout, &[group]),
+            Err(RuntimeError::InputLenMismatch { .. })
+        ));
     }
 
     #[test]

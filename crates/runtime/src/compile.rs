@@ -779,19 +779,10 @@ mod tests {
 
     /// Max |amplitude difference| between the fused and raw schedules.
     fn fused_raw_divergence(c: &Circuit, inputs: &[f64], params: &[f64]) -> f64 {
+        use crate::prebound::{prebind, prebind_raw, run_prebound_unchecked};
         let compiled = compile(c);
-        let fused = crate::exec::run_schedule_unchecked(
-            c.n_qubits(),
-            compiled.fused_schedule(),
-            inputs,
-            params,
-        );
-        let raw = crate::exec::run_schedule_unchecked(
-            c.n_qubits(),
-            compiled.raw_schedule(),
-            inputs,
-            params,
-        );
+        let fused = run_prebound_unchecked(&prebind(&compiled, params).unwrap(), inputs);
+        let raw = run_prebound_unchecked(&prebind_raw(&compiled, params).unwrap(), inputs);
         fused
             .amplitudes()
             .iter()

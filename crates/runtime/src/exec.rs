@@ -1,18 +1,14 @@
-//! Executing compiled schedules on statevectors.
+//! Binding validation and the noisy reference interpreter.
 //!
-//! The inner loops here are the batched runtime's hot path: no op-enum
-//! re-validation, no symbolic-angle lookups beyond a direct slot index,
-//! and a diagonal fast path for CZ. All kernels delegate to
-//! [`qmarl_qsim::apply`], the same amplitude-slice entry points the
-//! simulator's own backends use, so compiled execution is numerically
-//! identical to `vqc::exec::run` (property-tested to 1e-12 in
-//! `tests/properties.rs`).
+//! Statevector execution lives in [`crate::prebound`]: every forward pass
+//! runs a parameter-prebound schedule. This module keeps the per-batch
+//! binding check the executor runs before any work is queued, and
+//! [`run_raw_density`], the naive density-matrix walk the prebound
+//! superoperator executor is tested against.
 
-use qmarl_qsim::apply;
 use qmarl_qsim::density::DensityMatrix;
 use qmarl_qsim::gate::Gate2;
 use qmarl_qsim::noise::NoiseModel;
-use qmarl_qsim::state::StateVector;
 
 use crate::compile::{CGate, CompiledCircuit};
 use crate::error::RuntimeError;
@@ -36,120 +32,6 @@ pub(crate) fn check_bindings(
         });
     }
     Ok(())
-}
-
-#[inline]
-fn apply_cgate(state: &mut StateVector, gate: &CGate, inputs: &[f64], params: &[f64]) {
-    use qmarl_qsim::gate::RotationAxis;
-    let amps = state.amplitudes_mut();
-    match gate {
-        // Rotations dispatch to the axis-specialised kernels (Ry is real,
-        // Rz diagonal) instead of a generic complex 2×2 product — the
-        // compiled path's main single-core win over the IR interpreter.
-        CGate::Rot { qubit, axis, angle } => {
-            let theta = angle.value(inputs, params);
-            match axis {
-                RotationAxis::X => apply::apply_rx(amps, *qubit, theta),
-                RotationAxis::Y => apply::apply_ry(amps, *qubit, theta),
-                RotationAxis::Z => apply::apply_rz(amps, *qubit, theta),
-            }
-        }
-        CGate::CRot {
-            control,
-            target,
-            axis,
-            angle,
-        } => {
-            let theta = angle.value(inputs, params);
-            match axis {
-                RotationAxis::X => apply::apply_crx(amps, *control, *target, theta),
-                RotationAxis::Y => apply::apply_cry(amps, *control, *target, theta),
-                RotationAxis::Z => apply::apply_crz(amps, *control, *target, theta),
-            }
-        }
-        CGate::Cnot { control, target } => apply::apply_cnot(amps, *control, *target),
-        CGate::Cz { control, target } => apply::apply_cz(amps, *control, *target),
-        CGate::Fixed { qubit, gate } => apply::apply_gate1(amps, *qubit, gate),
-        CGate::Fixed2 { qa, qb, gate } => apply::apply_gate2(amps, *qa, *qb, gate),
-    }
-}
-
-/// Runs a schedule from `|0…0⟩` with **no** binding validation (callers
-/// validate once per batch via [`check_bindings`]).
-pub(crate) fn run_schedule_unchecked(
-    n_qubits: usize,
-    schedule: &[CGate],
-    inputs: &[f64],
-    params: &[f64],
-) -> StateVector {
-    let mut state = StateVector::zero(n_qubits);
-    for gate in schedule {
-        apply_cgate(&mut state, gate, inputs, params);
-    }
-    state
-}
-
-/// Runs the fused schedule from `|0…0⟩`, returning the final state.
-///
-/// # Errors
-///
-/// Returns a binding-length error when `inputs`/`params` do not match the
-/// compiled arity.
-pub fn run_compiled(
-    compiled: &CompiledCircuit,
-    inputs: &[f64],
-    params: &[f64],
-) -> Result<StateVector, RuntimeError> {
-    check_bindings(compiled, inputs, params)?;
-    Ok(run_schedule_unchecked(
-        compiled.n_qubits(),
-        compiled.fused_schedule(),
-        inputs,
-        params,
-    ))
-}
-
-/// Runs the **raw** schedule with gate `override_idx`'s angle forced to
-/// `theta`, from `|0…0⟩`. No binding validation. The naive test oracle of
-/// the prefix-shared shift walk ([`crate::prebound::ShiftWalk`]), which
-/// must reproduce it bit for bit.
-#[cfg(test)]
-pub(crate) fn run_raw_with_override(
-    compiled: &CompiledCircuit,
-    inputs: &[f64],
-    params: &[f64],
-    override_idx: usize,
-    theta: f64,
-) -> StateVector {
-    let mut state = StateVector::zero(compiled.n_qubits());
-    let override_theta = crate::compile::FusedAngle::Const(theta);
-    for (k, gate) in compiled.raw_schedule().iter().enumerate() {
-        if k == override_idx {
-            let replaced = match gate {
-                CGate::Rot { qubit, axis, .. } => CGate::Rot {
-                    qubit: *qubit,
-                    axis: *axis,
-                    angle: override_theta.clone(),
-                },
-                CGate::CRot {
-                    control,
-                    target,
-                    axis,
-                    ..
-                } => CGate::CRot {
-                    control: *control,
-                    target: *target,
-                    axis: *axis,
-                    angle: override_theta.clone(),
-                },
-                other => other.clone(),
-            };
-            apply_cgate(&mut state, &replaced, inputs, params);
-        } else {
-            apply_cgate(&mut state, gate, inputs, params);
-        }
-    }
-    state
 }
 
 /// Runs the **raw** schedule on the density-matrix backend, injecting the
@@ -250,6 +132,9 @@ pub fn run_raw_density(
 mod tests {
     use super::*;
     use crate::compile::compile;
+    use crate::prebound::{
+        prebind, prebind_raw, run_prebound, run_prebound_unchecked, run_raw_with_override,
+    };
     use qmarl_qsim::gate::RotationAxis as Ax;
     use qmarl_vqc::ir::{Angle, Circuit, FixedGate, InputId, ParamId};
 
@@ -272,7 +157,7 @@ mod tests {
         let compiled = compile(&c);
         let inputs = [0.4];
         let params = [0.9, -1.3];
-        let fast = run_compiled(&compiled, &inputs, &params).unwrap();
+        let fast = run_prebound(&prebind(&compiled, &params).unwrap(), &inputs).unwrap();
         let reference = qmarl_vqc::exec::run(&c, &inputs, &params).unwrap();
         for (a, b) in fast.amplitudes().iter().zip(reference.amplitudes()) {
             assert!((*a - *b).abs() < 1e-14);
@@ -285,7 +170,7 @@ mod tests {
         let compiled = compile(&c);
         let inputs = [1.1];
         let params = [0.2, 0.3];
-        let raw = run_schedule_unchecked(3, compiled.raw_schedule(), &inputs, &params);
+        let raw = run_prebound_unchecked(&prebind_raw(&compiled, &params).unwrap(), &inputs);
         let reference = qmarl_vqc::exec::run(&c, &inputs, &params).unwrap();
         for (a, b) in raw.amplitudes().iter().zip(reference.amplitudes()) {
             assert!((*a - *b).abs() < 1e-14);
@@ -296,19 +181,20 @@ mod tests {
     fn binding_validation() {
         let compiled = compile(&mixed_circuit());
         assert!(matches!(
-            run_compiled(&compiled, &[], &[0.0; 2]),
+            check_bindings(&compiled, &[], &[0.0; 2]),
             Err(RuntimeError::InputLenMismatch {
                 expected: 1,
                 actual: 0
             })
         ));
         assert!(matches!(
-            run_compiled(&compiled, &[0.0], &[0.0; 3]),
+            check_bindings(&compiled, &[0.0], &[0.0; 3]),
             Err(RuntimeError::ParamLenMismatch {
                 expected: 2,
                 actual: 3
             })
         ));
+        assert!(check_bindings(&compiled, &[0.0], &[0.0; 2]).is_ok());
     }
 
     #[test]
@@ -320,7 +206,7 @@ mod tests {
         // Overriding occurrence of param 0 (raw idx 2) with its bound value
         // reproduces the plain run.
         let same = run_raw_with_override(&compiled, &inputs, &params, 2, params[0]);
-        let plain = run_compiled(&compiled, &inputs, &params).unwrap();
+        let plain = run_prebound(&prebind(&compiled, &params).unwrap(), &inputs).unwrap();
         assert!((same.fidelity(&plain).unwrap() - 1.0).abs() < 1e-12);
         let different = run_raw_with_override(&compiled, &inputs, &params, 2, params[0] + 1.0);
         assert!(different.fidelity(&plain).unwrap() < 1.0 - 1e-6);
@@ -378,7 +264,7 @@ mod tests {
         c.cz(0, 1).unwrap();
         c.cz(0, 1).unwrap();
         let compiled = compile(&c);
-        let s = run_compiled(&compiled, &[], &[]).unwrap();
+        let s = run_prebound(&prebind(&compiled, &[]).unwrap(), &[]).unwrap();
         // H⊗H with CZ² = I leaves the uniform superposition.
         for a in s.amplitudes() {
             assert!((a.re - 0.5).abs() < 1e-12 && a.im.abs() < 1e-15);

@@ -9,11 +9,11 @@
 //! one shared scheduler ([`qmarl_qsim::par`]). Pipeline:
 //!
 //! ```text
-//!            compile (once)              bind + batch                 fold
-//! Circuit ───────────────▶ CompiledCircuit ─────────▶ B statevectors ─────▶ outputs
-//!   IR       fusion, slot    (cached by       shared     (one work        Jacobians
-//!            resolution,      structural      schedule    item each)      episodes
-//!            validation)      hash)
+//!          compile (once)         prebind (per call)         slab walk        fold
+//! Circuit ─────────────▶ CompiledCircuit ────────▶ PreboundCircuit ────────▶ B lanes ────▶ outputs
+//!   IR     fusion, slot   (cached by     params     (parameter-only  inputs   Jacobians
+//!          resolution,     structural    frozen      trig hoisted)   vary     episodes
+//!          validation)     hash)
 //! ```
 //!
 //! * [`compile`] — lowers [`qmarl_vqc::ir::Circuit`] into a flat,
@@ -27,13 +27,21 @@
 //! * [`cache`] — a process-wide compiled-circuit cache keyed by
 //!   structural hash: every clone of a model (and every same-shaped
 //!   model) shares one `Arc<CompiledCircuit>`.
-//! * [`batch`] — [`batch::BatchExecutor`]: B statevectors over one
-//!   shared schedule, batched readouts, and a batched parameter-shift
-//!   path that walks each item's raw schedule once and forks every
-//!   ±shift evaluation from the shared prefix, one task per item (or per
-//!   occurrence chunk when items are fewer than workers). Batched
-//!   results are bit-identical to serial ones
-//!   (fold order is fixed; property-tested at 1e-12 against
+//! * [`prebound`] — the one statevector forward path: [`prebound::prebind`]
+//!   binds a compiled schedule to frozen parameters (hoisting all
+//!   parameter-only trig), and lane slabs run many inputs through one
+//!   schedule walk; a single request is a one-lane slab. Also the
+//!   prebound adjoint engine of the training update.
+//! * [`batch`] — [`batch::BatchExecutor`], four entry points: forward
+//!   and adjoint batches over prebound groups (the rollout tick and the
+//!   update sweep), and forward and forward+Jacobian batches of one
+//!   model under an [`backend::ExecutionBackend`]. The `Ideal` forward
+//!   prebinds the fused schedule once per call and runs the batch as
+//!   lane slabs; the `Ideal`/`Sampled` gradient walks each item's raw
+//!   schedule once and forks every ±shift evaluation from the shared
+//!   prefix, one task per item (or per occurrence chunk when items are
+//!   fewer than workers). Batched results are bit-identical to serial
+//!   ones (fold order is fixed; property-tested at 1e-12 against
 //!   `vqc::exec::run`).
 //! * [`backend`] — [`backend::ExecutionBackend`]: the execution-model
 //!   axis. `Ideal` (exact statevector, the default), `Sampled { shots }`
@@ -110,11 +118,10 @@ pub mod prelude {
     pub use crate::cache::CircuitCache;
     pub use crate::compile::{circuit_hash, compile, CGate, CompiledCircuit, FusedAngle};
     pub use crate::error::RuntimeError;
-    pub use crate::exec::run_compiled;
     pub use crate::prebound::{
         prebind, prebind_adjoint, run_prebound, PreboundAdjoint, PreboundCircuit,
     };
-    pub use crate::qnn::{CompiledVqc, PreboundVqc};
+    pub use crate::qnn::CompiledVqc;
     pub use crate::rollout::{
         collect_episodes_vec, derive_seed, EpisodeTrace, RolloutError, TraceStep, VecDecision,
         VecRolloutPolicy,

@@ -1,19 +1,19 @@
 //! Parameter-prebound schedules: trig hoisted out of the per-circuit loop.
 //!
-//! During rollout collection the policy parameters are **frozen**: every
-//! circuit of a collection runs the same compiled schedule under the same
-//! parameter vector, varying only in its input (observation) angles. For
-//! the paper's actor that means ~42 of ~46 rotation angles are identical
-//! across every evaluation — yet the plain executor re-resolves each
-//! angle and recomputes its half-angle sine/cosine for every circuit.
+//! This is the runtime's **one** statevector forward path. Within a call
+//! the parameters are **frozen**: every circuit of a batch runs the same
+//! compiled schedule under the same parameter vector, varying only in
+//! its input (observation) angles. For the paper's actor that means ~42
+//! of ~46 rotation angles are identical across every evaluation.
 //!
 //! [`prebind`] resolves a `(CompiledCircuit, params)` pair once: every
 //! rotation whose angle does not reference an input slot collapses to a
 //! precomputed `(sin θ/2, cos θ/2)` pair ([`PreOp::RotSC`]), and only
-//! input-dependent rotations stay symbolic. [`run_prebound`] then
-//! evaluates circuits with per-rotation trig only where an observation
-//! actually enters — on the paper's shapes that cuts the dominant
-//! trig cost of vectorized rollout by roughly the ansatz/encoder ratio.
+//! input-dependent rotations stay symbolic. [`run_prebound`] (one state)
+//! and the executor's lane slabs (many states through one schedule walk)
+//! then evaluate circuits with per-rotation trig only where an
+//! observation actually enters. Every `Ideal` and `Sampled` forward pass
+//! of [`crate::batch::BatchExecutor`] runs a prebound fused schedule.
 //!
 //! `prebind_raw` binds the **raw** (unfused) schedule the same way for
 //! the parameter-shift gradient, whose `ShiftWalk` walks one item's raw
@@ -21,11 +21,12 @@
 //! prefix.
 //!
 //! **Exactness.** Prebinding reorders no floating-point operation: angles
-//! resolve through the same [`FusedAngle::value`] and kernels consume the
-//! same `sin_cos()` results the plain path computes internally, so
-//! prebound outputs are **bit-identical** to [`crate::exec::run_compiled`]
-//! (asserted in this module's tests and by the vectorized-rollout
-//! equivalence suite).
+//! resolve through the same [`FusedAngle::value`] and the `*_sc` kernels
+//! consume the same `sin_cos()` results the angle kernels of
+//! [`qmarl_qsim::apply`] compute internally, so a prebound run is
+//! bit-identical to applying the compiled gates one by one, and slab
+//! lanes are bit-identical to single-state runs (asserted in this
+//! module's tests; checked against the `vqc` interpreter at 1e-12).
 
 use qmarl_qsim::apply;
 use qmarl_qsim::complex::Complex64;
@@ -111,9 +112,33 @@ pub enum PreOp {
         qa: usize,
         /// Second wire — bit 1 of the matrix index.
         qb: usize,
-        /// Concrete two-qubit unitary in `(qa, qb)` orientation.
-        gate: Gate2,
+        /// Concrete two-qubit unitary in `(qa, qb)` orientation, boxed so
+        /// that every other op stays small.
+        gate: Box<Gate2>,
     },
+}
+
+impl PreOp {
+    /// This parameter-only rotation rebound to angle `theta` — the
+    /// parameter-shift primitive. Takes the same `sin_cos` the angle
+    /// kernels take of an overridden angle.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::InvalidConfig`] for any other op: a
+    /// trainable occurrence always prebinds to a resolved rotation.
+    pub(crate) fn with_angle(&self, theta: f64) -> Result<PreOp, RuntimeError> {
+        let mut op = self.clone();
+        match &mut op {
+            PreOp::RotSC { s, c, .. } | PreOp::CRotSC { s, c, .. } => {
+                (*s, *c) = (theta / 2.0).sin_cos();
+                Ok(op)
+            }
+            other => Err(RuntimeError::InvalidConfig(format!(
+                "a trainable occurrence must be a parameter-only rotation, got {other:?}"
+            ))),
+        }
+    }
 }
 
 /// A compiled schedule bound to one frozen parameter vector.
@@ -254,7 +279,7 @@ fn prebind_schedule(
             CGate::Fixed2 { qa, qb, gate } => PreOp::Fixed2 {
                 qa: *qa,
                 qb: *qb,
-                gate: *gate,
+                gate: Box::new(*gate),
             },
         })
         .collect();
@@ -385,35 +410,39 @@ impl<'a> ShiftWalk<'a> {
 
     /// The final state with raw gate `pos` — a trainable, hence
     /// parameter-only, rotation — run at angle `theta`.
-    pub(crate) fn shifted(&mut self, theta: f64) -> &StateVector {
-        // The same `sin_cos` the plain kernels take of an overridden angle.
-        let (s, c) = (theta / 2.0).sin_cos();
-        let gate = match self.pb.ops[self.pos] {
-            PreOp::RotSC { qubit, axis, .. } => PreOp::RotSC { qubit, axis, s, c },
-            PreOp::CRotSC {
-                control,
-                target,
-                axis,
-                ..
-            } => PreOp::CRotSC {
-                control,
-                target,
-                axis,
-                s,
-                c,
-            },
-            ref other => {
-                unreachable!("a trainable occurrence is a parameter-only rotation: {other:?}")
-            }
-        };
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::InvalidConfig`] when gate `pos` is not a
+    /// resolved rotation (see [`PreOp::with_angle`]).
+    pub(crate) fn shifted(&mut self, theta: f64) -> Result<&StateVector, RuntimeError> {
+        let gate = self.pb.ops[self.pos].with_angle(theta)?;
         let amps = self.fork.amplitudes_mut();
         amps.copy_from_slice(self.prefix.amplitudes());
         apply_op(amps, &gate, self.inputs, &self.pb.params);
         for op in &self.pb.ops[self.pos + 1..] {
             apply_op(amps, op, self.inputs, &self.pb.params);
         }
-        &self.fork
+        Ok(&self.fork)
     }
+}
+
+/// Runs the **raw** schedule from `|0…0⟩` with gate `override_idx` — a
+/// trainable rotation — rebound to `theta`: the from-scratch oracle that
+/// the prefix-shared [`ShiftWalk`] must reproduce bit for bit.
+#[cfg(test)]
+pub(crate) fn run_raw_with_override(
+    compiled: &CompiledCircuit,
+    inputs: &[f64],
+    params: &[f64],
+    override_idx: usize,
+    theta: f64,
+) -> StateVector {
+    let mut pb = prebind_raw(compiled, params).expect("test bindings match the circuit");
+    pb.ops[override_idx] = pb.ops[override_idx]
+        .with_angle(theta)
+        .expect("the override targets a trainable rotation");
+    run_prebound_unchecked(&pb, inputs)
 }
 
 // ---------------------------------------------------------------------
@@ -461,7 +490,8 @@ fn rot_slab(
     match axis {
         RotationAxis::X => rows::rot_x_slab(slab, lanes, dim, mt, mc, s, c),
         RotationAxis::Y => rows::rot_y_slab(slab, lanes, dim, mt, mc, s, c),
-        RotationAxis::Z => unreachable!("Rz is diagonal; handled per amplitude row"),
+        // Rz is diagonal: bit-clear rows take `(c, −s)`, bit-set rows `(c, s)`.
+        RotationAxis::Z => rows::phase_slab(slab, lanes, dim, mt, mc, (c, -s), (c, s)),
     }
 }
 
@@ -478,6 +508,9 @@ fn rot_slab_lanes(
     match axis {
         RotationAxis::X => rows::rot_x_slab_lanes(slab, lanes, dim, mt, mc, trig),
         RotationAxis::Y => rows::rot_y_slab_lanes(slab, lanes, dim, mt, mc, trig),
+        // xcheck: allow(no-panic-serve) — every caller branches Rz to
+        // `rows::phase_slab_lanes` first, which needs per-lane phase
+        // scratch this signature does not carry.
         RotationAxis::Z => unreachable!("Rz is diagonal; handled per amplitude row"),
     }
 }
@@ -598,13 +631,9 @@ pub(crate) fn run_prebound_slab_raw(pb: &PreboundCircuit, inputs: &[&[f64]]) -> 
 
     for op in &pb.ops {
         match op {
-            PreOp::RotSC { qubit, axis, s, c } => match axis {
-                RotationAxis::Z => {
-                    let mt = 1usize << qubit;
-                    rows::phase_slab(&mut slab, lanes, dim, mt, 0, (*c, -*s), (*c, *s));
-                }
-                _ => rot_slab(*axis, &mut slab, lanes, dim, 1usize << qubit, 0, *s, *c),
-            },
+            PreOp::RotSC { qubit, axis, s, c } => {
+                rot_slab(*axis, &mut slab, lanes, dim, 1usize << qubit, 0, *s, *c);
+            }
             PreOp::Rot { qubit, axis, angle } => {
                 lane_trig(angle, inputs, &pb.params, &mut trig);
                 let mt = 1usize << qubit;
@@ -623,14 +652,8 @@ pub(crate) fn run_prebound_slab_raw(pb: &PreboundCircuit, inputs: &[&[f64]]) -> 
                 s,
                 c,
             } => {
-                let mc = 1usize << control;
-                let mt = 1usize << target;
-                match axis {
-                    RotationAxis::Z => {
-                        rows::phase_slab(&mut slab, lanes, dim, mt, mc, (*c, -*s), (*c, *s));
-                    }
-                    _ => rot_slab(*axis, &mut slab, lanes, dim, mt, mc, *s, *c),
-                }
+                let (mc, mt) = (1usize << control, 1usize << target);
+                rot_slab(*axis, &mut slab, lanes, dim, mt, mc, *s, *c);
             }
             PreOp::CRot {
                 control,
@@ -996,6 +1019,9 @@ pub fn prebind_adjoint(
                     dag: gate.dagger(),
                 },
                 CGate::Fixed2 { .. } => {
+                    // xcheck: allow(no-panic-serve) — entangler fusion writes
+                    // Fixed2 only into the fused schedule; the raw schedule
+                    // bound here is the source circuit's ops 1:1.
                     unreachable!("entangler fusion never emits Fixed2 into the raw schedule")
                 }
             };
@@ -1286,6 +1312,8 @@ fn accumulate_generator_im(
         AdjGate::CRotZSC {
             control, target, ..
         } => (Some(control), target, RotationAxis::Z),
+        // xcheck: allow(no-panic-serve) — the reverse sweep calls this only
+        // for ops with a trainable slot, which prebinding sets on rotations.
         _ => unreachable!("generator requested for non-parameterised op"),
     };
     let mt = 1usize << target;
@@ -1389,7 +1417,6 @@ pub(crate) fn run_adjoint_slab(
 mod tests {
     use super::*;
     use crate::compile::compile;
-    use crate::exec::run_compiled;
     use qmarl_qsim::gate::RotationAxis as Ax;
     use qmarl_vqc::ansatz::{init_params, layered_ansatz};
     use qmarl_vqc::encoder::layered_angle_encoder;
@@ -1399,25 +1426,6 @@ mod tests {
         let mut c = layered_angle_encoder(4, 4).unwrap();
         c.append_shifted(&layered_ansatz(4, 42).unwrap()).unwrap();
         c
-    }
-
-    #[test]
-    fn prebound_matches_compiled_bit_exactly() {
-        let circuit = actor_circuit();
-        let compiled = compile(&circuit);
-        let params = init_params(circuit.param_count(), 11);
-        let pb = prebind(&compiled, &params).unwrap();
-        assert!(pb.resolved_rotations() >= 40, "ansatz must be hoisted");
-        for b in 0..8 {
-            let inputs: Vec<f64> = (0..4).map(|i| 0.09 * (b * 4 + i) as f64 - 0.6).collect();
-            let fast = run_prebound(&pb, &inputs).unwrap();
-            let reference = run_compiled(&compiled, &inputs, &params).unwrap();
-            assert_eq!(
-                fast.amplitudes(),
-                reference.amplitudes(),
-                "prebound execution must be bit-identical"
-            );
-        }
     }
 
     #[test]
@@ -1441,8 +1449,13 @@ mod tests {
         assert_eq!(pb.resolved_rotations(), 2);
         for x in [-0.9, 0.0, 1.3] {
             let fast = run_prebound(&pb, &[x]).unwrap();
-            let reference = run_compiled(&compiled, &[x], &params).unwrap();
-            assert_eq!(fast.amplitudes(), reference.amplitudes());
+            let reference = qmarl_vqc::exec::run(&c, &[x], &params).unwrap();
+            for (a, b) in fast.amplitudes().iter().zip(reference.amplitudes()) {
+                assert!((*a - *b).abs() < 1e-14);
+            }
+            // A one-lane slab is the same walk, bit for bit.
+            let lane = run_prebound_slab(&pb, &[&[x]]);
+            assert_eq!(lane[0].amplitudes(), fast.amplitudes());
         }
     }
 
@@ -1452,6 +1465,7 @@ mod tests {
         let compiled = compile(&circuit);
         let params = init_params(circuit.param_count(), 5);
         let pb = prebind(&compiled, &params).unwrap();
+        assert!(pb.resolved_rotations() >= 40, "ansatz must be hoisted");
         let inputs: Vec<Vec<f64>> = (0..7)
             .map(|b| (0..4).map(|i| 0.11 * (b * 4 + i) as f64 - 0.8).collect())
             .collect();

@@ -3,15 +3,16 @@
 //! This is the runtime's model-facing API and what `qmarl-core`'s quantum
 //! actors and critics execute through. Construction looks the circuit up
 //! in the global [`CircuitCache`] (so every clone and every same-shaped
-//! model shares one compilation), single evaluations run the fused
-//! schedule, and the batch entry points fan out over the
-//! [`BatchExecutor`].
+//! model shares one compilation), and every evaluation fans out over the
+//! [`BatchExecutor`]: a single forward pass is a one-row
+//! [`CompiledVqc::forward_batch`], which on `Ideal` runs the prebound
+//! fused schedule as a one-lane slab.
 //!
-//! Gradient routing: `ParameterShift` and `FiniteDiff` requests go
-//! through the runtime's compiled/batched paths; `Adjoint` delegates to
-//! `vqc::grad` (a reverse sweep is inherently sequential per sample, so
-//! there is nothing for the batch engine to win within one evaluation —
-//! batches of adjoint evaluations still parallelise across samples).
+//! Gradient routing: `ParameterShift` requests go through the executor's
+//! prefix-shared shift walk, and minibatch adjoint requests through its
+//! prebound adjoint slabs
+//! ([`CompiledVqc::forward_with_jacobian_batch_prebound`]). A single
+//! `Adjoint` or `FiniteDiff` request delegates to `vqc::grad`.
 
 use std::sync::Arc;
 
@@ -23,7 +24,6 @@ use crate::batch::BatchExecutor;
 use crate::cache::CircuitCache;
 use crate::compile::CompiledCircuit;
 use crate::error::RuntimeError;
-use crate::exec;
 
 /// A VQC model plus its cached compiled schedule, batch executor and
 /// execution backend.
@@ -58,8 +58,8 @@ impl CompiledVqc {
     /// [`ExecutionBackend::Ideal`], which is bit-identical to not setting
     /// a backend at all). Under `Sampled`/`Noisy`, every forward pass
     /// runs on that backend and **all** gradient requests route through
-    /// the batched parameter-shift path — the adjoint and prebound paths
-    /// need exact statevectors and stay `Ideal`-only.
+    /// the batched parameter-shift path — the adjoint paths need exact
+    /// statevectors and stay `Ideal`-only.
     pub fn with_backend(mut self, backend: ExecutionBackend) -> Self {
         self.backend = backend;
         self
@@ -85,30 +85,13 @@ impl CompiledVqc {
         &self.executor
     }
 
-    /// Single forward pass over the fused schedule.
+    /// Single forward pass: a one-row [`CompiledVqc::forward_batch`].
     ///
     /// # Errors
     ///
     /// Returns binding-length errors.
     pub fn forward(&self, inputs: &[f64], params: &[f64]) -> Result<Vec<f64>, RuntimeError> {
-        let (circ, scales, biases) = self.model.split_params(params)?;
-        let scaled = self.model.input_scaling().apply_all(inputs);
-        let raw = if self.backend.is_ideal() {
-            let state = exec::run_compiled(&self.compiled, &scaled, circ)?;
-            self.model.readout().evaluate(&state)?
-        } else {
-            self.executor
-                .expectation_batch_backend(
-                    &self.compiled,
-                    self.model.readout(),
-                    std::slice::from_ref(&scaled),
-                    circ,
-                    &self.backend,
-                )?
-                .pop()
-                .expect("one sample in, one out")
-        };
-        Ok(self.model.apply_head(&raw, scales, biases))
+        single(self.forward_batch(&[inputs.to_vec()], params)?)
     }
 
     /// Batched forward pass: one output vector per observation.
@@ -158,20 +141,7 @@ impl CompiledVqc {
     ) -> Result<(Vec<f64>, Jacobian), RuntimeError> {
         match self.backend.effective_grad_method(method) {
             GradMethod::ParameterShift => {
-                let (circ, scales, biases) = self.model.split_params(params)?;
-                let scaled = vec![self.model.input_scaling().apply_all(inputs)];
-                let (mut outs, mut jacs) = self.executor.forward_and_jacobian_batch_backend(
-                    &self.compiled,
-                    self.model.readout(),
-                    &scaled,
-                    circ,
-                    &self.backend,
-                )?;
-                let raw = outs.pop().expect("one sample in, one out");
-                let circ_jac = jacs.pop().expect("one sample in, one out");
-                Ok(self
-                    .model
-                    .assemble_jacobian(&raw, &circ_jac, scales, biases))
+                single(self.forward_with_jacobian_batch(&[inputs.to_vec()], params)?)
             }
             GradMethod::Adjoint | GradMethod::FiniteDiff => {
                 Ok(self.model.forward_with_jacobian(inputs, params, method)?)
@@ -250,13 +220,12 @@ impl CompiledVqc {
             circuit: &prebound,
             inputs: scaled.iter().map(|v| v.as_slice()).collect(),
         };
-        let mut per_group = self
+        let per_group = self
             .executor
             .forward_and_jacobian_batch_prebound(self.model.readout(), &[group])?;
         Ok(per_group
-            .pop()
-            .expect("one group in, one out")
             .into_iter()
+            .flatten()
             .map(|(raw, circ_jac)| {
                 self.model
                     .assemble_jacobian(&raw, &circ_jac, scales, biases)
@@ -281,136 +250,13 @@ impl CompiledVqc {
             .map(|out| out[0])
             .collect())
     }
-
-    /// Single-sample adjoint Jacobian through the uncompiled model —
-    /// exposed for completeness/testing parity with [`grad::jacobian`].
-    ///
-    /// # Errors
-    ///
-    /// Returns binding-length errors.
-    pub fn jacobian_adjoint(
-        &self,
-        inputs: &[f64],
-        params: &[f64],
-    ) -> Result<(Vec<f64>, Jacobian), RuntimeError> {
-        Ok(self
-            .model
-            .forward_with_jacobian(inputs, params, GradMethod::Adjoint)?)
-    }
-
-    /// Freezes `params` into a [`PreboundVqc`] inference handle: the
-    /// circuit parameters are split and prebound once
-    /// ([`crate::prebound::prebind`] hoists all parameter-only rotation
-    /// trig), the head scales/biases are copied out, and every subsequent
-    /// forward pass walks a trig-free schedule. This is the handle for
-    /// repeated inference **outside the trainer** — a policy server or
-    /// any caller evaluating a frozen model many times — where re-paying
-    /// the parameter resolution per call (as [`CompiledVqc::forward`]
-    /// must, since its parameters may change between calls) is pure
-    /// waste.
-    ///
-    /// Results are **bit-identical** to [`CompiledVqc::forward`] /
-    /// [`CompiledVqc::forward_batch`] under the same parameters (asserted
-    /// by this module's tests; the prebind exactness contract).
-    ///
-    /// # Errors
-    ///
-    /// Returns binding-length errors, and rejects non-`Ideal` backends:
-    /// the prebound path evaluates exact statevectors, so freezing a
-    /// `Sampled`/`Noisy` model here would silently serve noise-free
-    /// outputs that look stochastic-backed.
-    pub fn prebind(&self, params: &[f64]) -> Result<PreboundVqc, RuntimeError> {
-        if !self.backend.is_ideal() {
-            return Err(RuntimeError::InvalidConfig(format!(
-                "prebind requires the Ideal backend (got {}); stochastic backends resolve \
-                 per evaluation and have nothing to hoist",
-                self.backend
-            )));
-        }
-        let (circ, scales, biases) = self.model.split_params(params)?;
-        let prebound = crate::prebound::prebind(&self.compiled, circ)?;
-        Ok(PreboundVqc {
-            vqc: self.clone(),
-            prebound,
-            scales: scales.to_vec(),
-            biases: biases.to_vec(),
-        })
-    }
 }
 
-/// A [`CompiledVqc`] with **frozen, prebound** parameters — the
-/// inference-serving handle.
-///
-/// Where [`CompiledVqc::forward`] re-splits and re-resolves its
-/// parameters on every call (they may differ call to call during
-/// training), this handle did that work once at construction
-/// ([`CompiledVqc::prebind`]) and serves every evaluation off the
-/// trig-free schedule. Single evaluations run the prebound schedule
-/// directly; batches go through the executor's prebound lane-slab queue
-/// as one flat group.
-#[derive(Debug, Clone)]
-pub struct PreboundVqc {
-    vqc: CompiledVqc,
-    prebound: crate::prebound::PreboundCircuit,
-    scales: Vec<f64>,
-    biases: Vec<f64>,
-}
-
-impl PreboundVqc {
-    /// The underlying model + schedule bundle.
-    pub fn vqc(&self) -> &CompiledVqc {
-        &self.vqc
-    }
-
-    /// Rotations whose angles were fully resolved at prebind time.
-    pub fn resolved_rotations(&self) -> usize {
-        self.prebound.resolved_rotations()
-    }
-
-    /// Single forward pass over the frozen schedule. Bit-identical to
-    /// [`CompiledVqc::forward`] with the frozen parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns binding-length errors.
-    pub fn forward(&self, inputs: &[f64]) -> Result<Vec<f64>, RuntimeError> {
-        let scaled = self.vqc.model().input_scaling().apply_all(inputs);
-        let state = crate::prebound::run_prebound(&self.prebound, &scaled)?;
-        let raw = self.vqc.model().readout().evaluate(&state)?;
-        Ok(self
-            .vqc
-            .model()
-            .apply_head(&raw, &self.scales, &self.biases))
-    }
-
-    /// Batched forward pass: the whole batch reaches the executor as one
-    /// prebound group (one flat work queue). Bit-identical to
-    /// [`CompiledVqc::forward_batch`] with the frozen parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns binding-length errors.
-    pub fn forward_batch(&self, inputs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, RuntimeError> {
-        let scaled: Vec<Vec<f64>> = inputs
-            .iter()
-            .map(|x| self.vqc.model().input_scaling().apply_all(x))
-            .collect();
-        let group = crate::batch::PreboundGroup {
-            circuit: &self.prebound,
-            inputs: scaled.iter().map(|v| v.as_slice()).collect(),
-        };
-        let raws = self
-            .vqc
-            .executor()
-            .expectation_batch_prebound(self.vqc.model().readout(), &[group])?;
-        Ok(raws
-            .into_iter()
-            .next()
-            .expect("one group in, one out")
-            .iter()
-            .map(|raw| self.vqc.model().apply_head(raw, &self.scales, &self.biases))
-            .collect())
-    }
+/// The only row of a one-row batch result.
+fn single<T>(rows: Vec<T>) -> Result<T, RuntimeError> {
+    rows.into_iter()
+        .next()
+        .ok_or_else(|| RuntimeError::InvalidConfig("a one-row batch returned no row".to_string()))
 }
 
 #[cfg(test)]
@@ -629,46 +475,6 @@ mod tests {
         for (a, b) in fast.iter().zip(&reference) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn prebound_handle_is_bit_identical_to_live_forward() {
-        let model = actor_like();
-        let mut params = model.init_params(11);
-        let nc = model.circuit_param_count();
-        params[nc] = 1.3; // non-trivial head scale
-        let compiled = CompiledVqc::new(model);
-        let handle = compiled.prebind(&params).unwrap();
-        assert!(handle.resolved_rotations() > 0);
-        let batch: Vec<Vec<f64>> = (0..7)
-            .map(|b| (0..4).map(|i| 0.04 * (b * 4 + i) as f64 - 0.3).collect())
-            .collect();
-        for obs in &batch {
-            assert_eq!(
-                handle.forward(obs).unwrap(),
-                compiled.forward(obs, &params).unwrap()
-            );
-        }
-        assert_eq!(
-            handle.forward_batch(&batch).unwrap(),
-            compiled.forward_batch(&batch, &params).unwrap()
-        );
-    }
-
-    #[test]
-    fn prebind_rejects_wrong_lengths_and_stochastic_backends() {
-        let compiled = CompiledVqc::new(actor_like());
-        let n = compiled.model().param_count();
-        assert!(compiled.prebind(&vec![0.0; n + 1]).is_err());
-        let sampled = CompiledVqc::new(actor_like())
-            .with_backend(ExecutionBackend::Sampled { shots: 64, seed: 1 });
-        assert!(matches!(
-            sampled.prebind(&vec![0.0; n]),
-            Err(RuntimeError::InvalidConfig(_))
-        ));
-        // Input-length errors surface per evaluation.
-        let handle = compiled.prebind(&vec![0.1; n]).unwrap();
-        assert!(handle.forward(&[0.0; 3]).is_err());
     }
 
     #[test]

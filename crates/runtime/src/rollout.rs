@@ -370,7 +370,13 @@ mod tests {
                               rngs: &mut [StdRng]|
              -> Result<VecDecision, crate::error::RuntimeError> {
                 let rows: Vec<Vec<f64>> = obs.chunks(4).map(<[f64]>::to_vec).collect();
-                let scores = executor.expectation_batch(&compiled, &readout, &rows, &params)?;
+                let scores = executor.expectation_batch_backend(
+                    &compiled,
+                    &readout,
+                    &rows,
+                    &params,
+                    &crate::backend::ExecutionBackend::Ideal,
+                )?;
                 let actions = scores
                     .iter()
                     .enumerate()

@@ -740,7 +740,7 @@ pub(crate) fn run_trajectory_adjoint(
 mod tests {
     use super::*;
     use crate::compile::compile;
-    use crate::exec::run_compiled;
+    use crate::prebound::{prebind, run_prebound};
     use qmarl_qsim::gate::RotationAxis as Ax;
     use qmarl_vqc::ir::{Angle, Circuit, FixedGate, InputId, ParamId};
 
@@ -794,7 +794,7 @@ mod tests {
         let pb = prebind_trajectory(&compiled, &params, &NoiseModel::noiseless()).unwrap();
         let samples = 4;
         let slab = run_trajectory_slab(&pb, &inputs, samples, 123, None);
-        let pure = run_compiled(&compiled, &inputs, &params).unwrap();
+        let pure = run_prebound(&prebind(&compiled, &params).unwrap(), &inputs).unwrap();
         for lane in 0..samples {
             for (i, want) in pure.amplitudes().iter().enumerate() {
                 let got = slab[i * samples + lane];

@@ -125,6 +125,8 @@ fn lower_angle(a: ArbAngle) -> Angle {
 
 const TOL: f64 = 1e-12;
 
+const IDEAL: ExecutionBackend = ExecutionBackend::Ideal;
+
 proptest! {
     /// Batched execution ≡ serial `vqc::exec::run`, amplitude by
     /// amplitude, across randomized circuits and batch sizes.
@@ -137,13 +139,19 @@ proptest! {
     ) {
         let circuit = build(4, 3, 5, &ops);
         let compiled = compile(&circuit);
-        let ex = BatchExecutor::new(workers);
-        let states = ex.run_batch(&compiled, &inputs, &params).unwrap();
-        for (item, state) in inputs.iter().zip(&states) {
+        let pb = prebind(&compiled, &params).unwrap();
+        let readout = Readout::z_all(4);
+        let batched = BatchExecutor::new(workers)
+            .expectation_batch_backend(&compiled, &readout, &inputs, &params, &IDEAL)
+            .unwrap();
+        for (item, out) in inputs.iter().zip(&batched) {
+            let state = run_prebound(&pb, item).unwrap();
             let reference = qmarl_vqc::exec::run(&circuit, item, &params).unwrap();
             for (a, b) in state.amplitudes().iter().zip(reference.amplitudes()) {
                 prop_assert!((*a - *b).abs() < TOL, "amplitude drift {:e}", (*a - *b).abs());
             }
+            // Lane slabs read out exactly what the single-state walk does.
+            prop_assert_eq!(out, &readout.evaluate(&state).unwrap());
         }
     }
 
@@ -156,7 +164,7 @@ proptest! {
     ) {
         let circuit = build(3, 2, 4, &ops);
         let compiled = compile(&circuit);
-        let fused = run_compiled(&compiled, &inputs, &params).unwrap();
+        let fused = run_prebound(&prebind(&compiled, &params).unwrap(), &inputs).unwrap();
         // The raw schedule re-runs through the serial interpreter.
         let reference = qmarl_vqc::exec::run(&circuit, &inputs, &params).unwrap();
         for (a, b) in fused.amplitudes().iter().zip(reference.amplitudes()) {
@@ -178,7 +186,7 @@ proptest! {
         let compiled = compile(&circuit);
         for readout in [Readout::z_all(3), Readout::mean_z(3)] {
             let outs = BatchExecutor::new(4)
-                .expectation_batch(&compiled, &readout, &inputs, &params)
+                .expectation_batch_backend(&compiled, &readout, &inputs, &params, &IDEAL)
                 .unwrap();
             for (item, out) in inputs.iter().zip(&outs) {
                 let state = qmarl_vqc::exec::run(&circuit, item, &params).unwrap();
@@ -201,8 +209,8 @@ proptest! {
         let circuit = build(3, 2, 4, &ops);
         let compiled = compile(&circuit);
         let readout = Readout::z_all(3);
-        let jacs = BatchExecutor::new(4)
-            .jacobian_batch(&compiled, &readout, &inputs, &params)
+        let (_, jacs) = BatchExecutor::new(4)
+            .forward_and_jacobian_batch_backend(&compiled, &readout, &inputs, &params, &IDEAL)
             .unwrap();
         for (item, jac) in inputs.iter().zip(&jacs) {
             let reference =
@@ -226,7 +234,7 @@ proptest! {
         let c1 = cache.get_or_compile(&circuit);
         let c2 = cache.get_or_compile(&circuit);
         prop_assert!(std::sync::Arc::ptr_eq(&c1, &c2));
-        let a = run_compiled(&c1, &inputs, &params).unwrap();
+        let a = run_prebound(&prebind(&c1, &params).unwrap(), &inputs).unwrap();
         let b = qmarl_vqc::exec::run(&circuit, &inputs, &params).unwrap();
         prop_assert!((a.fidelity(&b).unwrap() - 1.0).abs() < TOL);
     }

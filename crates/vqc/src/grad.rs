@@ -149,14 +149,10 @@ pub enum GradMethod {
     FiniteDiff,
 }
 
-/// Computes the Jacobian with the chosen method.
-///
-/// `ParameterShift` routes through
-/// [`jacobian_parameter_shift_parallel`] with the scheduler's default
-/// worker count — bit-identical to the serial rule (contributions fold in
-/// occurrence order), but every shift evaluation of a deep circuit keeps
-/// the cores busy. On a single-core host the parallel path falls straight
-/// through to the serial sweep.
+/// Computes the Jacobian with the chosen method. This crate is the
+/// serial reference: the batched runtime (`qmarl-runtime`) runs the
+/// parallel parameter-shift path and is tested against
+/// [`jacobian_parameter_shift`].
 ///
 /// # Errors
 ///
@@ -169,13 +165,7 @@ pub fn jacobian(
     params: &[f64],
 ) -> Result<Jacobian, VqcError> {
     match method {
-        GradMethod::ParameterShift => jacobian_parameter_shift_parallel(
-            circuit,
-            readout,
-            inputs,
-            params,
-            qmarl_qsim::par::default_workers(),
-        ),
+        GradMethod::ParameterShift => jacobian_parameter_shift(circuit, readout, inputs, params),
         GradMethod::Adjoint => jacobian_adjoint(circuit, readout, inputs, params),
         GradMethod::FiniteDiff => jacobian_finite_diff(circuit, readout, inputs, params, 1e-6),
     }
@@ -254,70 +244,14 @@ pub fn jacobian_parameter_shift(
 
     let mut jac = Jacobian::zeros(readout.output_len(), circuit.param_count());
     for (k, p, theta, controlled) in param_occurrences(circuit, params) {
-        let contributions =
-            occurrence_shift(circuit, readout, inputs, params, k, theta, controlled)?;
+        let contributions = shift_rule(theta, controlled, |t| {
+            readout.evaluate(&run_with_override(circuit, inputs, params, k, t)?)
+        })?;
         for (j, g) in contributions.into_iter().enumerate() {
             *jac.get_mut(j, p) += g;
         }
     }
     Ok(jac)
-}
-
-/// Parallel parameter-shift: fans the parameter occurrences out over the
-/// shared work-queue scheduler ([`qmarl_qsim::par`], the same engine the
-/// batched runtime uses), with `n_threads` workers. Results are folded in
-/// occurrence order, so the output is **bit-identical** to
-/// [`jacobian_parameter_shift`]; use it when the circuit is deep enough
-/// that gradient evaluation dominates a training step.
-///
-/// # Errors
-///
-/// Propagates binding and readout validation errors.
-pub fn jacobian_parameter_shift_parallel(
-    circuit: &Circuit,
-    readout: &Readout,
-    inputs: &[f64],
-    params: &[f64],
-    n_threads: usize,
-) -> Result<Jacobian, VqcError> {
-    let occurrences = param_occurrences(circuit, params);
-    if n_threads <= 1 || occurrences.len() < 2 {
-        return jacobian_parameter_shift(circuit, readout, inputs, params);
-    }
-    run(circuit, inputs, params)?;
-    readout.validate(circuit.n_qubits())?;
-
-    let contributions = qmarl_qsim::par::try_parallel_map(
-        &occurrences,
-        n_threads,
-        |_, &(k, p, theta, controlled)| {
-            occurrence_shift(circuit, readout, inputs, params, k, theta, controlled).map(|g| (p, g))
-        },
-    )?;
-
-    let mut jac = Jacobian::zeros(readout.output_len(), circuit.param_count());
-    for (p, grads) in contributions {
-        for (j, g) in grads.into_iter().enumerate() {
-            *jac.get_mut(j, p) += g;
-        }
-    }
-    Ok(jac)
-}
-
-/// The shift-rule contribution of one parameterised occurrence, per output.
-fn occurrence_shift(
-    circuit: &Circuit,
-    readout: &Readout,
-    inputs: &[f64],
-    params: &[f64],
-    k: usize,
-    theta: f64,
-    controlled: bool,
-) -> Result<Vec<f64>, VqcError> {
-    shift_rule(theta, controlled, |t| {
-        let s = run_with_override(circuit, inputs, params, k, t)?;
-        readout.evaluate(&s)
-    })
 }
 
 /// The parameter-shift combination rule, abstracted over the circuit
@@ -721,20 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
-        let c = paper_like_circuit();
-        let params = init_params(c.param_count(), 23);
-        let inputs = test_inputs();
-        let readout = Readout::z_all(4);
-        let serial = jacobian_parameter_shift(&c, &readout, &inputs, &params).unwrap();
-        for threads in [1, 2, 4, 16] {
-            let par =
-                jacobian_parameter_shift_parallel(&c, &readout, &inputs, &params, threads).unwrap();
-            assert!(serial.max_abs_diff(&par) < 1e-12, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn vjp_chain_rule() {
         let mut jac = Jacobian::zeros(2, 3);
         *jac.get_mut(0, 0) = 1.0;
@@ -767,25 +687,6 @@ mod tests {
         assert_eq!(jac.row(0), &[1.5, -0.5, 0.25]);
         // vjp with a scalar upstream scales the row.
         assert_eq!(jac.vjp(&[-2.0]), vec![-3.0, 1.0, -0.5]);
-    }
-
-    #[test]
-    fn jacobian_dispatch_routes_parameter_shift_through_parallel() {
-        // `jacobian(ParameterShift)` is the production route; it must be
-        // bit-identical to both the serial rule and the explicitly
-        // parallel rule for every worker count.
-        let c = paper_like_circuit();
-        let params = init_params(c.param_count(), 41);
-        let inputs = test_inputs();
-        let readout = Readout::z_all(4);
-        let routed = jacobian(GradMethod::ParameterShift, &c, &readout, &inputs, &params).unwrap();
-        let serial = jacobian_parameter_shift(&c, &readout, &inputs, &params).unwrap();
-        assert_eq!(routed.max_abs_diff(&serial), 0.0);
-        for workers in [1, 3, 8] {
-            let par =
-                jacobian_parameter_shift_parallel(&c, &readout, &inputs, &params, workers).unwrap();
-            assert_eq!(routed.max_abs_diff(&par), 0.0, "workers={workers}");
-        }
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub mod prelude {
     pub use crate::error::VqcError;
     pub use crate::exec::{run, run_noisy};
     pub use crate::grad::{
-        jacobian, jacobian_adjoint, jacobian_finite_diff, jacobian_parameter_shift,
-        jacobian_parameter_shift_parallel, GradMethod, Jacobian,
+        jacobian, jacobian_adjoint, jacobian_finite_diff, jacobian_parameter_shift, GradMethod,
+        Jacobian,
     };
     pub use crate::ir::{Angle, Circuit, FixedGate, InputId, Op, ParamId};
     pub use crate::observable::Readout;

@@ -45,7 +45,8 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "no-panic-serve",
         "the serve hot path never panics: no `unwrap`/`expect`/`panic!`-family macros in \
-         crates/serve non-test library code",
+         crates/serve non-test library code or in the core/runtime files its batcher runs \
+         through",
     ),
     (
         "bad-pragma",
@@ -404,13 +405,28 @@ fn rule_determinism(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
+/// Library files outside `crates/serve` that the batcher's inference
+/// path runs through: `ServablePolicy::act_batch` in `core::serving`,
+/// the actor policies it dispatches to, and the runtime's prebound batch
+/// execution under them.
+const SERVE_PATH_FILES: &[&str] = &[
+    "crates/core/src/serving.rs",
+    "crates/core/src/vec_policy.rs",
+    "crates/core/src/policy.rs",
+    "crates/runtime/src/batch.rs",
+    "crates/runtime/src/prebound.rs",
+    "crates/runtime/src/qnn.rs",
+];
+
 /// **no-panic-serve** — scope: `crates/serve/src` excluding `src/bin`
-/// (the loadgen binary is test tooling, not the serving hot path) and
-/// test code. Flags `.unwrap()` / `.expect()` method calls and the
-/// panic-family macros.
+/// (the loadgen binary is test tooling, not the serving hot path), plus
+/// [`SERVE_PATH_FILES`]; test code is exempt. Flags `.unwrap()` /
+/// `.expect()` method calls and the panic-family macros.
 fn rule_no_panic_serve(file: &SourceFile, out: &mut Vec<Finding>) {
-    let scoped = file.rel_path.starts_with("crates/serve/src/")
-        && !file.rel_path.starts_with("crates/serve/src/bin/");
+    let path = file.rel_path.as_str();
+    let scoped = (path.starts_with("crates/serve/src/")
+        && !path.starts_with("crates/serve/src/bin/"))
+        || SERVE_PATH_FILES.contains(&path);
     if !scoped {
         return;
     }
@@ -433,7 +449,7 @@ fn rule_no_panic_serve(file: &SourceFile, out: &mut Vec<Finding>) {
                 file,
                 i,
                 format!(
-                    "`.{}()` can panic on the serve hot path; return a ServeError instead",
+                    "`.{}()` can panic on the serve hot path; return a typed error instead",
                     t.text
                 ),
             );
@@ -444,7 +460,7 @@ fn rule_no_panic_serve(file: &SourceFile, out: &mut Vec<Finding>) {
                 file,
                 i,
                 format!(
-                    "`{}!` panics on the serve hot path; return a ServeError instead",
+                    "`{}!` panics on the serve hot path; return a typed error instead",
                     t.text
                 ),
             );

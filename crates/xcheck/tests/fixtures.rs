@@ -103,10 +103,28 @@ fn panic_serve_fixture_exact_spans() {
     // cfg(test) unwrap do not.
     assert_eq!(spans(&r, "no-panic-serve"), vec![(4, 15), (5, 15), (7, 9)]);
     assert_eq!(r.findings.len(), 3);
-    // The loadgen binary tree and other crates are out of scope.
+    // The core and runtime files the batcher runs through are in scope
+    // too, with the same spans.
+    for path in [
+        "crates/core/src/policy.rs",
+        "crates/core/src/serving.rs",
+        "crates/runtime/src/prebound.rs",
+    ] {
+        let r = analyze(path, src);
+        assert_eq!(
+            spans(&r, "no-panic-serve"),
+            vec![(4, 15), (5, 15), (7, 9)],
+            "{path}"
+        );
+    }
+    // The loadgen binary tree, other crates and the rest of core/runtime
+    // are out of scope.
     for path in [
         "crates/serve/src/bin/panic_fixture.rs",
         "crates/qsim/src/panic_fixture.rs",
+        "crates/core/src/trainer.rs",
+        "crates/runtime/src/superop.rs",
+        "crates/runtime/tests/prebound.rs",
     ] {
         let r = analyze(path, src);
         assert!(

@@ -1,10 +1,11 @@
 //! Runtime throughput demo: circuits/sec, serial vs batched.
 //!
 //! Runs the paper's 4-qubit, 3-layer actor circuit through (a) the serial
-//! IR interpreter (`vqc::exec::run`), (b) the compiled schedule on one
-//! worker, and (c) the compiled schedule on the full batch executor, at
-//! several batch sizes — the `framework_comparison`-style table for the
-//! execution engine itself.
+//! IR interpreter (`vqc::exec::run` plus readout), (b) the `Ideal`
+//! forward batch (one prebound, fused schedule over lane slabs) on one
+//! worker, and (c) the same batch on the full executor, at several batch
+//! sizes — the `framework_comparison`-style table for the execution
+//! engine itself.
 //!
 //! ```text
 //! cargo run --release --example runtime_throughput
@@ -37,8 +38,19 @@ fn main() {
     let circuit = three_layer_circuit();
     let compiled = compile(&circuit);
     let params = init_params(circuit.param_count(), 42);
+    let readout = Readout::z_all(4);
     let serial_ex = BatchExecutor::serial();
     let batch_ex = BatchExecutor::default();
+    let forward = |ex: &BatchExecutor, inputs: &[Vec<f64>]| {
+        ex.expectation_batch_backend(
+            &compiled,
+            &readout,
+            inputs,
+            &params,
+            &ExecutionBackend::Ideal,
+        )
+        .expect("batch")
+    };
 
     println!("runtime_throughput: 4-qubit / 3-layer ansatz");
     println!(
@@ -61,22 +73,15 @@ fn main() {
 
         let t_interp = time(reps, || {
             for item in &inputs {
-                std::hint::black_box(qmarl::vqc::exec::run(&circuit, item, &params).expect("run"));
+                let state = qmarl::vqc::exec::run(&circuit, item, &params).expect("run");
+                std::hint::black_box(readout.evaluate(&state).expect("readout"));
             }
         });
         let t_compiled = time(reps, || {
-            std::hint::black_box(
-                serial_ex
-                    .run_batch(&compiled, &inputs, &params)
-                    .expect("batch"),
-            );
+            std::hint::black_box(forward(&serial_ex, &inputs));
         });
         let t_batched = time(reps, || {
-            std::hint::black_box(
-                batch_ex
-                    .run_batch(&compiled, &inputs, &params)
-                    .expect("batch"),
-            );
+            std::hint::black_box(forward(&batch_ex, &inputs));
         });
 
         let cps = |t: f64| batch as f64 / t;

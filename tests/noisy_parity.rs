@@ -187,7 +187,7 @@ fn noiseless_density_equals_the_ideal_statevector_outer_product() {
         let (inputs, params) = bindings_for(&compiled);
         let pb = prebind_density(&compiled, &params, &NoiseModel::noiseless()).unwrap();
         let rho = run_density(&pb, &inputs, None).unwrap();
-        let psi = run_compiled(&compiled, &inputs, &params).unwrap();
+        let psi = run_prebound(&prebind(&compiled, &params).unwrap(), &inputs).unwrap();
         let amps = psi.amplitudes();
         for r in 0..rho.dim() {
             for c in 0..rho.dim() {
