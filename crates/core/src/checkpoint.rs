@@ -41,6 +41,13 @@ const MAGIC: &str = "qmarl-checkpoint v1";
 /// The format tag of the full-trainer-state format.
 const TRAINER_MAGIC: &str = "qmarl-trainer-checkpoint v1";
 
+/// Most elements either parser reserves up front for one header count.
+/// A torn or hostile file can claim absurd counts, and reserving them
+/// would turn it into a capacity-overflow panic or an allocation abort,
+/// so every count is a claim: capacity is bounded by this cap and the
+/// vectors grow only as real lines arrive.
+const COUNT_CAP: usize = 4096;
+
 /// Labels live on one line of the line-oriented codecs; a stray newline
 /// would shift every following field (or, crafted, inject fields), so
 /// line breaks are flattened to spaces at write time. Everything else
@@ -164,13 +171,9 @@ impl FrameworkSnapshot {
             .parse()
             .map_err(|_| bad("actors count not a number"))?;
 
-        // A corrupt header can claim absurd counts; pre-allocating from
-        // them would turn a torn file into an allocation abort. Capacity
-        // is bounded and the vectors grow only as real lines arrive.
-        const CAP: usize = 4096;
         let read_params =
             |lines: &mut std::str::Lines<'_>, n: usize| -> Result<Vec<f64>, CoreError> {
-                let mut v = Vec::with_capacity(n.min(CAP));
+                let mut v = Vec::with_capacity(n.min(COUNT_CAP));
                 for _ in 0..n {
                     let line = lines.next().ok_or_else(|| bad("unexpected end of file"))?;
                     v.push(line.parse().map_err(|_| bad("malformed parameter"))?);
@@ -178,7 +181,7 @@ impl FrameworkSnapshot {
                 Ok(v)
             };
 
-        let mut actor_params = Vec::with_capacity(n_actors.min(CAP));
+        let mut actor_params = Vec::with_capacity(n_actors.min(COUNT_CAP));
         for i in 0..n_actors {
             let header = lines.next().ok_or_else(|| bad("missing actor header"))?;
             let rest = header
@@ -441,7 +444,7 @@ impl TrainerCheckpoint {
             .try_into()
             .map_err(|_| bad("rng line must hold 4 words"))?;
         let n_actors = field(next("actors")?, "actors ")? as usize;
-        let mut actor_params = Vec::with_capacity(n_actors);
+        let mut actor_params = Vec::with_capacity(n_actors.min(COUNT_CAP));
         for i in 0..n_actors {
             actor_params.push(parse_vec_line(
                 next("actor params")?,
@@ -460,13 +463,13 @@ impl TrainerCheckpoint {
             }
             Ok(AdamState { m, v, t })
         };
-        let mut actor_opts = Vec::with_capacity(n_actors);
+        let mut actor_opts = Vec::with_capacity(n_actors.min(COUNT_CAP));
         for i in 0..n_actors {
             actor_opts.push(parse_opt(format!("opt actor {i}"))?);
         }
         let critic_opt = parse_opt("opt critic".into())?;
         let n_episodes = field(next("replay")?, "replay ")? as usize;
-        let mut replay = Vec::with_capacity(n_episodes);
+        let mut replay = Vec::with_capacity(n_episodes.min(COUNT_CAP));
         for i in 0..n_episodes {
             let len = field(next("episode header")?, &format!("episode {i} "))? as usize;
             let mut ep = Episode::new();
@@ -486,7 +489,7 @@ impl TrainerCheckpoint {
                     _ => return Err(bad("step done flag must be 0 or 1")),
                 };
                 let state = parse_vec_line(next("state")?, "s", &bad)?;
-                let mut observations = Vec::with_capacity(n_agents);
+                let mut observations = Vec::with_capacity(n_agents.min(COUNT_CAP));
                 for _ in 0..n_agents {
                     observations.push(parse_vec_line(next("obs")?, "o", &bad)?);
                 }
@@ -504,7 +507,7 @@ impl TrainerCheckpoint {
                     .and_then(|t| t.parse().ok())
                     .ok_or_else(|| bad("malformed reward line"))?;
                 let next_state = parse_vec_line(next("next state")?, "ns", &bad)?;
-                let mut next_observations = Vec::with_capacity(n_agents);
+                let mut next_observations = Vec::with_capacity(n_agents.min(COUNT_CAP));
                 for _ in 0..n_agents {
                     next_observations.push(parse_vec_line(next("next obs")?, "no", &bad)?);
                 }
@@ -854,6 +857,54 @@ mod tests {
         assert!(TrainerCheckpoint::from_text(&good).is_ok());
         let doubled = format!("{good}{good}");
         assert!(TrainerCheckpoint::from_text(&doubled).is_err());
+    }
+
+    /// Header counts that overflow `Vec` capacity (`u64::MAX`) or would
+    /// need terabytes if reserved (`2^40`).
+    const HUGE_COUNTS: [&str; 2] = ["18446744073709551615", "1099511627776"];
+
+    /// A trainer-checkpoint prefix through the `actors 0` header.
+    const TRAINER_HEAD: &str =
+        "qmarl-trainer-checkpoint v1\nlabel x\nseed 7\nepoch 1\nrounds 1\nrng 1 2 3 4\n";
+
+    /// The prefix through an empty critic optimizer, ready for `replay`.
+    fn through_critic_opt() -> String {
+        format!("{TRAINER_HEAD}actors 0\ncritic\ntarget\nopt critic t 0\nm\nv\n")
+    }
+
+    fn assert_typed_parse_error(text: &str) {
+        assert!(
+            matches!(
+                TrainerCheckpoint::from_text(text),
+                Err(CoreError::InvalidConfig(_))
+            ),
+            "{text:?} must be a typed parse error"
+        );
+    }
+
+    #[test]
+    fn trainer_checkpoint_huge_actor_count_is_a_typed_error() {
+        for n in HUGE_COUNTS {
+            assert_typed_parse_error(&format!("{TRAINER_HEAD}actors {n}\n"));
+        }
+    }
+
+    #[test]
+    fn trainer_checkpoint_huge_replay_count_is_a_typed_error() {
+        for n in HUGE_COUNTS {
+            assert_typed_parse_error(&format!("{}replay {n}\n", through_critic_opt()));
+        }
+    }
+
+    #[test]
+    fn trainer_checkpoint_huge_step_agent_count_is_a_typed_error() {
+        for n in HUGE_COUNTS {
+            let text = format!(
+                "{}replay 1\nepisode 0 1\nstep agents {n} done 0\ns 1e0\n",
+                through_critic_opt()
+            );
+            assert_typed_parse_error(&text);
+        }
     }
 
     /// The spellings `f64::from_str` accepts for non-finite values

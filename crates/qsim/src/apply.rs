@@ -255,24 +255,75 @@ pub fn apply_rz(amps: &mut [Complex64], q: usize, theta: f64) {
 }
 
 /// [`apply_rz`] with the half-angle sine/cosine precomputed (see
-/// [`apply_rx_sc`]).
+/// [`apply_rx_sc`]): the phases `(c, −s)` on bit-clear and `(c, s)` on
+/// bit-set amplitudes.
 #[inline]
 pub fn apply_rz_sc(amps: &mut [Complex64], q: usize, s: f64, c: f64) {
+    apply_phases(amps, None, q, (c, -s), (c, s));
+}
+
+/// Diagonal two-phase kernel: multiplies every amplitude whose `target`
+/// bit is clear by `lo` and every amplitude whose `target` bit is set by
+/// `hi`, each an `(re, im)` phase applied as
+/// `a' = (a.re·pr − a.im·pi, a.re·pi + a.im·pr)`. With a `control`, only
+/// control-set amplitudes change. The two phases are independent, so a
+/// caller may pass phases that are not each other's conjugates (an
+/// inverse rotation whose phases were each built from their own angle).
+#[inline]
+pub fn apply_phases(
+    amps: &mut [Complex64],
+    control: Option<usize>,
+    target: usize,
+    lo: (f64, f64),
+    hi: (f64, f64),
+) {
     #[cfg(target_arch = "x86_64")]
     if wide(amps.len()) {
         // SAFETY: level() == Avx2 implies the CPU supports AVX2.
-        return unsafe { crate::wide::rz_sc(amps, q, s, c) };
+        return unsafe {
+            match control {
+                None => crate::wide::phases(amps, target, lo, hi),
+                Some(c) => crate::wide::controlled_phases(amps, c, target, lo, hi),
+            }
+        };
     }
-    let stride = 1usize << q;
-    let mut base = 0;
-    while base < amps.len() {
-        for a in &mut amps[base..base + stride] {
-            *a = Complex64::new(a.re * c - a.im * -s, a.re * -s + a.im * c);
+    phases_scalar(amps, control, target, lo, hi);
+}
+
+/// The scalar body of [`apply_phases`], kept out of line so the dispatch
+/// above stays small enough to inline into every caller.
+fn phases_scalar(
+    amps: &mut [Complex64],
+    control: Option<usize>,
+    target: usize,
+    lo: (f64, f64),
+    hi: (f64, f64),
+) {
+    let phase = |a: &mut Complex64, (pr, pi): (f64, f64)| {
+        *a = Complex64::new(a.re * pr - a.im * pi, a.re * pi + a.im * pr);
+    };
+    let mt = 1usize << target;
+    match control {
+        None => {
+            let mut base = 0;
+            while base < amps.len() {
+                for a in &mut amps[base..base + mt] {
+                    phase(a, lo);
+                }
+                for a in &mut amps[base + mt..base + (mt << 1)] {
+                    phase(a, hi);
+                }
+                base += mt << 1;
+            }
         }
-        for a in &mut amps[base + stride..base + (stride << 1)] {
-            *a = Complex64::new(a.re * c - a.im * s, a.re * s + a.im * c);
+        Some(control) => {
+            let mc = 1usize << control;
+            for_each_clear2(amps.len(), mc.min(mt), mc.max(mt), |i| {
+                let i0 = i | mc;
+                phase(&mut amps[i0], lo);
+                phase(&mut amps[i0 | mt], hi);
+            });
         }
-        base += stride << 1;
     }
 }
 
@@ -342,21 +393,7 @@ pub fn apply_crz(amps: &mut [Complex64], control: usize, target: usize, theta: f
 /// [`apply_rx_sc`]).
 #[inline]
 pub fn apply_crz_sc(amps: &mut [Complex64], control: usize, target: usize, s: f64, c: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if wide(amps.len()) {
-        // SAFETY: level() == Avx2 implies the CPU supports AVX2.
-        return unsafe { crate::wide::crz_sc(amps, control, target, s, c) };
-    }
-    let mc = 1usize << control;
-    let mt = 1usize << target;
-    for_each_clear2(amps.len(), mc.min(mt), mc.max(mt), |i| {
-        let i0 = i | mc;
-        let i1 = i0 | mt;
-        let a0 = amps[i0];
-        let a1 = amps[i1];
-        amps[i0] = Complex64::new(a0.re * c - a0.im * -s, a0.re * -s + a0.im * c);
-        amps[i1] = Complex64::new(a1.re * c - a1.im * s, a1.re * s + a1.im * c);
-    });
+    apply_phases(amps, Some(control), target, (c, -s), (c, s));
 }
 
 /// CZ fast path: the gate is diagonal — flip the sign where both bits

@@ -1,14 +1,22 @@
-//! Lane-row kernels: SIMD updates over contiguous `Complex64` rows.
+//! Lane-slab kernels: one gate update over `L` statevectors at once.
 //!
 //! The runtime's lane-slab executors store `L` statevectors transposed —
 //! `slab[amp · L + lane]` — so a gate update touches whole contiguous
-//! rows of `L` amplitudes at a time. These kernels are the row twins of
-//! the pair kernels in [`crate::apply`]: a scalar reference path (the
-//! exact formulas the slab executor historically inlined) plus an AVX2
-//! path dispatched through [`crate::simd::level`], **bit-identical** by
-//! the same argument as the statevector kernels (separate multiply and
-//! add, same expression per element, same association order — see
-//! [`crate::simd`]).
+//! rows of `L` amplitudes at a time. [`Slab`] is a checked view of such a
+//! block, and its methods are the slab twins of the pair kernels in
+//! [`crate::apply`]: a scalar reference path plus an AVX2 path dispatched
+//! through [`crate::simd::level`], **bit-identical** by the same argument
+//! as the statevector kernels (separate multiply and add, same expression
+//! per element, same association order — see [`crate::simd`]).
+//!
+//! ## One lane is a statevector
+//!
+//! At `L = 1` the layout `slab[amp]` *is* the statevector layout, so every
+//! unitary method of a one-lane [`Slab`] runs the contiguous
+//! [`crate::apply`] kernel on the same buffer instead of walking `2ⁿ`
+//! one-element rows. Both compute the same expression per element, so the
+//! result is bit-identical either way. A single state is therefore just a
+//! one-lane slab, and the runtime keeps one statevector walker.
 //!
 //! ## Layout note (the SoA evaluation)
 //!
@@ -24,12 +32,14 @@
 //! fixed by loop interchange in the runtime instead, which keeps one
 //! canonical layout everywhere.
 //!
-//! Uniform-coefficient kernels (`*_rows`) share one coefficient across
-//! the row; per-lane kernels (`*_rows_lanes`) take one coefficient pair
-//! per lane, as produced for input-dependent rotations.
+//! Uniform methods share one coefficient across the lanes; per-lane
+//! methods (`*_lanes`) take one coefficient pair per lane, as produced
+//! for input-dependent rotations. The row kernels behind them are private
+//! to this module.
 
+use crate::apply;
 use crate::complex::Complex64;
-use crate::gate::Gate1;
+use crate::gate::{Gate1, Gate2, RotationAxis};
 use crate::simd::{self, SimdLevel};
 
 /// `true` when the AVX2 row path should run.
@@ -46,8 +56,7 @@ pub const AXIS_Y: u8 = 1;
 pub const AXIS_Z: u8 = 2;
 
 // ---------------------------------------------------------------------
-// Scalar row bodies — the exact formulas the slab executor historically
-// inlined, shared by the per-row dispatchers and the slab kernels.
+// Scalar row bodies: the reference arithmetic of every slab kernel.
 // ---------------------------------------------------------------------
 
 mod scalar {
@@ -93,7 +102,7 @@ mod scalar {
     }
 
     #[inline(always)]
-    pub(super) fn gate2(rows: [&mut [Complex64]; 4], m: &[[Complex64; 4]; 4]) {
+    pub(super) fn dense4(rows: [&mut [Complex64]; 4], m: &[[Complex64; 4]; 4]) {
         let [r0, r1, r2, r3] = rows;
         for l in 0..r0.len() {
             let x0 = r0[l];
@@ -134,150 +143,17 @@ mod scalar {
             *a = Complex64::new(x.re * pr - x.im * pi, x.re * pi + x.im * pr);
         }
     }
-
-    #[inline(always)]
-    pub(super) fn conj_dot_im(acc: &mut [f64], l: &[Complex64], g: &[Complex64]) {
-        for ((a, lv), gv) in acc.iter_mut().zip(l).zip(g) {
-            *a += lv.re * gv.im - lv.im * gv.re;
-        }
-    }
-}
-
-/// X-rotation pair update with one `(sin θ/2, cos θ/2)` for all lanes:
-/// `a0' = (c·a0.re + s·a1.im, c·a0.im − s·a1.re)`,
-/// `a1' = (s·a0.im + c·a1.re, −s·a0.re + c·a1.im)`.
-#[inline]
-pub fn rot_x_rows(r0: &mut [Complex64], r1: &mut [Complex64], s: f64, c: f64) {
-    assert_eq!(r0.len(), r1.len(), "pair rows must have equal lane counts");
-    #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` just verified AVX2 via `simd::level`, and the
-        // equal-length assert above is the kernel's only other precondition.
-        unsafe { avx::rot_x_rows(r0, r1, s, c) };
-        return;
-    }
-    scalar::rot_x(r0, r1, s, c);
-}
-
-/// Y-rotation pair update with one `(sin θ/2, cos θ/2)` for all lanes:
-/// `a0' = c·a0 − s·a1`, `a1' = s·a0 + c·a1` (all-real coefficients).
-#[inline]
-pub fn rot_y_rows(r0: &mut [Complex64], r1: &mut [Complex64], s: f64, c: f64) {
-    assert_eq!(r0.len(), r1.len(), "pair rows must have equal lane counts");
-    #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` just verified AVX2 via `simd::level`, and the
-        // equal-length assert above is the kernel's only other precondition.
-        unsafe { avx::rot_y_rows(r0, r1, s, c) };
-        return;
-    }
-    scalar::rot_y(r0, r1, s, c);
-}
-
-/// Multiplies a row by the phase `pr + i·pi`:
-/// `a' = (a.re·pr − a.im·pi, a.re·pi + a.im·pr)`.
-#[inline]
-pub fn phase_rows(row: &mut [Complex64], pr: f64, pi: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` just verified AVX2 via `simd::level`; the kernel
-        // walks `row` by its own length, so there is no length precondition.
-        unsafe { avx::phase_rows(row, pr, pi) };
-        return;
-    }
-    scalar::phase(row, pr, pi);
-}
-
-/// Generic 2×2 pair update with one unitary for all lanes:
-/// `a0' = m00·a0 + m01·a1`, `a1' = m10·a0 + m11·a1`.
-#[inline]
-pub fn gate1_rows(r0: &mut [Complex64], r1: &mut [Complex64], gate: &Gate1) {
-    assert_eq!(r0.len(), r1.len(), "pair rows must have equal lane counts");
-    #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` just verified AVX2 via `simd::level`, and the
-        // equal-length assert above is the kernel's only other precondition.
-        unsafe { avx::gate1_rows(r0, r1, gate) };
-        return;
-    }
-    scalar::gate1(r0, r1, gate);
-}
-
-/// [`rot_x_rows`] with a per-lane `(sin θ/2, cos θ/2)` pair.
-#[inline]
-pub fn rot_x_rows_lanes(r0: &mut [Complex64], r1: &mut [Complex64], trig: &[(f64, f64)]) {
-    assert_eq!(r0.len(), r1.len(), "pair rows must have equal lane counts");
-    assert_eq!(r0.len(), trig.len(), "one trig pair per lane");
-    #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` just verified AVX2 via `simd::level`; the asserts
-        // above pin the row and coefficient lengths the kernel relies on.
-        unsafe { avx::rot_x_rows_lanes(r0, r1, trig) };
-        return;
-    }
-    scalar::rot_x_lanes(r0, r1, trig);
-}
-
-/// [`rot_y_rows`] with a per-lane `(sin θ/2, cos θ/2)` pair.
-#[inline]
-pub fn rot_y_rows_lanes(r0: &mut [Complex64], r1: &mut [Complex64], trig: &[(f64, f64)]) {
-    assert_eq!(r0.len(), r1.len(), "pair rows must have equal lane counts");
-    assert_eq!(r0.len(), trig.len(), "one trig pair per lane");
-    #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` just verified AVX2 via `simd::level`; the asserts
-        // above pin the row and coefficient lengths the kernel relies on.
-        unsafe { avx::rot_y_rows_lanes(r0, r1, trig) };
-        return;
-    }
-    scalar::rot_y_lanes(r0, r1, trig);
-}
-
-/// [`phase_rows`] with a per-lane `(pr, pi)` phase.
-#[inline]
-pub fn phase_rows_lanes(row: &mut [Complex64], phases: &[(f64, f64)]) {
-    assert_eq!(row.len(), phases.len(), "one phase pair per lane");
-    #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` just verified AVX2 via `simd::level`; the assert
-        // above pins the coefficient length the kernel relies on.
-        unsafe { avx::phase_rows_lanes(row, phases) };
-        return;
-    }
-    scalar::phase_lanes(row, phases);
-}
-
-/// Accumulates the imaginary part of `conj(l[k])·g[k]` into `acc[k]`,
-/// per lane: `acc[k] += l.re·g.im − l.im·g.re`. This is the inner step of
-/// the adjoint gradient reduction (`∂E/∂θ = Im⟨λ|G|φ⟩` folded row by
-/// row); each lane is an independent accumulator, so vectorising across
-/// lanes reorders nothing within any one fold.
-#[inline]
-pub fn conj_dot_im_rows(acc: &mut [f64], l: &[Complex64], g: &[Complex64]) {
-    assert_eq!(acc.len(), l.len(), "one accumulator per λ lane");
-    assert_eq!(acc.len(), g.len(), "one accumulator per generator lane");
-    #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` just verified AVX2 via `simd::level`; the asserts
-        // above pin `l` and `g` to `acc`'s length, which bounds every read.
-        unsafe { avx::conj_dot_im_rows(acc, l, g) };
-        return;
-    }
-    scalar::conj_dot_im(acc, l, g);
 }
 
 // ---------------------------------------------------------------------
 // Slab kernels: one dispatch per gate application.
 //
-// The per-row dispatchers above re-check the SIMD level on every call —
-// fine for one row, measurable when an 8-qubit slab walk makes hundreds
-// of row calls per gate. These kernels take the whole `slab[amp·lanes +
-// lane]` block plus a target mask `mt` and control mask `mc` (`0` =
-// uncontrolled; rows with `i & mc != mc` are skipped), dispatch once,
-// and keep the pair loop inside one `#[target_feature]` body. Pair
-// enumeration order is free (pairs are disjoint) and the per-row
-// arithmetic is the per-row kernels' verbatim, so every slab kernel is
-// bit-identical to the equivalent per-row call sequence.
+// Each method takes a target mask `mt` and control mask `mc` (`0` =
+// uncontrolled; rows with `i & mc != mc` are skipped), dispatches once,
+// and keeps the pair loop inside one `#[target_feature]` body. Pair
+// enumeration order is free (pairs are disjoint) and every row gets the
+// scalar row body's arithmetic, so the AVX2 walk is bit-identical to
+// the scalar one.
 // ---------------------------------------------------------------------
 
 /// Disjoint `(row i0, row i0|mt)` lane-row views, ascending `i0` over
@@ -298,133 +174,6 @@ fn for_each_pair_rows(
         let (head, tail) = slab.split_at_mut((i0 | mt) * lanes);
         f(&mut head[i0 * lanes..(i0 + 1) * lanes], &mut tail[..lanes]);
     }
-}
-
-/// Checked slab preconditions, enforced in every build profile.
-///
-/// The AVX2 slab kernels derive raw row pointers from `dim`, `lanes`,
-/// `mt` and `mc` with no further bounds checks, so the facts that keep
-/// them in-bounds are asserted once per slab call here, at the safe
-/// dispatch boundary, instead of as `debug_assert!`s that vanish in
-/// release builds: a power-of-two `dim` with `mt` a single bit below it
-/// guarantees `i0 | mt < dim` for every enumerated pair, and
-/// `len == dim·lanes` keeps every such row inside the slab.
-#[inline]
-fn check_slab(len: usize, lanes: usize, dim: usize, mt: usize, mc: usize) {
-    assert!(lanes > 0, "slab kernels need at least one lane");
-    assert!(dim.is_power_of_two(), "slab dim must be a power of two");
-    assert_eq!(len, dim * lanes, "slab length must equal dim * lanes");
-    assert!(
-        mt.is_power_of_two() && mt < dim,
-        "target mask must be a single bit below dim"
-    );
-    assert!(mc < dim, "control mask must lie below dim");
-}
-
-/// [`rot_x_rows`] over every `(target, control)` pair of the slab.
-#[inline]
-pub fn rot_x_slab(
-    slab: &mut [Complex64],
-    lanes: usize,
-    dim: usize,
-    mt: usize,
-    mc: usize,
-    s: f64,
-    c: f64,
-) {
-    check_slab(slab.len(), lanes, dim, mt, mc);
-    #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` just verified AVX2 via `simd::level`, and
-        // `check_slab` proved the geometry every raw row pointer is derived
-        // from: `slab.len() == dim·lanes`, `mt` a single bit below the
-        // power-of-two `dim`, `mc < dim`.
-        unsafe { avx::rot_x_slab(slab, lanes, dim, mt, mc, s, c) };
-        return;
-    }
-    for_each_pair_rows(slab, lanes, dim, mt, mc, |r0, r1| {
-        scalar::rot_x(r0, r1, s, c)
-    });
-}
-
-/// [`rot_y_rows`] over every `(target, control)` pair of the slab.
-#[inline]
-pub fn rot_y_slab(
-    slab: &mut [Complex64],
-    lanes: usize,
-    dim: usize,
-    mt: usize,
-    mc: usize,
-    s: f64,
-    c: f64,
-) {
-    check_slab(slab.len(), lanes, dim, mt, mc);
-    #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` just verified AVX2 via `simd::level`, and
-        // `check_slab` proved the geometry every raw row pointer is derived
-        // from: `slab.len() == dim·lanes`, `mt` a single bit below the
-        // power-of-two `dim`, `mc < dim`.
-        unsafe { avx::rot_y_slab(slab, lanes, dim, mt, mc, s, c) };
-        return;
-    }
-    for_each_pair_rows(slab, lanes, dim, mt, mc, |r0, r1| {
-        scalar::rot_y(r0, r1, s, c)
-    });
-}
-
-/// [`gate1_rows`] over every pair of target qubit `mt` in the slab.
-#[inline]
-pub fn gate1_slab(slab: &mut [Complex64], lanes: usize, dim: usize, mt: usize, gate: &Gate1) {
-    check_slab(slab.len(), lanes, dim, mt, 0);
-    #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` just verified AVX2 via `simd::level`, and
-        // `check_slab` proved the geometry every raw row pointer is derived
-        // from: `slab.len() == dim·lanes`, `mt` a single bit below the
-        // power-of-two `dim`, `mc < dim`.
-        unsafe { avx::gate1_slab(slab, lanes, dim, mt, gate) };
-        return;
-    }
-    for_each_pair_rows(slab, lanes, dim, mt, 0, |r0, r1| {
-        scalar::gate1(r0, r1, gate)
-    });
-}
-
-/// Generic two-bit 4×4 update over the whole slab: for every row index
-/// with both `ma` and `mb` clear, the four rows `{i, i|ma, i|mb,
-/// i|ma|mb}` transform together by `m`, with bit 0 of the 4×4 index ↔
-/// `ma` and bit 1 ↔ `mb`. The matrix is **not** required to be unitary:
-/// this is the superoperator kernel of the density backend, where the
-/// 4×4 is a gate–channel product acting on a (column-bit, row-bit) pair
-/// of vectorized ρ, as well as a generic two-qubit gate kernel.
-#[inline]
-pub fn gate2_slab(
-    slab: &mut [Complex64],
-    lanes: usize,
-    dim: usize,
-    ma: usize,
-    mb: usize,
-    m: &[[Complex64; 4]; 4],
-) {
-    check_slab(slab.len(), lanes, dim, ma, 0);
-    assert!(
-        mb.is_power_of_two() && mb < dim,
-        "second mask must be a single bit below dim"
-    );
-    assert_ne!(ma, mb, "gate2 masks must name distinct bits");
-    #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` just verified AVX2 via `simd::level`, and
-        // `check_slab` plus the two asserts above proved the geometry
-        // every raw row pointer is derived from: `slab.len() ==
-        // dim·lanes` with `ma`, `mb` distinct single bits below the
-        // power-of-two `dim`, so the four quad rows are disjoint and in
-        // bounds.
-        unsafe { avx::gate2_slab(slab, lanes, dim, ma, mb, m) };
-        return;
-    }
-    for_each_quad_rows(slab, lanes, dim, ma, mb, |rows| scalar::gate2(rows, m));
 }
 
 /// Enumerates quad row groups `{i, i|ma, i|mb, i|ma|mb}` (both-clear
@@ -461,121 +210,368 @@ fn for_each_quad_rows(
     }
 }
 
-/// Diagonal-rotation slab update: multiplies target-clear rows by `lo`
-/// and target-set rows by `hi` (as `(pr, pi)` phases), skipping
-/// control-clear rows.
+/// The wire index of a single-bit mask.
 #[inline]
-pub fn phase_slab(
-    slab: &mut [Complex64],
+fn wire(mask: usize) -> usize {
+    mask.trailing_zeros() as usize
+}
+
+/// A checked lane slab: `dim` rows of `lanes` amplitudes,
+/// `slab[amp · lanes + lane]`, with `dim` a power of two.
+///
+/// The AVX2 kernels derive raw row pointers from `dim`, `lanes` and the
+/// gate masks with no further bounds checks. The facts that keep them in
+/// bounds are asserted at this safe boundary in every build profile, not
+/// as `debug_assert!`s that vanish in release builds: [`Slab::new`]
+/// checks the geometry once per view, and each gate method checks its
+/// own masks. A power-of-two `dim` with `mt` a single bit below it
+/// guarantees `i0 | mt < dim` for every enumerated pair, and
+/// `len == dim · lanes` keeps every such row inside the slab. A walk of
+/// many small gates builds one view and so pays the geometry checks once.
+/// A one-lane view hands its gates to the [`crate::apply`] kernels,
+/// which check their own wires (the AVX2 ones assert them). The gate
+/// methods a statevector walk calls are `#[inline(always)]`, so a
+/// one-lane gate costs no call layer beyond the `apply` kernel's own.
+#[derive(Debug)]
+pub struct Slab<'a> {
+    amps: &'a mut [Complex64],
     lanes: usize,
     dim: usize,
-    mt: usize,
-    mc: usize,
-    lo: (f64, f64),
-    hi: (f64, f64),
-) {
-    check_slab(slab.len(), lanes, dim, mt, mc);
-    #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` just verified AVX2 via `simd::level`, and
-        // `check_slab` proved the geometry every raw row pointer is derived
-        // from: `slab.len() == dim·lanes`, `mt` a single bit below the
-        // power-of-two `dim`, `mc < dim`.
-        unsafe { avx::phase_slab(slab, lanes, dim, mt, mc, lo, hi) };
-        return;
+}
+
+impl<'a> Slab<'a> {
+    /// Views `amps` as `lanes` statevectors of `amps.len() / lanes`
+    /// amplitudes each.
+    ///
+    /// # Panics
+    ///
+    /// Unless `lanes > 0` and `amps.len()` is `lanes` times a power of two.
+    pub fn new(amps: &'a mut [Complex64], lanes: usize) -> Self {
+        assert!(lanes > 0, "slab kernels need at least one lane");
+        // One-lane views are built per shift-walk fork; skip the division.
+        let dim = if lanes == 1 {
+            amps.len()
+        } else {
+            amps.len() / lanes
+        };
+        assert!(dim.is_power_of_two(), "slab dim must be a power of two");
+        assert_eq!(
+            amps.len(),
+            dim * lanes,
+            "slab length must equal dim * lanes"
+        );
+        Slab { amps, lanes, dim }
     }
-    for i in 0..dim {
-        if i & mc != mc {
-            continue;
+
+    /// Checks one gate's masks for the row walks: `mt` a single bit below
+    /// `dim`, and `mc` either `0` or another single bit below `dim`.
+    #[inline]
+    fn check(&self, mt: usize, mc: usize) {
+        assert!(
+            mt.is_power_of_two() && mt < self.dim,
+            "target mask must be a single bit below dim"
+        );
+        assert!(
+            mc == 0 || (mc.is_power_of_two() && mc < self.dim && mc != mt),
+            "control mask must be 0 or another single bit below dim"
+        );
+    }
+
+    /// A rotation about `axis` by one `(sin θ/2, cos θ/2)` for every lane,
+    /// on target mask `mt` where control mask `mc` is set: X and Y are
+    /// pair updates, Z the diagonal phases `(c, −s)` on target-clear and
+    /// `(c, s)` on target-set rows (see [`Slab::phase`]).
+    #[inline(always)]
+    pub fn rot(&mut self, axis: RotationAxis, mt: usize, mc: usize, s: f64, c: f64) {
+        match axis {
+            RotationAxis::X => self.rot_x(mt, mc, s, c),
+            RotationAxis::Y => self.rot_y(mt, mc, s, c),
+            RotationAxis::Z => self.phase(mt, mc, (c, -s), (c, s)),
         }
-        let (pr, pi) = if i & mt == 0 { lo } else { hi };
-        scalar::phase(&mut slab[i * lanes..(i + 1) * lanes], pr, pi);
     }
-}
 
-/// [`rot_x_slab`] with per-lane trig.
-#[inline]
-pub fn rot_x_slab_lanes(
-    slab: &mut [Complex64],
-    lanes: usize,
-    dim: usize,
-    mt: usize,
-    mc: usize,
-    trig: &[(f64, f64)],
-) {
-    check_slab(slab.len(), lanes, dim, mt, mc);
-    assert_eq!(lanes, trig.len(), "one trig pair per lane");
-    #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` just verified AVX2 via `simd::level`, and
-        // `check_slab` proved the geometry every raw row pointer is derived
-        // from: `slab.len() == dim·lanes`, `mt` a single bit below the
-        // power-of-two `dim`, `mc < dim`.
-        unsafe { avx::rot_x_slab_lanes(slab, lanes, dim, mt, mc, trig) };
-        return;
-    }
-    for_each_pair_rows(slab, lanes, dim, mt, mc, |r0, r1| {
-        scalar::rot_x_lanes(r0, r1, trig)
-    });
-}
-
-/// [`rot_y_slab`] with per-lane trig.
-#[inline]
-pub fn rot_y_slab_lanes(
-    slab: &mut [Complex64],
-    lanes: usize,
-    dim: usize,
-    mt: usize,
-    mc: usize,
-    trig: &[(f64, f64)],
-) {
-    check_slab(slab.len(), lanes, dim, mt, mc);
-    assert_eq!(lanes, trig.len(), "one trig pair per lane");
-    #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` just verified AVX2 via `simd::level`, and
-        // `check_slab` proved the geometry every raw row pointer is derived
-        // from: `slab.len() == dim·lanes`, `mt` a single bit below the
-        // power-of-two `dim`, `mc < dim`.
-        unsafe { avx::rot_y_slab_lanes(slab, lanes, dim, mt, mc, trig) };
-        return;
-    }
-    for_each_pair_rows(slab, lanes, dim, mt, mc, |r0, r1| {
-        scalar::rot_y_lanes(r0, r1, trig)
-    });
-}
-
-/// [`phase_slab`] with per-lane phase classes: target-clear rows use
-/// `zlo`, target-set rows `zhi`.
-#[inline]
-pub fn phase_slab_lanes(
-    slab: &mut [Complex64],
-    lanes: usize,
-    dim: usize,
-    mt: usize,
-    mc: usize,
-    zlo: &[(f64, f64)],
-    zhi: &[(f64, f64)],
-) {
-    check_slab(slab.len(), lanes, dim, mt, mc);
-    assert_eq!(lanes, zlo.len(), "one phase pair per lane (target clear)");
-    assert_eq!(lanes, zhi.len(), "one phase pair per lane (target set)");
-    #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` just verified AVX2 via `simd::level`, and
-        // `check_slab` proved the geometry every raw row pointer is derived
-        // from: `slab.len() == dim·lanes`, `mt` a single bit below the
-        // power-of-two `dim`, `mc < dim`.
-        unsafe { avx::phase_slab_lanes(slab, lanes, dim, mt, mc, zlo, zhi) };
-        return;
-    }
-    for i in 0..dim {
-        if i & mc != mc {
-            continue;
+    /// X-rotation pair update:
+    /// `a0' = (c·a0.re + s·a1.im, c·a0.im − s·a1.re)`,
+    /// `a1' = (s·a0.im + c·a1.re, −s·a0.re + c·a1.im)`.
+    #[inline(always)]
+    fn rot_x(&mut self, mt: usize, mc: usize, s: f64, c: f64) {
+        if self.lanes == 1 {
+            match mc {
+                0 => apply::apply_rx_sc(self.amps, wire(mt), s, c),
+                _ => apply::apply_crx_sc(self.amps, wire(mc), wire(mt), s, c),
+            }
+            return;
         }
-        let cls = if i & mt == 0 { zlo } else { zhi };
-        scalar::phase_lanes(&mut slab[i * lanes..(i + 1) * lanes], cls);
+        self.check(mt, mc);
+        #[cfg(target_arch = "x86_64")]
+        if wide() {
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`;
+            // `Slab::new` and `check` established the slab contract.
+            unsafe { avx::rot_x_slab(self.amps, self.lanes, self.dim, mt, mc, s, c) };
+            return;
+        }
+        for_each_pair_rows(self.amps, self.lanes, self.dim, mt, mc, |r0, r1| {
+            scalar::rot_x(r0, r1, s, c)
+        });
     }
+
+    /// Y-rotation pair update (all-real coefficients):
+    /// `a0' = c·a0 − s·a1`, `a1' = s·a0 + c·a1`.
+    #[inline(always)]
+    fn rot_y(&mut self, mt: usize, mc: usize, s: f64, c: f64) {
+        if self.lanes == 1 {
+            match mc {
+                0 => apply::apply_ry_sc(self.amps, wire(mt), s, c),
+                _ => apply::apply_cry_sc(self.amps, wire(mc), wire(mt), s, c),
+            }
+            return;
+        }
+        self.check(mt, mc);
+        #[cfg(target_arch = "x86_64")]
+        if wide() {
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`;
+            // `Slab::new` and `check` established the slab contract.
+            unsafe { avx::rot_y_slab(self.amps, self.lanes, self.dim, mt, mc, s, c) };
+            return;
+        }
+        for_each_pair_rows(self.amps, self.lanes, self.dim, mt, mc, |r0, r1| {
+            scalar::rot_y(r0, r1, s, c)
+        });
+    }
+
+    /// Diagonal update: multiplies target-clear rows by `lo` and
+    /// target-set rows by `hi` (as `(pr, pi)` phases,
+    /// `a' = (a.re·pr − a.im·pi, a.re·pi + a.im·pr)`), skipping
+    /// control-clear rows. The phases are independent of each other.
+    #[inline(always)]
+    pub fn phase(&mut self, mt: usize, mc: usize, lo: (f64, f64), hi: (f64, f64)) {
+        if self.lanes == 1 {
+            let control = (mc != 0).then(|| wire(mc));
+            apply::apply_phases(self.amps, control, wire(mt), lo, hi);
+            return;
+        }
+        self.check(mt, mc);
+        #[cfg(target_arch = "x86_64")]
+        if wide() {
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`;
+            // `Slab::new` and `check` established the slab contract.
+            unsafe { avx::phase_slab(self.amps, self.lanes, self.dim, mt, mc, lo, hi) };
+            return;
+        }
+        let lanes = self.lanes;
+        for i in 0..self.dim {
+            if i & mc != mc {
+                continue;
+            }
+            let (pr, pi) = if i & mt == 0 { lo } else { hi };
+            scalar::phase(&mut self.amps[i * lanes..(i + 1) * lanes], pr, pi);
+        }
+    }
+
+    /// X rotation with one `(sin θ/2, cos θ/2)` pair per lane.
+    #[inline]
+    pub fn rot_x_lanes(&mut self, mt: usize, mc: usize, trig: &[(f64, f64)]) {
+        assert_eq!(self.lanes, trig.len(), "one trig pair per lane");
+        if self.lanes == 1 {
+            let (s, c) = trig[0];
+            return self.rot_x(mt, mc, s, c);
+        }
+        self.check(mt, mc);
+        #[cfg(target_arch = "x86_64")]
+        if wide() {
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`;
+            // `Slab::new` and `check` established the slab contract, and
+            // `trig` holds one pair per lane.
+            unsafe { avx::rot_x_slab_lanes(self.amps, self.lanes, self.dim, mt, mc, trig) };
+            return;
+        }
+        for_each_pair_rows(self.amps, self.lanes, self.dim, mt, mc, |r0, r1| {
+            scalar::rot_x_lanes(r0, r1, trig)
+        });
+    }
+
+    /// Y rotation with one `(sin θ/2, cos θ/2)` pair per lane.
+    #[inline]
+    pub fn rot_y_lanes(&mut self, mt: usize, mc: usize, trig: &[(f64, f64)]) {
+        assert_eq!(self.lanes, trig.len(), "one trig pair per lane");
+        if self.lanes == 1 {
+            let (s, c) = trig[0];
+            return self.rot_y(mt, mc, s, c);
+        }
+        self.check(mt, mc);
+        #[cfg(target_arch = "x86_64")]
+        if wide() {
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`;
+            // `Slab::new` and `check` established the slab contract, and
+            // `trig` holds one pair per lane.
+            unsafe { avx::rot_y_slab_lanes(self.amps, self.lanes, self.dim, mt, mc, trig) };
+            return;
+        }
+        for_each_pair_rows(self.amps, self.lanes, self.dim, mt, mc, |r0, r1| {
+            scalar::rot_y_lanes(r0, r1, trig)
+        });
+    }
+
+    /// [`Slab::phase`] with one phase pair per lane: target-clear rows
+    /// use `zlo`, target-set rows `zhi`.
+    #[inline]
+    pub fn phase_lanes(&mut self, mt: usize, mc: usize, zlo: &[(f64, f64)], zhi: &[(f64, f64)]) {
+        assert_eq!(
+            self.lanes,
+            zlo.len(),
+            "one phase pair per lane (target clear)"
+        );
+        assert_eq!(
+            self.lanes,
+            zhi.len(),
+            "one phase pair per lane (target set)"
+        );
+        if self.lanes == 1 {
+            return self.phase(mt, mc, zlo[0], zhi[0]);
+        }
+        self.check(mt, mc);
+        #[cfg(target_arch = "x86_64")]
+        if wide() {
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`;
+            // `Slab::new` and `check` established the slab contract, and
+            // both phase tables hold one pair per lane.
+            unsafe { avx::phase_slab_lanes(self.amps, self.lanes, self.dim, mt, mc, zlo, zhi) };
+            return;
+        }
+        let lanes = self.lanes;
+        for i in 0..self.dim {
+            if i & mc != mc {
+                continue;
+            }
+            let cls = if i & mt == 0 { zlo } else { zhi };
+            scalar::phase_lanes(&mut self.amps[i * lanes..(i + 1) * lanes], cls);
+        }
+    }
+
+    /// Generic 2×2 pair update with one unitary for every lane:
+    /// `a0' = m00·a0 + m01·a1`, `a1' = m10·a0 + m11·a1`.
+    #[inline(always)]
+    pub fn gate1(&mut self, mt: usize, gate: &Gate1) {
+        if self.lanes == 1 {
+            return apply::apply_gate1(self.amps, wire(mt), gate);
+        }
+        self.check(mt, 0);
+        #[cfg(target_arch = "x86_64")]
+        if wide() {
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`;
+            // `Slab::new` and `check` established the slab contract.
+            unsafe { avx::gate1_slab(self.amps, self.lanes, self.dim, mt, gate) };
+            return;
+        }
+        for_each_pair_rows(self.amps, self.lanes, self.dim, mt, 0, |r0, r1| {
+            scalar::gate1(r0, r1, gate)
+        });
+    }
+
+    /// A two-qubit gate with [`apply::apply_gate2`]'s exact arithmetic,
+    /// `ma` ↔ bit 0 and `mb` ↔ bit 1 of the matrix index: for every
+    /// both-clear base row, each lane's four amplitudes rebuild through a
+    /// `mul_acc` chain from zero in column order. This is the fused
+    /// schedule's entangler product; see [`Slab::dense4`] for the
+    /// superoperator kernel, which associates its sums differently.
+    pub fn gate2(&mut self, ma: usize, mb: usize, gate: &Gate2) {
+        if self.lanes == 1 {
+            return apply::apply_gate2(self.amps, wire(ma), wire(mb), gate);
+        }
+        self.check(ma, mb);
+        assert_ne!(mb, 0, "gate2 needs two wires");
+        let m = gate.matrix();
+        let lanes = self.lanes;
+        for i in 0..self.dim {
+            if i & (ma | mb) != 0 {
+                continue;
+            }
+            let idx = [i, i | ma, i | mb, i | ma | mb];
+            for lane in 0..lanes {
+                let v = idx.map(|ix| self.amps[ix * lanes + lane]);
+                for (r, &ix) in idx.iter().enumerate() {
+                    let mut acc = Complex64::ZERO;
+                    for (col, &vc) in v.iter().enumerate() {
+                        acc = m[r][col].mul_acc(vc, acc);
+                    }
+                    self.amps[ix * lanes + lane] = acc;
+                }
+            }
+        }
+    }
+
+    /// Generic two-bit 4×4 update: for every row index with both `ma` and
+    /// `mb` clear, the four rows `{i, i|ma, i|mb, i|ma|mb}` transform
+    /// together by `m`, with bit 0 of the 4×4 index ↔ `ma` and bit 1 ↔
+    /// `mb`, as `y_r = ((m_r0·x0 + m_r1·x1) + m_r2·x2) + m_r3·x3`. The
+    /// matrix is **not** required to be unitary: this is the density
+    /// backend's superoperator kernel, where the 4×4 is a gate–channel
+    /// product acting on a (column-bit, row-bit) pair of vectorized ρ. Its
+    /// association differs from [`apply::apply_gate2`]'s `mul_acc` chain,
+    /// so it has no one-lane arm.
+    pub fn dense4(&mut self, ma: usize, mb: usize, m: &[[Complex64; 4]; 4]) {
+        self.check(ma, mb);
+        assert_ne!(mb, 0, "dense4 needs two bits");
+        #[cfg(target_arch = "x86_64")]
+        if wide() {
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`;
+            // `Slab::new` and `check` proved `ma`, `mb` distinct single
+            // bits below the power-of-two `dim` of a `dim·lanes` slab, so
+            // the four quad rows are disjoint and in bounds.
+            unsafe { avx::dense4_slab(self.amps, self.lanes, self.dim, ma, mb, m) };
+            return;
+        }
+        for_each_quad_rows(self.amps, self.lanes, self.dim, ma, mb, |rows| {
+            scalar::dense4(rows, m)
+        });
+    }
+
+    /// CNOT: swaps the target pair of every control-set row.
+    #[inline(always)]
+    pub fn cnot(&mut self, mc: usize, mt: usize) {
+        if self.lanes == 1 {
+            return apply::apply_cnot(self.amps, wire(mc), wire(mt));
+        }
+        self.check(mt, mc);
+        assert_ne!(mc, 0, "CNOT needs a control");
+        for_each_pair_rows(self.amps, self.lanes, self.dim, mt, mc, |r0, r1| {
+            r0.swap_with_slice(r1)
+        });
+    }
+
+    /// CZ: negates every row with both `ma` and `mb` set.
+    #[inline(always)]
+    pub fn cz(&mut self, ma: usize, mb: usize) {
+        if self.lanes == 1 {
+            return apply::apply_cz(self.amps, wire(ma), wire(mb));
+        }
+        self.check(ma, mb);
+        assert_ne!(mb, 0, "CZ needs two wires");
+        let (mask, lanes) = (ma | mb, self.lanes);
+        for i in 0..self.dim {
+            if i & mask == mask {
+                for a in &mut self.amps[i * lanes..(i + 1) * lanes] {
+                    *a = -*a;
+                }
+            }
+        }
+    }
+}
+
+/// Checked preconditions of the adjoint folds, enforced in every build
+/// profile: the [`Slab`] geometry (`lanes > 0`, a power-of-two `dim`,
+/// `len == dim·lanes`) plus `mt` a single bit below `dim` and `mc < dim`,
+/// which keeps every `i ^ mt` generator row inside the slab.
+#[inline]
+fn check_slab(len: usize, lanes: usize, dim: usize, mt: usize, mc: usize) {
+    assert!(lanes > 0, "slab kernels need at least one lane");
+    assert!(dim.is_power_of_two(), "slab dim must be a power of two");
+    assert_eq!(len, dim * lanes, "slab length must equal dim * lanes");
+    assert!(
+        mt.is_power_of_two() && mt < dim,
+        "target mask must be a single bit below dim"
+    );
+    assert!(mc < dim, "control mask must lie below dim");
 }
 
 /// Adjoint generator accumulation over the whole slab:
@@ -747,12 +743,12 @@ mod avx {
     ///
     /// # Safety
     ///
-    /// AVX2 must be enabled (the safe dispatchers check `wide()` first)
-    /// and `r0.len() == r1.len()` — the loop walks both rows by the
-    /// shared count from `ptrs2`, so a shorter `r1` would be written
-    /// out of bounds. The dispatchers assert the equality.
+    /// AVX2 must be enabled and `r0.len() == r1.len()` — the loop walks
+    /// both rows by the shared count from `ptrs2`, so a shorter `r1`
+    /// would be written out of bounds. The slab walks pass two rows of
+    /// `lanes` amplitudes each.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn rot_x_rows(r0: &mut [Complex64], r1: &mut [Complex64], s: f64, c: f64) {
+    unsafe fn rot_x_rows(r0: &mut [Complex64], r1: &mut [Complex64], s: f64, c: f64) {
         let (p0, p1, n) = ptrs2(r0, r1);
         let cv = _mm256_set1_pd(c);
         let sv = _mm256_set_pd(-s, s, -s, s); // [s, −s, s, −s] low→high
@@ -810,10 +806,9 @@ mod avx {
     ///
     /// # Safety
     ///
-    /// AVX2 enabled and `r0.len() == r1.len()`, as asserted by the
-    /// safe dispatchers.
+    /// AVX2 enabled and `r0.len() == r1.len()`, as the slab walks pass.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn rot_y_rows(r0: &mut [Complex64], r1: &mut [Complex64], s: f64, c: f64) {
+    unsafe fn rot_y_rows(r0: &mut [Complex64], r1: &mut [Complex64], s: f64, c: f64) {
         let (p0, p1, n) = ptrs2(r0, r1);
         let cv = _mm256_set1_pd(c);
         let nsv = _mm256_set1_pd(-s);
@@ -847,10 +842,10 @@ mod avx {
     ///
     /// # Safety
     ///
-    /// AVX2 must be enabled (the safe dispatchers check `wide()`
-    /// first); every access is bounded by `row.len()` itself.
+    /// AVX2 must be enabled; every access is bounded by `row.len()`
+    /// itself.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn phase_rows(row: &mut [Complex64], pr: f64, pi: f64) {
+    unsafe fn phase_rows(row: &mut [Complex64], pr: f64, pi: f64) {
         let n = row.len();
         let p = row.as_mut_ptr() as *mut f64;
         let m = splat(Complex64::new(pr, pi));
@@ -870,10 +865,9 @@ mod avx {
     ///
     /// # Safety
     ///
-    /// AVX2 enabled and `r0.len() == r1.len()`, as asserted by the
-    /// safe dispatchers.
+    /// AVX2 enabled and `r0.len() == r1.len()`, as the slab walks pass.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gate1_rows(r0: &mut [Complex64], r1: &mut [Complex64], gate: &Gate1) {
+    unsafe fn gate1_rows(r0: &mut [Complex64], r1: &mut [Complex64], gate: &Gate1) {
         let (p0, p1, n) = ptrs2(r0, r1);
         let m = gate.matrix();
         let (m00, m01, m10, m11) = (
@@ -906,16 +900,12 @@ mod avx {
     ///
     /// # Safety
     ///
-    /// AVX2 enabled and `r0.len() == r1.len()`, as asserted by the safe
-    /// dispatchers. `trig` is slice-indexed, so a short coefficient
-    /// table panics rather than reading out of bounds (the dispatchers
+    /// AVX2 enabled and `r0.len() == r1.len()`, as the slab walks pass.
+    /// `trig` is slice-indexed, so a short coefficient table panics
+    /// rather than reading out of bounds (the [`super::Slab`] methods
     /// assert it matches the row length anyway).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn rot_x_rows_lanes(
-        r0: &mut [Complex64],
-        r1: &mut [Complex64],
-        trig: &[(f64, f64)],
-    ) {
+    unsafe fn rot_x_rows_lanes(r0: &mut [Complex64], r1: &mut [Complex64], trig: &[(f64, f64)]) {
         let (p0, p1, n) = ptrs2(r0, r1);
         let mut k = 0;
         while k + 2 <= n {
@@ -949,14 +939,9 @@ mod avx {
     ///
     /// # Safety
     ///
-    /// AVX2 enabled and `r0.len() == r1.len()`, as asserted by the
-    /// safe dispatchers.
+    /// AVX2 enabled and `r0.len() == r1.len()`, as the slab walks pass.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn rot_y_rows_lanes(
-        r0: &mut [Complex64],
-        r1: &mut [Complex64],
-        trig: &[(f64, f64)],
-    ) {
+    unsafe fn rot_y_rows_lanes(r0: &mut [Complex64], r1: &mut [Complex64], trig: &[(f64, f64)]) {
         let (p0, p1, n) = ptrs2(r0, r1);
         let mut k = 0;
         while k + 2 <= n {
@@ -989,49 +974,15 @@ mod avx {
         }
     }
 
-    /// Adjoint fold row kernel.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be enabled, and `l.len()` and `g.len()` must equal
-    /// `acc.len()` — the loop reads both through raw pointers up to
-    /// `acc`'s length. The safe dispatcher asserts both equalities.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn conj_dot_im_rows(acc: &mut [f64], l: &[Complex64], g: &[Complex64]) {
-        let n = acc.len();
-        let pl = l.as_ptr() as *const f64;
-        let pg = g.as_ptr() as *const f64;
-        let pa = acc.as_mut_ptr();
-        let mut k = 0;
-        while k + 2 <= n {
-            let lv = _mm256_loadu_pd(pl.add(2 * k));
-            let gv = _mm256_loadu_pd(pg.add(2 * k));
-            // p = (l.re·g.im, l.im·g.re) per complex — the two products
-            // the scalar step multiplies before its subtraction.
-            let p = _mm256_mul_pd(lv, _mm256_permute_pd(gv, 0b0101));
-            // hsub(p, p) = (p0−p1, p0−p1, p2−p3, p2−p3): each lane's
-            // Im(conj(l)·g), by the exact scalar subtraction.
-            let h = _mm256_hsub_pd(p, p);
-            let pair = _mm_shuffle_pd(_mm256_castpd256_pd128(h), _mm256_extractf128_pd(h, 1), 0b00);
-            _mm_storeu_pd(pa.add(k), _mm_add_pd(_mm_loadu_pd(pa.add(k)), pair));
-            k += 2;
-        }
-        if k < n {
-            let lv = *l.get_unchecked(k);
-            let gv = *g.get_unchecked(k);
-            *pa.add(k) += lv.re * gv.im - lv.im * gv.re;
-        }
-    }
-
     /// Per-lane single-row phase kernel.
     ///
     /// # Safety
     ///
     /// AVX2 must be enabled; row accesses are bounded by `row.len()`
     /// and `phases` is slice-indexed (panics if shorter than the row,
-    /// which the safe dispatcher rules out).
+    /// which the [`super::Slab`] methods rule out).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn phase_rows_lanes(row: &mut [Complex64], phases: &[(f64, f64)]) {
+    unsafe fn phase_rows_lanes(row: &mut [Complex64], phases: &[(f64, f64)]) {
         let n = row.len();
         let p = row.as_mut_ptr() as *mut f64;
         let mut k = 0;
@@ -1063,7 +1014,7 @@ mod avx {
     /// `base` must point to a live slab of at least
     /// `(max(i0, i1) + 1) · lanes` complexes, and `i0 != i1` so the two
     /// returned `&mut` rows never overlap. The slab kernels guarantee
-    /// both via the `check_slab` contract: row indices stay below the
+    /// both via the [`super::Slab`] contract: row indices stay below the
     /// power-of-two `dim`, `i1 = i0 | mt` with `mt != 0` differs from
     /// `i0`, and the slab holds `dim · lanes` entries.
     #[inline(always)]
@@ -1083,11 +1034,11 @@ mod avx {
     ///
     /// # Safety
     ///
-    /// AVX2 must be enabled and the [`super::check_slab`] contract must
+    /// AVX2 must be enabled and the [`super::Slab`] contract must
     /// hold (`slab.len() == dim·lanes`, `mt` a single bit below the
     /// power-of-two `dim`, `mc < dim`): together these keep every
     /// `pair_rows` row in bounds and each pair disjoint. The safe
-    /// dispatchers establish both before the call.
+    /// methods establish both before the call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn rot_x_slab(
         slab: &mut [Complex64],
@@ -1112,11 +1063,11 @@ mod avx {
     ///
     /// # Safety
     ///
-    /// AVX2 must be enabled and the [`super::check_slab`] contract must
+    /// AVX2 must be enabled and the [`super::Slab`] contract must
     /// hold (`slab.len() == dim·lanes`, `mt` a single bit below the
     /// power-of-two `dim`, `mc < dim`): together these keep every
     /// `pair_rows` row in bounds and each pair disjoint. The safe
-    /// dispatchers establish both before the call.
+    /// methods establish both before the call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn rot_y_slab(
         slab: &mut [Complex64],
@@ -1141,11 +1092,11 @@ mod avx {
     ///
     /// # Safety
     ///
-    /// AVX2 must be enabled and the [`super::check_slab`] contract must
+    /// AVX2 must be enabled and the [`super::Slab`] contract must
     /// hold (`slab.len() == dim·lanes`, `mt` a single bit below the
     /// power-of-two `dim`, `mc < dim`): together these keep every
     /// `pair_rows` row in bounds and each pair disjoint. The safe
-    /// dispatchers establish both before the call.
+    /// methods establish both before the call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn gate1_slab(
         slab: &mut [Complex64],
@@ -1164,7 +1115,7 @@ mod avx {
         }
     }
 
-    /// Generic 4×4 quad-row update (the `gate2_slab` inner body), with
+    /// Generic 4×4 quad-row update (the [`super::Slab::dense4`] body), with
     /// the same add-of-`cmul` association as the scalar `gate2` row body:
     /// `y_r = ((m_{r0}·x0 + m_{r1}·x1) + m_{r2}·x2) + m_{r3}·x3`.
     ///
@@ -1172,10 +1123,10 @@ mod avx {
     ///
     /// AVX2 must be enabled and the four rows must be pairwise disjoint
     /// slices of equal length; the quad walk derives them from distinct
-    /// single-bit masks under the `check_slab` contract, which
+    /// single-bit masks under the [`super::Slab`] contract, which
     /// guarantees both.
     #[target_feature(enable = "avx2")]
-    unsafe fn gate2_rows(rows: [&mut [Complex64]; 4], m: &[[Complex64; 4]; 4]) {
+    unsafe fn dense4_rows(rows: [&mut [Complex64]; 4], m: &[[Complex64; 4]; 4]) {
         let n = rows[0].len();
         let p: [*mut f64; 4] = [
             rows[0].as_mut_ptr() as *mut f64,
@@ -1233,14 +1184,14 @@ mod avx {
     ///
     /// # Safety
     ///
-    /// AVX2 must be enabled and the `gate2_slab` dispatcher's contract
+    /// AVX2 must be enabled and the [`super::Slab::dense4`] contract
     /// must hold: `slab.len() == dim·lanes` with `ma`, `mb` distinct
     /// single bits below the power-of-two `dim` — every quad row index
     /// `{i, i|ma, i|mb, i|ma|mb}` then stays below `dim` and the four
-    /// rows are pairwise disjoint. The safe dispatcher establishes all
+    /// rows are pairwise disjoint. The safe method establishes all
     /// of it before the call.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gate2_slab(
+    pub(super) unsafe fn dense4_slab(
         slab: &mut [Complex64],
         lanes: usize,
         dim: usize,
@@ -1255,7 +1206,7 @@ mod avx {
             }
             let (r0, r1) = pair_rows(base, lanes, i, i | ma);
             let (r2, r3) = pair_rows(base, lanes, i | mb, i | ma | mb);
-            gate2_rows([r0, r1, r2, r3], m);
+            dense4_rows([r0, r1, r2, r3], m);
         }
     }
 
@@ -1263,10 +1214,10 @@ mod avx {
     ///
     /// # Safety
     ///
-    /// AVX2 must be enabled and the [`super::check_slab`] contract must
+    /// AVX2 must be enabled and the [`super::Slab`] contract must
     /// hold: `slab.len() == dim·lanes` keeps every row slice
     /// (`from_raw_parts_mut` at `i · lanes`, `i < dim`) inside the
-    /// slab. The safe dispatchers establish both before the call.
+    /// slab. The safe methods establish both before the call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn phase_slab(
         slab: &mut [Complex64],
@@ -1292,11 +1243,11 @@ mod avx {
     ///
     /// # Safety
     ///
-    /// AVX2 must be enabled and the [`super::check_slab`] contract must
+    /// AVX2 must be enabled and the [`super::Slab`] contract must
     /// hold (`slab.len() == dim·lanes`, `mt` a single bit below the
     /// power-of-two `dim`, `mc < dim`): together these keep every
     /// `pair_rows` row in bounds and each pair disjoint. The safe
-    /// dispatchers establish both before the call.
+    /// methods establish both before the call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn rot_x_slab_lanes(
         slab: &mut [Complex64],
@@ -1320,11 +1271,11 @@ mod avx {
     ///
     /// # Safety
     ///
-    /// AVX2 must be enabled and the [`super::check_slab`] contract must
+    /// AVX2 must be enabled and the [`super::Slab`] contract must
     /// hold (`slab.len() == dim·lanes`, `mt` a single bit below the
     /// power-of-two `dim`, `mc < dim`): together these keep every
     /// `pair_rows` row in bounds and each pair disjoint. The safe
-    /// dispatchers establish both before the call.
+    /// methods establish both before the call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn rot_y_slab_lanes(
         slab: &mut [Complex64],
@@ -1348,10 +1299,10 @@ mod avx {
     ///
     /// # Safety
     ///
-    /// AVX2 must be enabled and the [`super::check_slab`] contract must
+    /// AVX2 must be enabled and the [`super::Slab`] contract must
     /// hold: `slab.len() == dim·lanes` keeps every row slice
     /// (`from_raw_parts_mut` at `i · lanes`, `i < dim`) inside the
-    /// slab. The safe dispatchers establish both before the call.
+    /// slab. The safe methods establish both before the call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn phase_slab_lanes(
         slab: &mut [Complex64],
@@ -1436,7 +1387,7 @@ mod avx {
                         }
                     }
                 };
-                // Same fold as `conj_dot_im_rows`: mul, mul, sub, add.
+                // The scalar fold's arithmetic: mul, mul, sub, add.
                 let p = _mm256_mul_pd(lv, _mm256_permute_pd(gv, 0b0101));
                 let h = _mm256_hsub_pd(p, p);
                 let pair =
@@ -1605,77 +1556,8 @@ mod tests {
             .collect()
     }
 
-    /// Asserts scalar and forced-AVX2 runs of `op` are bit-identical on
-    /// rows of every length 0–9 (covers the 128-bit remainder and empty
-    /// rows). No-op without AVX2.
-    fn assert_rows_parity(label: &str, op: impl Fn(&mut [Complex64], &mut [Complex64], usize)) {
-        if !simd::wide_supported() {
-            return;
-        }
-        for n in 0..10usize {
-            let base0 = busy_row(n, 0.2);
-            let base1 = busy_row(n, 1.9);
-            let (mut s0, mut s1) = (base0.clone(), base1.clone());
-            simd::force(SimdLevel::Scalar);
-            op(&mut s0, &mut s1, n);
-            let (mut w0, mut w1) = (base0.clone(), base1.clone());
-            simd::force(SimdLevel::Avx2);
-            op(&mut w0, &mut w1, n);
-            simd::force(SimdLevel::Scalar);
-            assert_eq!(s0, w0, "{label}: row 0 diverged at n={n}");
-            assert_eq!(s1, w1, "{label}: row 1 diverged at n={n}");
-        }
-    }
-
     fn lane_trig(n: usize) -> Vec<(f64, f64)> {
         (0..n).map(|k| (0.23 * k as f64 - 0.4).sin_cos()).collect()
-    }
-
-    #[test]
-    fn uniform_row_kernels_bit_identical() {
-        let (s, c) = (0.81_f64).sin_cos();
-        assert_rows_parity("rot_x_rows", |r0, r1, _| rot_x_rows(r0, r1, s, c));
-        assert_rows_parity("rot_y_rows", |r0, r1, _| rot_y_rows(r0, r1, s, c));
-        assert_rows_parity("phase_rows", |r0, _, _| phase_rows(r0, c, -s));
-        let g = Gate1::u3(0.9, -0.4, 1.2);
-        assert_rows_parity("gate1_rows", |r0, r1, _| gate1_rows(r0, r1, &g));
-    }
-
-    #[test]
-    fn per_lane_row_kernels_bit_identical() {
-        assert_rows_parity("rot_x_rows_lanes", |r0, r1, n| {
-            rot_x_rows_lanes(r0, r1, &lane_trig(n))
-        });
-        assert_rows_parity("rot_y_rows_lanes", |r0, r1, n| {
-            rot_y_rows_lanes(r0, r1, &lane_trig(n))
-        });
-        assert_rows_parity("phase_rows_lanes", |r0, _, n| {
-            phase_rows_lanes(r0, &lane_trig(n))
-        });
-    }
-
-    #[test]
-    fn conj_dot_im_bit_identical_and_correct() {
-        for n in 0..10usize {
-            let l = busy_row(n, 0.2);
-            let g = busy_row(n, 1.9);
-            let seed: Vec<f64> = (0..n).map(|k| 0.11 * k as f64 - 0.3).collect();
-            // Scalar reference, and the explicit formula it must equal.
-            let mut s = seed.clone();
-            simd::force(SimdLevel::Scalar);
-            conj_dot_im_rows(&mut s, &l, &g);
-            for k in 0..n {
-                assert_eq!(s[k], seed[k] + (l[k].re * g[k].im - l[k].im * g[k].re));
-                assert_eq!(s[k], seed[k] + (l[k].conj() * g[k]).im);
-            }
-            if simd::wide_supported() {
-                let mut w = seed.clone();
-                simd::force(SimdLevel::Avx2);
-                conj_dot_im_rows(&mut w, &l, &g);
-                simd::force(SimdLevel::Scalar);
-                assert_eq!(s, w, "conj_dot_im_rows diverged at n={n}");
-            }
-        }
     }
 
     /// Asserts scalar and forced-AVX2 runs of a slab op are bit-identical.
@@ -1696,43 +1578,49 @@ mod tests {
 
     #[test]
     fn slab_kernels_bit_identical() {
+        // Lanes 1..=9 reach every AVX2 row length the slab walks run
+        // (one lane runs the `apply` kernels, whose own parity suite is
+        // `tests/simd_parity.rs`).
         let dim = 8;
         let (s, c) = (0.63_f64).sin_cos();
         let g = Gate1::u3(0.9, -0.4, 1.2);
-        for lanes in 1..6usize {
+        let g2 = Gate2::crx(0.83);
+        for lanes in 1..=9usize {
             let trig = lane_trig(lanes);
             let zlo: Vec<(f64, f64)> = trig.iter().map(|&(s, c)| (c, -s)).collect();
             let zhi: Vec<(f64, f64)> = trig.iter().map(|&(s, c)| (c, s)).collect();
             for (mt, mc) in [(1usize, 0usize), (2, 4), (4, 1)] {
-                assert_slab_parity("rot_x_slab", dim, lanes, |sl| {
-                    rot_x_slab(sl, lanes, dim, mt, mc, s, c)
+                for axis in [RotationAxis::X, RotationAxis::Y, RotationAxis::Z] {
+                    assert_slab_parity("rot", dim, lanes, |sl| {
+                        Slab::new(sl, lanes).rot(axis, mt, mc, s, c)
+                    });
+                }
+                assert_slab_parity("phase", dim, lanes, |sl| {
+                    Slab::new(sl, lanes).phase(mt, mc, (c, -s), (0.6, 0.8))
                 });
-                assert_slab_parity("rot_y_slab", dim, lanes, |sl| {
-                    rot_y_slab(sl, lanes, dim, mt, mc, s, c)
+                assert_slab_parity("rot_x_lanes", dim, lanes, |sl| {
+                    Slab::new(sl, lanes).rot_x_lanes(mt, mc, &trig)
                 });
-                assert_slab_parity("phase_slab", dim, lanes, |sl| {
-                    phase_slab(sl, lanes, dim, mt, mc, (c, -s), (c, s))
+                assert_slab_parity("rot_y_lanes", dim, lanes, |sl| {
+                    Slab::new(sl, lanes).rot_y_lanes(mt, mc, &trig)
                 });
-                assert_slab_parity("rot_x_slab_lanes", dim, lanes, |sl| {
-                    rot_x_slab_lanes(sl, lanes, dim, mt, mc, &trig)
-                });
-                assert_slab_parity("rot_y_slab_lanes", dim, lanes, |sl| {
-                    rot_y_slab_lanes(sl, lanes, dim, mt, mc, &trig)
-                });
-                assert_slab_parity("phase_slab_lanes", dim, lanes, |sl| {
-                    phase_slab_lanes(sl, lanes, dim, mt, mc, &zlo, &zhi)
+                assert_slab_parity("phase_lanes", dim, lanes, |sl| {
+                    Slab::new(sl, lanes).phase_lanes(mt, mc, &zlo, &zhi)
                 });
             }
-            assert_slab_parity("gate1_slab", dim, lanes, |sl| {
-                gate1_slab(sl, lanes, dim, 2, &g)
-            });
-            // Non-unitary 4×4 (superoperator-shaped) on every distinct
-            // mask pair, both orientations.
+            assert_slab_parity("gate1", dim, lanes, |sl| Slab::new(sl, lanes).gate1(2, &g));
+            // Non-unitary 4×4 (superoperator-shaped) and the unitary
+            // two-qubit kernel on distinct mask pairs, both orientations.
             let m4 = busy_mat4(0.3);
             for (ma, mb) in [(1usize, 2usize), (2, 1), (1, 4), (4, 2)] {
-                assert_slab_parity("gate2_slab", dim, lanes, |sl| {
-                    gate2_slab(sl, lanes, dim, ma, mb, &m4)
+                assert_slab_parity("dense4", dim, lanes, |sl| {
+                    Slab::new(sl, lanes).dense4(ma, mb, &m4)
                 });
+                assert_slab_parity("gate2", dim, lanes, |sl| {
+                    Slab::new(sl, lanes).gate2(ma, mb, &g2)
+                });
+                assert_slab_parity("cnot", dim, lanes, |sl| Slab::new(sl, lanes).cnot(ma, mb));
+                assert_slab_parity("cz", dim, lanes, |sl| Slab::new(sl, lanes).cz(ma, mb));
             }
         }
     }
@@ -1751,18 +1639,18 @@ mod tests {
 
     #[test]
     fn gate2_slab_matches_apply_gate2_per_lane() {
-        // The slab kernel against the canonical statevector `apply_gate2`
-        // on a unitary, per extracted lane — same quad decomposition, so
-        // results agree to rounding on every mask orientation.
+        // The superoperator kernel against the canonical statevector
+        // `apply_gate2` on a unitary, per extracted lane — same quad
+        // decomposition, different association, so results agree to
+        // rounding on every mask orientation.
         use crate::apply::apply_gate2;
-        use crate::gate::Gate2;
         let dim = 16;
         let lanes = 3;
         let g = Gate2::crx(0.83);
         for (qa, qb) in [(0usize, 2usize), (2, 0), (1, 3)] {
             let slab = busy_row(dim * lanes, 0.9);
             let mut got = slab.clone();
-            gate2_slab(&mut got, lanes, dim, 1 << qa, 1 << qb, g.matrix());
+            Slab::new(&mut got, lanes).dense4(1 << qa, 1 << qb, g.matrix());
             for lane in 0..lanes {
                 let mut amps: Vec<Complex64> = (0..dim).map(|i| slab[i * lanes + lane]).collect();
                 apply_gate2(&mut amps, qa, qb, &g);
@@ -1774,35 +1662,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn slab_kernels_match_per_row_calls() {
-        // The slab kernels must visit exactly the per-row kernel's pairs:
-        // compare against a hand-rolled enumeration under scalar dispatch.
-        let dim = 8;
-        let lanes = 3;
-        let (s, c) = (0.63_f64).sin_cos();
-        simd::force(SimdLevel::Scalar);
-        for (mt, mc) in [(1usize, 0usize), (2, 4)] {
-            let base = busy_row(dim * lanes, 0.7);
-            let mut got = base.clone();
-            rot_x_slab(&mut got, lanes, dim, mt, mc, s, c);
-            let mut want = base.clone();
-            for i0 in 0..dim {
-                if i0 & mt != 0 || i0 & mc != mc {
-                    continue;
-                }
-                let (head, tail) = want.split_at_mut((i0 | mt) * lanes);
-                rot_x_rows(
-                    &mut head[i0 * lanes..(i0 + 1) * lanes],
-                    &mut tail[..lanes],
-                    s,
-                    c,
-                );
-            }
-            assert_eq!(got, want, "rot_x_slab enumeration (mt={mt}, mc={mc})");
         }
     }
 
@@ -1924,28 +1783,210 @@ mod tests {
     }
 
     #[test]
+    fn slab_kernels_match_apply_kernels_per_lane() {
+        // Every slab kernel, at several lane counts and on both dispatch
+        // levels, must leave each lane bit-identical to its `apply`
+        // kernel run on that lane alone. Lanes = 1 is the one-lane arm
+        // itself; wider slabs prove the row walks visit exactly the pair
+        // kernels' pairs with their arithmetic.
+        use crate::apply::*;
+        use crate::gate::Gate2;
+        let dim = 16;
+        let (s, c) = (1.17_f64).sin_cos();
+        let g = Gate1::u3(0.9, -0.4, 1.2);
+        let g2 = Gate2::crx(0.83);
+        let (lo, hi) = ((0.6, -0.8), (-0.28, 0.96));
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            if level == SimdLevel::Avx2 && !simd::wide_supported() {
+                continue;
+            }
+            for lanes in [1usize, 2, 3, 5, 8] {
+                let trig = lane_trig(lanes);
+                let zlo: Vec<(f64, f64)> = trig.iter().map(|&(s, c)| (c, -s)).collect();
+                let zhi: Vec<(f64, f64)> = trig.iter().map(|&(s, c)| (c, s)).collect();
+                // (slab kernel, the same gate on lane `l` alone).
+                type SlabOp<'a> = Box<dyn Fn(&mut Slab<'_>) + 'a>;
+                type LaneOp<'a> = Box<dyn Fn(&mut [Complex64], usize) + 'a>;
+                let mut cases: Vec<(String, SlabOp<'_>, LaneOp<'_>)> = Vec::new();
+                for (t, ctl) in [(0usize, None), (3, Some(1usize)), (1, Some(3))] {
+                    let (mt, mc) = (1usize << t, ctl.map_or(0, |q| 1usize << q));
+                    let (zlo, zhi, trig) = (&zlo, &zhi, &trig);
+                    cases.push((
+                        format!("rx t={t} c={ctl:?}"),
+                        Box::new(move |sl| sl.rot(RotationAxis::X, mt, mc, s, c)),
+                        Box::new(move |a, _| match ctl {
+                            None => apply_rx_sc(a, t, s, c),
+                            Some(q) => apply_crx_sc(a, q, t, s, c),
+                        }),
+                    ));
+                    cases.push((
+                        format!("ry t={t} c={ctl:?}"),
+                        Box::new(move |sl| sl.rot(RotationAxis::Y, mt, mc, s, c)),
+                        Box::new(move |a, _| match ctl {
+                            None => apply_ry_sc(a, t, s, c),
+                            Some(q) => apply_cry_sc(a, q, t, s, c),
+                        }),
+                    ));
+                    cases.push((
+                        format!("rz t={t} c={ctl:?}"),
+                        Box::new(move |sl| sl.rot(RotationAxis::Z, mt, mc, s, c)),
+                        Box::new(move |a, _| match ctl {
+                            None => apply_rz_sc(a, t, s, c),
+                            Some(q) => apply_crz_sc(a, q, t, s, c),
+                        }),
+                    ));
+                    cases.push((
+                        format!("phase t={t} c={ctl:?}"),
+                        Box::new(move |sl| sl.phase(mt, mc, lo, hi)),
+                        Box::new(move |a, _| apply_phases(a, ctl, t, lo, hi)),
+                    ));
+                    cases.push((
+                        format!("rx lanes t={t} c={ctl:?}"),
+                        Box::new(move |sl| sl.rot_x_lanes(mt, mc, trig)),
+                        Box::new(move |a, l| {
+                            let (s, c) = trig[l];
+                            match ctl {
+                                None => apply_rx_sc(a, t, s, c),
+                                Some(q) => apply_crx_sc(a, q, t, s, c),
+                            }
+                        }),
+                    ));
+                    cases.push((
+                        format!("ry lanes t={t} c={ctl:?}"),
+                        Box::new(move |sl| sl.rot_y_lanes(mt, mc, trig)),
+                        Box::new(move |a, l| {
+                            let (s, c) = trig[l];
+                            match ctl {
+                                None => apply_ry_sc(a, t, s, c),
+                                Some(q) => apply_cry_sc(a, q, t, s, c),
+                            }
+                        }),
+                    ));
+                    cases.push((
+                        format!("phase lanes t={t} c={ctl:?}"),
+                        Box::new(move |sl| sl.phase_lanes(mt, mc, zlo, zhi)),
+                        Box::new(move |a, l| apply_phases(a, ctl, t, zlo[l], zhi[l])),
+                    ));
+                }
+                for t in [0usize, 2, 3] {
+                    cases.push((
+                        format!("gate1 t={t}"),
+                        Box::new(move |sl| sl.gate1(1 << t, &g)),
+                        Box::new(move |a, _| apply_gate1(a, t, &g)),
+                    ));
+                }
+                for (qa, qb) in [(0usize, 2usize), (3, 1), (1, 0)] {
+                    let (ma, mb) = (1usize << qa, 1usize << qb);
+                    let g2 = &g2;
+                    cases.push((
+                        format!("gate2 {qa},{qb}"),
+                        Box::new(move |sl| sl.gate2(ma, mb, g2)),
+                        Box::new(move |a, _| apply_gate2(a, qa, qb, g2)),
+                    ));
+                    cases.push((
+                        format!("cnot {qa}->{qb}"),
+                        Box::new(move |sl| sl.cnot(ma, mb)),
+                        Box::new(move |a, _| apply_cnot(a, qa, qb)),
+                    ));
+                    cases.push((
+                        format!("cz {qa},{qb}"),
+                        Box::new(move |sl| sl.cz(ma, mb)),
+                        Box::new(move |a, _| apply_cz(a, qa, qb)),
+                    ));
+                }
+                for (label, on_slab, on_lane) in &cases {
+                    let base = busy_row(dim * lanes, 0.9);
+                    simd::force(level);
+                    let mut got = base.clone();
+                    on_slab(&mut Slab::new(&mut got, lanes));
+                    for lane in 0..lanes {
+                        let mut want: Vec<Complex64> =
+                            (0..dim).map(|i| base[i * lanes + lane]).collect();
+                        on_lane(&mut want, lane);
+                        let have: Vec<Complex64> =
+                            (0..dim).map(|i| got[i * lanes + lane]).collect();
+                        assert_eq!(have, want, "{label}: lane {lane}/{lanes}, {level:?}");
+                    }
+                    simd::force(SimdLevel::Scalar);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slab_kernels_match_per_row_calls() {
+        // The slab kernels must visit exactly the per-row pairs: compare a
+        // whole-slab rotation with a hand-rolled enumeration that runs each
+        // (i0, i0|mt) row pair alone, as a two-row slab.
+        let dim = 8;
+        let lanes = 3;
+        let (s, c) = (0.63_f64).sin_cos();
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            if level == SimdLevel::Avx2 && !simd::wide_supported() {
+                continue;
+            }
+            simd::force(level);
+            for axis in [RotationAxis::X, RotationAxis::Y, RotationAxis::Z] {
+                for (mt, mc) in [(1usize, 0usize), (2, 4)] {
+                    let base = busy_row(dim * lanes, 0.7);
+                    let mut got = base.clone();
+                    Slab::new(&mut got, lanes).rot(axis, mt, mc, s, c);
+                    let mut want = base.clone();
+                    for i0 in 0..dim {
+                        if i0 & mt != 0 || i0 & mc != mc {
+                            continue;
+                        }
+                        let i1 = i0 | mt;
+                        let mut pair: Vec<Complex64> = want[i0 * lanes..(i0 + 1) * lanes]
+                            .iter()
+                            .chain(&want[i1 * lanes..(i1 + 1) * lanes])
+                            .copied()
+                            .collect();
+                        Slab::new(&mut pair, lanes).rot(axis, 1, 0, s, c);
+                        want[i0 * lanes..(i0 + 1) * lanes].copy_from_slice(&pair[..lanes]);
+                        want[i1 * lanes..(i1 + 1) * lanes].copy_from_slice(&pair[lanes..]);
+                    }
+                    assert_eq!(
+                        got, want,
+                        "{axis:?} slab enumeration (mt={mt}, mc={mc}, {level:?})"
+                    );
+                }
+            }
+        }
+        simd::force(SimdLevel::Scalar);
+    }
+
+    #[test]
     fn row_kernels_match_pair_kernel_formulas() {
-        // The row kernels must agree with the statevector pair kernels
-        // they mirror: build a 1-qubit state per lane and compare.
+        // A two-row slab runs the row kernel on its row pair; it must agree
+        // with the statevector pair kernel it mirrors: build a 1-qubit
+        // state per lane and compare.
         let (s, c) = (1.17_f64).sin_cos();
         let n = 5;
-        let mut r0 = busy_row(n, 0.2);
-        let mut r1 = busy_row(n, 1.9);
+        let r0 = busy_row(n, 0.2);
+        let r1 = busy_row(n, 1.9);
+        simd::force(SimdLevel::Scalar);
         let refs: Vec<[Complex64; 2]> = r0
             .iter()
             .zip(&r1)
             .map(|(&a0, &a1)| {
                 let mut amps = vec![a0, a1];
-                simd::force(SimdLevel::Scalar);
                 crate::apply::apply_rx_sc(&mut amps, 0, s, c);
                 [amps[0], amps[1]]
             })
             .collect();
-        simd::force(SimdLevel::Scalar);
-        rot_x_rows(&mut r0, &mut r1, s, c);
-        for (k, r) in refs.iter().enumerate() {
-            assert_eq!(r0[k], r[0]);
-            assert_eq!(r1[k], r[1]);
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            if level == SimdLevel::Avx2 && !simd::wide_supported() {
+                continue;
+            }
+            simd::force(level);
+            let mut rows: Vec<Complex64> = r0.iter().chain(&r1).copied().collect();
+            Slab::new(&mut rows, n).rot(RotationAxis::X, 1, 0, s, c);
+            simd::force(SimdLevel::Scalar);
+            for (k, r) in refs.iter().enumerate() {
+                assert_eq!(rows[k], r[0], "lane {k} row 0, {level:?}");
+                assert_eq!(rows[n + k], r[1], "lane {k} row 1, {level:?}");
+            }
         }
     }
 }

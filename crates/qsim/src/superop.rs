@@ -6,10 +6,10 @@
 //! unitary `ρ → U ρ U†` on wire `q` then acts as `U` on bit `q + n` and
 //! `conj(U)` on bit `q`, and a single-qubit channel `ρ → Σᵢ Kᵢ ρ Kᵢ†`
 //! becomes one dense 4×4 matrix on the bit *pair* `(q, q + n)` — exactly
-//! the shape [`crate::rows::gate2_slab`] applies over lane slabs.
+//! the shape [`crate::rows::Slab::dense4`] applies over lane slabs.
 //!
 //! This module builds those 4×4 matrices. The convention matches
-//! [`Gate2`] and `gate2_slab`: bit 0 of the 4×4 index is the **first**
+//! [`Gate2`] and `Slab::dense4`: bit 0 of the 4×4 index is the **first**
 //! mask (the column bit `q`), bit 1 the second (the row bit `q + n`), so
 //! entry `[c + 2r][c' + 2r']` is the coefficient of `ρ[r', c']` in
 //! `ρ'[r, c]` restricted to wire `q`.
@@ -69,7 +69,7 @@ mod tests {
     use super::*;
     use crate::density::DensityMatrix;
     use crate::noise::NoiseChannel;
-    use crate::rows::gate2_slab;
+    use crate::rows::Slab;
 
     /// A busy mixed test state: a few gates on `|0…0⟩⟨0…0|` plus one
     /// channel so off-diagonals and mixedness are both exercised.
@@ -110,14 +110,7 @@ mod tests {
             let mut flat = vectorize(&rho);
             let u = Gate1::u3(0.9, -0.3, 1.4);
             let sup = unitary_superop(&u);
-            gate2_slab(
-                &mut flat,
-                1,
-                1 << (2 * n),
-                1 << q,
-                1 << (q + n),
-                sup.matrix(),
-            );
+            Slab::new(&mut flat, 1).dense4(1 << q, 1 << (q + n), sup.matrix());
             let mut want = rho;
             want.apply_gate1(q, &u).unwrap();
             assert_close(&flat, &want, "unitary");
@@ -137,14 +130,7 @@ mod tests {
                 let rho = busy_rho(n);
                 let mut flat = vectorize(&rho);
                 let sup = kraus_superop(&kraus);
-                gate2_slab(
-                    &mut flat,
-                    1,
-                    1 << (2 * n),
-                    1 << q,
-                    1 << (q + n),
-                    sup.matrix(),
-                );
+                Slab::new(&mut flat, 1).dense4(1 << q, 1 << (q + n), sup.matrix());
                 let mut want = rho;
                 want.apply_kraus1(q, &kraus).unwrap();
                 assert_close(&flat, &want, "kraus");
@@ -161,14 +147,7 @@ mod tests {
             let rho = busy_rho(n);
             let mut flat = vectorize(&rho);
             let sup = gate_kraus_superop(&u, &kraus);
-            gate2_slab(
-                &mut flat,
-                1,
-                1 << (2 * n),
-                1 << q,
-                1 << (q + n),
-                sup.matrix(),
-            );
+            Slab::new(&mut flat, 1).dense4(1 << q, 1 << (q + n), sup.matrix());
             let mut want = rho;
             want.apply_gate1(q, &u).unwrap();
             want.apply_kraus1(q, &kraus).unwrap();

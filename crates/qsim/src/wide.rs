@@ -581,38 +581,6 @@ pub(crate) unsafe fn ry_sc(amps: &mut [Complex64], q: usize, s: f64, c: f64) {
     }
 }
 
-/// Rz rotation (diagonal) with precomputed `(sin, cos)` of the half angle.
-///
-/// # Safety
-///
-/// The CPU must support AVX2 — callers reach this only through the
-/// [`crate::simd::level`] dispatch, which verifies support at runtime.
-/// Wire masks are asserted in range at entry, and every pointer handed
-/// to the step helpers is derived from those asserted masks, so it
-/// stays within `amps`.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn rz_sc(amps: &mut [Complex64], q: usize, s: f64, c: f64) {
-    let len = amps.len();
-    let stride = 1usize << q;
-    assert!(stride < len, "qubit {q} out of range for {len} amplitudes");
-    let p = amps.as_mut_ptr() as *mut f64;
-    let prv = _mm256_set1_pd(c);
-    if stride == 1 {
-        // Phases alternate per amplitude: pi = −s on even, +s on odd.
-        let mv = _mm256_setr_pd(s, -s, -s, s);
-        phase_run(p, 0, len, prv, mv);
-    } else {
-        let mv0 = _mm256_setr_pd(s, -s, s, -s); // pi = −s (bit clear)
-        let mv1 = _mm256_setr_pd(-s, s, -s, s); // pi = +s (bit set)
-        let mut base = 0;
-        while base < len {
-            phase_run(p, base, stride, prv, mv0);
-            phase_run(p, base + stride, stride, prv, mv1);
-            base += stride << 1;
-        }
-    }
-}
-
 /// Controlled Rx with precomputed trig.
 ///
 /// # Safety
@@ -709,18 +677,66 @@ pub(crate) unsafe fn cry_sc(amps: &mut [Complex64], control: usize, target: usiz
     }
 }
 
-/// Controlled Rz with precomputed trig: phase `(c, −s)` on the
-/// (control = 1, target = 0) runs, `(c, +s)` on their partners.
+/// Diagonal two-phase update (the kernel behind Rz): phase `lo` on
+/// target-clear and `hi` on target-set amplitudes. `mv` registers carry
+/// the `[−pi, pi]` pattern per amplitude.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX2 — callers reach this only through the
 /// [`crate::simd::level`] dispatch, which verifies support at runtime.
-/// Wire masks are asserted in range at entry, and every pointer handed
-/// to the step helpers is derived from those asserted masks, so it
-/// stays within `amps`.
+/// The wire mask is asserted in range at entry, and every run handed to
+/// [`phase_run`] is derived from it, so it stays within `amps`.
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn crz_sc(amps: &mut [Complex64], control: usize, target: usize, s: f64, c: f64) {
+pub(crate) unsafe fn phases(amps: &mut [Complex64], target: usize, lo: (f64, f64), hi: (f64, f64)) {
+    let len = amps.len();
+    let stride = 1usize << target;
+    assert!(
+        stride < len,
+        "qubit {target} out of range for {len} amplitudes"
+    );
+    let p = amps.as_mut_ptr() as *mut f64;
+    if stride == 1 {
+        // Phases alternate per amplitude: `lo` on even, `hi` on odd.
+        let prv = _mm256_setr_pd(lo.0, lo.0, hi.0, hi.0);
+        let mv = _mm256_setr_pd(-lo.1, lo.1, -hi.1, hi.1);
+        phase_run(p, 0, len, prv, mv);
+    } else {
+        let (prv0, mv0) = (
+            _mm256_set1_pd(lo.0),
+            _mm256_setr_pd(-lo.1, lo.1, -lo.1, lo.1),
+        );
+        let (prv1, mv1) = (
+            _mm256_set1_pd(hi.0),
+            _mm256_setr_pd(-hi.1, hi.1, -hi.1, hi.1),
+        );
+        let mut base = 0;
+        while base < len {
+            phase_run(p, base, stride, prv0, mv0);
+            phase_run(p, base + stride, stride, prv1, mv1);
+            base += stride << 1;
+        }
+    }
+}
+
+/// Controlled [`phases`] (the kernel behind CRz): `lo` on the
+/// (control = 1, target = 0) runs, `hi` on their partners.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 — callers reach this only through the
+/// [`crate::simd::level`] dispatch, which verifies support at runtime.
+/// Wire masks are asserted in range at entry, and every run handed to
+/// [`phase_run`] is derived from those asserted masks, so it stays
+/// within `amps`.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn controlled_phases(
+    amps: &mut [Complex64],
+    control: usize,
+    target: usize,
+    lo: (f64, f64),
+    hi: (f64, f64),
+) {
     let len = amps.len();
     let mc = 1usize << control;
     let mt = 1usize << target;
@@ -729,27 +745,27 @@ pub(crate) unsafe fn crz_sc(amps: &mut [Complex64], control: usize, target: usiz
         "bad wires ({control}, {target})"
     );
     let p = amps.as_mut_ptr() as *mut f64;
-    let lo = mc.min(mt);
-    let hi = mc.max(mt);
-    let prv = _mm256_set1_pd(c);
-    let mv0 = _mm256_setr_pd(s, -s, s, -s);
-    let mv1 = _mm256_setr_pd(-s, s, -s, s);
+    let lo_mask = mc.min(mt);
+    let hi_mask = mc.max(mt);
+    let (prv0, mv0) = (
+        _mm256_set1_pd(lo.0),
+        _mm256_setr_pd(-lo.1, lo.1, -lo.1, lo.1),
+    );
+    let (prv1, mv1) = (
+        _mm256_set1_pd(hi.0),
+        _mm256_setr_pd(-hi.1, hi.1, -hi.1, hi.1),
+    );
     let mut a = 0;
     while a < len {
         let mut b = a;
-        while b < a + hi {
-            let mut i = b;
-            while i < b + lo {
-                // Runs may not start 2-aligned relative to each other, so
-                // hand whole runs to phase_run (it handles remainders).
-                let i0 = i | mc;
-                let n = b + lo - i;
-                phase_run(p, i0, n, prv, mv0);
-                phase_run(p, i0 | mt, n, prv, mv1);
-                i += n;
-            }
-            b += lo << 1;
+        while b < a + hi_mask {
+            // Runs may not start 2-aligned relative to each other, so hand
+            // whole runs to phase_run (it handles remainders).
+            let i0 = b | mc;
+            phase_run(p, i0, lo_mask, prv0, mv0);
+            phase_run(p, i0 | mt, lo_mask, prv1, mv1);
+            b += lo_mask << 1;
         }
-        a += hi << 1;
+        a += hi_mask << 1;
     }
 }

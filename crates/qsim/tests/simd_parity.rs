@@ -78,6 +78,10 @@ fn single_qubit_kernels_bit_identical() {
             assert_parity(n, "rx_sc", |a| apply_rx_sc(a, q, s, c));
             assert_parity(n, "ry_sc", |a| apply_ry_sc(a, q, s, c));
             assert_parity(n, "rz_sc", |a| apply_rz_sc(a, q, s, c));
+            // Independent, non-conjugate phases on the two bit classes.
+            assert_parity(n, "phases", |a| {
+                apply_phases(a, None, q, (0.6, -0.8), (-0.28, 0.96))
+            });
             assert_parity(n, "rx", |a| apply_rx(a, q, theta));
             assert_parity(n, "ry", |a| apply_ry(a, q, theta));
             assert_parity(n, "rz", |a| apply_rz(a, q, theta));
@@ -107,6 +111,9 @@ fn two_qubit_kernels_bit_identical() {
                 assert_parity(n, "crx_sc", |a| apply_crx_sc(a, qa, qb, s, c));
                 assert_parity(n, "cry_sc", |a| apply_cry_sc(a, qa, qb, s, c));
                 assert_parity(n, "crz_sc", |a| apply_crz_sc(a, qa, qb, s, c));
+                assert_parity(n, "controlled phases", |a| {
+                    apply_phases(a, Some(qa), qb, (0.6, -0.8), (-0.28, 0.96))
+                });
                 assert_parity(n, "cnot", |a| apply_cnot(a, qa, qb));
                 assert_parity(n, "cz", |a| apply_cz(a, qa, qb));
             }

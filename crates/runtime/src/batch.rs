@@ -14,13 +14,15 @@
 //! * [`BatchExecutor::expectation_batch_backend`] — one model's forward
 //!   batch under an [`ExecutionBackend`]. `Ideal` prebinds the fused
 //!   schedule once and runs the batch as one group of prebound lane
-//!   slabs (a single request is a one-lane slab),
+//!   slabs (a single request is a one-lane slab); `Sampled` runs each
+//!   item as a one-lane slab of the same walker before sampling it,
 //! * [`BatchExecutor::forward_and_jacobian_batch_backend`] — the
 //!   gradient path of every backend. `Ideal` and `Sampled` run a
 //!   **prefix-shared shift walk** per item over the raw schedule,
 //!   prebound once per batch. Each ±shift evaluation forks from the
 //!   state just before its occurrence and runs only the suffix, so the
-//!   prefix is computed once per item instead of once per evaluation. A
+//!   prefix is computed once per item instead of once per evaluation.
+//!   Prefix and forks are one-lane slabs of the prebound walker. A
 //!   task is one item; when the batch has fewer items than workers, each
 //!   item splits into contiguous occurrence chunks, so even a one-item
 //!   gradient keeps every core busy.
@@ -43,8 +45,8 @@ use crate::compile::{CGate, CompiledCircuit, Occurrence};
 use crate::error::RuntimeError;
 use crate::exec::check_bindings;
 use crate::prebound::{
-    prebind, prebind_raw, readouts_from_slab, run_adjoint_slab, run_prebound_slab_raw,
-    run_prebound_unchecked, PreboundAdjoint, PreboundCircuit, ShiftWalk,
+    prebind, prebind_raw, readouts_from_slab, run_adjoint_slab, run_prebound,
+    run_prebound_slab_raw, PreboundAdjoint, PreboundCircuit, ShiftWalk,
 };
 use crate::superop::{extract_lane, prebind_density, run_density, run_density_slab};
 use crate::trajectory::{prebind_trajectory, run_trajectory_adjoint, trajectory_outputs};
@@ -253,7 +255,8 @@ impl BatchExecutor {
     ///   [`BatchExecutor::expectation_batch_prebound`] lane slabs; a single
     ///   item is a one-lane slab.
     /// * `Sampled` prebinds the same way and runs one task per item: the
-    ///   item's final state, then `shots` samples from its own stream.
+    ///   item's final state (a one-lane slab walk), then `shots` samples
+    ///   from its own stream.
     /// * `Noisy` prebinds the superoperator schedule once and runs the
     ///   batch as lane **chunks** of one density slab walk per task
     ///   (lanes are independent, so chunking cannot change any value).
@@ -289,7 +292,7 @@ impl BatchExecutor {
             ExecutionBackend::Sampled { shots, seed } => {
                 let pb = prebind(compiled, params)?;
                 par::try_parallel_map(inputs, self.workers, |_, item| {
-                    let state = run_prebound_unchecked(&pb, item);
+                    let state = run_prebound(&pb, item)?;
                     let stream = ExecutionBackend::eval_seed(*seed, item, params, 0);
                     sampled_readout(&state, readout, *shots, stream)
                 })
@@ -496,7 +499,7 @@ impl BatchExecutor {
             let item = inputs[b].as_slice();
             let eval = reader(item);
             let forward = if c == 0 {
-                Some(eval(&run_prebound_unchecked(&fused, item), None)?)
+                Some(eval(&run_prebound(&fused, item)?, None)?)
             } else {
                 None
             };

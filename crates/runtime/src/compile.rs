@@ -779,10 +779,10 @@ mod tests {
 
     /// Max |amplitude difference| between the fused and raw schedules.
     fn fused_raw_divergence(c: &Circuit, inputs: &[f64], params: &[f64]) -> f64 {
-        use crate::prebound::{prebind, prebind_raw, run_prebound_unchecked};
+        use crate::prebound::{prebind, prebind_raw, run_prebound};
         let compiled = compile(c);
-        let fused = run_prebound_unchecked(&prebind(&compiled, params).unwrap(), inputs);
-        let raw = run_prebound_unchecked(&prebind_raw(&compiled, params).unwrap(), inputs);
+        let fused = run_prebound(&prebind(&compiled, params).unwrap(), inputs).unwrap();
+        let raw = run_prebound(&prebind_raw(&compiled, params).unwrap(), inputs).unwrap();
         fused
             .amplitudes()
             .iter()

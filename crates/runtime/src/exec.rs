@@ -132,9 +132,7 @@ pub fn run_raw_density(
 mod tests {
     use super::*;
     use crate::compile::compile;
-    use crate::prebound::{
-        prebind, prebind_raw, run_prebound, run_prebound_unchecked, run_raw_with_override,
-    };
+    use crate::prebound::{prebind, prebind_raw, run_prebound, run_raw_with_override};
     use qmarl_qsim::gate::RotationAxis as Ax;
     use qmarl_vqc::ir::{Angle, Circuit, FixedGate, InputId, ParamId};
 
@@ -170,7 +168,7 @@ mod tests {
         let compiled = compile(&c);
         let inputs = [1.1];
         let params = [0.2, 0.3];
-        let raw = run_prebound_unchecked(&prebind_raw(&compiled, &params).unwrap(), &inputs);
+        let raw = run_prebound(&prebind_raw(&compiled, &params).unwrap(), &inputs).unwrap();
         let reference = qmarl_vqc::exec::run(&c, &inputs, &params).unwrap();
         for (a, b) in raw.amplitudes().iter().zip(reference.amplitudes()) {
             assert!((*a - *b).abs() < 1e-14);

@@ -30,8 +30,9 @@
 //! * [`prebound`] — the one statevector forward path: [`prebound::prebind`]
 //!   binds a compiled schedule to frozen parameters (hoisting all
 //!   parameter-only trig), and lane slabs run many inputs through one
-//!   schedule walk; a single request is a one-lane slab. Also the
-//!   prebound adjoint engine of the training update.
+//!   schedule walk; a single request, and each shift-walk prefix and
+//!   fork, is a one-lane slab, which runs the contiguous statevector
+//!   kernels. Also the prebound adjoint engine of the training update.
 //! * [`batch`] — [`batch::BatchExecutor`], four entry points: forward
 //!   and adjoint batches over prebound groups (the rollout tick and the
 //!   update sweep), and forward and forward+Jacobian batches of one

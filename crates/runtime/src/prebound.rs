@@ -9,26 +9,29 @@
 //! [`prebind`] resolves a `(CompiledCircuit, params)` pair once: every
 //! rotation whose angle does not reference an input slot collapses to a
 //! precomputed `(sin θ/2, cos θ/2)` pair ([`PreOp::RotSC`]), and only
-//! input-dependent rotations stay symbolic. [`run_prebound`] (one state)
-//! and the executor's lane slabs (many states through one schedule walk)
-//! then evaluate circuits with per-rotation trig only where an
-//! observation actually enters. Every `Ideal` and `Sampled` forward pass
-//! of [`crate::batch::BatchExecutor`] runs a prebound fused schedule.
+//! input-dependent rotations stay symbolic. One walker, `walk`, then
+//! applies any op range of a prebound schedule to a lane slab
+//! `slab[amp · L + lane]` through the [`qmarl_qsim::rows::Slab`] kernels,
+//! with per-rotation trig only where an observation actually enters. The
+//! executor's batches run it over many lanes; [`run_prebound`] runs it
+//! over one, where the slab *is* the statevector and the `rows` kernels
+//! hand each gate to the contiguous [`qmarl_qsim::apply`] kernels. Every
+//! `Ideal` and `Sampled` forward pass of [`crate::batch::BatchExecutor`]
+//! runs a prebound fused schedule this way.
 //!
 //! `prebind_raw` binds the **raw** (unfused) schedule the same way for
 //! the parameter-shift gradient, whose `ShiftWalk` walks one item's raw
 //! schedule once and forks every ±shift evaluation from the shared
-//! prefix.
+//! prefix; prefix and forks are one-lane slabs of the same walker.
 //!
 //! **Exactness.** Prebinding reorders no floating-point operation: angles
 //! resolve through the same [`FusedAngle::value`] and the `*_sc` kernels
 //! consume the same `sin_cos()` results the angle kernels of
 //! [`qmarl_qsim::apply`] compute internally, so a prebound run is
 //! bit-identical to applying the compiled gates one by one, and slab
-//! lanes are bit-identical to single-state runs (asserted in this
-//! module's tests; checked against the `vqc` interpreter at 1e-12).
+//! lanes are bit-identical to one-lane runs (asserted in this module's
+//! tests; checked against the `vqc` interpreter at 1e-12).
 
-use qmarl_qsim::apply;
 use qmarl_qsim::complex::Complex64;
 use qmarl_qsim::gate::{Gate1, Gate2, RotationAxis};
 use qmarl_qsim::rows;
@@ -291,66 +294,8 @@ fn prebind_schedule(
     })
 }
 
-/// Runs a prebound schedule from `|0…0⟩` with **no** input validation
-/// (callers validate once per batch).
-pub(crate) fn run_prebound_unchecked(pb: &PreboundCircuit, inputs: &[f64]) -> StateVector {
-    let mut state = StateVector::zero(pb.n_qubits);
-    let amps = state.amplitudes_mut();
-    for op in &pb.ops {
-        apply_op(amps, op, inputs, &pb.params);
-    }
-    state
-}
-
-/// Applies one prebound op to a single statevector.
-#[inline]
-fn apply_op(amps: &mut [Complex64], op: &PreOp, inputs: &[f64], params: &[f64]) {
-    match op {
-        PreOp::RotSC { qubit, axis, s, c } => match axis {
-            RotationAxis::X => apply::apply_rx_sc(amps, *qubit, *s, *c),
-            RotationAxis::Y => apply::apply_ry_sc(amps, *qubit, *s, *c),
-            RotationAxis::Z => apply::apply_rz_sc(amps, *qubit, *s, *c),
-        },
-        PreOp::CRotSC {
-            control,
-            target,
-            axis,
-            s,
-            c,
-        } => match axis {
-            RotationAxis::X => apply::apply_crx_sc(amps, *control, *target, *s, *c),
-            RotationAxis::Y => apply::apply_cry_sc(amps, *control, *target, *s, *c),
-            RotationAxis::Z => apply::apply_crz_sc(amps, *control, *target, *s, *c),
-        },
-        PreOp::Rot { qubit, axis, angle } => {
-            let theta = angle.value(inputs, params);
-            match axis {
-                RotationAxis::X => apply::apply_rx(amps, *qubit, theta),
-                RotationAxis::Y => apply::apply_ry(amps, *qubit, theta),
-                RotationAxis::Z => apply::apply_rz(amps, *qubit, theta),
-            }
-        }
-        PreOp::CRot {
-            control,
-            target,
-            axis,
-            angle,
-        } => {
-            let theta = angle.value(inputs, params);
-            match axis {
-                RotationAxis::X => apply::apply_crx(amps, *control, *target, theta),
-                RotationAxis::Y => apply::apply_cry(amps, *control, *target, theta),
-                RotationAxis::Z => apply::apply_crz(amps, *control, *target, theta),
-            }
-        }
-        PreOp::Cnot { control, target } => apply::apply_cnot(amps, *control, *target),
-        PreOp::Cz { control, target } => apply::apply_cz(amps, *control, *target),
-        PreOp::Fixed { qubit, gate } => apply::apply_gate1(amps, *qubit, gate),
-        PreOp::Fixed2 { qa, qb, gate } => apply::apply_gate2(amps, *qa, *qb, gate),
-    }
-}
-
-/// Runs a prebound schedule from `|0…0⟩`, returning the final state.
+/// Runs a prebound schedule from `|0…0⟩`, returning the final state: a
+/// one-lane walk of the prebound walker.
 ///
 /// # Errors
 ///
@@ -363,7 +308,17 @@ pub fn run_prebound(pb: &PreboundCircuit, inputs: &[f64]) -> Result<StateVector,
             actual: inputs.len(),
         });
     }
-    Ok(run_prebound_unchecked(pb, inputs))
+    let mut state = StateVector::zero(pb.n_qubits);
+    let mut scratch = LaneScratch::default();
+    walk(
+        state.amplitudes_mut(),
+        1,
+        &pb.ops,
+        &[inputs],
+        &pb.params,
+        &mut scratch,
+    );
+    Ok(state)
 }
 
 /// One input vector's **prefix-shared parameter-shift walk** over a
@@ -376,13 +331,15 @@ pub fn run_prebound(pb: &PreboundCircuit, inputs: &[f64]) -> Result<StateVector,
 /// its final state is bit-identical to that run at `G − pos` gate
 /// applications instead of `G`. Every ± term of every occurrence shares
 /// the prefix, and [`ShiftWalk::advance_to`] extends it (unshifted) to the
-/// next occurrence.
+/// next occurrence. Prefix and fork are one-lane slabs of the same
+/// [`walk`] every other forward runs.
 pub(crate) struct ShiftWalk<'a> {
     pb: &'a PreboundCircuit,
-    inputs: &'a [f64],
+    inputs: [&'a [f64]; 1],
     prefix: StateVector,
     pos: usize,
     fork: StateVector,
+    scratch: LaneScratch,
 }
 
 impl<'a> ShiftWalk<'a> {
@@ -391,20 +348,27 @@ impl<'a> ShiftWalk<'a> {
     pub(crate) fn new(pb: &'a PreboundCircuit, inputs: &'a [f64]) -> Self {
         ShiftWalk {
             pb,
-            inputs,
+            inputs: [inputs],
             prefix: StateVector::zero(pb.n_qubits),
             pos: 0,
             fork: StateVector::zero(pb.n_qubits),
+            scratch: LaneScratch::default(),
         }
     }
 
     /// Extends the prefix through raw gates `pos..k`, unshifted.
     pub(crate) fn advance_to(&mut self, k: usize) {
         debug_assert!(k >= self.pos, "the walk only moves forward");
+        let ops = &self.pb.ops[self.pos..k];
         let amps = self.prefix.amplitudes_mut();
-        for op in &self.pb.ops[self.pos..k] {
-            apply_op(amps, op, self.inputs, &self.pb.params);
-        }
+        walk(
+            amps,
+            1,
+            ops,
+            &self.inputs,
+            &self.pb.params,
+            &mut self.scratch,
+        );
         self.pos = k;
     }
 
@@ -419,9 +383,9 @@ impl<'a> ShiftWalk<'a> {
         let gate = self.pb.ops[self.pos].with_angle(theta)?;
         let amps = self.fork.amplitudes_mut();
         amps.copy_from_slice(self.prefix.amplitudes());
-        apply_op(amps, &gate, self.inputs, &self.pb.params);
-        for op in &self.pb.ops[self.pos + 1..] {
-            apply_op(amps, op, self.inputs, &self.pb.params);
+        let (inputs, params) = (&self.inputs, &self.pb.params);
+        for ops in [std::slice::from_ref(&gate), &self.pb.ops[self.pos + 1..]] {
+            walk(amps, 1, ops, inputs, params, &mut self.scratch);
         }
         Ok(&self.fork)
     }
@@ -442,7 +406,7 @@ pub(crate) fn run_raw_with_override(
     pb.ops[override_idx] = pb.ops[override_idx]
         .with_angle(theta)
         .expect("the override targets a trainable rotation");
-    run_prebound_unchecked(&pb, inputs)
+    run_prebound(&pb, inputs).expect("test inputs match the circuit")
 }
 
 // ---------------------------------------------------------------------
@@ -450,93 +414,106 @@ pub(crate) fn run_raw_with_override(
 //
 // The slab stores `L` statevectors transposed — `slab[amp · L + lane]` —
 // so each gate is dispatched **once** and its update runs over contiguous
-// per-amplitude lane rows. Every lane sees exactly the arithmetic of the
-// per-circuit kernels (the update formulas below are copied verbatim from
-// `qsim::apply`), so slab execution is bit-identical to running each lane
-// alone; only the loop nesting changes.
+// per-amplitude lane rows through the `qsim::rows` kernels. Every lane
+// sees exactly the arithmetic of the per-circuit `qsim::apply` kernels,
+// so slab execution is bit-identical to running each lane alone; at
+// `L = 1` the slab is a statevector and the `rows` kernels run the
+// `apply` kernels themselves.
 // ---------------------------------------------------------------------
 
-/// Disjoint mutable views of amplitude rows `i0 < i1` (shared with the
-/// superoperator and trajectory executors).
-#[inline]
-pub(crate) fn rows_mut(
-    slab: &mut [Complex64],
-    lanes: usize,
-    i0: usize,
-    i1: usize,
-) -> (&mut [Complex64], &mut [Complex64]) {
-    debug_assert!(i0 < i1);
-    let (head, tail) = slab.split_at_mut(i1 * lanes);
-    (&mut head[i0 * lanes..(i0 + 1) * lanes], &mut tail[..lanes])
+/// Per-lane trig scratch of a slab walk, owned by the caller so that
+/// repeated walks (the shift walk's forks) reuse its buffers.
+#[derive(Debug, Default)]
+pub(crate) struct LaneScratch {
+    trig: Vec<(f64, f64)>,
+    zlo: Vec<(f64, f64)>,
+    zhi: Vec<(f64, f64)>,
 }
 
-// Gate updates delegate to `qsim::rows` slab kernels — one SIMD dispatch
-// per gate, pair loop inside the kernel, with scalar paths that are the
-// exact formulas this module historically inlined (and AVX2 paths
-// bit-identical to those; see `qsim::simd`).
+impl LaneScratch {
+    /// An input-dependent rotation: per-lane `(sin θ/2, cos θ/2)` resolved
+    /// with the exact arithmetic of the per-circuit angle kernels. Rz runs
+    /// as the phase classes `(c, −s)` on target-clear and `(c, s)` on
+    /// target-set rows.
+    #[allow(clippy::too_many_arguments)]
+    fn rot(
+        &mut self,
+        slab: &mut rows::Slab<'_>,
+        axis: RotationAxis,
+        mt: usize,
+        mc: usize,
+        angle: &FusedAngle,
+        inputs: &[&[f64]],
+        params: &[f64],
+    ) {
+        if let [lane_inputs] = inputs {
+            // One lane: a uniform rotation, with no scratch to fill.
+            let (s, c) = (angle.value(lane_inputs, params) / 2.0).sin_cos();
+            return slab.rot(axis, mt, mc, s, c);
+        }
+        self.trig.clear();
+        self.trig.extend(inputs.iter().map(|lane_inputs| {
+            let theta = angle.value(lane_inputs, params);
+            (theta / 2.0).sin_cos()
+        }));
+        match axis {
+            RotationAxis::X => slab.rot_x_lanes(mt, mc, &self.trig),
+            RotationAxis::Y => slab.rot_y_lanes(mt, mc, &self.trig),
+            RotationAxis::Z => {
+                self.zlo.clear();
+                self.zhi.clear();
+                for &(s, c) in &self.trig {
+                    self.zlo.push((c, -s));
+                    self.zhi.push((c, s));
+                }
+                slab.phase_lanes(mt, mc, &self.zlo, &self.zhi);
+            }
+        }
+    }
+}
 
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn rot_slab(
-    axis: RotationAxis,
+/// Applies `ops` in order to every lane of `slab` (`slab[amp · lanes +
+/// lane]`, lane `l` bound to `inputs[l]`): the runtime's one statevector
+/// walker. Batched forwards run it over lane chunks, and single states
+/// (`run_prebound`, the shift walk's prefix and forks) over one lane.
+pub(crate) fn walk(
     slab: &mut [Complex64],
     lanes: usize,
-    dim: usize,
-    mt: usize,
-    mc: usize,
-    s: f64,
-    c: f64,
+    ops: &[PreOp],
+    inputs: &[&[f64]],
+    params: &[f64],
+    scratch: &mut LaneScratch,
 ) {
-    match axis {
-        RotationAxis::X => rows::rot_x_slab(slab, lanes, dim, mt, mc, s, c),
-        RotationAxis::Y => rows::rot_y_slab(slab, lanes, dim, mt, mc, s, c),
-        // Rz is diagonal: bit-clear rows take `(c, −s)`, bit-set rows `(c, s)`.
-        RotationAxis::Z => rows::phase_slab(slab, lanes, dim, mt, mc, (c, -s), (c, s)),
+    assert_eq!(inputs.len(), lanes, "one input vector per lane");
+    let mut slab = rows::Slab::new(slab, lanes);
+    for op in ops {
+        match op {
+            PreOp::RotSC { qubit, axis, s, c } => slab.rot(*axis, 1 << qubit, 0, *s, *c),
+            PreOp::CRotSC {
+                control,
+                target,
+                axis,
+                s,
+                c,
+            } => slab.rot(*axis, 1 << target, 1 << control, *s, *c),
+            PreOp::Rot { qubit, axis, angle } => {
+                scratch.rot(&mut slab, *axis, 1 << qubit, 0, angle, inputs, params);
+            }
+            PreOp::CRot {
+                control,
+                target,
+                axis,
+                angle,
+            } => {
+                let (mt, mc) = (1usize << target, 1usize << control);
+                scratch.rot(&mut slab, *axis, mt, mc, angle, inputs, params);
+            }
+            PreOp::Cnot { control, target } => slab.cnot(1 << control, 1 << target),
+            PreOp::Cz { control, target } => slab.cz(1 << control, 1 << target),
+            PreOp::Fixed { qubit, gate } => slab.gate1(1 << qubit, gate),
+            PreOp::Fixed2 { qa, qb, gate } => slab.gate2(1 << qa, 1 << qb, gate),
+        }
     }
-}
-
-#[inline]
-fn rot_slab_lanes(
-    axis: RotationAxis,
-    slab: &mut [Complex64],
-    lanes: usize,
-    dim: usize,
-    mt: usize,
-    mc: usize,
-    trig: &[(f64, f64)],
-) {
-    match axis {
-        RotationAxis::X => rows::rot_x_slab_lanes(slab, lanes, dim, mt, mc, trig),
-        RotationAxis::Y => rows::rot_y_slab_lanes(slab, lanes, dim, mt, mc, trig),
-        // xcheck: allow(no-panic-serve) — every caller branches Rz to
-        // `rows::phase_slab_lanes` first, which needs per-lane phase
-        // scratch this signature does not carry.
-        RotationAxis::Z => unreachable!("Rz is diagonal; handled per amplitude row"),
-    }
-}
-
-/// Fills per-lane `(pr, pi)` phase pairs for the two Rz row classes from
-/// per-lane `(s, c)` trig: bit-clear rows multiply by `(c, −s)`, bit-set
-/// rows by `(c, s)` — the exact factors the inlined Rz row loops used.
-#[inline]
-fn z_phase_classes(trig: &[(f64, f64)], lo: &mut Vec<(f64, f64)>, hi: &mut Vec<(f64, f64)>) {
-    lo.clear();
-    hi.clear();
-    for &(s, c) in trig {
-        lo.push((c, -s));
-        hi.push((c, s));
-    }
-}
-
-/// Per-lane `(sin, cos)` pairs of an input-dependent rotation, resolved
-/// with the exact arithmetic of the per-circuit path.
-#[inline]
-fn lane_trig(angle: &FusedAngle, inputs: &[&[f64]], params: &[f64], out: &mut Vec<(f64, f64)>) {
-    out.clear();
-    out.extend(inputs.iter().map(|lane_inputs| {
-        let theta = angle.value(lane_inputs, params);
-        (theta / 2.0).sin_cos()
-    }));
 }
 
 /// Runs a prebound schedule over all `inputs` lanes in one schedule walk,
@@ -620,129 +597,13 @@ pub(crate) fn run_prebound_slab_raw(pb: &PreboundCircuit, inputs: &[&[f64]]) -> 
     if lanes == 0 {
         return Vec::new();
     }
-    let dim = 1usize << pb.n_qubits;
-    let mut slab = vec![Complex64::ZERO; dim * lanes];
+    let mut slab = vec![Complex64::ZERO; (1usize << pb.n_qubits) * lanes];
     for cell in slab[..lanes].iter_mut() {
         *cell = Complex64::ONE; // every lane starts in |0…0⟩
     }
-    let mut trig: Vec<(f64, f64)> = Vec::with_capacity(lanes);
-    let mut zlo: Vec<(f64, f64)> = Vec::with_capacity(lanes);
-    let mut zhi: Vec<(f64, f64)> = Vec::with_capacity(lanes);
-
-    for op in &pb.ops {
-        match op {
-            PreOp::RotSC { qubit, axis, s, c } => {
-                rot_slab(*axis, &mut slab, lanes, dim, 1usize << qubit, 0, *s, *c);
-            }
-            PreOp::Rot { qubit, axis, angle } => {
-                lane_trig(angle, inputs, &pb.params, &mut trig);
-                let mt = 1usize << qubit;
-                match axis {
-                    RotationAxis::Z => {
-                        z_phase_classes(&trig, &mut zlo, &mut zhi);
-                        rows::phase_slab_lanes(&mut slab, lanes, dim, mt, 0, &zlo, &zhi);
-                    }
-                    _ => rot_slab_lanes(*axis, &mut slab, lanes, dim, mt, 0, &trig),
-                }
-            }
-            PreOp::CRotSC {
-                control,
-                target,
-                axis,
-                s,
-                c,
-            } => {
-                let (mc, mt) = (1usize << control, 1usize << target);
-                rot_slab(*axis, &mut slab, lanes, dim, mt, mc, *s, *c);
-            }
-            PreOp::CRot {
-                control,
-                target,
-                axis,
-                angle,
-            } => {
-                lane_trig(angle, inputs, &pb.params, &mut trig);
-                let mc = 1usize << control;
-                let mt = 1usize << target;
-                match axis {
-                    RotationAxis::Z => {
-                        z_phase_classes(&trig, &mut zlo, &mut zhi);
-                        rows::phase_slab_lanes(&mut slab, lanes, dim, mt, mc, &zlo, &zhi);
-                    }
-                    _ => rot_slab_lanes(*axis, &mut slab, lanes, dim, mt, mc, &trig),
-                }
-            }
-            PreOp::Cnot { control, target } => {
-                let mc = 1usize << control;
-                let mt = 1usize << target;
-                for i in 0..dim {
-                    if i & mc == 0 || i & mt != 0 {
-                        continue;
-                    }
-                    let (r0, r1) = rows_mut(&mut slab, lanes, i, i | mt);
-                    r0.swap_with_slice(r1);
-                }
-            }
-            PreOp::Cz { control, target } => {
-                let mask = (1usize << control) | (1usize << target);
-                for i in 0..dim {
-                    if i & mask != mask {
-                        continue;
-                    }
-                    for a in slab[i * lanes..(i + 1) * lanes].iter_mut() {
-                        *a = -*a;
-                    }
-                }
-            }
-            PreOp::Fixed { qubit, gate } => {
-                rows::gate1_slab(&mut slab, lanes, dim, 1usize << qubit, gate);
-            }
-            PreOp::Fixed2 { qa, qb, gate } => {
-                apply_gate2_slab(&mut slab, lanes, dim, *qa, *qb, gate);
-            }
-        }
-    }
-
+    let mut scratch = LaneScratch::default();
+    walk(&mut slab, lanes, &pb.ops, inputs, &pb.params, &mut scratch);
     slab
-}
-
-/// Applies a concrete two-qubit unitary to every lane of the slab.
-///
-/// Mirrors `qsim::apply::apply_gate2`'s scalar arithmetic exactly: for each
-/// both-bits-clear base index (ascending), gather the four amplitudes and
-/// rebuild each via the same `mul_acc` chain from `+0`, in column order.
-fn apply_gate2_slab(
-    slab: &mut [Complex64],
-    lanes: usize,
-    dim: usize,
-    qa: usize,
-    qb: usize,
-    gate: &Gate2,
-) {
-    let m = gate.matrix();
-    let ma = 1usize << qa;
-    let mb = 1usize << qb;
-    for i in 0..dim {
-        if i & (ma | mb) != 0 {
-            continue;
-        }
-        let idx = [i, i | ma, i | mb, i | ma | mb];
-        for lane in 0..lanes {
-            let v = [
-                slab[idx[0] * lanes + lane],
-                slab[idx[1] * lanes + lane],
-                slab[idx[2] * lanes + lane],
-                slab[idx[3] * lanes + lane],
-            ];
-            for (r, &ix) in idx.iter().enumerate() {
-                let mut acc = Complex64::ZERO;
-                for (col, &vc) in v.iter().enumerate() {
-                    acc = m[r][col].mul_acc(vc, acc);
-                }
-                slab[ix * lanes + lane] = acc;
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1089,7 +950,6 @@ fn adj_apply(
     inverse: bool,
     slab: &mut [Complex64],
     lanes: usize,
-    dim: usize,
     inputs: &[&[f64]],
     params: &[f64],
     xy: &mut Vec<(f64, f64)>,
@@ -1097,7 +957,7 @@ fn adj_apply(
     zhi: &mut Vec<(f64, f64)>,
 ) {
     resolve_sym_trig(gate, inverse, inputs, params, xy, zlo, zhi);
-    adj_apply_resolved(gate, inverse, slab, lanes, dim, xy, zlo, zhi);
+    adj_apply_resolved(gate, inverse, slab, lanes, xy, zlo, zhi);
 }
 
 /// [`adj_apply`] with any input-dependent trig already resolved into
@@ -1108,34 +968,31 @@ fn adj_apply_resolved(
     inverse: bool,
     slab: &mut [Complex64],
     lanes: usize,
-    dim: usize,
     xy: &[(f64, f64)],
     zlo: &[(f64, f64)],
     zhi: &[(f64, f64)],
 ) {
+    let mut slab = rows::Slab::new(slab, lanes);
+    let sym = |slab: &mut rows::Slab<'_>, axis: RotationAxis, mt: usize, mc: usize| match axis {
+        RotationAxis::X => slab.rot_x_lanes(mt, mc, xy),
+        RotationAxis::Y => slab.rot_y_lanes(mt, mc, xy),
+        RotationAxis::Z => slab.phase_lanes(mt, mc, zlo, zhi),
+    };
     match gate {
         AdjGate::RotSC {
             qubit,
             axis,
             fwd,
             inv,
-            ..
         } => {
             let (s, c) = if inverse { *inv } else { *fwd };
-            rot_slab(*axis, slab, lanes, dim, 1usize << qubit, 0, s, c);
+            slab.rot(*axis, 1 << qubit, 0, s, c);
         }
         AdjGate::RotZSC { qubit, fwd, inv } => {
             let z = if inverse { inv } else { fwd };
-            let mt = 1usize << qubit;
-            rows::phase_slab(slab, lanes, dim, mt, 0, (z.pr0, z.pi0), (z.pr1, z.pi1));
+            slab.phase(1 << qubit, 0, (z.pr0, z.pi0), (z.pr1, z.pi1));
         }
-        AdjGate::RotSym { qubit, axis, .. } => {
-            let mt = 1usize << qubit;
-            match axis {
-                RotationAxis::Z => rows::phase_slab_lanes(slab, lanes, dim, mt, 0, zlo, zhi),
-                _ => rot_slab_lanes(*axis, slab, lanes, dim, mt, 0, xy),
-            }
-        }
+        AdjGate::RotSym { qubit, axis, .. } => sym(&mut slab, *axis, 1 << qubit, 0),
         AdjGate::CRotSC {
             control,
             target,
@@ -1144,9 +1001,7 @@ fn adj_apply_resolved(
             inv,
         } => {
             let (s, c) = if inverse { *inv } else { *fwd };
-            let mc = 1usize << control;
-            let mt = 1usize << target;
-            rot_slab(*axis, slab, lanes, dim, mt, mc, s, c);
+            slab.rot(*axis, 1 << target, 1 << control, s, c);
         }
         AdjGate::CRotZSC {
             control,
@@ -1155,48 +1010,19 @@ fn adj_apply_resolved(
             inv,
         } => {
             let z = if inverse { inv } else { fwd };
-            let mc = 1usize << control;
-            let mt = 1usize << target;
-            rows::phase_slab(slab, lanes, dim, mt, mc, (z.pr0, z.pi0), (z.pr1, z.pi1));
+            let (mt, mc) = (1usize << target, 1usize << control);
+            slab.phase(mt, mc, (z.pr0, z.pi0), (z.pr1, z.pi1));
         }
         AdjGate::CRotSym {
             control,
             target,
             axis,
             ..
-        } => {
-            let mc = 1usize << control;
-            let mt = 1usize << target;
-            match axis {
-                RotationAxis::Z => rows::phase_slab_lanes(slab, lanes, dim, mt, mc, zlo, zhi),
-                _ => rot_slab_lanes(*axis, slab, lanes, dim, mt, mc, xy),
-            }
-        }
-        AdjGate::Cnot { control, target } => {
-            let mc = 1usize << control;
-            let mt = 1usize << target;
-            for i in 0..dim {
-                if i & mc == 0 || i & mt != 0 {
-                    continue;
-                }
-                let (r0, r1) = rows_mut(slab, lanes, i, i | mt);
-                r0.swap_with_slice(r1);
-            }
-        }
-        AdjGate::Cz { control, target } => {
-            let mask = (1usize << control) | (1usize << target);
-            for i in 0..dim {
-                if i & mask != mask {
-                    continue;
-                }
-                for a in slab[i * lanes..(i + 1) * lanes].iter_mut() {
-                    *a = -*a;
-                }
-            }
-        }
+        } => sym(&mut slab, *axis, 1 << target, 1 << control),
+        AdjGate::Cnot { control, target } => slab.cnot(1 << control, 1 << target),
+        AdjGate::Cz { control, target } => slab.cz(1 << control, 1 << target),
         AdjGate::Fixed { qubit, gate, dag } => {
-            let g = if inverse { dag } else { gate };
-            rows::gate1_slab(slab, lanes, dim, 1usize << qubit, g);
+            slab.gate1(1 << qubit, if inverse { dag } else { gate });
         }
     }
 }
@@ -1361,7 +1187,7 @@ pub(crate) fn run_adjoint_slab(
     }
     for op in &pa.ops {
         adj_apply(
-            &op.gate, false, &mut phi, lanes, dim, inputs, &pa.params, &mut xy, &mut zlo, &mut zhi,
+            &op.gate, false, &mut phi, lanes, inputs, &pa.params, &mut xy, &mut zlo, &mut zhi,
         );
     }
 
@@ -1405,9 +1231,9 @@ pub(crate) fn run_adjoint_slab(
         resolve_sym_trig(
             &op.gate, true, inputs, &pa.params, &mut xy, &mut zlo, &mut zhi,
         );
-        adj_apply_resolved(&op.gate, true, &mut phi, lanes, dim, &xy, &zlo, &zhi);
+        adj_apply_resolved(&op.gate, true, &mut phi, lanes, &xy, &zlo, &zhi);
         for lam in &mut lambdas {
-            adj_apply_resolved(&op.gate, true, lam, lanes, dim, &xy, &zlo, &zhi);
+            adj_apply_resolved(&op.gate, true, lam, lanes, &xy, &zlo, &zhi);
         }
     }
     outs.into_iter().zip(jacs).collect()

@@ -18,7 +18,7 @@
 //!   angle does not reference an input) is premultiplied with the
 //!   one-qubit noise channel into a single dense 4×4 superoperator
 //!   (`Σᵢ (KᵢU) ⊗ conj(KᵢU)`, see [`qmarl_qsim::superop`]) applied with
-//!   one [`qmarl_qsim::rows::gate2_slab`] pass on the bit pair
+//!   one [`qmarl_qsim::rows::Slab::dense4`] pass on the bit pair
 //!   `(q, q + n)`;
 //! * input-dependent rotations stay symbolic: per-lane trig drives the
 //!   rotation on the row bit and its conjugate on the column bit, then
@@ -42,7 +42,6 @@ use qmarl_qsim::superop::{gate_kraus_superop, kraus_superop, unitary_superop};
 
 use crate::compile::{CGate, CompiledCircuit, FusedAngle};
 use crate::error::RuntimeError;
-use crate::prebound::rows_mut;
 
 /// One op of a density-prebound schedule.
 // The dense 4×4 superoperator dominates the enum's size, but DOps are
@@ -239,9 +238,7 @@ pub fn prebind_density(
 #[allow(clippy::too_many_arguments)]
 fn rot_both_sides(
     axis: RotationAxis,
-    slab: &mut [Complex64],
-    lanes: usize,
-    dim2: usize,
+    slab: &mut rows::Slab<'_>,
     row_mt: usize,
     row_mc: usize,
     col_mt: usize,
@@ -249,19 +246,11 @@ fn rot_both_sides(
     s: f64,
     c: f64,
 ) {
+    slab.rot(axis, row_mt, row_mc, s, c);
     match axis {
-        RotationAxis::X => {
-            rows::rot_x_slab(slab, lanes, dim2, row_mt, row_mc, s, c);
-            rows::rot_x_slab(slab, lanes, dim2, col_mt, col_mc, -s, c);
-        }
-        RotationAxis::Y => {
-            rows::rot_y_slab(slab, lanes, dim2, row_mt, row_mc, s, c);
-            rows::rot_y_slab(slab, lanes, dim2, col_mt, col_mc, s, c);
-        }
-        RotationAxis::Z => {
-            rows::phase_slab(slab, lanes, dim2, row_mt, row_mc, (c, -s), (c, s));
-            rows::phase_slab(slab, lanes, dim2, col_mt, col_mc, (c, s), (c, -s));
-        }
+        RotationAxis::X => slab.rot(axis, col_mt, col_mc, -s, c),
+        RotationAxis::Y => slab.rot(axis, col_mt, col_mc, s, c),
+        RotationAxis::Z => slab.phase(col_mt, col_mc, (c, s), (c, -s)),
     }
 }
 
@@ -270,9 +259,7 @@ fn rot_both_sides(
 #[allow(clippy::too_many_arguments)]
 fn rot_both_sides_lanes(
     axis: RotationAxis,
-    slab: &mut [Complex64],
-    lanes: usize,
-    dim2: usize,
+    slab: &mut rows::Slab<'_>,
     row_mt: usize,
     row_mc: usize,
     col_mt: usize,
@@ -287,13 +274,13 @@ fn rot_both_sides_lanes(
         RotationAxis::X => {
             ta.extend(thetas.iter().map(|t| (t / 2.0).sin_cos()));
             tb.extend(ta.iter().map(|&(s, c)| (-s, c)));
-            rows::rot_x_slab_lanes(slab, lanes, dim2, row_mt, row_mc, ta);
-            rows::rot_x_slab_lanes(slab, lanes, dim2, col_mt, col_mc, tb);
+            slab.rot_x_lanes(row_mt, row_mc, ta);
+            slab.rot_x_lanes(col_mt, col_mc, tb);
         }
         RotationAxis::Y => {
             ta.extend(thetas.iter().map(|t| (t / 2.0).sin_cos()));
-            rows::rot_y_slab_lanes(slab, lanes, dim2, row_mt, row_mc, ta);
-            rows::rot_y_slab_lanes(slab, lanes, dim2, col_mt, col_mc, ta);
+            slab.rot_y_lanes(row_mt, row_mc, ta);
+            slab.rot_y_lanes(col_mt, col_mc, ta);
         }
         RotationAxis::Z => {
             // ta = (c, −s) is the row-pass bit-clear phase AND the
@@ -303,8 +290,8 @@ fn rot_both_sides_lanes(
                 ta.push((c, -s));
                 tb.push((c, s));
             }
-            rows::phase_slab_lanes(slab, lanes, dim2, row_mt, row_mc, ta, tb);
-            rows::phase_slab_lanes(slab, lanes, dim2, col_mt, col_mc, tb, ta);
+            slab.phase_lanes(row_mt, row_mc, ta, tb);
+            slab.phase_lanes(col_mt, col_mc, tb, ta);
         }
     }
 }
@@ -328,31 +315,11 @@ fn resolve_thetas(
 
 /// The two-qubit-gate channel on both wires, control before target (the
 /// interpreter's Kraus order).
-fn apply_chan2(
-    pb: &DensityPrebound,
-    slab: &mut [Complex64],
-    lanes: usize,
-    control: usize,
-    target: usize,
-) {
+fn apply_chan2(pb: &DensityPrebound, slab: &mut rows::Slab<'_>, control: usize, target: usize) {
     if let Some(c2) = &pb.chan2 {
         let n = pb.n_qubits;
-        rows::gate2_slab(
-            slab,
-            lanes,
-            pb.dim2,
-            1 << control,
-            1 << (control + n),
-            c2.matrix(),
-        );
-        rows::gate2_slab(
-            slab,
-            lanes,
-            pb.dim2,
-            1 << target,
-            1 << (target + n),
-            c2.matrix(),
-        );
+        slab.dense4(1 << control, 1 << (control + n), c2.matrix());
+        slab.dense4(1 << target, 1 << (target + n), c2.matrix());
     }
 }
 
@@ -371,14 +338,14 @@ pub(crate) fn run_density_slab(
         return Vec::new();
     }
     let n = pb.n_qubits;
-    let dim2 = pb.dim2;
-    let mut slab = vec![Complex64::ZERO; dim2 * lanes];
+    let mut slab = vec![Complex64::ZERO; pb.dim2 * lanes];
     for cell in slab[..lanes].iter_mut() {
         *cell = Complex64::ONE; // ρ = |0…0⟩⟨0…0| is flat index 0
     }
     let mut thetas: Vec<f64> = Vec::with_capacity(lanes);
     let mut ta: Vec<(f64, f64)> = Vec::with_capacity(lanes);
     let mut tb: Vec<(f64, f64)> = Vec::with_capacity(lanes);
+    let mut view = rows::Slab::new(&mut slab, lanes);
 
     for op in &pb.ops {
         match op {
@@ -391,7 +358,7 @@ pub(crate) fn run_density_slab(
                     }
                     _ => sup.matrix(),
                 };
-                rows::gate2_slab(&mut slab, lanes, dim2, 1 << q, 1 << (q + n), m);
+                view.dense4(1 << q, 1 << (q + n), m);
             }
             DOp::Sym1 {
                 raw_idx,
@@ -409,9 +376,7 @@ pub(crate) fn run_density_slab(
                 );
                 rot_both_sides_lanes(
                     *axis,
-                    &mut slab,
-                    lanes,
-                    dim2,
+                    &mut view,
                     1 << (q + n),
                     0,
                     1 << q,
@@ -421,7 +386,7 @@ pub(crate) fn run_density_slab(
                     &mut tb,
                 );
                 if let Some(c1) = &pb.chan1 {
-                    rows::gate2_slab(&mut slab, lanes, dim2, 1 << q, 1 << (q + n), c1.matrix());
+                    view.dense4(1 << q, 1 << (q + n), c1.matrix());
                 }
             }
             DOp::CRotSC {
@@ -438,9 +403,7 @@ pub(crate) fn run_density_slab(
                 };
                 rot_both_sides(
                     *axis,
-                    &mut slab,
-                    lanes,
-                    dim2,
+                    &mut view,
                     1 << (target + n),
                     1 << (control + n),
                     1 << target,
@@ -448,7 +411,7 @@ pub(crate) fn run_density_slab(
                     s,
                     c,
                 );
-                apply_chan2(pb, &mut slab, lanes, *control, *target);
+                apply_chan2(pb, &mut view, *control, *target);
             }
             DOp::CRotSym {
                 raw_idx,
@@ -467,9 +430,7 @@ pub(crate) fn run_density_slab(
                 );
                 rot_both_sides_lanes(
                     *axis,
-                    &mut slab,
-                    lanes,
-                    dim2,
+                    &mut view,
                     1 << (target + n),
                     1 << (control + n),
                     1 << target,
@@ -478,45 +439,24 @@ pub(crate) fn run_density_slab(
                     &mut ta,
                     &mut tb,
                 );
-                apply_chan2(pb, &mut slab, lanes, *control, *target);
+                apply_chan2(pb, &mut view, *control, *target);
             }
             DOp::Cnot { control, target } => {
                 // ρ → (CX) ρ (CX)†: CX permutes the row bits, conj(CX) =
-                // CX the column bits — one flat index involution, swapped
-                // once per {i, perm(i)} pair.
-                let mrc = 1usize << (control + n);
-                let mrt = 1usize << (target + n);
-                let mcc = 1usize << control;
-                let mct = 1usize << target;
-                for i in 0..dim2 {
-                    let mut j = i;
-                    if j & mrc != 0 {
-                        j ^= mrt;
-                    }
-                    if j & mcc != 0 {
-                        j ^= mct;
-                    }
-                    if i < j {
-                        let (r0, r1) = rows_mut(&mut slab, lanes, i, j);
-                        r0.swap_with_slice(r1);
-                    }
-                }
-                apply_chan2(pb, &mut slab, lanes, *control, *target);
+                // CX the column bits. The two permutations act on disjoint
+                // bits, so running them one after the other moves every
+                // amplitude exactly where the joint permutation would.
+                view.cnot(1 << (control + n), 1 << (target + n));
+                view.cnot(1 << control, 1 << target);
+                apply_chan2(pb, &mut view, *control, *target);
             }
             DOp::Cz { control, target } => {
                 // Row side flips sign where both row bits are set, column
-                // side where both column bits are set; the flips cancel
-                // when both apply.
-                let mr = (1usize << (control + n)) | (1usize << (target + n));
-                let mc = (1usize << control) | (1usize << target);
-                for i in 0..dim2 {
-                    if (i & mr == mr) != (i & mc == mc) {
-                        for a in slab[i * lanes..(i + 1) * lanes].iter_mut() {
-                            *a = -*a;
-                        }
-                    }
-                }
-                apply_chan2(pb, &mut slab, lanes, *control, *target);
+                // side where both column bits are set; where both apply,
+                // the two exact negations cancel.
+                view.cz(1 << (control + n), 1 << (target + n));
+                view.cz(1 << control, 1 << target);
+                apply_chan2(pb, &mut view, *control, *target);
             }
         }
     }

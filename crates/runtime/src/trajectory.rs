@@ -52,7 +52,7 @@ use rand::SeedableRng;
 use crate::backend::TRAJ_STREAM;
 use crate::compile::{CGate, CompiledCircuit, FusedAngle};
 use crate::error::RuntimeError;
-use crate::prebound::{readouts_from_slab, rows_mut, SlabObservable};
+use crate::prebound::{readouts_from_slab, SlabObservable};
 use crate::rollout::derive_seed;
 
 /// One gate of a trajectory-prebound schedule (raw, unfused order — noise
@@ -300,51 +300,6 @@ pub fn prebind_trajectory(
     })
 }
 
-/// A uniform rotation over every lane of the slab.
-#[allow(clippy::too_many_arguments)]
-fn rot_uniform(
-    axis: RotationAxis,
-    slab: &mut [Complex64],
-    lanes: usize,
-    dim: usize,
-    mt: usize,
-    mc: usize,
-    s: f64,
-    c: f64,
-) {
-    match axis {
-        RotationAxis::X => rows::rot_x_slab(slab, lanes, dim, mt, mc, s, c),
-        RotationAxis::Y => rows::rot_y_slab(slab, lanes, dim, mt, mc, s, c),
-        RotationAxis::Z => rows::phase_slab(slab, lanes, dim, mt, mc, (c, -s), (c, s)),
-    }
-}
-
-/// CNOT over every lane (amplitude-swap fast path, self-inverse).
-fn cnot_slab(slab: &mut [Complex64], lanes: usize, dim: usize, control: usize, target: usize) {
-    let mc = 1usize << control;
-    let mt = 1usize << target;
-    for i in 0..dim {
-        if i & mc == 0 || i & mt != 0 {
-            continue;
-        }
-        let (r0, r1) = rows_mut(slab, lanes, i, i | mt);
-        r0.swap_with_slice(r1);
-    }
-}
-
-/// CZ over every lane (diagonal sign-flip fast path, self-inverse).
-fn cz_slab(slab: &mut [Complex64], lanes: usize, dim: usize, control: usize, target: usize) {
-    let mask = (1usize << control) | (1usize << target);
-    for i in 0..dim {
-        if i & mask != mask {
-            continue;
-        }
-        for a in slab[i * lanes..(i + 1) * lanes].iter_mut() {
-            *a = -*a;
-        }
-    }
-}
-
 /// Applies a single-qubit gate to **one lane** of the slab — the Pauli
 /// patch of a fired error. Same arithmetic as the interpreter's
 /// `apply_gate1` (generic 2×2 product), strided over the lane.
@@ -406,6 +361,7 @@ fn walk_forward(
     for (k, op) in pb.ops.iter().enumerate() {
         // 1. The gate, uniform across lanes (all trajectories share the
         //    same bindings).
+        let mut view = rows::Slab::new(&mut slab, lanes);
         match op {
             TOp::RotSC {
                 raw_idx,
@@ -418,7 +374,7 @@ fn walk_forward(
                     Some((idx, theta)) if idx == *raw_idx => (theta / 2.0).sin_cos(),
                     _ => (*s, *c),
                 };
-                rot_uniform(*axis, &mut slab, lanes, dim, 1 << qubit, 0, s, c);
+                view.rot(*axis, 1 << qubit, 0, s, c);
             }
             TOp::RotSym {
                 raw_idx,
@@ -431,7 +387,7 @@ fn walk_forward(
                     _ => angle.value(inputs, &pb.params),
                 };
                 let (s, c) = (theta / 2.0).sin_cos();
-                rot_uniform(*axis, &mut slab, lanes, dim, 1 << qubit, 0, s, c);
+                view.rot(*axis, 1 << qubit, 0, s, c);
             }
             TOp::CRotSC {
                 raw_idx,
@@ -445,16 +401,7 @@ fn walk_forward(
                     Some((idx, theta)) if idx == *raw_idx => (theta / 2.0).sin_cos(),
                     _ => (*s, *c),
                 };
-                rot_uniform(
-                    *axis,
-                    &mut slab,
-                    lanes,
-                    dim,
-                    1 << target,
-                    1 << control,
-                    s,
-                    c,
-                );
+                view.rot(*axis, 1 << target, 1 << control, s, c);
             }
             TOp::CRotSym {
                 raw_idx,
@@ -468,26 +415,11 @@ fn walk_forward(
                     _ => angle.value(inputs, &pb.params),
                 };
                 let (s, c) = (theta / 2.0).sin_cos();
-                rot_uniform(
-                    *axis,
-                    &mut slab,
-                    lanes,
-                    dim,
-                    1 << target,
-                    1 << control,
-                    s,
-                    c,
-                );
+                view.rot(*axis, 1 << target, 1 << control, s, c);
             }
-            TOp::Cnot { control, target } => {
-                cnot_slab(&mut slab, lanes, dim, *control, *target);
-            }
-            TOp::Cz { control, target } => {
-                cz_slab(&mut slab, lanes, dim, *control, *target);
-            }
-            TOp::Fixed { qubit, gate } => {
-                rows::gate1_slab(&mut slab, lanes, dim, 1usize << qubit, gate);
-            }
+            TOp::Cnot { control, target } => view.cnot(1 << control, 1 << target),
+            TOp::Cz { control, target } => view.cz(1 << control, 1 << target),
+            TOp::Fixed { qubit, gate } => view.gate1(1 << qubit, gate),
         }
         // 2. The channel: each lane draws from its own stream, wires
         //    control before target — the interpreter's order.
@@ -560,17 +492,11 @@ fn mean_over_samples(readout: &Readout, slab: &[Complex64], samples: usize) -> V
 /// Un-applies schedule op `k` from a slab — one step of the adjoint's
 /// reverse sweep. Resolved rotations use the trig hoisted into
 /// [`TInv::RotSC`]; symbolic ones re-derive it from the bound angle.
-fn un_apply_op(
-    pb: &TrajPrebound,
-    k: usize,
-    inputs: &[f64],
-    slab: &mut [Complex64],
-    lanes: usize,
-    dim: usize,
-) {
+fn undo_op(pb: &TrajPrebound, k: usize, inputs: &[f64], slab: &mut [Complex64], lanes: usize) {
+    let mut view = rows::Slab::new(slab, lanes);
     match (&pb.ops[k], &pb.inv[k]) {
         (TOp::RotSC { qubit, axis, .. }, TInv::RotSC { s, c }) => {
-            rot_uniform(*axis, slab, lanes, dim, 1 << qubit, 0, *s, *c);
+            view.rot(*axis, 1 << qubit, 0, *s, *c);
         }
         (
             TOp::RotSym {
@@ -580,7 +506,7 @@ fn un_apply_op(
         ) => {
             let theta = angle.value(inputs, &pb.params);
             let (s, c) = (-theta / 2.0).sin_cos();
-            rot_uniform(*axis, slab, lanes, dim, 1 << qubit, 0, s, c);
+            view.rot(*axis, 1 << qubit, 0, s, c);
         }
         (
             TOp::CRotSC {
@@ -590,9 +516,7 @@ fn un_apply_op(
                 ..
             },
             TInv::RotSC { s, c },
-        ) => {
-            rot_uniform(*axis, slab, lanes, dim, 1 << target, 1 << control, *s, *c);
-        }
+        ) => view.rot(*axis, 1 << target, 1 << control, *s, *c),
         (
             TOp::CRotSym {
                 control,
@@ -605,13 +529,11 @@ fn un_apply_op(
         ) => {
             let theta = angle.value(inputs, &pb.params);
             let (s, c) = (-theta / 2.0).sin_cos();
-            rot_uniform(*axis, slab, lanes, dim, 1 << target, 1 << control, s, c);
+            view.rot(*axis, 1 << target, 1 << control, s, c);
         }
-        (TOp::Cnot { control, target }, _) => cnot_slab(slab, lanes, dim, *control, *target),
-        (TOp::Cz { control, target }, _) => cz_slab(slab, lanes, dim, *control, *target),
-        (TOp::Fixed { qubit, .. }, TInv::Dag(g)) => {
-            rows::gate1_slab(slab, lanes, dim, 1usize << qubit, g);
-        }
+        (TOp::Cnot { control, target }, _) => view.cnot(1 << control, 1 << target),
+        (TOp::Cz { control, target }, _) => view.cz(1 << control, 1 << target),
+        (TOp::Fixed { qubit, .. }, TInv::Dag(g)) => view.gate1(1 << qubit, g),
         _ => unreachable!("ops/inv tables misaligned"),
     }
 }
@@ -722,9 +644,9 @@ pub(crate) fn run_trajectory_adjoint(
             break;
         }
         // 3. Un-apply gate k itself from φ and every λ.
-        un_apply_op(pb, k, inputs, &mut phi, lanes, dim);
+        undo_op(pb, k, inputs, &mut phi, lanes);
         for lam in &mut lambdas {
-            un_apply_op(pb, k, inputs, lam, lanes, dim);
+            undo_op(pb, k, inputs, lam, lanes);
         }
     }
     let scale = 1.0 / samples as f64;

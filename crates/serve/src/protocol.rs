@@ -174,6 +174,20 @@ impl<'a> Rd<'a> {
         Ok(f64::from_le_bytes(self.take_n()?))
     }
 
+    /// Reads a `u32` element count and rejects it unless `count` elements
+    /// of `elem_bytes` each fit in the rest of the payload, so a lying
+    /// count is refused before anything is reserved for it.
+    fn count(&mut self, elem_bytes: usize, what: &str) -> Result<usize, ServeError> {
+        let n = self.u32()? as usize;
+        let left = self.buf.len() - self.pos;
+        if n.checked_mul(elem_bytes).is_none_or(|bytes| bytes > left) {
+            return Err(ServeError::Protocol(format!(
+                "{what} count {n} needs {elem_bytes} bytes each, but only {left} remain"
+            )));
+        }
+        Ok(n)
+    }
+
     fn finish(&self) -> Result<(), ServeError> {
         if self.pos != self.buf.len() {
             return Err(ServeError::Protocol(format!(
@@ -215,7 +229,7 @@ impl Request {
         let req = match rd.u8()? {
             OP_ACT => {
                 let id = rd.u64()?;
-                let n = rd.u32()? as usize;
+                let n = rd.count(8, "observation")?;
                 if n > MAX_FRAME_LEN / 8 {
                     return Err(ServeError::Protocol(format!(
                         "observation length {n} exceeds the frame cap"
@@ -301,7 +315,7 @@ impl Response {
         let resp = match rd.u8()? {
             OP_ACT_OK => {
                 let id = rd.u64()?;
-                let n = rd.u32()? as usize;
+                let n = rd.count(2, "action")?;
                 if n > MAX_FRAME_LEN / 2 {
                     return Err(ServeError::Protocol(format!(
                         "action count {n} exceeds the frame cap"
@@ -718,6 +732,41 @@ mod tests {
     /// The ACT observation-count guard is exact too: a claim of exactly
     /// `MAX_FRAME_LEN / 8` values decodes (given the bytes), one more is
     /// rejected before any allocation.
+    #[test]
+    fn element_counts_are_checked_against_the_payload_before_reserving() {
+        // A 13-byte ACT frame claiming 131 072 observations (1 MiB) is
+        // refused by the count check itself, not by a later short read.
+        let mut act = vec![OP_ACT];
+        act.extend_from_slice(&7u64.to_le_bytes());
+        act.extend_from_slice(&131_072u32.to_le_bytes());
+        match Request::decode(&act) {
+            Err(ServeError::Protocol(msg)) => assert!(msg.contains("only 0 remain"), "{msg}"),
+            other => panic!("unexpected decode: {other:?}"),
+        }
+        // At the boundary: three observations' bytes carry a count of
+        // three, and a count of four is refused up front.
+        for (claim, ok) in [(3u32, true), (4, false)] {
+            let mut frame = vec![OP_ACT];
+            frame.extend_from_slice(&7u64.to_le_bytes());
+            frame.extend_from_slice(&claim.to_le_bytes());
+            frame.extend_from_slice(&[0u8; 24]);
+            assert_eq!(Request::decode(&frame).is_ok(), ok, "ACT claim {claim}");
+        }
+        for (claim, ok) in [(2u32, true), (3, false)] {
+            let mut frame = vec![OP_ACT_OK];
+            frame.extend_from_slice(&7u64.to_le_bytes());
+            frame.extend_from_slice(&claim.to_le_bytes());
+            frame.extend_from_slice(&[0u8; 4]);
+            match Response::decode(&frame) {
+                Ok(_) => assert!(ok, "ACT-OK claim {claim}"),
+                Err(ServeError::Protocol(msg)) => {
+                    assert!(!ok && msg.contains("only 4 remain"), "{msg}")
+                }
+                Err(other) => panic!("unexpected error: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn observation_count_guard_boundary_is_exact() {
         let n = MAX_FRAME_LEN / 8;
