@@ -35,6 +35,18 @@ pub enum CoreError {
     /// half-written files without swallowing genuine configuration
     /// mistakes.
     CorruptCheckpoint(String),
+    /// An update sweep produced a NaN or infinite TD target or gradient.
+    /// The sweep stops before its first optimiser step, so every
+    /// parameter and Adam moment keeps its previous value.
+    NonFinite {
+        /// The epoch whose update sweep produced the value.
+        epoch: usize,
+        /// The agent whose actor gradient it was; `None` for the critic's
+        /// TD targets and gradient.
+        agent: Option<usize>,
+        /// What was non-finite.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -54,6 +66,13 @@ impl fmt::Display for CoreError {
             }
             CoreError::InvalidConfig(msg) => write!(f, "invalid training config: {msg}"),
             CoreError::CorruptCheckpoint(msg) => write!(f, "corrupt checkpoint: {msg}"),
+            CoreError::NonFinite { epoch, agent, what } => {
+                write!(f, "non-finite {what} in epoch {epoch}")?;
+                match agent {
+                    Some(n) => write!(f, " (agent {n})"),
+                    None => write!(f, " (critic)"),
+                }
+            }
         }
     }
 }
@@ -133,5 +152,15 @@ mod tests {
         }
         .to_string()
         .is_empty());
+        let e = CoreError::NonFinite {
+            epoch: 3,
+            agent: Some(1),
+            what: "actor gradient",
+        };
+        assert_eq!(
+            e.to_string(),
+            "non-finite actor gradient in epoch 3 (agent 1)"
+        );
+        assert!(e.source().is_none());
     }
 }

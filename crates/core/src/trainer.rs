@@ -382,7 +382,8 @@ impl<E: MultiAgentEnv> CtdeTrainer<E> {
     ///
     /// # Errors
     ///
-    /// Propagates model errors.
+    /// Propagates model errors, and returns [`CoreError::NonFinite`] for a
+    /// NaN or infinite TD target or gradient before any parameter moves.
     pub fn update_sweep(&mut self, batch_episodes: usize) -> Result<f64, CoreError> {
         let gamma = self.config.gamma;
         let beta = self.config.entropy_coef;
@@ -454,6 +455,29 @@ impl<E: MultiAgentEnv> CtdeTrainer<E> {
                     .collect(),
             })
             .collect::<Result<_, CoreError>>()?;
+
+        // Numeric health: nothing non-finite reaches Adam. Every check
+        // runs before the first step, so a refused sweep leaves all
+        // parameters and optimiser moments as the previous epoch left them.
+        let non_finite = |agent, what| CoreError::NonFinite {
+            epoch: self.epoch,
+            agent,
+            what,
+        };
+        if !ys.iter().all(|y| y.is_finite()) {
+            return Err(non_finite(None, "TD target"));
+        }
+        if !critic_evals
+            .iter()
+            .all(|(_, jac)| (0..jac.n_outputs()).all(|o| jac.row(o).iter().all(|g| g.is_finite())))
+        {
+            return Err(non_finite(None, "critic gradient"));
+        }
+        for (n, grads) in actor_grads.iter().enumerate() {
+            if !grads.iter().flatten().all(|g| g.is_finite()) {
+                return Err(non_finite(Some(n), "actor gradient"));
+            }
+        }
 
         // Deterministic fixed-order reduction: one Adam step per timestep
         // sample — actors in agent order (descend −y·∇log π_θn plus the
@@ -1093,6 +1117,111 @@ mod tests {
         let b = classical(UpdateEngine::Batched);
         assert_eq!(a.history(), b.history());
         assert_eq!(a.critic().params(), b.critic().params());
+    }
+
+    /// A quantum actor whose MAPG gradients turn NaN from its
+    /// `healthy`-th batched gradient call on (one call per epoch).
+    struct NanAfter {
+        inner: Box<dyn Actor>,
+        healthy: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Actor for NanAfter {
+        fn obs_dim(&self) -> usize {
+            self.inner.obs_dim()
+        }
+        fn n_actions(&self) -> usize {
+            self.inner.n_actions()
+        }
+        fn param_count(&self) -> usize {
+            self.inner.param_count()
+        }
+        fn probs(&self, obs: &[f64]) -> Result<Vec<f64>, CoreError> {
+            self.inner.probs(obs)
+        }
+        fn policy_gradient_with_entropy(
+            &self,
+            obs: &[f64],
+            action: usize,
+            advantage: f64,
+            entropy_coef: f64,
+        ) -> Result<Vec<f64>, CoreError> {
+            self.inner
+                .policy_gradient_with_entropy(obs, action, advantage, entropy_coef)
+        }
+        fn policy_gradients_batch(
+            &self,
+            obs: &[Vec<f64>],
+            actions: &[usize],
+            advantages: &[f64],
+            entropy_coef: f64,
+        ) -> Result<Vec<Vec<f64>>, CoreError> {
+            use std::sync::atomic::Ordering;
+            let mut grads =
+                self.inner
+                    .policy_gradients_batch(obs, actions, advantages, entropy_coef)?;
+            let healthy = self.healthy.load(Ordering::Relaxed);
+            if healthy == 0 {
+                grads[obs.len() / 2][0] = f64::NAN;
+            } else {
+                self.healthy.store(healthy - 1, Ordering::Relaxed);
+            }
+            Ok(grads)
+        }
+        fn params(&self) -> Vec<f64> {
+            self.inner.params()
+        }
+        fn set_params(&mut self, params: &[f64]) -> Result<(), CoreError> {
+            self.inner.set_params(params)
+        }
+        fn clone_box(&self) -> Box<dyn Actor> {
+            Box::new(NanAfter {
+                inner: self.inner.clone_box(),
+                healthy: self.healthy.clone(),
+            })
+        }
+    }
+
+    #[test]
+    fn non_finite_gradient_is_refused_before_adam() {
+        // Agent 2's gradient turns NaN in epoch k = 2: the sweep returns
+        // the typed error and every parameter and Adam moment keeps its
+        // epoch k − 1 value, bit for bit.
+        let k = 2;
+        let seed = 61;
+        let actors: Vec<Box<dyn Actor>> = (0..4)
+            .map(|n| {
+                let inner = Box::new(QuantumActor::new(4, 4, 4, 50, seed + n).unwrap());
+                if n == 2 {
+                    Box::new(NanAfter {
+                        inner,
+                        healthy: std::sync::Arc::new(k.into()),
+                    }) as Box<dyn Actor>
+                } else {
+                    inner as Box<dyn Actor>
+                }
+            })
+            .collect();
+        let critic = Box::new(QuantumCritic::new(4, 16, 50, seed + 100).unwrap());
+        let mut t =
+            CtdeTrainer::new(small_env(seed), actors, critic, small_train_config()).unwrap();
+        t.train_vec(k, 1, 1).unwrap();
+        let before = t.capture_state("before");
+        let err = t.run_epoch_vec(1, 1).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::NonFinite {
+                epoch: k,
+                agent: Some(2),
+                what: "actor gradient",
+            }
+        );
+        let after = t.capture_state("after");
+        assert_eq!(after.actor_params, before.actor_params);
+        assert_eq!(after.critic_params, before.critic_params);
+        assert_eq!(after.actor_opts, before.actor_opts);
+        assert_eq!(after.critic_opt, before.critic_opt);
+        assert_eq!(t.epochs_done(), k, "a refused sweep records no epoch");
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! into one scalar ([`Readout::WeightedZSum`]).
 
 use qmarl_qsim::density::DensityMatrix;
+use qmarl_qsim::error::QsimError;
 use qmarl_qsim::measure;
+use qmarl_qsim::shots;
 use qmarl_qsim::state::StateVector;
 
 use crate::error::VqcError;
@@ -110,7 +112,9 @@ impl Readout {
 
     /// Evaluates the readout from `shots` computational-basis samples —
     /// the finite-shot estimate real hardware would return. One sample
-    /// batch serves every output because all `Z_q` commute.
+    /// batch serves every output because all `Z_q` commute. Each `⟨Z_q⟩`
+    /// is read straight off the sampler's scratch histogram, so the
+    /// output `Vec` is the only allocation.
     ///
     /// # Errors
     ///
@@ -123,8 +127,7 @@ impl Readout {
         rng: &mut R,
     ) -> Result<Vec<f64>, VqcError> {
         self.validate(state.n_qubits())?;
-        let record = qmarl_qsim::shots::measure_shots(state, shots, rng)?;
-        self.evaluate_record(&record)
+        shots::with_state_histogram(state, shots, rng, |h| self.fold_z(|q| h.expectation_z(q)))?
     }
 
     /// Evaluates the readout from `shots` computational-basis samples of
@@ -134,7 +137,7 @@ impl Readout {
     /// # Errors
     ///
     /// Returns [`VqcError::ReadoutOutOfRange`] for a bad wire, or a
-    /// simulator error when `shots == 0`.
+    /// simulator error when `shots == 0` or `ρ`'s diagonal is not finite.
     pub fn evaluate_shots_density<R: rand::Rng + ?Sized>(
         &self,
         rho: &DensityMatrix,
@@ -142,25 +145,21 @@ impl Readout {
         rng: &mut R,
     ) -> Result<Vec<f64>, VqcError> {
         self.validate(rho.n_qubits())?;
-        let record = qmarl_qsim::shots::measure_shots_density(rho, shots, rng)?;
-        self.evaluate_record(&record)
+        shots::with_density_histogram(rho, shots, rng, |h| self.fold_z(|q| h.expectation_z(q)))?
     }
 
-    /// Folds a recorded sample batch through the readout (shared by the
-    /// pure- and mixed-state sampled paths).
-    fn evaluate_record(
-        &self,
-        record: &qmarl_qsim::shots::ShotRecord,
-    ) -> Result<Vec<f64>, VqcError> {
+    /// Folds per-wire `⟨Z_q⟩` estimates through the readout (shared by
+    /// the pure- and mixed-state sampled paths).
+    fn fold_z(&self, z: impl Fn(usize) -> Result<f64, QsimError>) -> Result<Vec<f64>, VqcError> {
         match self {
             Readout::ZPerQubit { qubits } => qubits
                 .iter()
-                .map(|&q| record.expectation_z(q).map_err(VqcError::from))
+                .map(|&q| z(q).map_err(VqcError::from))
                 .collect(),
             Readout::WeightedZSum { weights } => {
                 let mut acc = 0.0;
                 for (q, w) in weights.iter().enumerate() {
-                    acc += w * record.expectation_z(q)?;
+                    acc += w * z(q)?;
                 }
                 Ok(vec![acc])
             }
@@ -273,6 +272,43 @@ mod tests {
             .evaluate_shots(&s, 100, &mut rng)
             .is_err());
         assert!(Readout::z_all(2).evaluate_shots(&s, 0, &mut rng).is_err());
+    }
+
+    #[test]
+    fn histogram_readout_matches_the_shot_record() {
+        use qmarl_qsim::shots::{measure_shots, measure_shots_density};
+        use rand::SeedableRng;
+        let mut s = StateVector::zero(4);
+        for q in 0..4 {
+            s.apply_gate1(q, &Gate1::ry(0.2 + 0.7 * q as f64)).unwrap();
+        }
+        s.apply_cnot(0, 3).unwrap();
+        let rho = DensityMatrix::from_state_vector(&s);
+        let seeded = |seed| rand::rngs::StdRng::seed_from_u64(seed);
+        let readouts = [
+            Readout::z_all(4),
+            Readout::ZPerQubit { qubits: vec![3, 1] },
+            Readout::mean_z(4),
+            Readout::WeightedZSum {
+                weights: vec![0.5, -1.5, 2.0],
+            },
+        ];
+        for (seed, r) in readouts.iter().enumerate() {
+            for shots in [1, 64, 65, 1000] {
+                let seed = seed as u64 * 7919 + shots as u64;
+                let rec = measure_shots(&s, shots, &mut seeded(seed)).unwrap();
+                let expected = r.fold_z(|q| rec.expectation_z(q)).unwrap();
+                let got = r.evaluate_shots(&s, shots, &mut seeded(seed)).unwrap();
+                assert_eq!(got, expected, "{r:?} shots={shots}");
+
+                let rec = measure_shots_density(&rho, shots, &mut seeded(seed)).unwrap();
+                let expected = r.fold_z(|q| rec.expectation_z(q)).unwrap();
+                let got = r
+                    .evaluate_shots_density(&rho, shots, &mut seeded(seed))
+                    .unwrap();
+                assert_eq!(got, expected, "{r:?} shots={shots} (density)");
+            }
+        }
     }
 
     #[test]
