@@ -795,6 +795,26 @@ mod tests {
     }
 
     #[test]
+    fn oversized_trajectory_sample_counts_are_rejected() {
+        // A trajectory backend past the sample cap once passed
+        // validation and aborted the first cell on its slab allocation.
+        let samples = qmarl_runtime::backend::MAX_TRAJECTORY_SAMPLES + 1;
+        let backend = format!("trajectory:p1=0.01:p2=0.02:samples={samples}");
+        let compact = format!("name=x;scenarios=single-hop;backends={backend};seeds=0;epochs=1");
+        assert!(matches!(
+            compact.parse::<ExperimentSpec>(),
+            Err(HarnessError::InvalidSpec(msg)) if msg.contains("samples")
+        ));
+        let json = format!(
+            r#"{{"name":"x","scenarios":["single-hop"],"backends":["{backend}"],"seeds":[0],"epochs":1}}"#
+        );
+        assert!(matches!(
+            ExperimentSpec::from_json(&json),
+            Err(HarnessError::InvalidSpec(_))
+        ));
+    }
+
+    #[test]
     fn labels_and_slugs_are_path_safe() {
         let cell = CellId {
             scenario: "single-hop".into(),

@@ -48,7 +48,7 @@ fn wide() -> bool {
     cfg!(target_arch = "x86_64") && simd::level() == SimdLevel::Avx2
 }
 
-/// Generator axes for the adjoint accumulation kernels ([`adj_acc_slab`]).
+/// Generator axes for the adjoint accumulation kernel ([`adj_acc_slab_multi`]).
 pub const AXIS_X: u8 = 0;
 /// See [`AXIS_X`].
 pub const AXIS_Y: u8 = 1;
@@ -574,82 +574,20 @@ fn check_slab(len: usize, lanes: usize, dim: usize, mt: usize, mc: usize) {
     assert!(mc < dim, "control mask must lie below dim");
 }
 
-/// Adjoint generator accumulation over the whole slab:
-/// `acc[lane] += Σ_i Im(conj(λ_i,lane)·(Gφ)_i,lane)` for the rotation
-/// generator on axis `AXIS` with target mask `mt` (control mask `mc`,
-/// `0` = none; control-clear rows contribute exactly zero and are
-/// skipped). The generator row is rebuilt from φ on the fly —
-/// `X: (Gφ)ᵢ = φ_{i⊕mt}`; `Y: (x.im, −x.re)`/`(−x.im, x.re)` from
-/// `x = φ_{i⊕mt}` on target-clear/-set rows; `Z: ±φᵢ` — and the fold per
-/// lane runs in ascending `i` order. The AVX2 path builds the generator
-/// with exact sign flips (`xor` of the sign bit ≡ scalar negation) and
-/// folds with the same `mul, mul, sub, add` per term, so it is
-/// bit-identical to the scalar path.
-#[inline]
-pub fn adj_acc_slab<const AXIS: u8>(
-    acc: &mut [f64],
-    lam: &[Complex64],
-    phi: &[Complex64],
-    lanes: usize,
-    dim: usize,
-    mt: usize,
-    mc: usize,
-) {
-    check_slab(lam.len(), lanes, dim, mt, mc);
-    assert_eq!(lam.len(), phi.len(), "λ and φ cover the same slab");
-    assert_eq!(acc.len(), lanes, "one accumulator per lane");
-    #[cfg(target_arch = "x86_64")]
-    if wide() {
-        // SAFETY: `wide()` just verified AVX2 via `simd::level`, and the
-        // checks above proved λ and φ are full `dim·lanes` slabs (with
-        // `mt` a single bit below the power-of-two `dim`, so `i ^ mt`
-        // stays below `dim`) and `acc` holds one slot per lane.
-        unsafe { avx::adj_acc_slab::<AXIS>(acc, lam, phi, lanes, dim, mt, mc) };
-        return;
-    }
-    for i in 0..dim {
-        if i & mc != mc {
-            continue;
-        }
-        let lrow = &lam[i * lanes..(i + 1) * lanes];
-        let src = if AXIS == AXIS_Z {
-            &phi[i * lanes..(i + 1) * lanes]
-        } else {
-            &phi[(i ^ mt) * lanes..(i ^ mt) * lanes + lanes]
-        };
-        let tgt_set = i & mt != 0;
-        for ((a, l), &x) in acc.iter_mut().zip(lrow).zip(src) {
-            let g = match AXIS {
-                AXIS_X => x,
-                AXIS_Y => {
-                    if tgt_set {
-                        Complex64::new(-x.im, x.re)
-                    } else {
-                        Complex64::new(x.im, -x.re)
-                    }
-                }
-                _ => {
-                    if tgt_set {
-                        -x
-                    } else {
-                        x
-                    }
-                }
-            };
-            *a += l.re * g.im - l.im * g.re;
-        }
-    }
-}
-
-/// Multi-λ variant of [`adj_acc_slab`]: folds the same generator rows
-/// against every adjoint state in one slab walk. The loop runs row-major
-/// over `i`, building the generator row once into the `gbuf` scratch
-/// (`lanes` entries) and then folding each `lams[j]` row against it, so
-/// φ is read once per row instead of once per observable. `accs` holds
-/// `lams.len() * lanes` accumulators (`accs[j*lanes..]` belongs to
-/// `lams[j]`). Each `(j, lane)` accumulator still folds in ascending-`i`
-/// order with the identical per-term arithmetic, so the result is
-/// bit-identical to calling [`adj_acc_slab`] once per observable.
+/// Adjoint generator accumulation over the whole slab, for every adjoint
+/// state at once: `accs[j·lanes + lane] += Σ_i Im(conj(λ_j,i,lane)·(Gφ)_i,lane)`
+/// for the rotation generator on axis `AXIS` with target mask `mt`
+/// (control mask `mc`, `0` = none; control-clear rows contribute exactly
+/// zero and are skipped). The loop runs row-major over `i`, rebuilding
+/// the generator row from φ once into the `gbuf` scratch (`lanes`
+/// entries) — `X: (Gφ)ᵢ = φ_{i⊕mt}`; `Y: (x.im, −x.re)`/`(−x.im, x.re)`
+/// from `x = φ_{i⊕mt}` on target-clear/-set rows; `Z: ±φᵢ` — and then
+/// folding each `lams[j]` row against it, so φ is read once per row
+/// instead of once per observable. Each `(j, lane)` accumulator folds in
+/// ascending-`i` order. The AVX2 path builds the generator with exact
+/// sign flips (`xor` of the sign bit ≡ scalar negation) and folds with
+/// the same `mul, mul, sub, add` per term, so it is bit-identical to the
+/// scalar path.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn adj_acc_slab_multi<const AXIS: u8>(
@@ -1324,106 +1262,6 @@ mod avx {
         }
     }
 
-    /// Whole-slab adjoint generator fold.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be enabled; `lam` and `phi` must both hold exactly
-    /// `dim · lanes` complexes with `mt` a single bit below the
-    /// power-of-two `dim` (so the `i ^ mt` generator row index stays
-    /// below `dim`), and `acc` must hold `lanes` slots — the raw reads
-    /// and accumulator writes are bounded by exactly these lengths.
-    /// The safe dispatcher asserts all of them.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn adj_acc_slab<const AXIS: u8>(
-        acc: &mut [f64],
-        lam: &[Complex64],
-        phi: &[Complex64],
-        lanes: usize,
-        dim: usize,
-        mt: usize,
-        mc: usize,
-    ) {
-        // Sign masks: xor with −0.0 is the exact scalar negation.
-        let neg_im = _mm256_set_pd(-0.0, 0.0, -0.0, 0.0);
-        let neg_re = _mm256_set_pd(0.0, -0.0, 0.0, -0.0);
-        let neg_all = _mm256_set1_pd(-0.0);
-        let pl = lam.as_ptr() as *const f64;
-        let pp = phi.as_ptr() as *const f64;
-        let pa = acc.as_mut_ptr();
-        for i in 0..dim {
-            if i & mc != mc {
-                continue;
-            }
-            let lbase = pl.add(2 * i * lanes);
-            let gbase = if AXIS == super::AXIS_Z {
-                pp.add(2 * i * lanes)
-            } else {
-                pp.add(2 * (i ^ mt) * lanes)
-            };
-            let tgt_set = i & mt != 0;
-            let mut k = 0;
-            while k + 2 <= lanes {
-                let lv = _mm256_loadu_pd(lbase.add(2 * k));
-                let xv = _mm256_loadu_pd(gbase.add(2 * k));
-                // Build the generator row exactly as the scalar path:
-                // X: g = x; Y: swap re/im then sign-flip one slot;
-                // Z target-set: g = −x.
-                let gv = match AXIS {
-                    super::AXIS_X => xv,
-                    super::AXIS_Y => {
-                        let sw = _mm256_permute_pd(xv, 0b0101);
-                        if tgt_set {
-                            _mm256_xor_pd(sw, neg_re)
-                        } else {
-                            _mm256_xor_pd(sw, neg_im)
-                        }
-                    }
-                    _ => {
-                        if tgt_set {
-                            _mm256_xor_pd(xv, neg_all)
-                        } else {
-                            xv
-                        }
-                    }
-                };
-                // The scalar fold's arithmetic: mul, mul, sub, add.
-                let p = _mm256_mul_pd(lv, _mm256_permute_pd(gv, 0b0101));
-                let h = _mm256_hsub_pd(p, p);
-                let pair =
-                    _mm_shuffle_pd(_mm256_castpd256_pd128(h), _mm256_extractf128_pd(h, 1), 0b00);
-                _mm_storeu_pd(pa.add(k), _mm_add_pd(_mm_loadu_pd(pa.add(k)), pair));
-                k += 2;
-            }
-            if k < lanes {
-                let l = *lam.get_unchecked(i * lanes + k);
-                let x = if AXIS == super::AXIS_Z {
-                    *phi.get_unchecked(i * lanes + k)
-                } else {
-                    *phi.get_unchecked((i ^ mt) * lanes + k)
-                };
-                let g = match AXIS {
-                    super::AXIS_X => x,
-                    super::AXIS_Y => {
-                        if tgt_set {
-                            Complex64::new(-x.im, x.re)
-                        } else {
-                            Complex64::new(x.im, -x.re)
-                        }
-                    }
-                    _ => {
-                        if tgt_set {
-                            -x
-                        } else {
-                            x
-                        }
-                    }
-                };
-                *pa.add(k) += l.re * g.im - l.im * g.re;
-            }
-        }
-    }
-
     /// Multi-λ whole-slab adjoint generator fold.
     ///
     /// # Safety
@@ -1446,6 +1284,7 @@ mod avx {
         mt: usize,
         mc: usize,
     ) {
+        // Sign masks: xor with −0.0 is the exact scalar negation.
         let neg_im = _mm256_set_pd(-0.0, 0.0, -0.0, 0.0);
         let neg_re = _mm256_set_pd(0.0, -0.0, 0.0, -0.0);
         let neg_all = _mm256_set1_pd(-0.0);
@@ -1462,8 +1301,8 @@ mod avx {
                 pp.add(2 * (i ^ mt) * lanes)
             };
             let tgt_set = i & mt != 0;
-            // Build the generator row once into the scratch; the values
-            // are the same xor-sign builds as the single-λ kernel.
+            // Build the generator row once into the scratch: X is φ, Y
+            // swaps re/im then sign-flips one slot, Z target-set is −φ.
             let mut k = 0;
             while k + 2 <= lanes {
                 let xv = _mm256_loadu_pd(gbase.add(2 * k));
@@ -1512,8 +1351,8 @@ mod avx {
                     }
                 };
             }
-            // Fold every λ row against the shared generator row with the
-            // exact mul, permute, hsub, add sequence of the single-λ path.
+            // Fold every λ row against the shared generator row: mul,
+            // permute, hsub, add — the scalar fold's mul, mul, sub, add.
             for (j, lam) in lams.iter().enumerate() {
                 let lbase = (lam.as_ptr() as *const f64).add(2 * i * lanes);
                 let paj = pa.add(j * lanes);
@@ -1665,64 +1504,82 @@ mod tests {
         }
     }
 
+    /// Runs [`adj_acc_slab_multi`] at a runtime-chosen axis.
+    #[allow(clippy::too_many_arguments)]
+    fn adj_multi(
+        axis: u8,
+        accs: &mut [f64],
+        lams: &[&[Complex64]],
+        phi: &[Complex64],
+        lanes: usize,
+        dim: usize,
+        mt: usize,
+        mc: usize,
+    ) {
+        let mut gbuf = vec![Complex64::ZERO; lanes];
+        match axis {
+            AXIS_X => adj_acc_slab_multi::<AXIS_X>(accs, lams, phi, &mut gbuf, lanes, dim, mt, mc),
+            AXIS_Y => adj_acc_slab_multi::<AXIS_Y>(accs, lams, phi, &mut gbuf, lanes, dim, mt, mc),
+            _ => adj_acc_slab_multi::<AXIS_Z>(accs, lams, phi, &mut gbuf, lanes, dim, mt, mc),
+        }
+    }
+
+    /// The dispatch levels this machine can run.
+    fn levels() -> Vec<SimdLevel> {
+        let mut v = vec![SimdLevel::Scalar];
+        if simd::wide_supported() {
+            v.push(SimdLevel::Avx2);
+        }
+        v
+    }
+
     #[test]
     fn adj_acc_slab_bit_identical_and_matches_reference() {
+        // At 1 and at 3 λ, on both dispatch paths, the adjoint kernel
+        // must equal the naive reference: materialise the generator row
+        // and fold each λ with the same per-term arithmetic.
         let dim = 8;
         let mt = 2usize;
         for lanes in 1..6usize {
             let phi = busy_row(dim * lanes, 0.4);
-            let lam = busy_row(dim * lanes, 2.2);
-            for mc in [0usize, 4] {
-                for axis in [AXIS_X, AXIS_Y, AXIS_Z] {
-                    let run = |acc: &mut [f64]| match axis {
-                        AXIS_X => adj_acc_slab::<AXIS_X>(acc, &lam, &phi, lanes, dim, mt, mc),
-                        AXIS_Y => adj_acc_slab::<AXIS_Y>(acc, &lam, &phi, lanes, dim, mt, mc),
-                        _ => adj_acc_slab::<AXIS_Z>(acc, &lam, &phi, lanes, dim, mt, mc),
-                    };
-                    let mut s = vec![0.0f64; lanes];
-                    simd::force(SimdLevel::Scalar);
-                    run(&mut s);
-                    // Naive reference: materialise the generator row and
-                    // fold with the same per-term arithmetic.
-                    let mut want = vec![0.0f64; lanes];
-                    for i in 0..dim {
-                        if i & mc != mc {
-                            continue;
-                        }
-                        for k in 0..lanes {
-                            let l = lam[i * lanes + k];
-                            let x = if axis == AXIS_Z {
-                                phi[i * lanes + k]
-                            } else {
-                                phi[(i ^ mt) * lanes + k]
-                            };
-                            let g = match axis {
-                                AXIS_X => x,
-                                AXIS_Y => {
-                                    if i & mt != 0 {
-                                        Complex64::new(-x.im, x.re)
-                                    } else {
-                                        Complex64::new(x.im, -x.re)
-                                    }
+            for n_lam in [1usize, 3] {
+                let lams: Vec<Vec<Complex64>> = (0..n_lam)
+                    .map(|j| busy_row(dim * lanes, 1.1 + j as f64))
+                    .collect();
+                let lrefs: Vec<&[Complex64]> = lams.iter().map(|l| l.as_slice()).collect();
+                for mc in [0usize, 4] {
+                    for axis in [AXIS_X, AXIS_Y, AXIS_Z] {
+                        let mut want = vec![0.0f64; n_lam * lanes];
+                        for i in (0..dim).filter(|i| i & mc == mc) {
+                            for k in 0..lanes {
+                                let x = if axis == AXIS_Z {
+                                    phi[i * lanes + k]
+                                } else {
+                                    phi[(i ^ mt) * lanes + k]
+                                };
+                                let g = match axis {
+                                    AXIS_X => x,
+                                    AXIS_Y if i & mt != 0 => Complex64::new(-x.im, x.re),
+                                    AXIS_Y => Complex64::new(x.im, -x.re),
+                                    _ if i & mt != 0 => -x,
+                                    _ => x,
+                                };
+                                for (j, lam) in lams.iter().enumerate() {
+                                    let l = lam[i * lanes + k];
+                                    want[j * lanes + k] += l.re * g.im - l.im * g.re;
                                 }
-                                _ => {
-                                    if i & mt != 0 {
-                                        -x
-                                    } else {
-                                        x
-                                    }
-                                }
-                            };
-                            want[k] += l.re * g.im - l.im * g.re;
+                            }
                         }
-                    }
-                    assert_eq!(s, want, "axis {axis} reference (lanes={lanes}, mc={mc})");
-                    if simd::wide_supported() {
-                        let mut w = vec![0.0f64; lanes];
-                        simd::force(SimdLevel::Avx2);
-                        run(&mut w);
-                        simd::force(SimdLevel::Scalar);
-                        assert_eq!(s, w, "axis {axis} diverged (lanes={lanes}, mc={mc})");
+                        for level in levels() {
+                            let mut got = vec![0.0f64; n_lam * lanes];
+                            simd::force(level);
+                            adj_multi(axis, &mut got, &lrefs, &phi, lanes, dim, mt, mc);
+                            simd::force(SimdLevel::Scalar);
+                            assert_eq!(
+                                got, want,
+                                "axis {axis}, {n_lam} λ, lanes={lanes}, mc={mc}, {level:?}"
+                            );
+                        }
                     }
                 }
             }
@@ -1731,8 +1588,8 @@ mod tests {
 
     #[test]
     fn adj_acc_slab_multi_bit_identical_to_per_observable() {
-        // The multi-λ kernel must reproduce per-observable adj_acc_slab
-        // calls bit-for-bit, on both dispatch paths.
+        // Folding three λ in one slab walk must reproduce one-λ calls per
+        // observable bit-for-bit, on both dispatch paths.
         let dim = 8;
         let mt = 2usize;
         for lanes in 1..6usize {
@@ -1743,39 +1600,17 @@ mod tests {
             let lrefs: Vec<&[Complex64]> = lams.iter().map(|l| l.as_slice()).collect();
             for mc in [0usize, 4] {
                 for axis in [AXIS_X, AXIS_Y, AXIS_Z] {
-                    let single = |acc: &mut [f64], lam: &[Complex64]| match axis {
-                        AXIS_X => adj_acc_slab::<AXIS_X>(acc, lam, &phi, lanes, dim, mt, mc),
-                        AXIS_Y => adj_acc_slab::<AXIS_Y>(acc, lam, &phi, lanes, dim, mt, mc),
-                        _ => adj_acc_slab::<AXIS_Z>(acc, lam, &phi, lanes, dim, mt, mc),
-                    };
-                    let multi = |accs: &mut [f64], gbuf: &mut [Complex64]| match axis {
-                        AXIS_X => adj_acc_slab_multi::<AXIS_X>(
-                            accs, &lrefs, &phi, gbuf, lanes, dim, mt, mc,
-                        ),
-                        AXIS_Y => adj_acc_slab_multi::<AXIS_Y>(
-                            accs, &lrefs, &phi, gbuf, lanes, dim, mt, mc,
-                        ),
-                        _ => adj_acc_slab_multi::<AXIS_Z>(
-                            accs, &lrefs, &phi, gbuf, lanes, dim, mt, mc,
-                        ),
-                    };
-                    for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
-                        if level == SimdLevel::Avx2 && !simd::wide_supported() {
-                            continue;
-                        }
+                    for level in levels() {
                         simd::force(level);
                         let mut want = vec![0.0f64; lams.len() * lanes];
-                        for (j, lam) in lams.iter().enumerate() {
-                            single(&mut want[j * lanes..(j + 1) * lanes], lam);
+                        for (j, lam) in lrefs.iter().enumerate() {
+                            let acc = &mut want[j * lanes..(j + 1) * lanes];
+                            adj_multi(axis, acc, &[lam], &phi, lanes, dim, mt, mc);
                         }
                         let mut got = vec![0.0f64; lams.len() * lanes];
-                        let mut gbuf = vec![Complex64::new(0.0, 0.0); lanes];
-                        multi(&mut got, &mut gbuf);
+                        adj_multi(axis, &mut got, &lrefs, &phi, lanes, dim, mt, mc);
                         simd::force(SimdLevel::Scalar);
-                        assert_eq!(
-                            got, want,
-                            "multi diverged (axis {axis}, lanes={lanes}, mc={mc}, {level:?})"
-                        );
+                        assert_eq!(got, want, "axis {axis} (lanes={lanes}, mc={mc}, {level:?})");
                     }
                 }
             }

@@ -61,6 +61,13 @@ pub(crate) const SHOT_STREAM: u64 = 0x53_48_4F_54; // "SHOT"
 /// are content-addressed exactly like shot streams.
 pub(crate) const TRAJ_STREAM: u64 = 0x54_52_41_4A; // "TRAJ"
 
+/// The most trajectories one evaluation may sample. A trajectory
+/// evaluation holds `2ⁿ · samples` amplitudes, and backend strings come
+/// from sweep specs, so [`ExecutionBackend::validate`] checks the cap
+/// before anything runs: `samples=1000000000` is an
+/// [`RuntimeError::InvalidConfig`], not an allocation abort.
+pub const MAX_TRAJECTORY_SAMPLES: usize = 1 << 16;
+
 /// How compiled circuits are executed and read out.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum ExecutionBackend {
@@ -102,7 +109,8 @@ pub enum ExecutionBackend {
     Trajectory {
         /// The per-gate noise model (sampled, not Kraus-evolved).
         model: NoiseModel,
-        /// Trajectories per evaluation (must be positive).
+        /// Trajectories per evaluation (positive, at most
+        /// [`MAX_TRAJECTORY_SAMPLES`]).
         samples: usize,
         /// Root seed of the derived per-evaluation trajectory streams.
         seed: u64,
@@ -147,13 +155,15 @@ impl ExecutionBackend {
         }
     }
 
-    /// Validates the configuration (positive shot counts, channel
-    /// strengths in `[0, 1]`).
+    /// Validates the configuration (positive shot counts, a trajectory
+    /// sample count in `1..=MAX_TRAJECTORY_SAMPLES`, channel strengths in
+    /// `[0, 1]`).
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidConfig`] on a zero shot budget, or
-    /// a simulator error for a bad noise strength.
+    /// Returns [`RuntimeError::InvalidConfig`] on a zero shot budget or
+    /// an out-of-range sample count, or a simulator error for a bad noise
+    /// strength.
     pub fn validate(&self) -> Result<(), RuntimeError> {
         match self {
             ExecutionBackend::Ideal => Ok(()),
@@ -178,6 +188,11 @@ impl ExecutionBackend {
                     return Err(RuntimeError::InvalidConfig(
                         "trajectory backend needs a positive sample count".into(),
                     ));
+                }
+                if *samples > MAX_TRAJECTORY_SAMPLES {
+                    return Err(RuntimeError::InvalidConfig(format!(
+                        "{samples} trajectory samples exceed the cap of {MAX_TRAJECTORY_SAMPLES}"
+                    )));
                 }
                 model.validate().map_err(RuntimeError::from)
             }
@@ -493,6 +508,27 @@ mod tests {
                 "{spec:?} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn trajectory_sample_count_is_capped() {
+        let spec = |samples: usize| format!("trajectory:p1=0.01:p2=0.02:samples={samples}");
+        let at_cap: ExecutionBackend = spec(MAX_TRAJECTORY_SAMPLES).parse().unwrap();
+        assert!(at_cap.validate().is_ok());
+        // Once a 64 GB slab allocation abort on the first evaluation.
+        for samples in [MAX_TRAJECTORY_SAMPLES + 1, 1_000_000_000] {
+            let err = spec(samples).parse::<ExecutionBackend>().unwrap_err();
+            assert!(matches!(err, RuntimeError::InvalidConfig(ref m) if m.contains("cap")));
+        }
+        let over = ExecutionBackend::Trajectory {
+            model: NoiseModel::depolarizing(0.01, 0.02).unwrap(),
+            samples: MAX_TRAJECTORY_SAMPLES + 1,
+            seed: 0,
+        };
+        assert!(matches!(
+            over.validate(),
+            Err(RuntimeError::InvalidConfig(_))
+        ));
     }
 
     #[test]

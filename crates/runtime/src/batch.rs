@@ -340,7 +340,7 @@ impl BatchExecutor {
                 let pb = prebind_trajectory(compiled, params, model)?;
                 Ok(par::parallel_map(inputs, self.workers, |_, item| {
                     let eval_seed = ExecutionBackend::eval_seed(*seed, item, params, 0);
-                    trajectory_outputs(&pb, readout, item, *samples, eval_seed, None)
+                    trajectory_outputs(&pb, readout, item, *samples, eval_seed)
                 }))
             }
         }

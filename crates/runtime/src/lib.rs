@@ -27,12 +27,15 @@
 //! * [`cache`] — a process-wide compiled-circuit cache keyed by
 //!   structural hash: every clone of a model (and every same-shaped
 //!   model) shares one `Arc<CompiledCircuit>`.
-//! * [`prebound`] — the one statevector forward path: [`prebound::prebind`]
+//! * [`prebound`] — the one statevector execution path: [`prebound::prebind`]
 //!   binds a compiled schedule to frozen parameters (hoisting all
 //!   parameter-only trig), and lane slabs run many inputs through one
 //!   schedule walk; a single request, and each shift-walk prefix and
 //!   fork, is a one-lane slab, which runs the contiguous statevector
-//!   kernels. Also the prebound adjoint engine of the training update.
+//!   kernels. Also the prebound adjoint engine of the training update:
+//!   [`prebound::prebind_adjoint`] binds the raw schedule with every
+//!   op's inverse, and one reverse sweep serves the `Ideal` and the
+//!   trajectory adjoint.
 //! * [`batch`] — [`batch::BatchExecutor`], four entry points: forward
 //!   and adjoint batches over prebound groups (the rollout tick and the
 //!   update sweep), and forward and forward+Jacobian batches of one
@@ -60,7 +63,8 @@
 //!   density lane slabs, replacing the per-gate interpreter walk
 //!   (verified against it at 1e-12).
 //! * [`trajectory`] — the Trajectory executor: `samples` statevectors
-//!   as lanes of one slab walk, per-sample Pauli errors drawn from
+//!   as lanes of one prebound walk (the adjoint binding plus noise
+//!   channels), per-sample Pauli errors drawn from
 //!   derived per-sample streams (worker-count invariant, serial ≡
 //!   batched), converging to the density result at `O(1/√samples)`.
 //! * [`rollout`] — the episode collector: a

@@ -1,8 +1,8 @@
 //! Parameter-prebound schedules: trig hoisted out of the per-circuit loop.
 //!
-//! This is the runtime's **one** statevector forward path. Within a call
-//! the parameters are **frozen**: every circuit of a batch runs the same
-//! compiled schedule under the same parameter vector, varying only in
+//! This is the runtime's **one** statevector execution path. Within a
+//! call the parameters are **frozen**: every circuit of a batch runs the
+//! same compiled schedule under the same parameter vector, varying only in
 //! its input (observation) angles. For the paper's actor that means ~42
 //! of ~46 rotation angles are identical across every evaluation.
 //!
@@ -23,6 +23,12 @@
 //! the parameter-shift gradient, whose `ShiftWalk` walks one item's raw
 //! schedule once and forks every ±shift evaluation from the shared
 //! prefix; prefix and forks are one-lane slabs of the same walker.
+//! [`prebind_adjoint`] adds the inverse of every raw op and the trainable
+//! slot of every occurrence, and `reverse_sweep` is the one adjoint
+//! recursion over them: the `Ideal` adjoint here and the per-trajectory
+//! adjoint of [`crate::trajectory`] (whose binding is this one plus its
+//! noise channels) both run it, and every gate they apply, forward or
+//! inverse, goes through `walk`.
 //!
 //! **Exactness.** Prebinding reorders no floating-point operation: angles
 //! resolve through the same [`FusedAngle::value`] and the `*_sc` kernels
@@ -76,6 +82,9 @@ pub enum PreOp {
         axis: RotationAxis,
         /// Compiled angle expression (may mix input and parameter terms).
         angle: FusedAngle,
+        /// Runs at the negated angle: the inverse op of an adjoint
+        /// binding.
+        negate: bool,
     },
     /// An input-dependent controlled rotation, still symbolic.
     CRot {
@@ -87,6 +96,8 @@ pub enum PreOp {
         axis: RotationAxis,
         /// Compiled angle expression.
         angle: FusedAngle,
+        /// Runs at the negated angle.
+        negate: bool,
     },
     /// CNOT (amplitude-swap fast path).
     Cnot {
@@ -218,80 +229,91 @@ fn prebind_schedule(
             actual: params.len(),
         });
     }
-    let ops = schedule
-        .iter()
-        .map(|gate| match gate {
-            CGate::Rot { qubit, axis, angle } => {
-                if angle.depends_on_inputs() {
-                    PreOp::Rot {
-                        qubit: *qubit,
-                        axis: *axis,
-                        angle: angle.clone(),
-                    }
-                } else {
-                    // No input slot is referenced, so the empty slice can
-                    // never be indexed; the resolved θ and its sin_cos are
-                    // the exact values the plain path would compute.
-                    let theta = angle.value(&[], params);
-                    let (s, c) = (theta / 2.0).sin_cos();
-                    PreOp::RotSC {
-                        qubit: *qubit,
-                        axis: *axis,
-                        s,
-                        c,
-                    }
-                }
-            }
-            CGate::CRot {
-                control,
-                target,
-                axis,
-                angle,
-            } => {
-                if angle.depends_on_inputs() {
-                    PreOp::CRot {
-                        control: *control,
-                        target: *target,
-                        axis: *axis,
-                        angle: angle.clone(),
-                    }
-                } else {
-                    let theta = angle.value(&[], params);
-                    let (s, c) = (theta / 2.0).sin_cos();
-                    PreOp::CRotSC {
-                        control: *control,
-                        target: *target,
-                        axis: *axis,
-                        s,
-                        c,
-                    }
-                }
-            }
-            CGate::Cnot { control, target } => PreOp::Cnot {
-                control: *control,
-                target: *target,
-            },
-            CGate::Cz { control, target } => PreOp::Cz {
-                control: *control,
-                target: *target,
-            },
-            CGate::Fixed { qubit, gate } => PreOp::Fixed {
-                qubit: *qubit,
-                gate: *gate,
-            },
-            CGate::Fixed2 { qa, qb, gate } => PreOp::Fixed2 {
-                qa: *qa,
-                qb: *qb,
-                gate: Box::new(*gate),
-            },
-        })
-        .collect();
     Ok(PreboundCircuit {
         n_qubits: compiled.n_qubits(),
         n_inputs: compiled.n_inputs(),
         params: params.to_vec(),
-        ops,
+        ops: schedule
+            .iter()
+            .map(|gate| bind_gate(gate, params, false))
+            .collect(),
     })
+}
+
+/// Binds one compiled gate, or with `inverse` its inverse: a resolved
+/// rotation takes its trig from `sin_cos(−θ/2)`, an input rotation is
+/// negated at run time, a fixed unitary is replaced by its dagger, and
+/// CNOT and CZ are their own inverses.
+fn bind_gate(gate: &CGate, params: &[f64], inverse: bool) -> PreOp {
+    // No input slot is referenced, so the empty slice can never be
+    // indexed; the resolved θ and its sin_cos are the exact values the
+    // plain path would compute.
+    let trig = |angle: &FusedAngle| {
+        let theta = angle.value(&[], params);
+        let theta = if inverse { -theta } else { theta };
+        (theta / 2.0).sin_cos()
+    };
+    match gate {
+        CGate::Rot { qubit, axis, angle } => {
+            let (qubit, axis) = (*qubit, *axis);
+            if angle.depends_on_inputs() {
+                let angle = angle.clone();
+                PreOp::Rot {
+                    qubit,
+                    axis,
+                    angle,
+                    negate: inverse,
+                }
+            } else {
+                let (s, c) = trig(angle);
+                PreOp::RotSC { qubit, axis, s, c }
+            }
+        }
+        CGate::CRot {
+            control,
+            target,
+            axis,
+            angle,
+        } => {
+            let (control, target, axis) = (*control, *target, *axis);
+            if angle.depends_on_inputs() {
+                let angle = angle.clone();
+                PreOp::CRot {
+                    control,
+                    target,
+                    axis,
+                    angle,
+                    negate: inverse,
+                }
+            } else {
+                let (s, c) = trig(angle);
+                PreOp::CRotSC {
+                    control,
+                    target,
+                    axis,
+                    s,
+                    c,
+                }
+            }
+        }
+        CGate::Cnot { control, target } => PreOp::Cnot {
+            control: *control,
+            target: *target,
+        },
+        CGate::Cz { control, target } => PreOp::Cz {
+            control: *control,
+            target: *target,
+        },
+        CGate::Fixed { qubit, gate } => PreOp::Fixed {
+            qubit: *qubit,
+            gate: if inverse { gate.dagger() } else { *gate },
+        },
+        CGate::Fixed2 { qa, qb, gate } => PreOp::Fixed2 {
+            qa: *qa,
+            qb: *qb,
+            gate: Box::new(if inverse { gate.dagger() } else { *gate }),
+        },
+    }
 }
 
 /// Runs a prebound schedule from `|0…0⟩`, returning the final state: a
@@ -431,10 +453,10 @@ pub(crate) struct LaneScratch {
 }
 
 impl LaneScratch {
-    /// An input-dependent rotation: per-lane `(sin θ/2, cos θ/2)` resolved
-    /// with the exact arithmetic of the per-circuit angle kernels. Rz runs
-    /// as the phase classes `(c, −s)` on target-clear and `(c, s)` on
-    /// target-set rows.
+    /// An input-dependent rotation (at `−θ` when `negate`): per-lane
+    /// `(sin θ/2, cos θ/2)` resolved with the exact arithmetic of the
+    /// per-circuit angle kernels. Rz runs as the phase classes `(c, −s)`
+    /// on target-clear and `(c, s)` on target-set rows.
     #[allow(clippy::too_many_arguments)]
     fn rot(
         &mut self,
@@ -443,19 +465,24 @@ impl LaneScratch {
         mt: usize,
         mc: usize,
         angle: &FusedAngle,
+        negate: bool,
         inputs: &[&[f64]],
         params: &[f64],
     ) {
+        let trig = |lane_inputs: &[f64]| {
+            let theta = angle.value(lane_inputs, params);
+            let theta = if negate { -theta } else { theta };
+            (theta / 2.0).sin_cos()
+        };
         if let [lane_inputs] = inputs {
-            // One lane: a uniform rotation, with no scratch to fill.
-            let (s, c) = (angle.value(lane_inputs, params) / 2.0).sin_cos();
+            // One input vector for every lane: a uniform rotation, with
+            // no scratch to fill.
+            let (s, c) = trig(lane_inputs);
             return slab.rot(axis, mt, mc, s, c);
         }
         self.trig.clear();
-        self.trig.extend(inputs.iter().map(|lane_inputs| {
-            let theta = angle.value(lane_inputs, params);
-            (theta / 2.0).sin_cos()
-        }));
+        self.trig
+            .extend(inputs.iter().map(|lane_inputs| trig(lane_inputs)));
         match axis {
             RotationAxis::X => slab.rot_x_lanes(mt, mc, &self.trig),
             RotationAxis::Y => slab.rot_y_lanes(mt, mc, &self.trig),
@@ -473,9 +500,12 @@ impl LaneScratch {
 }
 
 /// Applies `ops` in order to every lane of `slab` (`slab[amp · lanes +
-/// lane]`, lane `l` bound to `inputs[l]`): the runtime's one statevector
-/// walker. Batched forwards run it over lane chunks, and single states
-/// (`run_prebound`, the shift walk's prefix and forks) over one lane.
+/// lane]`): the runtime's one statevector walker. Lane `l` is bound to
+/// `inputs[l]`, or every lane to `inputs[0]` when one input vector is
+/// given (the trajectories of one evaluation). Batched forwards run it
+/// over lane chunks, single states (`run_prebound`, the shift walk's
+/// prefix and forks) over one lane, and both adjoints over their forward
+/// and inverse ops.
 pub(crate) fn walk(
     slab: &mut [Complex64],
     lanes: usize,
@@ -484,7 +514,10 @@ pub(crate) fn walk(
     params: &[f64],
     scratch: &mut LaneScratch,
 ) {
-    assert_eq!(inputs.len(), lanes, "one input vector per lane");
+    assert!(
+        inputs.len() == lanes || inputs.len() == 1,
+        "one input vector per lane, or one for every lane"
+    );
     let mut slab = rows::Slab::new(slab, lanes);
     for op in ops {
         match op {
@@ -496,17 +529,24 @@ pub(crate) fn walk(
                 s,
                 c,
             } => slab.rot(*axis, 1 << target, 1 << control, *s, *c),
-            PreOp::Rot { qubit, axis, angle } => {
-                scratch.rot(&mut slab, *axis, 1 << qubit, 0, angle, inputs, params);
+            PreOp::Rot {
+                qubit,
+                axis,
+                angle,
+                negate,
+            } => {
+                let mt = 1usize << qubit;
+                scratch.rot(&mut slab, *axis, mt, 0, angle, *negate, inputs, params);
             }
             PreOp::CRot {
                 control,
                 target,
                 axis,
                 angle,
+                negate,
             } => {
                 let (mt, mc) = (1usize << target, 1usize << control);
-                scratch.rot(&mut slab, *axis, mt, mc, angle, inputs, params);
+                scratch.rot(&mut slab, *axis, mt, mc, angle, *negate, inputs, params);
             }
             PreOp::Cnot { control, target } => slab.cnot(1 << control, 1 << target),
             PreOp::Cz { control, target } => slab.cz(1 << control, 1 << target),
@@ -621,11 +661,16 @@ pub(crate) fn run_prebound_slab_raw(pb: &PreboundCircuit, inputs: &[&[f64]]) -> 
 // **Exactness.** The per-lane arithmetic below replicates the serial
 // interpreter *value for value*:
 //
-// * hoisted trig pairs are the exact values `Gate1::rx/ry/rz` compute —
-//   in particular `Gate1::rz` builds its phases via `from_polar(1, ∓θ/2)`
-//   and the inverse gate is built from the *negated angle*, so the
-//   hoisted pairs are recomputed from `−θ` rather than derived by sign
-//   flips (bitwise equality must not assume libm symmetry);
+// * hoisted trig pairs are the values `Gate1::rx/ry` compute, and the
+//   inverse of a rotation is built from the *negated angle*, as the
+//   interpreter builds it;
+// * Z rotations run as the walker's phases `(c, −s)`, `(c, s)` from
+//   `sin_cos(θ/2)`, where `Gate1::rz` builds `from_polar(1, ∓θ/2)`: the
+//   two agree when libm's `sin` is odd and its `cos` even. That
+//   assumption is checked, not trusted: the bit-exact tests against
+//   `jacobian_adjoint` below, the trainer equivalence suite and the
+//   golden runs fail (rather than return a wrong gradient) on a libm
+//   without that symmetry, at every SIMD level;
 // * the specialised pair/phase updates are value-identical to the generic
 //   complex 2×2 product against rotation matrices (the dropped terms are
 //   exact-zero products, and IEEE-754 makes `x·(−s) ≡ −(x·s)` and
@@ -641,144 +686,46 @@ pub(crate) fn run_prebound_slab_raw(pb: &PreboundCircuit, inputs: &[&[f64]]) -> 
 use qmarl_vqc::grad::Jacobian;
 use qmarl_vqc::observable::Readout;
 
-/// The two diagonal phases of `Gate1::rz(θ)` exactly as the interpreter
-/// builds them: `(pr0, pi0) = e^{−iθ/2}`, `(pr1, pi1) = e^{iθ/2}`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct ZPhases {
-    pr0: f64,
-    pi0: f64,
-    pr1: f64,
-    pi1: f64,
-}
-
-impl ZPhases {
-    fn of(theta: f64) -> Self {
-        ZPhases {
-            pr0: (-theta / 2.0).cos(),
-            pi0: (-theta / 2.0).sin(),
-            pr1: (theta / 2.0).cos(),
-            pi1: (theta / 2.0).sin(),
-        }
-    }
-}
-
-/// `(sin θ/2, cos θ/2)` as `Gate1::rx`/`Gate1::ry` evaluate them.
-fn xy_trig(theta: f64) -> (f64, f64) {
-    ((theta / 2.0).sin(), (theta / 2.0).cos())
-}
-
-/// One gate of a prebound adjoint schedule (raw, unfused order).
-/// Resolved rotations carry hoisted forward **and** inverse trig.
-#[derive(Debug, Clone, PartialEq)]
-enum AdjGate {
-    /// X/Y rotation resolved at prebind time.
-    RotSC {
-        qubit: usize,
-        axis: RotationAxis,
-        fwd: (f64, f64),
-        inv: (f64, f64),
-    },
-    /// Z rotation resolved at prebind time.
-    RotZSC {
-        qubit: usize,
-        fwd: ZPhases,
-        inv: ZPhases,
-    },
-    /// Input-dependent rotation (any axis), still symbolic.
-    RotSym {
-        qubit: usize,
-        axis: RotationAxis,
-        angle: FusedAngle,
-    },
-    /// Controlled X/Y rotation resolved at prebind time.
-    CRotSC {
-        control: usize,
-        target: usize,
-        axis: RotationAxis,
-        fwd: (f64, f64),
-        inv: (f64, f64),
-    },
-    /// Controlled Z rotation resolved at prebind time.
-    CRotZSC {
-        control: usize,
-        target: usize,
-        fwd: ZPhases,
-        inv: ZPhases,
-    },
-    /// Input-dependent controlled rotation, still symbolic.
-    CRotSym {
-        control: usize,
-        target: usize,
-        axis: RotationAxis,
-        angle: FusedAngle,
-    },
-    /// CNOT (self-inverse swap fast path).
-    Cnot { control: usize, target: usize },
-    /// CZ (self-inverse sign-flip fast path).
-    Cz { control: usize, target: usize },
-    /// A fixed unitary with its dagger hoisted.
-    Fixed {
-        qubit: usize,
-        gate: Gate1,
-        dag: Gate1,
-    },
-}
-
-/// One op of the adjoint schedule plus its trainable-parameter slot.
-#[derive(Debug, Clone, PartialEq)]
-struct AdjOp {
-    gate: AdjGate,
-    param: Option<usize>,
-}
-
 /// A raw (unfused) schedule bound to one frozen parameter vector for
-/// adjoint differentiation: forward and inverse trig of every
-/// parameter-only rotation hoisted, fixed-gate daggers premultiplied,
-/// trainable occurrences annotated.
+/// adjoint differentiation: the raw schedule's prebound ops, plus two
+/// tables aligned with them — every op's inverse and the trainable
+/// parameter each op consumes, if any.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreboundAdjoint {
-    n_qubits: usize,
-    n_inputs: usize,
-    n_params: usize,
-    params: Vec<f64>,
-    ops: Vec<AdjOp>,
+    fwd: PreboundCircuit,
+    inv: Vec<PreOp>,
+    param_of: Vec<Option<usize>>,
 }
 
 impl PreboundAdjoint {
     /// Register width.
     pub fn n_qubits(&self) -> usize {
-        self.n_qubits
+        self.fwd.n_qubits
     }
 
     /// Expected input-vector length.
     pub fn n_inputs(&self) -> usize {
-        self.n_inputs
+        self.fwd.n_inputs
     }
 
     /// Trainable-parameter arity (Jacobian columns).
     pub fn n_params(&self) -> usize {
-        self.n_params
+        self.fwd.params.len()
     }
 
     /// The frozen parameter vector this schedule was bound with.
     pub fn params(&self) -> &[f64] {
-        &self.params
+        &self.fwd.params
     }
 
     /// Number of rotations whose trig was hoisted (diagnostic).
     pub fn resolved_rotations(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| {
-                matches!(
-                    op.gate,
-                    AdjGate::RotSC { .. }
-                        | AdjGate::RotZSC { .. }
-                        | AdjGate::CRotSC { .. }
-                        | AdjGate::CRotZSC { .. }
-                )
-            })
-            .count()
+        self.fwd.resolved_rotations()
+    }
+
+    /// The forward ops, in raw-schedule order.
+    pub(crate) fn ops(&self) -> &[PreOp] {
+        &self.fwd.ops
     }
 }
 
@@ -794,249 +741,28 @@ pub fn prebind_adjoint(
     compiled: &CompiledCircuit,
     params: &[f64],
 ) -> Result<PreboundAdjoint, RuntimeError> {
-    if params.len() != compiled.n_params() {
-        return Err(RuntimeError::ParamLenMismatch {
-            expected: compiled.n_params(),
-            actual: params.len(),
-        });
-    }
-    let mut param_of = vec![None; compiled.raw_schedule().len()];
+    let fwd = prebind_raw(compiled, params)?;
+    let raw = compiled.raw_schedule();
+    let inv = raw
+        .iter()
+        .map(|gate| bind_gate(gate, params, true))
+        .collect();
+    let mut param_of = vec![None; raw.len()];
     for occ in compiled.occurrences() {
         param_of[occ.raw_idx] = Some(occ.param);
     }
-    let ops = compiled
-        .raw_schedule()
-        .iter()
-        .enumerate()
-        .map(|(k, gate)| {
-            let gate = match gate {
-                CGate::Rot { qubit, axis, angle } => {
-                    if angle.depends_on_inputs() {
-                        AdjGate::RotSym {
-                            qubit: *qubit,
-                            axis: *axis,
-                            angle: angle.clone(),
-                        }
-                    } else {
-                        let theta = angle.value(&[], params);
-                        match axis {
-                            RotationAxis::Z => AdjGate::RotZSC {
-                                qubit: *qubit,
-                                fwd: ZPhases::of(theta),
-                                inv: ZPhases::of(-theta),
-                            },
-                            _ => AdjGate::RotSC {
-                                qubit: *qubit,
-                                axis: *axis,
-                                fwd: xy_trig(theta),
-                                inv: xy_trig(-theta),
-                            },
-                        }
-                    }
-                }
-                CGate::CRot {
-                    control,
-                    target,
-                    axis,
-                    angle,
-                } => {
-                    if angle.depends_on_inputs() {
-                        AdjGate::CRotSym {
-                            control: *control,
-                            target: *target,
-                            axis: *axis,
-                            angle: angle.clone(),
-                        }
-                    } else {
-                        let theta = angle.value(&[], params);
-                        match axis {
-                            RotationAxis::Z => AdjGate::CRotZSC {
-                                control: *control,
-                                target: *target,
-                                fwd: ZPhases::of(theta),
-                                inv: ZPhases::of(-theta),
-                            },
-                            _ => AdjGate::CRotSC {
-                                control: *control,
-                                target: *target,
-                                axis: *axis,
-                                fwd: xy_trig(theta),
-                                inv: xy_trig(-theta),
-                            },
-                        }
-                    }
-                }
-                CGate::Cnot { control, target } => AdjGate::Cnot {
-                    control: *control,
-                    target: *target,
-                },
-                CGate::Cz { control, target } => AdjGate::Cz {
-                    control: *control,
-                    target: *target,
-                },
-                CGate::Fixed { qubit, gate } => AdjGate::Fixed {
-                    qubit: *qubit,
-                    gate: *gate,
-                    dag: gate.dagger(),
-                },
-                CGate::Fixed2 { .. } => {
-                    // xcheck: allow(no-panic-serve) — entangler fusion writes
-                    // Fixed2 only into the fused schedule; the raw schedule
-                    // bound here is the source circuit's ops 1:1.
-                    unreachable!("entangler fusion never emits Fixed2 into the raw schedule")
-                }
-            };
-            AdjOp {
-                gate,
-                param: param_of[k],
-            }
-        })
-        .collect();
-    Ok(PreboundAdjoint {
-        n_qubits: compiled.n_qubits(),
-        n_inputs: compiled.n_inputs(),
-        n_params: compiled.n_params(),
-        params: params.to_vec(),
-        ops,
-    })
+    Ok(PreboundAdjoint { fwd, inv, param_of })
 }
 
-/// Fills the per-lane trig scratch for an input-dependent rotation (a
-/// no-op for every other gate kind). Split out of the application so the
-/// reverse sweep resolves each symbolic op's trig **once** and reuses it
-/// across the φ and every λ un-apply — the values are identical either
-/// way, only the redundant sin/cos work goes away.
-fn resolve_sym_trig(
-    gate: &AdjGate,
-    inverse: bool,
-    inputs: &[&[f64]],
-    params: &[f64],
-    xy: &mut Vec<(f64, f64)>,
-    zlo: &mut Vec<(f64, f64)>,
-    zhi: &mut Vec<(f64, f64)>,
-) {
-    let (axis, angle) = match gate {
-        AdjGate::RotSym { axis, angle, .. } | AdjGate::CRotSym { axis, angle, .. } => {
-            (*axis, angle)
-        }
-        _ => return,
-    };
-    match axis {
-        RotationAxis::Z => {
-            zlo.clear();
-            zhi.clear();
-            for li in inputs {
-                let theta = angle.value(li, params);
-                let z = ZPhases::of(if inverse { -theta } else { theta });
-                zlo.push((z.pr0, z.pi0));
-                zhi.push((z.pr1, z.pi1));
-            }
-        }
-        _ => {
-            xy.clear();
-            xy.extend(inputs.iter().map(|li| {
-                let theta = angle.value(li, params);
-                xy_trig(if inverse { -theta } else { theta })
-            }));
-        }
-    }
-}
-
-/// Applies one adjoint-schedule gate (or its inverse) to a lane slab.
-/// `xy`/`zp` are per-lane trig scratch buffers reused across gates.
-#[allow(clippy::too_many_arguments)]
-fn adj_apply(
-    gate: &AdjGate,
-    inverse: bool,
-    slab: &mut [Complex64],
-    lanes: usize,
-    inputs: &[&[f64]],
-    params: &[f64],
-    xy: &mut Vec<(f64, f64)>,
-    zlo: &mut Vec<(f64, f64)>,
-    zhi: &mut Vec<(f64, f64)>,
-) {
-    resolve_sym_trig(gate, inverse, inputs, params, xy, zlo, zhi);
-    adj_apply_resolved(gate, inverse, slab, lanes, xy, zlo, zhi);
-}
-
-/// [`adj_apply`] with any input-dependent trig already resolved into
-/// `xy`/`zlo`/`zhi` by [`resolve_sym_trig`].
-#[allow(clippy::too_many_arguments)]
-fn adj_apply_resolved(
-    gate: &AdjGate,
-    inverse: bool,
-    slab: &mut [Complex64],
-    lanes: usize,
-    xy: &[(f64, f64)],
-    zlo: &[(f64, f64)],
-    zhi: &[(f64, f64)],
-) {
-    let mut slab = rows::Slab::new(slab, lanes);
-    let sym = |slab: &mut rows::Slab<'_>, axis: RotationAxis, mt: usize, mc: usize| match axis {
-        RotationAxis::X => slab.rot_x_lanes(mt, mc, xy),
-        RotationAxis::Y => slab.rot_y_lanes(mt, mc, xy),
-        RotationAxis::Z => slab.phase_lanes(mt, mc, zlo, zhi),
-    };
-    match gate {
-        AdjGate::RotSC {
-            qubit,
-            axis,
-            fwd,
-            inv,
-        } => {
-            let (s, c) = if inverse { *inv } else { *fwd };
-            slab.rot(*axis, 1 << qubit, 0, s, c);
-        }
-        AdjGate::RotZSC { qubit, fwd, inv } => {
-            let z = if inverse { inv } else { fwd };
-            slab.phase(1 << qubit, 0, (z.pr0, z.pi0), (z.pr1, z.pi1));
-        }
-        AdjGate::RotSym { qubit, axis, .. } => sym(&mut slab, *axis, 1 << qubit, 0),
-        AdjGate::CRotSC {
-            control,
-            target,
-            axis,
-            fwd,
-            inv,
-        } => {
-            let (s, c) = if inverse { *inv } else { *fwd };
-            slab.rot(*axis, 1 << target, 1 << control, s, c);
-        }
-        AdjGate::CRotZSC {
-            control,
-            target,
-            fwd,
-            inv,
-        } => {
-            let z = if inverse { inv } else { fwd };
-            let (mt, mc) = (1usize << target, 1usize << control);
-            slab.phase(mt, mc, (z.pr0, z.pi0), (z.pr1, z.pi1));
-        }
-        AdjGate::CRotSym {
-            control,
-            target,
-            axis,
-            ..
-        } => sym(&mut slab, *axis, 1 << target, 1 << control),
-        AdjGate::Cnot { control, target } => slab.cnot(1 << control, 1 << target),
-        AdjGate::Cz { control, target } => slab.cz(1 << control, 1 << target),
-        AdjGate::Fixed { qubit, gate, dag } => {
-            slab.gate1(1 << qubit, if inverse { dag } else { gate });
-        }
-    }
-}
-
-/// An output observable of the adjoint sweep (λ construction). Shared
-/// with the trajectory adjoint in [`crate::trajectory`].
-pub(crate) enum SlabObservable {
+/// An output observable of the adjoint sweep (λ construction).
+enum SlabObservable {
     SingleZ(usize),
     WeightedZ(Vec<f64>),
 }
 
 impl SlabObservable {
     /// The λ observables of a readout, in output order.
-    pub(crate) fn of_readout(readout: &Readout) -> Vec<SlabObservable> {
+    fn of_readout(readout: &Readout) -> Vec<SlabObservable> {
         match readout {
             Readout::ZPerQubit { qubits } => {
                 qubits.iter().map(|&q| SlabObservable::SingleZ(q)).collect()
@@ -1047,7 +773,7 @@ impl SlabObservable {
 
     /// `O|ψ⟩` over a whole lane slab, mirroring the serial observable
     /// application amplitude for amplitude.
-    pub(crate) fn apply_slab(&self, slab: &[Complex64], lanes: usize) -> Vec<Complex64> {
+    fn apply_slab(&self, slab: &[Complex64], lanes: usize) -> Vec<Complex64> {
         let mut out = slab.to_vec();
         let dim = slab.len() / lanes.max(1);
         match self {
@@ -1110,7 +836,7 @@ impl SlabObservable {
 ///   `mul, mul, sub, add` (`hsub` subtracts the same two products) —
 ///   bit-identical by construction and asserted in its parity test.
 fn accumulate_generator_im(
-    gate: &AdjGate,
+    op: &PreOp,
     phi: &[Complex64],
     lambdas: &[&[Complex64]],
     lanes: usize,
@@ -1118,26 +844,20 @@ fn accumulate_generator_im(
     accs: &mut [f64],
     gbuf: &mut [Complex64],
 ) {
-    let (control, target, axis) = match *gate {
-        AdjGate::RotSC { qubit, axis, .. } | AdjGate::RotSym { qubit, axis, .. } => {
-            (None, qubit, axis)
-        }
-        AdjGate::RotZSC { qubit, .. } => (None, qubit, RotationAxis::Z),
-        AdjGate::CRotSC {
+    let (control, target, axis) = match *op {
+        PreOp::RotSC { qubit, axis, .. } | PreOp::Rot { qubit, axis, .. } => (None, qubit, axis),
+        PreOp::CRotSC {
             control,
             target,
             axis,
             ..
         }
-        | AdjGate::CRotSym {
+        | PreOp::CRot {
             control,
             target,
             axis,
             ..
         } => (Some(control), target, axis),
-        AdjGate::CRotZSC {
-            control, target, ..
-        } => (Some(control), target, RotationAxis::Z),
         // xcheck: allow(no-panic-serve) — the reverse sweep calls this only
         // for ops with a trainable slot, which prebinding sets on rotations.
         _ => unreachable!("generator requested for non-parameterised op"),
@@ -1157,6 +877,69 @@ fn accumulate_generator_im(
     }
 }
 
+/// The adjoint recursion both adjoints share, from the forward slab `φ`
+/// (`lanes` lanes bound to `inputs`, as in [`walk`]). It builds
+/// `λ_j = O_j φ` for every output of `readout`, then, from the last op
+/// down to the first trainable one:
+///
+/// 1. `hook(k, φ, λs)` — the trajectory un-applies op `k`'s recorded
+///    Pauli patches here;
+/// 2. accumulates `Im⟨λ_j|G|φ⟩` into `accs[j · lanes + lane]` when op `k`
+///    is trainable (φ is the state *after* op `k`, exactly like the
+///    serial sweep) and
+/// 3. hands them to `fold(param, accs)`;
+/// 4. un-applies op `k` from φ and every λ through [`walk`].
+///
+/// States before the first trainable op (the input-encoder prefix) are
+/// never read, so the sweep ends right after that op's contribution.
+pub(crate) fn reverse_sweep(
+    pa: &PreboundAdjoint,
+    readout: &Readout,
+    phi: &mut [Complex64],
+    lanes: usize,
+    inputs: &[&[f64]],
+    mut hook: impl FnMut(usize, &mut [Complex64], &mut [Vec<Complex64>]),
+    mut fold: impl FnMut(usize, &[f64]),
+) {
+    let Some(first_param) = pa.param_of.iter().position(Option::is_some) else {
+        return;
+    };
+    let dim = phi.len() / lanes;
+    let mut lambdas: Vec<Vec<Complex64>> = SlabObservable::of_readout(readout)
+        .iter()
+        .map(|o| o.apply_slab(phi, lanes))
+        .collect();
+    let mut accs = vec![0.0f64; lambdas.len() * lanes];
+    let mut gbuf = vec![Complex64::ZERO; lanes];
+    let mut scratch = LaneScratch::default();
+    let params = pa.params();
+    for k in (first_param..pa.inv.len()).rev() {
+        hook(k, phi, &mut lambdas);
+        if let Some(p) = pa.param_of[k] {
+            accs.fill(0.0);
+            let lrefs: Vec<&[Complex64]> = lambdas.iter().map(|l| l.as_slice()).collect();
+            accumulate_generator_im(
+                &pa.fwd.ops[k],
+                phi,
+                &lrefs,
+                lanes,
+                dim,
+                &mut accs,
+                &mut gbuf,
+            );
+            fold(p, &accs);
+        }
+        if k == first_param {
+            break;
+        }
+        let undo = &pa.inv[k..=k];
+        walk(phi, lanes, undo, inputs, params, &mut scratch);
+        for lam in &mut lambdas {
+            walk(lam, lanes, undo, inputs, params, &mut scratch);
+        }
+    }
+}
+
 /// Runs the adjoint sweep over all `inputs` lanes in one pair of schedule
 /// walks (forward, then reverse reusing the forward slab), returning each
 /// lane's `(raw readout vector, circuit-parameter Jacobian)`.
@@ -1173,69 +956,20 @@ pub(crate) fn run_adjoint_slab(
     if lanes == 0 {
         return Vec::new();
     }
-    let dim = 1usize << pa.n_qubits;
-    let n_out = readout.output_len();
-    let mut xy: Vec<(f64, f64)> = Vec::with_capacity(lanes);
-    let mut zlo: Vec<(f64, f64)> = Vec::with_capacity(lanes);
-    let mut zhi: Vec<(f64, f64)> = Vec::with_capacity(lanes);
-
     // Forward walk over the raw (unfused) schedule: the serial adjoint
     // differentiates the op list 1:1, so no fusion here either.
-    let mut phi = vec![Complex64::ZERO; dim * lanes];
-    for cell in phi[..lanes].iter_mut() {
-        *cell = Complex64::ONE;
-    }
-    for op in &pa.ops {
-        adj_apply(
-            &op.gate, false, &mut phi, lanes, inputs, &pa.params, &mut xy, &mut zlo, &mut zhi,
-        );
-    }
-
+    let mut phi = run_prebound_slab_raw(&pa.fwd, inputs);
     let outs = readouts_from_slab(readout, &phi, lanes);
-
-    // λ_j = O_j |ψ⟩ per output observable, then the reverse sweep.
-    let observables = SlabObservable::of_readout(readout);
-    let mut lambdas: Vec<Vec<Complex64>> = observables
-        .iter()
-        .map(|o| o.apply_slab(&phi, lanes))
-        .collect();
-
-    let mut jacs = vec![Jacobian::zeros(n_out, pa.n_params); lanes];
-    let mut accs = vec![0.0f64; n_out * lanes];
-    let mut gbuf = vec![Complex64::new(0.0, 0.0); lanes];
-    // The reverse sweep only exists to serve the accumulates: states
-    // before the first parameterised op (the input-encoder prefix) are
-    // never read, so the sweep ends right after that op's contribution
-    // instead of un-applying the prefix through φ and every λ.
-    let Some(first_param) = pa.ops.iter().position(|op| op.param.is_some()) else {
-        return outs.into_iter().zip(jacs).collect();
-    };
-    for (k, op) in pa.ops.iter().enumerate().rev() {
-        // Contribution uses φ = ψ_k (state *after* gate k) and λ = λ_k,
-        // exactly like the serial sweep: ∂E/∂θ += Im⟨λ_k|G|ψ_k⟩.
-        if let Some(p) = op.param {
-            accs.fill(0.0);
-            let lrefs: Vec<&[Complex64]> = lambdas.iter().map(|l| l.as_slice()).collect();
-            accumulate_generator_im(&op.gate, &phi, &lrefs, lanes, dim, &mut accs, &mut gbuf);
-            for (lane, jac) in jacs.iter_mut().enumerate() {
-                for j in 0..n_out {
-                    *jac.get_mut(j, p) += accs[j * lanes + lane];
-                }
+    let n_out = readout.output_len();
+    let mut jacs = vec![Jacobian::zeros(n_out, pa.n_params()); lanes];
+    let fold = |p: usize, accs: &[f64]| {
+        for (lane, jac) in jacs.iter_mut().enumerate() {
+            for j in 0..n_out {
+                *jac.get_mut(j, p) += accs[j * lanes + lane];
             }
         }
-        if k == first_param {
-            break;
-        }
-        // Un-apply the gate from φ and every λ, resolving any
-        // input-dependent trig once for all of them.
-        resolve_sym_trig(
-            &op.gate, true, inputs, &pa.params, &mut xy, &mut zlo, &mut zhi,
-        );
-        adj_apply_resolved(&op.gate, true, &mut phi, lanes, &xy, &zlo, &zhi);
-        for lam in &mut lambdas {
-            adj_apply_resolved(&op.gate, true, lam, lanes, &xy, &zlo, &zhi);
-        }
-    }
+    };
+    reverse_sweep(pa, readout, &mut phi, lanes, inputs, |_, _, _| {}, fold);
     outs.into_iter().zip(jacs).collect()
 }
 

@@ -10,10 +10,12 @@
 //! at `O(1/√samples)` for Pauli channels — `samples · 2^n` amplitudes of
 //! work instead of `4^n` per evaluation.
 //!
-//! Execution reuses the batched slab infrastructure: all trajectories of
-//! one evaluation share the same bindings, so the `samples` statevectors
-//! form the lanes of one [`qmarl_qsim::rows`] slab walk, with rare
-//! per-lane Pauli patches where a sample's error fired.
+//! Execution reuses the prebound slab infrastructure: all trajectories
+//! of one evaluation share the same bindings, so the `samples`
+//! statevectors form the lanes of one [`crate::prebound`] walk, with rare
+//! per-lane Pauli patches where a sample's error fired. The binding is
+//! [`crate::prebound::prebind_adjoint`]'s plus the two noise channels,
+//! and every gate, forward or inverse, runs through the prebound walker.
 //!
 //! # Determinism
 //!
@@ -34,140 +36,76 @@
 //! Because the jump sampling is parameter-independent, a fixed seed makes
 //! every trajectory a deterministic circuit — so the sampled estimator has
 //! an **exact** gradient, computed by [`run_trajectory_adjoint`] with one
-//! forward walk plus one reverse sweep over the shared slab (the
-//! per-trajectory adjoint) instead of `O(params)` shifted re-evaluations.
-//! This is what makes the trajectory backend's update sweeps orders of
-//! magnitude faster than density-matrix parameter-shift at equal noise
-//! fidelity in expectation.
+//! forward walk plus the `Ideal` adjoint's reverse sweep over the shared
+//! slab (the per-trajectory adjoint) instead of `O(params)` shifted
+//! re-evaluations. This is what makes the trajectory backend's update
+//! sweeps orders of magnitude faster than density-matrix parameter-shift
+//! at equal noise fidelity in expectation.
 
 use qmarl_qsim::complex::Complex64;
-use qmarl_qsim::gate::{Gate1, RotationAxis};
+use qmarl_qsim::gate::Gate1;
 use qmarl_qsim::noise::{NoiseChannel, NoiseModel};
-use qmarl_qsim::rows;
 use qmarl_vqc::grad::Jacobian;
 use qmarl_vqc::observable::Readout;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::backend::TRAJ_STREAM;
-use crate::compile::{CGate, CompiledCircuit, FusedAngle};
+use crate::compile::CompiledCircuit;
 use crate::error::RuntimeError;
-use crate::prebound::{readouts_from_slab, SlabObservable};
+use crate::prebound::{
+    prebind_adjoint, readouts_from_slab, reverse_sweep, walk, LaneScratch, PreOp, PreboundAdjoint,
+};
 use crate::rollout::derive_seed;
 
-/// One gate of a trajectory-prebound schedule (raw, unfused order — noise
-/// insertion points must match the source circuit's gate count).
-#[derive(Debug, Clone)]
-enum TOp {
-    /// A rotation resolved at prebind time.
-    RotSC {
-        raw_idx: usize,
-        qubit: usize,
-        axis: RotationAxis,
-        s: f64,
-        c: f64,
-    },
-    /// An input-dependent rotation, still symbolic.
-    RotSym {
-        raw_idx: usize,
-        qubit: usize,
-        axis: RotationAxis,
-        angle: FusedAngle,
-    },
-    /// A controlled rotation resolved at prebind time.
-    CRotSC {
-        raw_idx: usize,
-        control: usize,
-        target: usize,
-        axis: RotationAxis,
-        s: f64,
-        c: f64,
-    },
-    /// An input-dependent controlled rotation.
-    CRotSym {
-        raw_idx: usize,
-        control: usize,
-        target: usize,
-        axis: RotationAxis,
-        angle: FusedAngle,
-    },
-    /// CNOT (amplitude-swap fast path).
-    Cnot { control: usize, target: usize },
-    /// CZ (diagonal sign-flip fast path).
-    Cz { control: usize, target: usize },
-    /// A fixed single-qubit unitary.
-    Fixed { qubit: usize, gate: Gate1 },
-}
-
-impl TOp {
-    /// The wires the gate touched (control before target) and whether it
-    /// draws from the two-qubit channel.
-    fn noise_site(&self) -> (usize, Option<usize>, bool) {
-        match *self {
-            TOp::RotSC { qubit, .. } | TOp::RotSym { qubit, .. } | TOp::Fixed { qubit, .. } => {
-                (qubit, None, false)
-            }
-            TOp::CRotSC {
-                control, target, ..
-            }
-            | TOp::CRotSym {
-                control, target, ..
-            }
-            | TOp::Cnot { control, target }
-            | TOp::Cz { control, target } => (control, Some(target), true),
+/// The wires op touched, control before target, and the second one when
+/// it draws from the two-qubit channel.
+fn noise_site(op: &PreOp) -> (usize, Option<usize>) {
+    match *op {
+        PreOp::RotSC { qubit, .. } | PreOp::Rot { qubit, .. } | PreOp::Fixed { qubit, .. } => {
+            (qubit, None)
         }
+        PreOp::CRotSC {
+            control, target, ..
+        }
+        | PreOp::CRot {
+            control, target, ..
+        }
+        | PreOp::Cnot { control, target }
+        | PreOp::Cz { control, target } => (control, Some(target)),
+        PreOp::Fixed2 { qa, qb, .. } => (qa, Some(qb)),
     }
 }
 
-/// Reverse-sweep companion of one [`TOp`], aligned index-for-index with
-/// `TrajPrebound::ops`: whatever the adjoint's un-apply step can hoist at
-/// prebind time.
-#[derive(Debug, Clone)]
-enum TInv {
-    /// Trig of the inverse rotation (from `−θ`), hoisted at prebind.
-    RotSC { s: f64, c: f64 },
-    /// The dagger of a fixed single-qubit unitary.
-    Dag(Gate1),
-    /// Nothing to hoist: self-inverse (CNOT/CZ) or input-dependent
-    /// (inverse trig resolved at run time).
-    Runtime,
-}
-
-/// A compiled circuit bound to `(params, noise)` for trajectory sampling.
+/// A compiled circuit bound to `(params, noise)` for trajectory sampling:
+/// the raw schedule's adjoint binding plus the channels drawn after one-
+/// and two-qubit gates.
 #[derive(Debug, Clone)]
 pub struct TrajPrebound {
-    n_qubits: usize,
-    n_inputs: usize,
-    n_params: usize,
-    params: Vec<f64>,
+    circuit: PreboundAdjoint,
     after_gate1: Option<NoiseChannel>,
     after_gate2: Option<NoiseChannel>,
-    ops: Vec<TOp>,
-    inv: Vec<TInv>,
-    /// `param_of[k]` is the trainable parameter raw-schedule gate `k`
-    /// consumes (pure `Angle::Param` occurrences only), if any.
-    param_of: Vec<Option<usize>>,
 }
 
 impl TrajPrebound {
     /// Register width.
     pub fn n_qubits(&self) -> usize {
-        self.n_qubits
+        self.circuit.n_qubits()
     }
 
     /// Expected input-vector length.
     pub fn n_inputs(&self) -> usize {
-        self.n_inputs
+        self.circuit.n_inputs()
     }
 
     /// Trainable-parameter count of the bound circuit.
     pub fn n_params(&self) -> usize {
-        self.n_params
+        self.circuit.n_params()
     }
 
     /// The frozen parameter vector this schedule was bound with.
     pub fn params(&self) -> &[f64] {
-        &self.params
+        self.circuit.params()
     }
 }
 
@@ -183,120 +121,10 @@ pub fn prebind_trajectory(
     noise: &NoiseModel,
 ) -> Result<TrajPrebound, RuntimeError> {
     noise.validate()?;
-    if params.len() != compiled.n_params() {
-        return Err(RuntimeError::ParamLenMismatch {
-            expected: compiled.n_params(),
-            actual: params.len(),
-        });
-    }
-    let raw = compiled.raw_schedule();
-    let mut param_of = vec![None; raw.len()];
-    for occ in compiled.occurrences() {
-        param_of[occ.raw_idx] = Some(occ.param);
-    }
-    let mut ops = Vec::with_capacity(raw.len());
-    let mut inv = Vec::with_capacity(raw.len());
-    for (k, gate) in raw.iter().enumerate() {
-        let (op, un) = match gate {
-            CGate::Rot { qubit, axis, angle } => {
-                if angle.depends_on_inputs() {
-                    (
-                        TOp::RotSym {
-                            raw_idx: k,
-                            qubit: *qubit,
-                            axis: *axis,
-                            angle: angle.clone(),
-                        },
-                        TInv::Runtime,
-                    )
-                } else {
-                    let theta = angle.value(&[], params);
-                    let (s, c) = (theta / 2.0).sin_cos();
-                    let (is, ic) = (-theta / 2.0).sin_cos();
-                    (
-                        TOp::RotSC {
-                            raw_idx: k,
-                            qubit: *qubit,
-                            axis: *axis,
-                            s,
-                            c,
-                        },
-                        TInv::RotSC { s: is, c: ic },
-                    )
-                }
-            }
-            CGate::CRot {
-                control,
-                target,
-                axis,
-                angle,
-            } => {
-                if angle.depends_on_inputs() {
-                    (
-                        TOp::CRotSym {
-                            raw_idx: k,
-                            control: *control,
-                            target: *target,
-                            axis: *axis,
-                            angle: angle.clone(),
-                        },
-                        TInv::Runtime,
-                    )
-                } else {
-                    let theta = angle.value(&[], params);
-                    let (s, c) = (theta / 2.0).sin_cos();
-                    let (is, ic) = (-theta / 2.0).sin_cos();
-                    (
-                        TOp::CRotSC {
-                            raw_idx: k,
-                            control: *control,
-                            target: *target,
-                            axis: *axis,
-                            s,
-                            c,
-                        },
-                        TInv::RotSC { s: is, c: ic },
-                    )
-                }
-            }
-            CGate::Cnot { control, target } => (
-                TOp::Cnot {
-                    control: *control,
-                    target: *target,
-                },
-                TInv::Runtime,
-            ),
-            CGate::Cz { control, target } => (
-                TOp::Cz {
-                    control: *control,
-                    target: *target,
-                },
-                TInv::Runtime,
-            ),
-            CGate::Fixed { qubit, gate } => (
-                TOp::Fixed {
-                    qubit: *qubit,
-                    gate: *gate,
-                },
-                TInv::Dag(gate.dagger()),
-            ),
-            CGate::Fixed2 { .. } => {
-                unreachable!("entangler fusion never emits Fixed2 into the raw schedule")
-            }
-        };
-        ops.push(op);
-        inv.push(un);
-    }
     Ok(TrajPrebound {
-        n_qubits: compiled.n_qubits(),
-        n_inputs: compiled.n_inputs(),
-        n_params: compiled.n_params(),
-        params: params.to_vec(),
+        circuit: prebind_adjoint(compiled, params)?,
         after_gate1: noise.after_gate1,
         after_gate2: noise.after_gate2,
-        ops,
-        inv,
-        param_of,
     })
 }
 
@@ -331,25 +159,23 @@ fn apply_gate1_lane(
 type JumpRecord = Vec<Vec<(usize, usize, Gate1)>>;
 
 /// Runs `samples` trajectories of one evaluation as the lanes of a single
-/// slab walk, returning `slab[amp · samples + sample]`. `override_angle`
-/// forces one raw-schedule gate's angle (the parameter-shift primitive);
-/// `eval_seed` is the content-addressed per-evaluation seed the
-/// per-sample streams derive from. With `record`, every fired error is
-/// also logged for the adjoint's reverse sweep — the rng draw sequence is
-/// identical either way.
+/// slab walk, returning `slab[amp · samples + sample]`. `eval_seed` is
+/// the content-addressed per-evaluation seed the per-sample streams
+/// derive from. With `record`, every fired error is also logged for the
+/// adjoint's reverse sweep — the rng draw sequence is identical either
+/// way.
 fn walk_forward(
     pb: &TrajPrebound,
     inputs: &[f64],
     samples: usize,
     eval_seed: u64,
-    override_angle: Option<(usize, f64)>,
     mut record: Option<&mut JumpRecord>,
 ) -> Vec<Complex64> {
     let lanes = samples;
     if lanes == 0 {
         return Vec::new();
     }
-    let dim = 1usize << pb.n_qubits;
+    let dim = 1usize << pb.n_qubits();
     let mut slab = vec![Complex64::ZERO; dim * lanes];
     for cell in slab[..lanes].iter_mut() {
         *cell = Complex64::ONE; // every trajectory starts in |0…0⟩
@@ -357,74 +183,16 @@ fn walk_forward(
     let mut rngs: Vec<StdRng> = (0..samples)
         .map(|i| StdRng::seed_from_u64(derive_seed(eval_seed, TRAJ_STREAM, i as u64)))
         .collect();
-
-    for (k, op) in pb.ops.iter().enumerate() {
+    let mut scratch = LaneScratch::default();
+    for (k, op) in pb.circuit.ops().iter().enumerate() {
         // 1. The gate, uniform across lanes (all trajectories share the
         //    same bindings).
-        let mut view = rows::Slab::new(&mut slab, lanes);
-        match op {
-            TOp::RotSC {
-                raw_idx,
-                qubit,
-                axis,
-                s,
-                c,
-            } => {
-                let (s, c) = match override_angle {
-                    Some((idx, theta)) if idx == *raw_idx => (theta / 2.0).sin_cos(),
-                    _ => (*s, *c),
-                };
-                view.rot(*axis, 1 << qubit, 0, s, c);
-            }
-            TOp::RotSym {
-                raw_idx,
-                qubit,
-                axis,
-                angle,
-            } => {
-                let theta = match override_angle {
-                    Some((idx, t)) if idx == *raw_idx => t,
-                    _ => angle.value(inputs, &pb.params),
-                };
-                let (s, c) = (theta / 2.0).sin_cos();
-                view.rot(*axis, 1 << qubit, 0, s, c);
-            }
-            TOp::CRotSC {
-                raw_idx,
-                control,
-                target,
-                axis,
-                s,
-                c,
-            } => {
-                let (s, c) = match override_angle {
-                    Some((idx, theta)) if idx == *raw_idx => (theta / 2.0).sin_cos(),
-                    _ => (*s, *c),
-                };
-                view.rot(*axis, 1 << target, 1 << control, s, c);
-            }
-            TOp::CRotSym {
-                raw_idx,
-                control,
-                target,
-                axis,
-                angle,
-            } => {
-                let theta = match override_angle {
-                    Some((idx, t)) if idx == *raw_idx => t,
-                    _ => angle.value(inputs, &pb.params),
-                };
-                let (s, c) = (theta / 2.0).sin_cos();
-                view.rot(*axis, 1 << target, 1 << control, s, c);
-            }
-            TOp::Cnot { control, target } => view.cnot(1 << control, 1 << target),
-            TOp::Cz { control, target } => view.cz(1 << control, 1 << target),
-            TOp::Fixed { qubit, gate } => view.gate1(1 << qubit, gate),
-        }
+        let op_k = std::slice::from_ref(op);
+        walk(&mut slab, lanes, op_k, &[inputs], pb.params(), &mut scratch);
         // 2. The channel: each lane draws from its own stream, wires
         //    control before target — the interpreter's order.
-        let (w0, w1, two_qubit) = op.noise_site();
-        let channel = if two_qubit {
+        let (w0, w1) = noise_site(op);
+        let channel = if w1.is_some() {
             pb.after_gate2
         } else {
             pb.after_gate1
@@ -446,15 +214,14 @@ fn walk_forward(
 }
 
 /// [`walk_forward`] without jump recording — the forward-only entry point
-/// (readout evaluation and the parameter-shift primitive).
+/// of readout evaluation.
 pub(crate) fn run_trajectory_slab(
     pb: &TrajPrebound,
     inputs: &[f64],
     samples: usize,
     eval_seed: u64,
-    override_angle: Option<(usize, f64)>,
 ) -> Vec<Complex64> {
-    walk_forward(pb, inputs, samples, eval_seed, override_angle, None)
+    walk_forward(pb, inputs, samples, eval_seed, None)
 }
 
 /// One backend evaluation by trajectory sampling: runs `samples`
@@ -466,9 +233,8 @@ pub(crate) fn trajectory_outputs(
     inputs: &[f64],
     samples: usize,
     eval_seed: u64,
-    override_angle: Option<(usize, f64)>,
 ) -> Vec<f64> {
-    let slab = run_trajectory_slab(pb, inputs, samples, eval_seed, override_angle);
+    let slab = run_trajectory_slab(pb, inputs, samples, eval_seed);
     mean_over_samples(readout, &slab, samples)
 }
 
@@ -489,55 +255,6 @@ fn mean_over_samples(readout: &Readout, slab: &[Complex64], samples: usize) -> V
     acc
 }
 
-/// Un-applies schedule op `k` from a slab — one step of the adjoint's
-/// reverse sweep. Resolved rotations use the trig hoisted into
-/// [`TInv::RotSC`]; symbolic ones re-derive it from the bound angle.
-fn undo_op(pb: &TrajPrebound, k: usize, inputs: &[f64], slab: &mut [Complex64], lanes: usize) {
-    let mut view = rows::Slab::new(slab, lanes);
-    match (&pb.ops[k], &pb.inv[k]) {
-        (TOp::RotSC { qubit, axis, .. }, TInv::RotSC { s, c }) => {
-            view.rot(*axis, 1 << qubit, 0, *s, *c);
-        }
-        (
-            TOp::RotSym {
-                qubit, axis, angle, ..
-            },
-            _,
-        ) => {
-            let theta = angle.value(inputs, &pb.params);
-            let (s, c) = (-theta / 2.0).sin_cos();
-            view.rot(*axis, 1 << qubit, 0, s, c);
-        }
-        (
-            TOp::CRotSC {
-                control,
-                target,
-                axis,
-                ..
-            },
-            TInv::RotSC { s, c },
-        ) => view.rot(*axis, 1 << target, 1 << control, *s, *c),
-        (
-            TOp::CRotSym {
-                control,
-                target,
-                axis,
-                angle,
-                ..
-            },
-            _,
-        ) => {
-            let theta = angle.value(inputs, &pb.params);
-            let (s, c) = (-theta / 2.0).sin_cos();
-            view.rot(*axis, 1 << target, 1 << control, s, c);
-        }
-        (TOp::Cnot { control, target }, _) => view.cnot(1 << control, 1 << target),
-        (TOp::Cz { control, target }, _) => view.cz(1 << control, 1 << target),
-        (TOp::Fixed { qubit, .. }, TInv::Dag(g)) => view.gate1(1 << qubit, g),
-        _ => unreachable!("ops/inv tables misaligned"),
-    }
-}
-
 /// One backend evaluation **with gradient** by the per-trajectory adjoint.
 ///
 /// The jump probabilities of [`NoiseChannel::sample_pauli_error`] never
@@ -551,14 +268,12 @@ fn undo_op(pb: &TrajPrebound, k: usize, inputs: &[f64], slab: &mut [Complex64], 
 /// (four for controlled rotations) full re-evaluations per parameter that
 /// the shift rule costs.
 ///
-/// The reverse sweep mirrors [`crate::prebound`]'s ideal engine: λ_j =
-/// O_j|ψ⟩ per output, then walking the schedule backwards un-applying
-/// each op (and its recorded patches — Paulis are self-inverse, so the
-/// un-apply is bit-exact) from φ and every λ, accumulating
-/// `Im⟨λ_j|G|φ⟩` at each trainable occurrence via the shared
-/// `rows::adj_acc_slab_multi` kernels, and stopping right after the
-/// earliest trainable op. Forward outputs are bit-identical to
-/// [`trajectory_outputs`]: same walk, same mean.
+/// The reverse sweep is [`crate::prebound`]'s `Ideal` one; its hook
+/// un-applies each op's recorded patches (Paulis are self-inverse, so the
+/// un-apply is bit-exact) from φ and every λ before the op's
+/// contribution, and its fold sums the lanes in order (the `/samples`
+/// scale is applied once at the end). Forward outputs are bit-identical
+/// to [`trajectory_outputs`]: same walk, same mean.
 pub(crate) fn run_trajectory_adjoint(
     pb: &TrajPrebound,
     readout: &Readout,
@@ -568,90 +283,44 @@ pub(crate) fn run_trajectory_adjoint(
 ) -> (Vec<f64>, Jacobian) {
     let lanes = samples;
     let n_out = readout.output_len();
+    let mut jac = Jacobian::zeros(n_out, pb.n_params());
     if lanes == 0 {
-        return (vec![0.0; n_out], Jacobian::zeros(n_out, pb.n_params));
+        return (vec![0.0; n_out], jac);
     }
-    let dim = 1usize << pb.n_qubits;
-    let mut record: JumpRecord = vec![Vec::new(); pb.ops.len()];
-    let mut phi = walk_forward(pb, inputs, samples, eval_seed, None, Some(&mut record));
+    let dim = 1usize << pb.n_qubits();
+    let mut record: JumpRecord = vec![Vec::new(); pb.circuit.ops().len()];
+    let mut phi = walk_forward(pb, inputs, samples, eval_seed, Some(&mut record));
     let outs = mean_over_samples(readout, &phi, samples);
 
-    let mut jac = Jacobian::zeros(n_out, pb.n_params);
-    let Some(first_param) = (0..pb.ops.len()).find(|&k| pb.param_of[k].is_some()) else {
-        return (outs, jac);
-    };
-
-    let observables = SlabObservable::of_readout(readout);
-    let mut lambdas: Vec<Vec<Complex64>> = observables
-        .iter()
-        .map(|o| o.apply_slab(&phi, lanes))
-        .collect();
-
-    let mut accs = vec![0.0f64; n_out * lanes];
-    let mut gbuf = vec![Complex64::new(0.0, 0.0); lanes];
-    for k in (first_param..pb.ops.len()).rev() {
-        // 1. Un-apply op k's channel patches (newest first) so φ and
-        //    every λ sit right after gate k.
+    let unpatch = |k: usize, phi: &mut [Complex64], lambdas: &mut [Vec<Complex64>]| {
         for &(w, lane, g) in record[k].iter().rev() {
-            apply_gate1_lane(&mut phi, lanes, dim, w, &g, lane);
-            for lam in &mut lambdas {
+            apply_gate1_lane(phi, lanes, dim, w, &g, lane);
+            for lam in lambdas.iter_mut() {
                 apply_gate1_lane(lam, lanes, dim, w, &g, lane);
             }
         }
-        // 2. The contribution: ∂Ê/∂θ_p += mean over lanes of
-        //    Im⟨λ_j|G|φ⟩ (the /samples scale is applied once at the end).
-        if let Some(p) = pb.param_of[k] {
-            accs.fill(0.0);
-            let lrefs: Vec<&[Complex64]> = lambdas.iter().map(|l| l.as_slice()).collect();
-            let (mt, mc, axis) = match &pb.ops[k] {
-                TOp::RotSC { qubit, axis, .. } | TOp::RotSym { qubit, axis, .. } => {
-                    (1usize << qubit, 0, *axis)
-                }
-                TOp::CRotSC {
-                    control,
-                    target,
-                    axis,
-                    ..
-                }
-                | TOp::CRotSym {
-                    control,
-                    target,
-                    axis,
-                    ..
-                } => (1usize << target, 1usize << control, *axis),
-                _ => unreachable!("param_of marks only rotations"),
-            };
-            match axis {
-                RotationAxis::X => rows::adj_acc_slab_multi::<{ rows::AXIS_X }>(
-                    &mut accs, &lrefs, &phi, &mut gbuf, lanes, dim, mt, mc,
-                ),
-                RotationAxis::Y => rows::adj_acc_slab_multi::<{ rows::AXIS_Y }>(
-                    &mut accs, &lrefs, &phi, &mut gbuf, lanes, dim, mt, mc,
-                ),
-                RotationAxis::Z => rows::adj_acc_slab_multi::<{ rows::AXIS_Z }>(
-                    &mut accs, &lrefs, &phi, &mut gbuf, lanes, dim, mt, mc,
-                ),
+    };
+    let fold = |p: usize, accs: &[f64]| {
+        for j in 0..n_out {
+            let mut sum = 0.0;
+            for lane in 0..lanes {
+                sum += accs[j * lanes + lane];
             }
-            for j in 0..n_out {
-                let mut sum = 0.0;
-                for lane in 0..lanes {
-                    sum += accs[j * lanes + lane];
-                }
-                *jac.get_mut(j, p) += sum;
-            }
+            *jac.get_mut(j, p) += sum;
         }
-        if k == first_param {
-            break;
-        }
-        // 3. Un-apply gate k itself from φ and every λ.
-        undo_op(pb, k, inputs, &mut phi, lanes);
-        for lam in &mut lambdas {
-            undo_op(pb, k, inputs, lam, lanes);
-        }
-    }
+    };
+    reverse_sweep(
+        &pb.circuit,
+        readout,
+        &mut phi,
+        lanes,
+        &[inputs],
+        unpatch,
+        fold,
+    );
     let scale = 1.0 / samples as f64;
     for j in 0..n_out {
-        for p in 0..pb.n_params {
+        for p in 0..pb.n_params() {
             *jac.get_mut(j, p) *= scale;
         }
     }
@@ -662,7 +331,7 @@ pub(crate) fn run_trajectory_adjoint(
 mod tests {
     use super::*;
     use crate::compile::compile;
-    use crate::prebound::{prebind, run_prebound};
+    use crate::prebound::{prebind, run_adjoint_slab, run_prebound};
     use qmarl_qsim::gate::RotationAxis as Ax;
     use qmarl_vqc::ir::{Angle, Circuit, FixedGate, InputId, ParamId};
 
@@ -692,7 +361,7 @@ mod tests {
         let pb = prebind_trajectory(&compiled, &params, &noise).unwrap();
         let samples = 8;
         let eval_seed = 0xDEAD_BEEF;
-        let slab = run_trajectory_slab(&pb, &inputs, samples, eval_seed, None);
+        let slab = run_trajectory_slab(&pb, &inputs, samples, eval_seed);
         for lane in 0..samples {
             let mut rng = StdRng::seed_from_u64(derive_seed(eval_seed, TRAJ_STREAM, lane as u64));
             let reference =
@@ -715,7 +384,7 @@ mod tests {
         let inputs = [0.4, -0.6];
         let pb = prebind_trajectory(&compiled, &params, &NoiseModel::noiseless()).unwrap();
         let samples = 4;
-        let slab = run_trajectory_slab(&pb, &inputs, samples, 123, None);
+        let slab = run_trajectory_slab(&pb, &inputs, samples, 123);
         let pure = run_prebound(&prebind(&compiled, &params).unwrap(), &inputs).unwrap();
         for lane in 0..samples {
             for (i, want) in pure.amplitudes().iter().enumerate() {
@@ -739,8 +408,8 @@ mod tests {
         let inputs = [0.4, -0.6];
         let noise = NoiseModel::depolarizing(0.3, 0.4).unwrap();
         let pb = prebind_trajectory(&compiled, &params, &noise).unwrap();
-        let small = run_trajectory_slab(&pb, &inputs, 3, 55, None);
-        let big = run_trajectory_slab(&pb, &inputs, 9, 55, None);
+        let small = run_trajectory_slab(&pb, &inputs, 3, 55);
+        let big = run_trajectory_slab(&pb, &inputs, 9, 55);
         let dim = 1usize << pb.n_qubits();
         for lane in 0..3 {
             for i in 0..dim {
@@ -751,23 +420,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn override_shifts_only_the_targeted_gate() {
-        let c = busy_circuit();
-        let compiled = compile(&c);
-        let params = [0.9, -1.3];
-        let inputs = [0.4, -0.6];
-        let noise = NoiseModel::depolarizing(0.05, 0.05).unwrap();
-        let pb = prebind_trajectory(&compiled, &params, &noise).unwrap();
-        // Raw idx 3 is the Ry(param 0) rotation; overriding with the bound
-        // value reproduces the plain run bit-for-bit (same rng streams).
-        let plain = run_trajectory_slab(&pb, &inputs, 4, 9, None);
-        let same = run_trajectory_slab(&pb, &inputs, 4, 9, Some((3, params[0])));
-        assert_eq!(plain, same);
-        let shifted = run_trajectory_slab(&pb, &inputs, 4, 9, Some((3, params[0] + 1.0)));
-        assert_ne!(plain, shifted);
     }
 
     #[test]
@@ -785,11 +437,11 @@ mod tests {
             Err(RuntimeError::ParamLenMismatch { .. })
         ));
         let readout = Readout::z_all(3);
-        let out = trajectory_outputs(&pb, &readout, &[0.4, -0.6], 16, 77, None);
+        let out = trajectory_outputs(&pb, &readout, &[0.4, -0.6], 16, 77);
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|z| (-1.0..=1.0).contains(z)));
         // The mean equals the hand-folded per-sample mean.
-        let slab = run_trajectory_slab(&pb, &[0.4, -0.6], 16, 77, None);
+        let slab = run_trajectory_slab(&pb, &[0.4, -0.6], 16, 77);
         let per_sample = readouts_from_slab(&readout, &slab, 16);
         for (q, z) in out.iter().enumerate() {
             let want = per_sample.iter().map(|o| o[q]).sum::<f64>() / 16.0;
@@ -820,6 +472,15 @@ mod tests {
             let compiled = compile(&c);
             let readout = Readout::z_all(c.n_qubits());
             let pb = prebind_trajectory(&compiled, &params, &NoiseModel::noiseless()).unwrap();
+            // Two identical lanes sum and halve exactly, so two noiseless
+            // trajectories reproduce the Ideal adjoint bit for bit.
+            let ideal = run_adjoint_slab(
+                &prebind_adjoint(&compiled, &params).unwrap(),
+                &readout,
+                &[&inputs],
+            );
+            let (outs, jac) = run_trajectory_adjoint(&pb, &readout, &inputs, 2, 321);
+            assert_eq!((outs, jac), ideal[0]);
             let (outs, jac) = run_trajectory_adjoint(&pb, &readout, &inputs, 4, 321);
             let state = qmarl_vqc::exec::run(&c, &inputs, &params).unwrap();
             let want_outs = readout.evaluate(&state).unwrap();
@@ -849,7 +510,7 @@ mod tests {
         let pb = prebind_trajectory(&compiled, &params, &noise).unwrap();
         let readout = Readout::z_all(3);
         let (outs, _) = run_trajectory_adjoint(&pb, &readout, &inputs, 16, 77);
-        let plain = trajectory_outputs(&pb, &readout, &inputs, 16, 77, None);
+        let plain = trajectory_outputs(&pb, &readout, &inputs, 16, 77);
         assert_eq!(outs, plain, "recording jumps must not perturb the walk");
     }
 
@@ -877,10 +538,8 @@ mod tests {
                 lo[p] -= eps;
                 let pb_hi = prebind_trajectory(&compiled, &hi, &noise).unwrap();
                 let pb_lo = prebind_trajectory(&compiled, &lo, &noise).unwrap();
-                let out_hi =
-                    trajectory_outputs(&pb_hi, &readout, &inputs, samples, eval_seed, None);
-                let out_lo =
-                    trajectory_outputs(&pb_lo, &readout, &inputs, samples, eval_seed, None);
+                let out_hi = trajectory_outputs(&pb_hi, &readout, &inputs, samples, eval_seed);
+                let out_lo = trajectory_outputs(&pb_lo, &readout, &inputs, samples, eval_seed);
                 for j in 0..readout.output_len() {
                     let fd = (out_hi[j] - out_lo[j]) / (2.0 * eps);
                     let got = jac.get(j, p);
