@@ -10,9 +10,9 @@
 //!   agent per step),
 //! * **grad-steps/s** — optimizer-ready gradients per second of one
 //!   update sweep (`transitions × (agents + critic)`); `ideal` uses the
-//!   prebound adjoint engine, `sampled` the prefix-shared
-//!   parameter-shift walk, `noisy` the per-occurrence parameter-shift
-//!   queue, and `trajectory` the per-trajectory adjoint
+//!   prebound adjoint engine, `sampled` and `noisy` the prefix-shared
+//!   parameter-shift walk (forking a statevector and a vectorized ρ),
+//!   and `trajectory` the per-trajectory adjoint
 //!   (exact gradient of the sampled estimator in one forward walk plus
 //!   one reverse sweep). `noisy` evaluations run the prebound
 //!   superoperator slab executor (per-gate channels fused into dense
@@ -119,10 +119,8 @@ fn emit_backend_json(c: &mut Criterion) {
                     "adjoint (prebound)"
                 } else if matches!(backend, ExecutionBackend::Trajectory { .. }) {
                     "adjoint (per-trajectory)"
-                } else if matches!(backend, ExecutionBackend::Sampled { .. }) {
-                    "parameter-shift (prefix-shared walk)"
                 } else {
-                    "parameter-shift (batched queue)"
+                    "parameter-shift (prefix-shared walk)"
                 }
             ));
         }

@@ -16,7 +16,7 @@
 //!   [`select_action`] rule.
 //! * [`ServablePolicy::act_batch`] — the coalesced path: all requests of
 //!   a micro-batch tick evaluated through the same
-//!   [`ActorsVecPolicy`](crate::vec_policy) bridge the vectorized trainer
+//!   `ActorsVecPolicy` bridge the vectorized trainer
 //!   uses (flat prebound slab for same-shaped quantum actors on the
 //!   `Ideal` backend, backend-aware `probs_batch` otherwise).
 //!

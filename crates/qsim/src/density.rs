@@ -4,7 +4,7 @@
 //! errors with register size in the NISQ era, and names noisy execution on
 //! real quantum clouds as future work. This backend makes that mechanism
 //! simulable: a [`DensityMatrix`] evolves under the same gate set as
-//! [`StateVector`](crate::state::StateVector) but additionally supports
+//! [`crate::state::StateVector`] but additionally supports
 //! completely-positive trace-preserving channels via Kraus operators
 //! (see [`crate::noise`]).
 
@@ -112,6 +112,14 @@ impl DensityMatrix {
     #[inline]
     pub fn dim(&self) -> usize {
         self.dim
+    }
+
+    /// Mutable view of the row-major flat data (the layout of
+    /// [`DensityMatrix::from_flat`]), which the superoperator backend
+    /// evolves in place. Callers own the physicality of the result.
+    #[inline]
+    pub fn flat_mut(&mut self) -> &mut [Complex64] {
+        &mut self.data
     }
 
     /// The matrix element `ρ[r][c]`.

@@ -150,7 +150,7 @@ impl NoiseChannel {
 
 /// A circuit-level noise model: the same channel after every gate, applied
 /// to each wire the gate touched. This is the "errors grow with gate count"
-/// mechanism the paper cites ([9] in the paper).
+/// mechanism the paper cites (\[9\] in the paper).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct NoiseModel {
     /// Channel applied after every single-qubit gate.

@@ -20,7 +20,7 @@
 //! a draw that rounds up to `acc` itself folds onto the last
 //! positive-mass state.
 //!
-//! Draws are taken in blocks of [`BLOCK`] into a stack buffer, in stream
+//! Draws are taken in blocks of `BLOCK` (64) into a stack buffer, in stream
 //! order, and each block is binned by **threshold passes**: for each CDF
 //! entry, count the block's draws with `c_k ≤ r`. The CDF is monotone,
 //! so consecutive counts difference into the histogram. A pass is a

@@ -15,17 +15,19 @@
 //!   batch under an [`ExecutionBackend`]. `Ideal` prebinds the fused
 //!   schedule once and runs the batch as one group of prebound lane
 //!   slabs (a single request is a one-lane slab); `Sampled` runs each
-//!   item as a one-lane slab of the same walker before sampling it,
+//!   item as a one-lane slab of the same walker before sampling it;
+//!   `Noisy` runs density lane slabs on the same lane-chunk queue,
 //! * [`BatchExecutor::forward_and_jacobian_batch_backend`] — the
-//!   gradient path of every backend. `Ideal` and `Sampled` run a
-//!   **prefix-shared shift walk** per item over the raw schedule,
+//!   gradient path of every backend. `Ideal`, `Sampled` and `Noisy` run
+//!   a **prefix-shared shift walk** per item over the raw schedule,
 //!   prebound once per batch. Each ±shift evaluation forks from the
-//!   state just before its occurrence and runs only the suffix, so the
-//!   prefix is computed once per item instead of once per evaluation.
-//!   Prefix and forks are one-lane slabs of the prebound walker. A
-//!   task is one item; when the batch has fewer items than workers, each
-//!   item splits into contiguous occurrence chunks, so even a one-item
-//!   gradient keeps every core busy.
+//!   register just before its occurrence and runs only the suffix, so
+//!   the prefix is computed once per item instead of once per
+//!   evaluation. The register is a one-lane statevector slab of the
+//!   prebound walker, or for `Noisy` the vectorized ρ of the density
+//!   walk. A task is one item; when the batch has fewer items than
+//!   workers, each item splits into contiguous occurrence chunks, so
+//!   even a one-item gradient keeps every core busy.
 //!
 //! Results are folded in deterministic (input, occurrence) order, so
 //! batched outputs are bit-identical to their serial counterparts.
@@ -46,7 +48,7 @@ use crate::error::RuntimeError;
 use crate::exec::check_bindings;
 use crate::prebound::{
     prebind, prebind_raw, readouts_from_slab, run_adjoint_slab, run_prebound,
-    run_prebound_slab_raw, PreboundAdjoint, PreboundCircuit, ShiftWalk,
+    run_prebound_slab_raw, PreboundAdjoint, PreboundCircuit, ShiftSchedule, ShiftWalk,
 };
 use crate::superop::{extract_lane, prebind_density, run_density, run_density_slab};
 use crate::trajectory::{prebind_trajectory, run_trajectory_adjoint, trajectory_outputs};
@@ -258,8 +260,9 @@ impl BatchExecutor {
     ///   item's final state (a one-lane slab walk), then `shots` samples
     ///   from its own stream.
     /// * `Noisy` prebinds the superoperator schedule once and runs the
-    ///   batch as lane **chunks** of one density slab walk per task
-    ///   (lanes are independent, so chunking cannot change any value).
+    ///   batch as lane **chunks** of one density slab walk per task, on
+    ///   the shared lane-chunk queue (lanes are independent, so chunking
+    ///   cannot change any value).
     /// * `Trajectory` runs one task per item — a trajectory evaluation
     ///   already fills a slab with its samples.
     ///
@@ -299,38 +302,25 @@ impl BatchExecutor {
             }
             ExecutionBackend::Noisy { model, shots, seed } => {
                 let pb = prebind_density(compiled, params, model)?;
-                // Lane-chunked slab walk. The chunk cap stays small: an
-                // 8-qubit density lane is 65 536 amplitudes, so 16 lanes
-                // keep the slab around cache-friendly sizes.
-                let chunk = (inputs.len() / self.workers.max(1)).clamp(1, 16);
-                let tasks: Vec<(usize, usize)> = (0..inputs.len())
-                    .step_by(chunk)
-                    .map(|start| (start, (start + chunk).min(inputs.len())))
-                    .collect();
-                let results = par::try_parallel_map(&tasks, self.workers, |_, &(start, end)| {
-                    let lane_inputs: Vec<&[f64]> =
-                        inputs[start..end].iter().map(|v| v.as_slice()).collect();
-                    let lanes = lane_inputs.len();
-                    let slab = run_density_slab(&pb, &lane_inputs, None);
-                    (0..lanes)
-                        .map(|lane| {
-                            let rho = DensityMatrix::from_flat(
-                                compiled.n_qubits(),
-                                extract_lane(&slab, lanes, lane),
-                            );
-                            density_readout(
-                                &rho,
-                                readout,
-                                &inputs[start + lane],
-                                params,
-                                *shots,
-                                *seed,
-                                None,
-                            )
+                let items: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+                let shape = (compiled.n_qubits(), compiled.n_inputs(), items.as_slice());
+                // The chunk cap stays small: an 8-qubit density lane is
+                // 65 536 amplitudes, so 16 lanes keep the slab around
+                // cache-friendly sizes.
+                let outs = self.lane_chunks(readout, &[shape], 16, |_, lanes| {
+                    let chunk = &items[lanes];
+                    let slab = run_density_slab(&pb, chunk);
+                    let n = compiled.n_qubits();
+                    let rho =
+                        |lane| DensityMatrix::from_flat(n, extract_lane(&slab, chunk.len(), lane));
+                    let stream = |item| ExecutionBackend::eval_seed(*seed, item, params, 0);
+                    (chunk.iter().enumerate())
+                        .map(|(lane, item)| {
+                            density_readout(&rho(lane), readout, *shots, stream(item))
                         })
-                        .collect::<Result<Vec<_>, RuntimeError>>()
+                        .collect()
                 })?;
-                Ok(results.into_iter().flatten().collect())
+                outs.into_iter().flatten().collect()
             }
             ExecutionBackend::Trajectory {
                 model,
@@ -348,19 +338,20 @@ impl BatchExecutor {
 
     /// Batched forward **and** Jacobian under an [`ExecutionBackend`]:
     ///
-    /// * `Ideal` and `Sampled` run the **prefix-shared shift walk**. The
-    ///   raw schedule is prebound once per batch (parameter-only trig
-    ///   hoisted); a task walks one item's raw schedule a single time
-    ///   and, at each trainable occurrence, forks the ±shift evaluations
-    ///   from the shared prefix, so an occurrence at raw index `k` costs
-    ///   `2·(G − k)` gate applications (four terms for controlled
-    ///   rotations) instead of `2·G`. The forward pass runs the prebound
-    ///   fused schedule in the item's first task. `Sampled` shot-samples
-    ///   every evaluation from its own content-addressed stream, so the
-    ///   gradients carry exactly the noise hardware execution would.
-    /// * `Noisy` keeps one task per (item, occurrence) over its prebound
-    ///   superoperator schedule; every forward and ±shift evaluation runs
-    ///   the whole density walk.
+    /// * `Ideal`, `Sampled` and `Noisy` run the **prefix-shared shift
+    ///   walk**. The raw schedule is prebound once per batch
+    ///   (parameter-only trig hoisted; for `Noisy`, with its
+    ///   superoperators); a task walks one item's raw schedule a single
+    ///   time and, at each trainable occurrence, forks the ±shift
+    ///   evaluations from the shared prefix, so an occurrence at raw
+    ///   index `k` costs `2·(G − k)` gate applications (four terms for
+    ///   controlled rotations) instead of `2·G`. `Ideal` and `Sampled`
+    ///   fork a statevector, `Noisy` the vectorized ρ. The forward pass
+    ///   runs in the item's first task: the prebound fused schedule, or
+    ///   for `Noisy` the whole density walk. `Sampled` (and `Noisy` with
+    ///   shots) samples every evaluation from its own content-addressed
+    ///   stream, so the gradients carry exactly the noise hardware
+    ///   execution would.
     /// * `Trajectory` runs one **per-trajectory adjoint** task per
     ///   minibatch item (exact gradient of the sampled estimator — the
     ///   jump draws are parameter-independent).
@@ -390,20 +381,28 @@ impl BatchExecutor {
         }
         match backend {
             ExecutionBackend::Ideal => {
-                self.shift_walk_batch(compiled, readout, inputs, params, |_| {
+                let (fused, raw) = (prebind(compiled, params)?, prebind_raw(compiled, params)?);
+                let forward = |item: &[f64]| run_prebound(&fused, item);
+                self.shift_walk_batch(compiled, readout, inputs, &raw, forward, |_| {
                     |state: &StateVector, _| readout.evaluate(state).map_err(RuntimeError::from)
                 })
             }
             ExecutionBackend::Sampled { shots, seed } => {
-                self.shift_walk_batch(compiled, readout, inputs, params, |item| {
-                    // Every evaluation of the item hashes the same
-                    // bindings; only the salt differs.
-                    let bindings = ExecutionBackend::bindings_hash(item, params);
+                let (fused, raw) = (prebind(compiled, params)?, prebind_raw(compiled, params)?);
+                let forward = |item: &[f64]| run_prebound(&fused, item);
+                self.shift_walk_batch(compiled, readout, inputs, &raw, forward, |item| {
+                    let stream = item_streams(*seed, item, params);
                     move |state: &StateVector, at| {
-                        let salt = override_salt(at);
-                        let stream = ExecutionBackend::salted_seed(*seed, bindings, salt);
-                        sampled_readout(state, readout, *shots, stream)
+                        sampled_readout(state, readout, *shots, stream(at))
                     }
+                })
+            }
+            ExecutionBackend::Noisy { model, shots, seed } => {
+                let pb = prebind_density(compiled, params, model)?;
+                let forward = |item: &[f64]| run_density(&pb, item);
+                self.shift_walk_batch(compiled, readout, inputs, &pb, forward, |item| {
+                    let stream = item_streams(*seed, item, params);
+                    move |rho: &DensityMatrix, at| density_readout(rho, readout, *shots, stream(at))
                 })
             }
             // Each evaluation's exact Jacobian comes from one
@@ -422,69 +421,30 @@ impl BatchExecutor {
                 });
                 Ok(results.into_iter().unzip())
             }
-            ExecutionBackend::Noisy { model, shots, seed } => {
-                let pb = prebind_density(compiled, params, model)?;
-                let eval = |item: &[f64], at: Option<(usize, f64)>| {
-                    let rho = run_density(&pb, item, at)?;
-                    density_readout(&rho, readout, item, params, *shots, *seed, at)
-                };
-                let occurrences = compiled.occurrences();
-                // Task id: b * (occurrences + 1); offset 0 = forward pass.
-                let per_sample = occurrences.len() + 1;
-                let tasks: Vec<usize> = (0..inputs.len() * per_sample).collect();
-                // A task's result carries the parameter it differentiates,
-                // `None` for the forward pass.
-                let results = par::try_parallel_map(&tasks, self.workers, |_, &t| {
-                    let item = &inputs[t / per_sample];
-                    match (t % per_sample).checked_sub(1) {
-                        None => eval(item, None).map(|out| (out, None)),
-                        Some(o) => {
-                            let occ = occurrences[o];
-                            let theta = occurrence_angle(compiled, occ, item, params)?;
-                            shift_rule(theta, occ.controlled, |t| {
-                                eval(item, Some((occ.raw_idx, t)))
-                            })
-                            .map(|grads| (grads, Some(occ.param)))
-                        }
-                    }
-                })?;
-                let mut outputs = vec![Vec::new(); inputs.len()];
-                let mut jacobians =
-                    vec![Jacobian::zeros(readout.output_len(), compiled.n_params()); inputs.len()];
-                for (t, (values, param)) in results.into_iter().enumerate() {
-                    let b = t / per_sample;
-                    match param {
-                        None => outputs[b] = values,
-                        Some(param) => {
-                            for (j, g) in values.into_iter().enumerate() {
-                                *jacobians[b].get_mut(j, param) += g;
-                            }
-                        }
-                    }
-                }
-                Ok((outputs, jacobians))
-            }
         }
     }
 
-    /// The shared body of the statevector shift paths. `reader(item)`
-    /// builds the item's readout: it reads one final state out under the
-    /// overridden `(raw index, angle)`, `None` for the forward pass.
-    /// Bindings and readout are validated by the caller.
-    fn shift_walk_batch<R, E>(
+    /// The shared body of the shift paths over the raw binding `raw`.
+    /// `forward(item)` is the item's unshifted final register, and
+    /// `reader(item)` builds the item's readout: it reads one final
+    /// register out under the overridden `(raw index, angle)`, `None` for
+    /// the forward pass. Bindings and readout are validated by the caller.
+    fn shift_walk_batch<S, F, R, E>(
         &self,
         compiled: &CompiledCircuit,
         readout: &Readout,
         inputs: &[Vec<f64>],
-        params: &[f64],
+        raw: &S,
+        forward: F,
         reader: R,
     ) -> Result<(Vec<Vec<f64>>, Vec<Jacobian>), RuntimeError>
     where
+        S: ShiftSchedule + Sync,
+        F: Fn(&[f64]) -> Result<S::Register, RuntimeError> + Sync,
         R: Fn(&[f64]) -> E + Sync,
-        E: Fn(&StateVector, Option<(usize, f64)>) -> Result<Vec<f64>, RuntimeError>,
+        E: Fn(&S::Register, Option<(usize, f64)>) -> Result<Vec<f64>, RuntimeError>,
     {
-        let fused = prebind(compiled, params)?;
-        let raw = prebind_raw(compiled, params)?;
+        let params = raw.params();
         let occurrences = compiled.occurrences();
         let parts = if inputs.len() >= self.workers {
             1
@@ -499,14 +459,14 @@ impl BatchExecutor {
             let item = inputs[b].as_slice();
             let eval = reader(item);
             let forward = if c == 0 {
-                Some(eval(&run_prebound(&fused, item)?, None)?)
+                Some(eval(&forward(item)?, None)?)
             } else {
                 None
             };
-            let mut walk = ShiftWalk::new(&raw, item);
+            let mut walk = ShiftWalk::new(raw, item);
             let mut grads = Vec::with_capacity(chunks[c].len());
             for occ in &occurrences[chunks[c].clone()] {
-                walk.advance_to(occ.raw_idx);
+                walk.advance_to(occ.raw_idx)?;
                 let theta = occurrence_angle(compiled, *occ, item, params)?;
                 grads.push(shift_rule(theta, occ.controlled, |t| {
                     eval(walk.shifted(t)?, Some((occ.raw_idx, t)))
@@ -568,6 +528,14 @@ fn override_salt(override_angle: Option<(usize, f64)>) -> u64 {
     }
 }
 
+/// The sample-stream seeds of one item's evaluations: every evaluation
+/// hashes the same bindings, so they are hashed once, and each
+/// evaluation salts them with [`override_salt`].
+fn item_streams(seed: u64, item: &[f64], params: &[f64]) -> impl Fn(Option<(usize, f64)>) -> u64 {
+    let bindings = ExecutionBackend::bindings_hash(item, params);
+    move |at| ExecutionBackend::salted_seed(seed, bindings, override_salt(at))
+}
+
 /// The `Sampled` readout of one final state: `shots` samples drawn from
 /// the evaluation's content-addressed stream, seeded by `stream`
 /// ([`ExecutionBackend::eval_seed`]).
@@ -584,25 +552,18 @@ fn sampled_readout(
 }
 
 /// The `Noisy` readout of one final density matrix: exact, or `shots`
-/// samples from the evaluation's content-addressed stream.
+/// samples from the evaluation's content-addressed stream, seeded by
+/// `stream` ([`ExecutionBackend::eval_seed`]).
 fn density_readout(
     rho: &DensityMatrix,
     readout: &Readout,
-    inputs: &[f64],
-    params: &[f64],
     shots: Option<usize>,
-    seed: u64,
-    override_angle: Option<(usize, f64)>,
+    stream: u64,
 ) -> Result<Vec<f64>, RuntimeError> {
     match shots {
         None => readout.evaluate_density(rho),
         Some(s) => {
-            let mut rng = StdRng::seed_from_u64(ExecutionBackend::eval_seed(
-                seed,
-                inputs,
-                params,
-                override_salt(override_angle),
-            ));
+            let mut rng = StdRng::seed_from_u64(stream);
             readout.evaluate_shots_density(rho, s, &mut rng)
         }
     }
@@ -633,6 +594,7 @@ fn occurrence_angle(
 mod tests {
     use super::*;
     use crate::compile::compile;
+    use qmarl_qsim::noise::NoiseModel;
     use qmarl_vqc::ansatz::{init_params, layered_ansatz};
     use qmarl_vqc::encoder::layered_angle_encoder;
     use qmarl_vqc::grad::jacobian_parameter_shift;
@@ -937,6 +899,128 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// The naive reference of the `Noisy` gradient: one full density walk
+    /// per forward pass and per ±shift evaluation (op `k` rebound), folded
+    /// in occurrence order.
+    fn naive_noisy_reference(
+        compiled: &CompiledCircuit,
+        readout: &Readout,
+        item: &[f64],
+        params: &[f64],
+        (model, shots, seed): (&NoiseModel, Option<usize>, u64),
+    ) -> (Vec<f64>, Jacobian) {
+        let pb = prebind_density(compiled, params, model).unwrap();
+        let eval = |at: Option<(usize, f64)>| {
+            let rho = match at {
+                None => run_density(&pb, item),
+                Some((k, t)) => crate::superop::run_density_rebound(&pb, item, k, t),
+            };
+            let stream = ExecutionBackend::eval_seed(seed, item, params, override_salt(at));
+            density_readout(&rho.unwrap(), readout, shots, stream).unwrap()
+        };
+        let mut jac = Jacobian::zeros(readout.output_len(), compiled.n_params());
+        for &occ in compiled.occurrences() {
+            let theta = occurrence_angle(compiled, occ, item, params).unwrap();
+            let grads = shift_rule(theta, occ.controlled, |t| {
+                Ok::<_, RuntimeError>(eval(Some((occ.raw_idx, t))))
+            })
+            .unwrap();
+            for (j, g) in grads.into_iter().enumerate() {
+                *jac.get_mut(j, occ.param) += g;
+            }
+        }
+        (eval(None), jac)
+    }
+
+    #[test]
+    fn noisy_shift_walk_is_bit_identical_to_full_density_runs() {
+        let model = NoiseModel::depolarizing(0.01, 0.02).unwrap();
+        let cases = [
+            (shift_corner_circuit(), vec![0.4, -0.8, 1.7, 0.3]),
+            (untrainable_circuit(), Vec::new()),
+            (paper_circuit(), init_params(20, 47)),
+        ];
+        for shots in [None, Some(64)] {
+            let backend = ExecutionBackend::Noisy {
+                model,
+                shots,
+                seed: 13,
+            };
+            for (circuit, params) in &cases {
+                let compiled = compile(circuit);
+                let n = compiled.n_qubits();
+                for readout in [
+                    Readout::z_all(n),
+                    Readout::WeightedZSum {
+                        weights: (0..n).map(|q| 0.5 - 0.3 * q as f64).collect(),
+                    },
+                ] {
+                    for batch in [1usize, 3] {
+                        let inputs = inputs_for(&compiled, batch);
+                        let reference: Vec<(Vec<f64>, Jacobian)> = inputs
+                            .iter()
+                            .map(|item| {
+                                let noise = (&model, shots, 13);
+                                naive_noisy_reference(&compiled, &readout, item, params, noise)
+                            })
+                            .collect();
+                        for workers in [1usize, 2, 4] {
+                            let (outs, jacs) = BatchExecutor::new(workers)
+                                .forward_and_jacobian_batch_backend(
+                                    &compiled, &readout, &inputs, params, &backend,
+                                )
+                                .unwrap();
+                            for (b, ((out, jac), (out_ref, jac_ref))) in
+                                outs.iter().zip(&jacs).zip(&reference).enumerate()
+                            {
+                                let at = format!(
+                                    "shots {shots:?}, {} occurrences, batch {batch}, \
+                                     workers {workers}, item {b}",
+                                    compiled.occurrences().len()
+                                );
+                                assert_eq!(bits(out), bits(out_ref), "forward: {at}");
+                                assert_eq!(jac_bits(jac), jac_bits(jac_ref), "jacobian: {at}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn noisy_shot_gradients_are_worker_count_invariant() {
+        // One item splits into occurrence chunks across workers; three
+        // items do not (at four workers) — both must fold identically.
+        let circuit = paper_circuit();
+        let compiled = compile(&circuit);
+        let params = init_params(20, 53);
+        let readout = Readout::z_all(4);
+        let backend = ExecutionBackend::Noisy {
+            model: NoiseModel::depolarizing(0.01, 0.02).unwrap(),
+            shots: Some(128),
+            seed: 9,
+        };
+        for batch in [1usize, 3] {
+            let inputs = batch_inputs(batch);
+            let run = |ex: BatchExecutor| {
+                ex.forward_and_jacobian_batch_backend(
+                    &compiled, &readout, &inputs, &params, &backend,
+                )
+                .unwrap()
+            };
+            let (fwd_serial, jac_serial) = run(BatchExecutor::serial());
+            let (fwd_par, jac_par) = run(BatchExecutor::new(4));
+            assert_eq!(fwd_serial.len(), batch);
+            for (a, b) in fwd_serial.iter().zip(&fwd_par) {
+                assert_eq!(bits(a), bits(b), "forward, batch {batch}");
+            }
+            for (a, b) in jac_serial.iter().zip(&jac_par) {
+                assert_eq!(jac_bits(a), jac_bits(b), "jacobian, batch {batch}");
             }
         }
     }

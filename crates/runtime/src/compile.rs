@@ -241,7 +241,7 @@ impl CGate {
 /// of work of the parameter-shift rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Occurrence {
-    /// Index into [`CompiledCircuit::raw`].
+    /// Index into [`CompiledCircuit::raw_schedule`].
     pub raw_idx: usize,
     /// The parameter this occurrence consumes.
     pub param: usize,
@@ -917,5 +917,22 @@ mod tests {
             } => assert!((v - 0.75).abs() < 1e-15),
             other => panic!("expected fused const rotation, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn density_binding_rejects_a_fused_two_qubit_gate_in_the_raw_schedule() {
+        // Compilation keeps `Fixed2` out of the raw schedule; should that
+        // ever change, the density binding refuses it with a typed error.
+        let mut compiled = compile(&chain());
+        compiled.raw.push(CGate::Fixed2 {
+            qa: 0,
+            qb: 1,
+            gate: Gate2::cnot(),
+        });
+        let noise = qmarl_qsim::noise::NoiseModel::depolarizing(0.01, 0.02).unwrap();
+        assert!(matches!(
+            crate::superop::prebind_density(&compiled, &[0.1, 0.2, 0.3], &noise),
+            Err(crate::error::RuntimeError::InvalidConfig(_))
+        ));
     }
 }

@@ -46,8 +46,8 @@ pub(crate) fn check_bindings(
 /// this walk at 1e-12 and replaces it in every batched queue. Keep this
 /// one naive and obviously correct.
 ///
-/// `override_angle` optionally forces gate `raw_idx`'s angle to `theta`,
-/// which is the parameter-shift rule's primitive on this backend.
+/// `override_angle` optionally forces gate `raw_idx`'s angle to `theta`:
+/// the oracle of the Noisy shift walk's fork, which rebinds that one op.
 ///
 /// # Errors
 ///

@@ -41,10 +41,11 @@
 //!   update sweep), and forward and forward+Jacobian batches of one
 //!   model under an [`backend::ExecutionBackend`]. The `Ideal` forward
 //!   prebinds the fused schedule once per call and runs the batch as
-//!   lane slabs; the `Ideal`/`Sampled` gradient walks each item's raw
-//!   schedule once and forks every ±shift evaluation from the shared
-//!   prefix, one task per item (or per occurrence chunk when items are
-//!   fewer than workers). Batched results are bit-identical to serial
+//!   lane slabs (`Noisy` as density lane slabs on the same queue); the
+//!   `Ideal`/`Sampled`/`Noisy` gradient walks each item's raw schedule
+//!   once and forks every ±shift evaluation (a statevector, or ρ) from
+//!   the shared prefix, one task per item (or per occurrence chunk when
+//!   items are fewer than workers). Batched results are bit-identical to serial
 //!   ones (fold order is fixed; property-tested at 1e-12 against
 //!   `vqc::exec::run`).
 //! * [`backend`] — [`backend::ExecutionBackend`]: the execution-model
@@ -57,11 +58,13 @@
 //!   (`"sampled:shots=1024"`), threaded through every executor queue and
 //!   [`qnn::CompiledVqc`]; stochastic backends differentiate by the
 //!   batched parameter-shift path (adjoint stays `Ideal`-only).
-//! * [`superop`] — the compiled Noisy hot path: the raw schedule plus
-//!   its channels prebind **once** per evaluation batch into dense
-//!   per-gate superoperators ([`qmarl_qsim::superop`]) applied over
-//!   density lane slabs, replacing the per-gate interpreter walk
-//!   (verified against it at 1e-12).
+//! * [`superop`] — the compiled Noisy hot path: the raw schedule's
+//!   statevector binding plus its channels, with every parameter-only
+//!   one-qubit gate fused with its channel into a dense superoperator
+//!   ([`qmarl_qsim::superop`]) **once** per evaluation batch, walked
+//!   over density lane slabs in place of the per-gate interpreter
+//!   (verified against it at 1e-12); the shift walk forks ρ through the
+//!   same walker.
 //! * [`trajectory`] — the Trajectory executor: `samples` statevectors
 //!   as lanes of one prebound walk (the adjoint binding plus noise
 //!   channels), per-sample Pauli errors drawn from

@@ -22,7 +22,10 @@
 //! `prebind_raw` binds the **raw** (unfused) schedule the same way for
 //! the parameter-shift gradient, whose `ShiftWalk` walks one item's raw
 //! schedule once and forks every ±shift evaluation from the shared
-//! prefix; prefix and forks are one-lane slabs of the same walker.
+//! prefix. The walk is generic over the register it forks: a statevector
+//! here, whose prefix and forks are one-lane slabs of the same walker, or
+//! the Noisy backend's vectorized ρ ([`crate::superop`], a density walk
+//! over the same raw binding).
 //! [`prebind_adjoint`] adds the inverse of every raw op and the trainable
 //! slot of every occurrence, and `reverse_sweep` is the one adjoint
 //! recursion over them: the `Ideal` adjoint here and the per-trajectory
@@ -37,6 +40,8 @@
 //! bit-identical to applying the compiled gates one by one, and slab
 //! lanes are bit-identical to one-lane runs (asserted in this module's
 //! tests; checked against the `vqc` interpreter at 1e-12).
+
+use std::ops::Range;
 
 use qmarl_qsim::complex::Complex64;
 use qmarl_qsim::gate::{Gate1, Gate2, RotationAxis};
@@ -153,6 +158,26 @@ impl PreOp {
             ))),
         }
     }
+
+    /// The op's `(target, control)` wire masks, `control = 0` for a
+    /// one-qubit op (a `Fixed2` is `(qb, qa)`).
+    pub(crate) fn masks(&self) -> (usize, usize) {
+        let (target, control) = match *self {
+            PreOp::RotSC { qubit, .. } | PreOp::Rot { qubit, .. } | PreOp::Fixed { qubit, .. } => {
+                return (1 << qubit, 0)
+            }
+            PreOp::CRotSC {
+                control, target, ..
+            }
+            | PreOp::CRot {
+                control, target, ..
+            }
+            | PreOp::Cnot { control, target }
+            | PreOp::Cz { control, target } => (target, control),
+            PreOp::Fixed2 { qa, qb, .. } => (qb, qa),
+        };
+        (1 << target, 1 << control)
+    }
 }
 
 /// A compiled schedule bound to one frozen parameter vector.
@@ -187,6 +212,11 @@ impl PreboundCircuit {
             .filter(|op| matches!(op, PreOp::RotSC { .. } | PreOp::CRotSC { .. }))
             .count()
     }
+
+    /// The bound ops, in schedule order.
+    pub(crate) fn ops(&self) -> &[PreOp] {
+        &self.ops
+    }
 }
 
 /// Binds a compiled schedule to a frozen parameter vector, hoisting every
@@ -205,7 +235,9 @@ pub fn prebind(
 
 /// Binds the **raw** (unfused) schedule the same way — the schedule of
 /// the parameter-shift walk ([`ShiftWalk`]), which overrides individual
-/// trainable occurrences and therefore cannot run the fused schedule.
+/// trainable occurrences and therefore cannot run the fused schedule,
+/// and of the Noisy backend's density walk, whose per-gate noise scales
+/// with the source circuit's gate count.
 ///
 /// # Errors
 ///
@@ -332,83 +364,144 @@ pub fn run_prebound(pb: &PreboundCircuit, inputs: &[f64]) -> Result<StateVector,
     }
     let mut state = StateVector::zero(pb.n_qubits);
     let mut scratch = LaneScratch::default();
-    walk(
-        state.amplitudes_mut(),
-        1,
-        &pb.ops,
-        &[inputs],
-        &pb.params,
-        &mut scratch,
-    );
+    let slabs = &mut [state.amplitudes_mut()];
+    walk(slabs, 1, &pb.ops, &[inputs], &pb.params, &mut scratch);
     Ok(state)
 }
 
-/// One input vector's **prefix-shared parameter-shift walk** over a
-/// prebound raw schedule ([`prebind_raw`]).
+/// A raw-schedule binding whose one-lane register [`ShiftWalk`] forks:
+/// [`PreboundCircuit`] evolves a statevector, and
+/// [`crate::superop::DensityPrebound`] the vectorized density matrix.
+pub(crate) trait ShiftSchedule {
+    /// The register one evaluation evolves.
+    type Register;
+    /// The register before op 0: `|0…0⟩`, or `|0…0⟩⟨0…0|`.
+    fn zero(&self) -> Self::Register;
+    /// The register's amplitudes, in place.
+    fn amps(reg: &mut Self::Register) -> &mut [Complex64];
+    /// The frozen parameter vector of the binding.
+    fn params(&self) -> &[f64];
+    /// Number of ops in the bound schedule.
+    fn n_ops(&self) -> usize;
+    /// Applies ops `range` to a one-lane register bound to `inputs`; with
+    /// `rebound = Some(θ)`, op `range.start` — a trainable, hence
+    /// parameter-only, rotation — runs at angle `θ`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::InvalidConfig`] when the rebound op is not
+    /// a resolved rotation (see [`PreOp::with_angle`]).
+    fn walk(
+        &self,
+        amps: &mut [Complex64],
+        range: Range<usize>,
+        rebound: Option<f64>,
+        inputs: &[&[f64]],
+        scratch: &mut LaneScratch,
+    ) -> Result<(), RuntimeError>;
+}
+
+impl ShiftSchedule for PreboundCircuit {
+    type Register = StateVector;
+
+    fn zero(&self) -> StateVector {
+        StateVector::zero(self.n_qubits)
+    }
+
+    fn amps(state: &mut StateVector) -> &mut [Complex64] {
+        state.amplitudes_mut()
+    }
+
+    fn params(&self) -> &[f64] {
+        &self.params
+    }
+
+    fn n_ops(&self) -> usize {
+        self.ops.len()
+    }
+
+    fn walk(
+        &self,
+        amps: &mut [Complex64],
+        mut range: Range<usize>,
+        rebound: Option<f64>,
+        inputs: &[&[f64]],
+        scratch: &mut LaneScratch,
+    ) -> Result<(), RuntimeError> {
+        if let Some(theta) = rebound {
+            let gate = [self.ops[range.start].with_angle(theta)?];
+            walk(&mut [&mut *amps], 1, &gate, inputs, &self.params, scratch);
+            range.start += 1;
+        }
+        walk(
+            &mut [amps],
+            1,
+            &self.ops[range],
+            inputs,
+            &self.params,
+            scratch,
+        );
+        Ok(())
+    }
+}
+
+/// One input vector's **prefix-shared parameter-shift walk** over a raw
+/// schedule binding ([`prebind_raw`], or the density binding of
+/// [`crate::superop::prebind_density`]).
 ///
-/// The walk holds the state after raw gates `0..pos`. [`ShiftWalk::shifted`]
-/// forks it: copy the prefix, apply gate `pos` at an overridden angle, then
-/// run the suffix `pos+1..`. A fork applies exactly the gates, in exactly
-/// the order, of a from-scratch raw run with that one angle overridden, so
-/// its final state is bit-identical to that run at `G − pos` gate
-/// applications instead of `G`. Every ± term of every occurrence shares
-/// the prefix, and [`ShiftWalk::advance_to`] extends it (unshifted) to the
-/// next occurrence. Prefix and fork are one-lane slabs of the same
-/// [`walk`] every other forward runs.
-pub(crate) struct ShiftWalk<'a> {
-    pb: &'a PreboundCircuit,
+/// The walk holds the register after raw ops `0..pos`.
+/// [`ShiftWalk::shifted`] forks it: copy the prefix, apply op `pos` at an
+/// overridden angle, then run the suffix `pos+1..`. A fork applies
+/// exactly the ops, in exactly the order, of a from-scratch raw run with
+/// that one angle overridden, so its final register is bit-identical to
+/// that run at `G − pos` op applications instead of `G`. Every ± term of
+/// every occurrence shares the prefix, and [`ShiftWalk::advance_to`]
+/// extends it (unshifted) to the next occurrence.
+pub(crate) struct ShiftWalk<'a, S: ShiftSchedule> {
+    pb: &'a S,
     inputs: [&'a [f64]; 1],
-    prefix: StateVector,
+    prefix: S::Register,
     pos: usize,
-    fork: StateVector,
+    fork: S::Register,
     scratch: LaneScratch,
 }
 
-impl<'a> ShiftWalk<'a> {
-    /// A walk at `|0…0⟩`, before raw gate 0. Input lengths are the
-    /// caller's responsibility.
-    pub(crate) fn new(pb: &'a PreboundCircuit, inputs: &'a [f64]) -> Self {
+impl<'a, S: ShiftSchedule> ShiftWalk<'a, S> {
+    /// A walk at the zero register, before raw op 0. Input lengths are
+    /// the caller's responsibility.
+    pub(crate) fn new(pb: &'a S, inputs: &'a [f64]) -> Self {
         ShiftWalk {
             pb,
             inputs: [inputs],
-            prefix: StateVector::zero(pb.n_qubits),
+            prefix: pb.zero(),
             pos: 0,
-            fork: StateVector::zero(pb.n_qubits),
+            fork: pb.zero(),
             scratch: LaneScratch::default(),
         }
     }
 
-    /// Extends the prefix through raw gates `pos..k`, unshifted.
-    pub(crate) fn advance_to(&mut self, k: usize) {
+    /// Extends the prefix through raw ops `pos..k`, unshifted.
+    pub(crate) fn advance_to(&mut self, k: usize) -> Result<(), RuntimeError> {
         debug_assert!(k >= self.pos, "the walk only moves forward");
-        let ops = &self.pb.ops[self.pos..k];
-        let amps = self.prefix.amplitudes_mut();
-        walk(
-            amps,
-            1,
-            ops,
-            &self.inputs,
-            &self.pb.params,
-            &mut self.scratch,
-        );
+        let amps = S::amps(&mut self.prefix);
+        let range = self.pos..k;
         self.pos = k;
+        self.pb
+            .walk(amps, range, None, &self.inputs, &mut self.scratch)
     }
 
-    /// The final state with raw gate `pos` — a trainable, hence
-    /// parameter-only, rotation — run at angle `theta`.
+    /// The final register with raw op `pos` run at angle `theta`.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidConfig`] when gate `pos` is not a
+    /// Returns [`RuntimeError::InvalidConfig`] when op `pos` is not a
     /// resolved rotation (see [`PreOp::with_angle`]).
-    pub(crate) fn shifted(&mut self, theta: f64) -> Result<&StateVector, RuntimeError> {
-        let gate = self.pb.ops[self.pos].with_angle(theta)?;
-        let amps = self.fork.amplitudes_mut();
-        amps.copy_from_slice(self.prefix.amplitudes());
-        let (inputs, params) = (&self.inputs, &self.pb.params);
-        for ops in [std::slice::from_ref(&gate), &self.pb.ops[self.pos + 1..]] {
-            walk(amps, 1, ops, inputs, params, &mut self.scratch);
-        }
+    pub(crate) fn shifted(&mut self, theta: f64) -> Result<&S::Register, RuntimeError> {
+        let amps = S::amps(&mut self.fork);
+        amps.copy_from_slice(S::amps(&mut self.prefix));
+        let range = self.pos..self.pb.n_ops();
+        let rebound = Some(theta);
+        (self.pb).walk(amps, range, rebound, &self.inputs, &mut self.scratch)?;
         Ok(&self.fork)
     }
 }
@@ -447,23 +540,24 @@ pub(crate) fn run_raw_with_override(
 /// repeated walks (the shift walk's forks) reuse its buffers.
 #[derive(Debug, Default)]
 pub(crate) struct LaneScratch {
-    trig: Vec<(f64, f64)>,
-    zlo: Vec<(f64, f64)>,
-    zhi: Vec<(f64, f64)>,
+    /// `(sin θ/2, cos θ/2)` of the current rotation when every lane shares
+    /// it (one input vector for every lane), with no buffer to fill.
+    pub(crate) uniform: Option<(f64, f64)>,
+    /// Otherwise the current input rotation's pair for each lane.
+    pub(crate) trig: Vec<(f64, f64)>,
+    /// For a per-lane Rz, the phase `(c, −s)` of target-clear rows.
+    pub(crate) zlo: Vec<(f64, f64)>,
+    /// For a per-lane Rz, the phase `(c, s)` of target-set rows.
+    pub(crate) zhi: Vec<(f64, f64)>,
 }
 
 impl LaneScratch {
-    /// An input-dependent rotation (at `−θ` when `negate`): per-lane
-    /// `(sin θ/2, cos θ/2)` resolved with the exact arithmetic of the
-    /// per-circuit angle kernels. Rz runs as the phase classes `(c, −s)`
-    /// on target-clear and `(c, s)` on target-set rows.
-    #[allow(clippy::too_many_arguments)]
-    fn rot(
+    /// Resolves an input-dependent rotation (at `−θ` when `negate`) for
+    /// every lane with the exact arithmetic of the per-circuit angle
+    /// kernels: once per op, however many registers the op then runs on.
+    pub(crate) fn resolve(
         &mut self,
-        slab: &mut rows::Slab<'_>,
         axis: RotationAxis,
-        mt: usize,
-        mc: usize,
         angle: &FusedAngle,
         negate: bool,
         inputs: &[&[f64]],
@@ -475,39 +569,54 @@ impl LaneScratch {
             (theta / 2.0).sin_cos()
         };
         if let [lane_inputs] = inputs {
-            // One input vector for every lane: a uniform rotation, with
-            // no scratch to fill.
-            let (s, c) = trig(lane_inputs);
-            return slab.rot(axis, mt, mc, s, c);
+            self.uniform = Some(trig(lane_inputs));
+            return;
         }
+        self.uniform = None;
         self.trig.clear();
         self.trig
             .extend(inputs.iter().map(|lane_inputs| trig(lane_inputs)));
+        self.zlo.clear();
+        self.zhi.clear();
+        if axis == RotationAxis::Z {
+            for &(s, c) in &self.trig {
+                self.zlo.push((c, -s));
+                self.zhi.push((c, s));
+            }
+        }
+    }
+
+    /// Runs the resolved rotation on target mask `mt` where control mask
+    /// `mc` is set.
+    pub(crate) fn apply(
+        &self,
+        slab: &mut rows::Slab<'_>,
+        axis: RotationAxis,
+        mt: usize,
+        mc: usize,
+    ) {
+        if let Some((s, c)) = self.uniform {
+            return slab.rot(axis, mt, mc, s, c);
+        }
         match axis {
             RotationAxis::X => slab.rot_x_lanes(mt, mc, &self.trig),
             RotationAxis::Y => slab.rot_y_lanes(mt, mc, &self.trig),
-            RotationAxis::Z => {
-                self.zlo.clear();
-                self.zhi.clear();
-                for &(s, c) in &self.trig {
-                    self.zlo.push((c, -s));
-                    self.zhi.push((c, s));
-                }
-                slab.phase_lanes(mt, mc, &self.zlo, &self.zhi);
-            }
+            RotationAxis::Z => slab.phase_lanes(mt, mc, &self.zlo, &self.zhi),
         }
     }
 }
 
-/// Applies `ops` in order to every lane of `slab` (`slab[amp · lanes +
+/// Applies `ops` in order to every lane of each slab (`slab[amp · lanes +
 /// lane]`): the runtime's one statevector walker. Lane `l` is bound to
 /// `inputs[l]`, or every lane to `inputs[0]` when one input vector is
-/// given (the trajectories of one evaluation). Batched forwards run it
-/// over lane chunks, single states (`run_prebound`, the shift walk's
-/// prefix and forks) over one lane, and both adjoints over their forward
-/// and inverse ops.
+/// given (the trajectories of one evaluation). Each slab gets one view
+/// for all of `ops`. Batched forwards run it over lane chunks, single
+/// states (`run_prebound`, the shift walk's prefix and forks) over one
+/// lane, and both adjoints over their forward and inverse ops; the
+/// adjoint un-applies each op from φ and every λ in one call, which
+/// resolves an input rotation's trig once for all of them.
 pub(crate) fn walk(
-    slab: &mut [Complex64],
+    slabs: &mut [&mut [Complex64]],
     lanes: usize,
     ops: &[PreOp],
     inputs: &[&[f64]],
@@ -518,40 +627,49 @@ pub(crate) fn walk(
         inputs.len() == lanes || inputs.len() == 1,
         "one input vector per lane, or one for every lane"
     );
-    let mut slab = rows::Slab::new(slab, lanes);
-    for op in ops {
-        match op {
-            PreOp::RotSC { qubit, axis, s, c } => slab.rot(*axis, 1 << qubit, 0, *s, *c),
-            PreOp::CRotSC {
-                control,
-                target,
-                axis,
-                s,
-                c,
-            } => slab.rot(*axis, 1 << target, 1 << control, *s, *c),
-            PreOp::Rot {
-                qubit,
-                axis,
-                angle,
-                negate,
-            } => {
-                let mt = 1usize << qubit;
-                scratch.rot(&mut slab, *axis, mt, 0, angle, *negate, inputs, params);
+    // A one-op walk over several slabs (the adjoint un-applying an op from
+    // φ and every λ) reuses the trig the first slab resolved.
+    let reuse = |i: usize| i > 0 && ops.len() == 1;
+    for (i, slab) in slabs.iter_mut().enumerate() {
+        let mut slab = rows::Slab::new(slab, lanes);
+        for op in ops {
+            match op {
+                PreOp::RotSC { qubit, axis, s, c } => slab.rot(*axis, 1 << qubit, 0, *s, *c),
+                PreOp::CRotSC {
+                    control,
+                    target,
+                    axis,
+                    s,
+                    c,
+                } => slab.rot(*axis, 1 << target, 1 << control, *s, *c),
+                PreOp::Rot {
+                    qubit,
+                    axis,
+                    angle,
+                    negate,
+                } => {
+                    if !reuse(i) {
+                        scratch.resolve(*axis, angle, *negate, inputs, params);
+                    }
+                    scratch.apply(&mut slab, *axis, 1 << qubit, 0)
+                }
+                PreOp::CRot {
+                    control,
+                    target,
+                    axis,
+                    angle,
+                    negate,
+                } => {
+                    if !reuse(i) {
+                        scratch.resolve(*axis, angle, *negate, inputs, params);
+                    }
+                    scratch.apply(&mut slab, *axis, 1 << target, 1 << control)
+                }
+                PreOp::Cnot { control, target } => slab.cnot(1 << control, 1 << target),
+                PreOp::Cz { control, target } => slab.cz(1 << control, 1 << target),
+                PreOp::Fixed { qubit, gate } => slab.gate1(1 << qubit, gate),
+                PreOp::Fixed2 { qa, qb, gate } => slab.gate2(1 << qa, 1 << qb, gate),
             }
-            PreOp::CRot {
-                control,
-                target,
-                axis,
-                angle,
-                negate,
-            } => {
-                let (mt, mc) = (1usize << target, 1usize << control);
-                scratch.rot(&mut slab, *axis, mt, mc, angle, *negate, inputs, params);
-            }
-            PreOp::Cnot { control, target } => slab.cnot(1 << control, 1 << target),
-            PreOp::Cz { control, target } => slab.cz(1 << control, 1 << target),
-            PreOp::Fixed { qubit, gate } => slab.gate1(1 << qubit, gate),
-            PreOp::Fixed2 { qa, qb, gate } => slab.gate2(1 << qa, 1 << qb, gate),
         }
     }
 }
@@ -642,7 +760,8 @@ pub(crate) fn run_prebound_slab_raw(pb: &PreboundCircuit, inputs: &[&[f64]]) -> 
         *cell = Complex64::ONE; // every lane starts in |0…0⟩
     }
     let mut scratch = LaneScratch::default();
-    walk(&mut slab, lanes, &pb.ops, inputs, &pb.params, &mut scratch);
+    let slabs = &mut [slab.as_mut_slice()];
+    walk(slabs, lanes, &pb.ops, inputs, &pb.params, &mut scratch);
     slab
 }
 
@@ -882,13 +1001,14 @@ fn accumulate_generator_im(
 /// `λ_j = O_j φ` for every output of `readout`, then, from the last op
 /// down to the first trainable one:
 ///
-/// 1. `hook(k, φ, λs)` — the trajectory un-applies op `k`'s recorded
+/// 1. `hook(k, [φ, λs…])` — the trajectory un-applies op `k`'s recorded
 ///    Pauli patches here;
 /// 2. accumulates `Im⟨λ_j|G|φ⟩` into `accs[j · lanes + lane]` when op `k`
 ///    is trainable (φ is the state *after* op `k`, exactly like the
 ///    serial sweep) and
 /// 3. hands them to `fold(param, accs)`;
-/// 4. un-applies op `k` from φ and every λ through [`walk`].
+/// 4. un-applies op `k` from φ and every λ in one [`walk`], which
+///    resolves an input rotation's trig once for all of them.
 ///
 /// States before the first trainable op (the input-encoder prefix) are
 /// never read, so the sweep ends right after that op's contribution.
@@ -898,7 +1018,7 @@ pub(crate) fn reverse_sweep(
     phi: &mut [Complex64],
     lanes: usize,
     inputs: &[&[f64]],
-    mut hook: impl FnMut(usize, &mut [Complex64], &mut [Vec<Complex64>]),
+    mut hook: impl FnMut(usize, &mut [&mut [Complex64]]),
     mut fold: impl FnMut(usize, &[f64]),
 ) {
     let Some(first_param) = pa.param_of.iter().position(Option::is_some) else {
@@ -913,14 +1033,18 @@ pub(crate) fn reverse_sweep(
     let mut gbuf = vec![Complex64::ZERO; lanes];
     let mut scratch = LaneScratch::default();
     let params = pa.params();
+    // φ first, then the λs in output order.
+    let mut regs: Vec<&mut [Complex64]> = std::iter::once(phi)
+        .chain(lambdas.iter_mut().map(Vec::as_mut_slice))
+        .collect();
     for k in (first_param..pa.inv.len()).rev() {
-        hook(k, phi, &mut lambdas);
+        hook(k, &mut regs);
         if let Some(p) = pa.param_of[k] {
             accs.fill(0.0);
-            let lrefs: Vec<&[Complex64]> = lambdas.iter().map(|l| l.as_slice()).collect();
+            let lrefs: Vec<&[Complex64]> = regs[1..].iter().map(|l| &**l).collect();
             accumulate_generator_im(
                 &pa.fwd.ops[k],
-                phi,
+                &*regs[0],
                 &lrefs,
                 lanes,
                 dim,
@@ -932,11 +1056,14 @@ pub(crate) fn reverse_sweep(
         if k == first_param {
             break;
         }
-        let undo = &pa.inv[k..=k];
-        walk(phi, lanes, undo, inputs, params, &mut scratch);
-        for lam in &mut lambdas {
-            walk(lam, lanes, undo, inputs, params, &mut scratch);
-        }
+        walk(
+            &mut regs,
+            lanes,
+            &pa.inv[k..=k],
+            inputs,
+            params,
+            &mut scratch,
+        );
     }
 }
 
@@ -969,7 +1096,7 @@ pub(crate) fn run_adjoint_slab(
             }
         }
     };
-    reverse_sweep(pa, readout, &mut phi, lanes, inputs, |_, _, _| {}, fold);
+    reverse_sweep(pa, readout, &mut phi, lanes, inputs, |_, _| {}, fold);
     outs.into_iter().zip(jacs).collect()
 }
 

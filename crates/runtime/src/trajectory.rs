@@ -20,7 +20,7 @@
 //! # Determinism
 //!
 //! Trajectory `i` of an evaluation draws from its own
-//! [`StdRng`](rand::rngs::StdRng) seeded with
+//! [`rand::rngs::StdRng`] seeded with
 //! `derive_seed(eval_seed, TRAJ_STREAM, i)`, where `eval_seed` is the
 //! content-addressed per-evaluation seed of [`crate::backend`]. Streams
 //! depend only on `(root seed, inputs, params, shift salt, sample
@@ -35,7 +35,7 @@
 //!
 //! Because the jump sampling is parameter-independent, a fixed seed makes
 //! every trajectory a deterministic circuit — so the sampled estimator has
-//! an **exact** gradient, computed by [`run_trajectory_adjoint`] with one
+//! an **exact** gradient, computed by `run_trajectory_adjoint` with one
 //! forward walk plus the `Ideal` adjoint's reverse sweep over the shared
 //! slab (the per-trajectory adjoint) instead of `O(params)` shifted
 //! re-evaluations. This is what makes the trajectory backend's update
@@ -54,28 +54,9 @@ use crate::backend::TRAJ_STREAM;
 use crate::compile::CompiledCircuit;
 use crate::error::RuntimeError;
 use crate::prebound::{
-    prebind_adjoint, readouts_from_slab, reverse_sweep, walk, LaneScratch, PreOp, PreboundAdjoint,
+    prebind_adjoint, readouts_from_slab, reverse_sweep, walk, LaneScratch, PreboundAdjoint,
 };
 use crate::rollout::derive_seed;
-
-/// The wires op touched, control before target, and the second one when
-/// it draws from the two-qubit channel.
-fn noise_site(op: &PreOp) -> (usize, Option<usize>) {
-    match *op {
-        PreOp::RotSC { qubit, .. } | PreOp::Rot { qubit, .. } | PreOp::Fixed { qubit, .. } => {
-            (qubit, None)
-        }
-        PreOp::CRotSC {
-            control, target, ..
-        }
-        | PreOp::CRot {
-            control, target, ..
-        }
-        | PreOp::Cnot { control, target }
-        | PreOp::Cz { control, target } => (control, Some(target)),
-        PreOp::Fixed2 { qa, qb, .. } => (qa, Some(qb)),
-    }
-}
 
 /// A compiled circuit bound to `(params, noise)` for trajectory sampling:
 /// the raw schedule's adjoint binding plus the channels drawn after one-
@@ -188,17 +169,19 @@ fn walk_forward(
         // 1. The gate, uniform across lanes (all trajectories share the
         //    same bindings).
         let op_k = std::slice::from_ref(op);
-        walk(&mut slab, lanes, op_k, &[inputs], pb.params(), &mut scratch);
+        let slabs = &mut [slab.as_mut_slice()];
+        walk(slabs, lanes, op_k, &[inputs], pb.params(), &mut scratch);
         // 2. The channel: each lane draws from its own stream, wires
         //    control before target — the interpreter's order.
-        let (w0, w1) = noise_site(op);
-        let channel = if w1.is_some() {
-            pb.after_gate2
-        } else {
+        let (mt, mc) = op.masks();
+        let channel = if mc == 0 {
             pb.after_gate1
+        } else {
+            pb.after_gate2
         };
         if let Some(ch) = channel {
-            for w in [Some(w0), w1].into_iter().flatten() {
+            for m in [mc, mt].into_iter().filter(|&m| m != 0) {
+                let w = m.trailing_zeros() as usize;
                 for (lane, rng) in rngs.iter_mut().enumerate() {
                     if let Some(err) = ch.sample_pauli_error(rng) {
                         apply_gate1_lane(&mut slab, lanes, dim, w, &err, lane);
@@ -292,11 +275,10 @@ pub(crate) fn run_trajectory_adjoint(
     let mut phi = walk_forward(pb, inputs, samples, eval_seed, Some(&mut record));
     let outs = mean_over_samples(readout, &phi, samples);
 
-    let unpatch = |k: usize, phi: &mut [Complex64], lambdas: &mut [Vec<Complex64>]| {
+    let unpatch = |k: usize, regs: &mut [&mut [Complex64]]| {
         for &(w, lane, g) in record[k].iter().rev() {
-            apply_gate1_lane(phi, lanes, dim, w, &g, lane);
-            for lam in lambdas.iter_mut() {
-                apply_gate1_lane(lam, lanes, dim, w, &g, lane);
+            for reg in regs.iter_mut() {
+                apply_gate1_lane(reg, lanes, dim, w, &g, lane);
             }
         }
     };

@@ -165,7 +165,7 @@ pub mod prop {
     pub mod collection {
         use super::super::{StdRng, Strategy};
 
-        /// Lengths accepted by [`vec`]: exact or a half-open range.
+        /// Lengths accepted by [`vec()`]: exact or a half-open range.
         pub trait IntoSizeRange {
             /// Draws a length.
             fn sample_len(&self, rng: &mut StdRng) -> usize;
@@ -189,7 +189,7 @@ pub mod prop {
             VecStrategy { element, size }
         }
 
-        /// The [`vec`] strategy.
+        /// The [`vec()`] strategy.
         pub struct VecStrategy<S, L> {
             element: S,
             size: L,

@@ -9,8 +9,10 @@
 //! density matrix:
 //!
 //! * on proptest-generated random circuits (every gate kind, every angle
-//!   binding form) × {noiseless, depolarizing, mixed custom channels},
-//!   with and without a parameter-shift angle override;
+//!   binding form) × {noiseless, depolarizing, mixed custom channels}
+//!   (the parameter-shift fork, which rebinds one op of this walk, is
+//!   checked against the interpreter's override by the runtime's own
+//!   `superop` unit tests, since the fork is crate-private);
 //! * on every registered scenario's actor circuit shape;
 //! * and, noiseless, against the ideal **statevector** simulator:
 //!   `ρ = |ψ⟩⟨ψ|` exactly.
@@ -68,19 +70,18 @@ fn bindings_for(compiled: &CompiledCircuit) -> (Vec<f64>, Vec<f64>) {
 }
 
 /// Elementwise 1e-12 parity of the prebound superoperator walk against
-/// the interpreter, under one `(noise, override)` configuration.
+/// the interpreter, under one noise model.
 fn assert_superop_parity(
     compiled: &CompiledCircuit,
     inputs: &[f64],
     params: &[f64],
     noise: &NoiseModel,
-    override_angle: Option<(usize, f64)>,
     label: &str,
 ) {
     let reference =
-        run_raw_density(compiled, inputs, params, noise, override_angle).expect("interpreter runs");
+        run_raw_density(compiled, inputs, params, noise, None).expect("interpreter runs");
     let pb = prebind_density(compiled, params, noise).expect("prebinds");
-    let fast = run_density(&pb, inputs, override_angle).expect("superop runs");
+    let fast = run_density(&pb, inputs).expect("superop runs");
     let dim = reference.dim();
     for r in 0..dim {
         for c in 0..dim {
@@ -113,7 +114,7 @@ fn noise_models() -> Vec<(&'static str, NoiseModel)> {
 
 proptest! {
     /// Random circuits: the compiled superoperator path equals the
-    /// interpreter on every noise model, plain and with a shifted angle.
+    /// interpreter on every noise model.
     #[test]
     fn superop_matches_interpreter_on_random_circuits(
         n_qubits in 2usize..5,
@@ -121,25 +122,12 @@ proptest! {
             (0usize..5, 0usize..8, 0usize..8, 0usize..3, 0usize..3, -3.0f64..3.0),
             1..24,
         ),
-        theta in -3.0f64..3.0,
     ) {
         let circuit = build_circuit(n_qubits, &ops);
         let compiled = compile(&circuit);
         let (inputs, params) = bindings_for(&compiled);
         for (label, noise) in noise_models() {
-            assert_superop_parity(&compiled, &inputs, &params, &noise, None, label);
-            // Parameter-shift primitive: override the first trainable
-            // occurrence's angle, if the circuit has one.
-            if let Some(occ) = compiled.occurrences().first() {
-                assert_superop_parity(
-                    &compiled,
-                    &inputs,
-                    &params,
-                    &noise,
-                    Some((occ.raw_idx, theta)),
-                    label,
-                );
-            }
+            assert_superop_parity(&compiled, &inputs, &params, &noise, label);
         }
     }
 }
@@ -164,7 +152,6 @@ fn superop_matches_interpreter_on_every_registered_scenario_shape() {
                 &inputs,
                 &params,
                 &noise,
-                None,
                 &format!("{} / {label}", spec.name()),
             );
         }
@@ -186,7 +173,7 @@ fn noiseless_density_equals_the_ideal_statevector_outer_product() {
         let compiled = actor.compiled().compiled().clone();
         let (inputs, params) = bindings_for(&compiled);
         let pb = prebind_density(&compiled, &params, &NoiseModel::noiseless()).unwrap();
-        let rho = run_density(&pb, &inputs, None).unwrap();
+        let rho = run_density(&pb, &inputs).unwrap();
         let psi = run_prebound(&prebind(&compiled, &params).unwrap(), &inputs).unwrap();
         let amps = psi.amplitudes();
         for r in 0..rho.dim() {
