@@ -1,61 +1,34 @@
-//! In-place gate-application kernels over amplitude slices.
+//! Gate application by wire index over one statevector's amplitudes.
 //!
-//! These free functions are the hot inner loops of the simulator. They are
-//! deliberately written over `&mut [Complex64]` rather than a state type so
-//! that both the statevector backend ([`crate::state::StateVector`]) and the
-//! density-matrix backend ([`crate::density::DensityMatrix`], which applies
-//! gates row-wise and column-wise) can share them.
+//! These free functions are the wire-index face of the gate kernels in
+//! [`crate::rows`]: each views its amplitude slice as a one-lane
+//! [`Slab`] and makes one call into it, so a single state and a lane slab
+//! run the same scalar or AVX2 body (see [`crate::simd`] for the dispatch
+//! and the bit-exactness contract). They take `&mut [Complex64]` rather
+//! than a state type so that both the statevector backend
+//! ([`crate::state::StateVector`]) and the density-matrix backend
+//! ([`crate::density::DensityMatrix`], which applies gates row-wise and
+//! column-wise) can share them.
 //!
-//! Every kernel dispatches once at entry between a portable scalar
-//! implementation and an AVX2 wide implementation (see [`crate::simd`] for
-//! the selection rules and the bit-exactness contract — the two paths
-//! produce identical bits, so which one runs is purely a throughput
-//! question). Pair and controlled kernels enumerate their target indices
-//! directly with nested block loops instead of scanning all `2^n` basis
-//! states and skipping mismatches, so a two-qubit gate touches exactly the
-//! `2^n/4` base indices it acts on.
-//!
-//! All kernels assume the **little-endian** qubit convention described in
-//! [`crate::gate`]: qubit `q` is bit `q` of the basis index. Callers are
-//! responsible for validating qubit indices; the kernels only
-//! `debug_assert!` them (the wide path additionally `assert!`s, since an
-//! invalid mask there would be unsound rather than a panic).
+//! All functions assume the **little-endian** qubit convention described
+//! in [`crate::gate`]: qubit `q` is bit `q` of the basis index. Wire
+//! indices are checked in every build profile: a wire outside the
+//! register (including `q ≥ usize::BITS`) panics instead of wrapping its
+//! shift onto another wire. Toffoli, which no slab executor runs, keeps
+//! its own block loop here.
 
 use crate::complex::Complex64;
-use crate::gate::{Gate1, Gate2};
-#[cfg(target_arch = "x86_64")]
-use crate::simd::{self, SimdLevel};
+use crate::gate::{Gate1, Gate2, RotationAxis};
+use crate::rows::{wire_mask, Slab};
 
-/// `true` when this call should take the AVX2 path. The `len` guard keeps
-/// degenerate single-amplitude slices (never valid for pair kernels, but
-/// tolerated by the scalar code's bounds checks) off the unsafe path.
-#[cfg(target_arch = "x86_64")]
+/// The checked masks of wires `a` and `b` in `amps`.
 #[inline]
-fn wide(len: usize) -> bool {
-    len >= 2 && simd::level() == SimdLevel::Avx2
+fn masks(amps: &[Complex64], a: usize, b: usize) -> (usize, usize) {
+    (wire_mask(a, amps.len()), wire_mask(b, amps.len()))
 }
 
-/// Visits every basis index `i < len` with bits `lo` and `hi` clear
-/// (`lo < hi`, both powers of two), in ascending order. The innermost
-/// range is a contiguous run of `lo` indices — the structure the wide
-/// kernels vectorise over.
-#[inline]
-fn for_each_clear2(len: usize, lo: usize, hi: usize, mut f: impl FnMut(usize)) {
-    debug_assert!(lo < hi);
-    let mut a = 0;
-    while a < len {
-        let mut b = a;
-        while b < a + hi {
-            for i in b..b + lo {
-                f(i);
-            }
-            b += lo << 1;
-        }
-        a += hi << 1;
-    }
-}
-
-/// Three-mask variant of [`for_each_clear2`] (`m0 < m1 < m2`).
+/// Visits every basis index `i < len` with bits `m0 < m1 < m2` (powers of
+/// two) all clear, in ascending order.
 #[inline]
 fn for_each_clear3(len: usize, m0: usize, m1: usize, m2: usize, mut f: impl FnMut(usize)) {
     debug_assert!(m0 < m1 && m1 < m2);
@@ -78,104 +51,49 @@ fn for_each_clear3(len: usize, m0: usize, m1: usize, m2: usize, mut f: impl FnMu
 
 /// Applies a single-qubit gate to qubit `q` of an amplitude vector.
 ///
-/// `amps.len()` must be a power of two and `q` must index a valid bit.
+/// # Panics
+///
+/// Unless `amps.len()` is a power of two and `q` indexes a bit below it.
+#[inline]
 pub fn apply_gate1(amps: &mut [Complex64], q: usize, gate: &Gate1) {
-    let len = amps.len();
-    debug_assert!(len.is_power_of_two());
-    debug_assert!(
-        1usize << q < len || (len == 1 && q == 0),
-        "qubit {q} out of range"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if wide(len) {
-        // SAFETY: level() == Avx2 implies the CPU supports AVX2.
-        return unsafe { crate::wide::gate1(amps, q, gate) };
-    }
-    let m = gate.matrix();
-    let stride = 1usize << q;
-    let mut base = 0;
-    while base < len {
-        for i0 in base..base + stride {
-            let i1 = i0 + stride;
-            let a0 = amps[i0];
-            let a1 = amps[i1];
-            amps[i0] = m[0][0] * a0 + m[0][1] * a1;
-            amps[i1] = m[1][0] * a0 + m[1][1] * a1;
-        }
-        base += stride << 1;
-    }
+    let mt = wire_mask(q, amps.len());
+    Slab::new(amps, 1).gate1(mt, 0, gate);
 }
 
 /// Applies a two-qubit gate to qubits `(qa, qb)` of an amplitude vector.
 ///
 /// `qa` contributes **bit 0** and `qb` **bit 1** of the 2-bit index into
 /// the gate's 4×4 matrix, matching [`Gate2`]'s documented convention (for
-/// [`Gate2::cnot`], `qa` is the control and `qb` the target).
+/// [`Gate2::cnot`], `qa` is the control and `qb` the target). Each output
+/// amplitude rebuilds through a `mul_acc` chain from zero in column order.
+#[inline]
 pub fn apply_gate2(amps: &mut [Complex64], qa: usize, qb: usize, gate: &Gate2) {
-    let len = amps.len();
-    debug_assert!(len.is_power_of_two());
-    debug_assert!(qa != qb, "two-qubit gate needs distinct wires");
-    debug_assert!((1usize << qa) < len && (1usize << qb) < len);
-    #[cfg(target_arch = "x86_64")]
-    if wide(len) {
-        // SAFETY: level() == Avx2 implies the CPU supports AVX2.
-        return unsafe { crate::wide::gate2(amps, qa, qb, gate) };
-    }
-    let m = gate.matrix();
-    let ma = 1usize << qa;
-    let mb = 1usize << qb;
-    for_each_clear2(len, ma.min(mb), ma.max(mb), |i| {
-        let i00 = i;
-        let i01 = i | ma;
-        let i10 = i | mb;
-        let i11 = i | ma | mb;
-        let v = [amps[i00], amps[i01], amps[i10], amps[i11]];
-        for (row, &idx) in [i00, i01, i10, i11].iter().enumerate() {
-            let mut acc = Complex64::ZERO;
-            for (col, &vc) in v.iter().enumerate() {
-                acc = m[row][col].mul_acc(vc, acc);
-            }
-            amps[idx] = acc;
-        }
-    });
+    let (ma, mb) = masks(amps, qa, qb);
+    Slab::new(amps, 1).gate2(ma, mb, gate);
 }
 
 /// Applies a single-qubit gate to `target`, conditioned on `control` being
-/// `|1⟩`. Specialised fast path that skips the 4×4 matrix entirely.
+/// `|1⟩`, without building the 4×4 matrix.
+#[inline]
 pub fn apply_controlled_gate1(amps: &mut [Complex64], control: usize, target: usize, gate: &Gate1) {
-    let len = amps.len();
-    debug_assert!(control != target);
-    debug_assert!((1usize << control) < len && (1usize << target) < len);
-    #[cfg(target_arch = "x86_64")]
-    if wide(len) {
-        // SAFETY: level() == Avx2 implies the CPU supports AVX2.
-        return unsafe { crate::wide::controlled_gate1(amps, control, target, gate) };
-    }
-    let m = gate.matrix();
-    let mc = 1usize << control;
-    let mt = 1usize << target;
-    // Visit each (control = 1, target = 0) index once.
-    for_each_clear2(len, mc.min(mt), mc.max(mt), |i| {
-        let i0 = i | mc;
-        let i1 = i0 | mt;
-        let a0 = amps[i0];
-        let a1 = amps[i1];
-        amps[i0] = m[0][0] * a0 + m[0][1] * a1;
-        amps[i1] = m[1][0] * a0 + m[1][1] * a1;
-    });
+    let (mc, mt) = masks(amps, control, target);
+    Slab::new(amps, 1).gate1(mt, mc, gate);
 }
 
 /// Toffoli (CCX) fast path: swaps amplitude pairs where **both** control
 /// bits are set.
 pub fn apply_toffoli(amps: &mut [Complex64], control1: usize, control2: usize, target: usize) {
     let len = amps.len();
-    debug_assert!(control1 != control2 && control1 != target && control2 != target);
-    debug_assert!(
-        (1usize << control1) < len && (1usize << control2) < len && (1usize << target) < len
+    assert!(
+        control1 != control2 && control1 != target && control2 != target,
+        "Toffoli needs three distinct wires"
     );
-    let mc = (1usize << control1) | (1usize << control2);
-    let mt = 1usize << target;
-    let mut masks = [1usize << control1, 1usize << control2, mt];
+    let mut masks = [
+        wire_mask(control1, len),
+        wire_mask(control2, len),
+        wire_mask(target, len),
+    ];
+    let (mc, mt) = (masks[0] | masks[1], masks[2]);
     masks.sort_unstable();
     for_each_clear3(len, masks[0], masks[1], masks[2], |i| {
         let i0 = i | mc;
@@ -191,30 +109,14 @@ pub fn apply_rx(amps: &mut [Complex64], q: usize, theta: f64) {
     apply_rx_sc(amps, q, s, c);
 }
 
-/// [`apply_rx`] with the half-angle sine/cosine precomputed — the
-/// prebound-schedule hot path, where a parameter rotation's trig is
-/// evaluated once per parameter set instead of once per circuit run.
-/// `(s, c)` must be `(sin(θ/2), cos(θ/2))` (the `sin_cos()` order).
+/// [`apply_rx`] with the half-angle sine/cosine precomputed, so a
+/// rotation's trig is evaluated once per parameter set instead of once
+/// per run. `(s, c)` must be `(sin(θ/2), cos(θ/2))` (the `sin_cos()`
+/// order).
 #[inline]
 pub fn apply_rx_sc(amps: &mut [Complex64], q: usize, s: f64, c: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if wide(amps.len()) {
-        // SAFETY: level() == Avx2 implies the CPU supports AVX2.
-        return unsafe { crate::wide::rx_sc(amps, q, s, c) };
-    }
-    let stride = 1usize << q;
-    let mut base = 0;
-    while base < amps.len() {
-        for i0 in base..base + stride {
-            let i1 = i0 + stride;
-            let a0 = amps[i0];
-            let a1 = amps[i1];
-            // c·a0 − i·s·a1  and  −i·s·a0 + c·a1.
-            amps[i0] = Complex64::new(c * a0.re + s * a1.im, c * a0.im - s * a1.re);
-            amps[i1] = Complex64::new(s * a0.im + c * a1.re, -s * a0.re + c * a1.im);
-        }
-        base += stride << 1;
-    }
+    let mt = wire_mask(q, amps.len());
+    Slab::new(amps, 1).rot(RotationAxis::X, mt, 0, s, c);
 }
 
 /// Specialised Ry kernel: `Ry(θ) = [[c, −s], [s, c]]` is purely real, so
@@ -228,23 +130,8 @@ pub fn apply_ry(amps: &mut [Complex64], q: usize, theta: f64) {
 /// [`apply_rx_sc`]).
 #[inline]
 pub fn apply_ry_sc(amps: &mut [Complex64], q: usize, s: f64, c: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if wide(amps.len()) {
-        // SAFETY: level() == Avx2 implies the CPU supports AVX2.
-        return unsafe { crate::wide::ry_sc(amps, q, s, c) };
-    }
-    let stride = 1usize << q;
-    let mut base = 0;
-    while base < amps.len() {
-        for i0 in base..base + stride {
-            let i1 = i0 + stride;
-            let a0 = amps[i0];
-            let a1 = amps[i1];
-            amps[i0] = Complex64::new(c * a0.re - s * a1.re, c * a0.im - s * a1.im);
-            amps[i1] = Complex64::new(s * a0.re + c * a1.re, s * a0.im + c * a1.im);
-        }
-        base += stride << 1;
-    }
+    let mt = wire_mask(q, amps.len());
+    Slab::new(amps, 1).rot(RotationAxis::Y, mt, 0, s, c);
 }
 
 /// Specialised Rz kernel: `Rz(θ) = diag(e^{−iθ/2}, e^{iθ/2})` is
@@ -277,54 +164,9 @@ pub fn apply_phases(
     lo: (f64, f64),
     hi: (f64, f64),
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if wide(amps.len()) {
-        // SAFETY: level() == Avx2 implies the CPU supports AVX2.
-        return unsafe {
-            match control {
-                None => crate::wide::phases(amps, target, lo, hi),
-                Some(c) => crate::wide::controlled_phases(amps, c, target, lo, hi),
-            }
-        };
-    }
-    phases_scalar(amps, control, target, lo, hi);
-}
-
-/// The scalar body of [`apply_phases`], kept out of line so the dispatch
-/// above stays small enough to inline into every caller.
-fn phases_scalar(
-    amps: &mut [Complex64],
-    control: Option<usize>,
-    target: usize,
-    lo: (f64, f64),
-    hi: (f64, f64),
-) {
-    let phase = |a: &mut Complex64, (pr, pi): (f64, f64)| {
-        *a = Complex64::new(a.re * pr - a.im * pi, a.re * pi + a.im * pr);
-    };
-    let mt = 1usize << target;
-    match control {
-        None => {
-            let mut base = 0;
-            while base < amps.len() {
-                for a in &mut amps[base..base + mt] {
-                    phase(a, lo);
-                }
-                for a in &mut amps[base + mt..base + (mt << 1)] {
-                    phase(a, hi);
-                }
-                base += mt << 1;
-            }
-        }
-        Some(control) => {
-            let mc = 1usize << control;
-            for_each_clear2(amps.len(), mc.min(mt), mc.max(mt), |i| {
-                let i0 = i | mc;
-                phase(&mut amps[i0], lo);
-                phase(&mut amps[i0 | mt], hi);
-            });
-        }
-    }
+    let mt = wire_mask(target, amps.len());
+    let mc = control.map_or(0, |q| wire_mask(q, amps.len()));
+    Slab::new(amps, 1).phase(mt, mc, lo, hi);
 }
 
 /// Controlled variant of [`apply_rx`]: the rotation acts on `target` only
@@ -338,21 +180,8 @@ pub fn apply_crx(amps: &mut [Complex64], control: usize, target: usize, theta: f
 /// [`apply_rx_sc`]).
 #[inline]
 pub fn apply_crx_sc(amps: &mut [Complex64], control: usize, target: usize, s: f64, c: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if wide(amps.len()) {
-        // SAFETY: level() == Avx2 implies the CPU supports AVX2.
-        return unsafe { crate::wide::crx_sc(amps, control, target, s, c) };
-    }
-    let mc = 1usize << control;
-    let mt = 1usize << target;
-    for_each_clear2(amps.len(), mc.min(mt), mc.max(mt), |i| {
-        let i0 = i | mc;
-        let i1 = i0 | mt;
-        let a0 = amps[i0];
-        let a1 = amps[i1];
-        amps[i0] = Complex64::new(c * a0.re + s * a1.im, c * a0.im - s * a1.re);
-        amps[i1] = Complex64::new(s * a0.im + c * a1.re, -s * a0.re + c * a1.im);
-    });
+    let (mc, mt) = masks(amps, control, target);
+    Slab::new(amps, 1).rot(RotationAxis::X, mt, mc, s, c);
 }
 
 /// Controlled variant of [`apply_ry`].
@@ -365,21 +194,8 @@ pub fn apply_cry(amps: &mut [Complex64], control: usize, target: usize, theta: f
 /// [`apply_rx_sc`]).
 #[inline]
 pub fn apply_cry_sc(amps: &mut [Complex64], control: usize, target: usize, s: f64, c: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if wide(amps.len()) {
-        // SAFETY: level() == Avx2 implies the CPU supports AVX2.
-        return unsafe { crate::wide::cry_sc(amps, control, target, s, c) };
-    }
-    let mc = 1usize << control;
-    let mt = 1usize << target;
-    for_each_clear2(amps.len(), mc.min(mt), mc.max(mt), |i| {
-        let i0 = i | mc;
-        let i1 = i0 | mt;
-        let a0 = amps[i0];
-        let a1 = amps[i1];
-        amps[i0] = Complex64::new(c * a0.re - s * a1.re, c * a0.im - s * a1.im);
-        amps[i1] = Complex64::new(s * a0.re + c * a1.re, s * a0.im + c * a1.im);
-    });
+    let (mc, mt) = masks(amps, control, target);
+    Slab::new(amps, 1).rot(RotationAxis::Y, mt, mc, s, c);
 }
 
 /// Controlled variant of [`apply_rz`] (diagonal: phase only, applied to
@@ -398,32 +214,17 @@ pub fn apply_crz_sc(amps: &mut [Complex64], control: usize, target: usize, s: f6
 
 /// CZ fast path: the gate is diagonal — flip the sign where both bits
 /// are set.
+#[inline]
 pub fn apply_cz(amps: &mut [Complex64], qa: usize, qb: usize) {
-    let len = amps.len();
-    debug_assert!(qa != qb);
-    debug_assert!((1usize << qa) < len && (1usize << qb) < len);
-    let ma = 1usize << qa;
-    let mb = 1usize << qb;
-    let both = ma | mb;
-    // Sign flips are order-independent elementwise negations; enumerate
-    // the both-set runs directly and let LLVM vectorise the negation.
-    for_each_clear2(len, ma.min(mb), ma.max(mb), |i| {
-        let a = &mut amps[i | both];
-        *a = -*a;
-    });
+    let (ma, mb) = masks(amps, qa, qb);
+    Slab::new(amps, 1).cz(ma, mb);
 }
 
 /// CNOT fast path: swaps amplitude pairs where the control bit is set.
+#[inline]
 pub fn apply_cnot(amps: &mut [Complex64], control: usize, target: usize) {
-    let len = amps.len();
-    debug_assert!(control != target);
-    debug_assert!((1usize << control) < len && (1usize << target) < len);
-    let mc = 1usize << control;
-    let mt = 1usize << target;
-    for_each_clear2(len, mc.min(mt), mc.max(mt), |i| {
-        let i0 = i | mc;
-        amps.swap(i0, i0 | mt);
-    });
+    let (mc, mt) = masks(amps, control, target);
+    Slab::new(amps, 1).cnot(mc, mt);
 }
 
 #[cfg(test)]
@@ -668,7 +469,21 @@ mod tests {
         assert!((amps[0b0101].re - 1.0).abs() < 1e-15);
     }
 
-    /// The pre-PR skip-scan enumerations, kept as the reference the direct
+    #[test]
+    #[should_panic(expected = "wire 3 out of range for 8 amplitudes")]
+    fn wire_at_register_width_panics() {
+        apply_rx_sc(&mut zero_state(3), 3, 0.6, 0.8);
+    }
+
+    #[test]
+    #[should_panic(expected = "wire 64 out of range for 8 amplitudes")]
+    fn wire_at_usize_bits_panics() {
+        // An unchecked `1 << 64` wraps to `1` in release builds, which
+        // would rotate wire 0 instead of panicking.
+        apply_rx_sc(&mut zero_state(3), 64, 0.6, 0.8);
+    }
+
+    /// The skip-scan enumerations, kept as the reference the direct
     /// block enumeration is tested against.
     mod skip_scan {
         use super::*;

@@ -9,6 +9,13 @@
 //! The paper ran its experiments on `torchquantum`'s simulator; this crate
 //! plays that role (see `DESIGN.md` §1 for the substitution argument).
 //!
+//! Every gate runs through one kernel family: the methods of
+//! [`rows::Slab`], a checked view of `L` statevectors stored
+//! `slab[amp · L + lane]`, each with one scalar and one AVX2 body
+//! ([`simd`] selects between them; the two are bit-identical). A single
+//! statevector is the one-lane slab, and the wire-index functions of
+//! [`apply`] are one-lane calls into the same methods.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -47,8 +54,6 @@ pub mod shots;
 pub mod simd;
 pub mod state;
 pub mod superop;
-#[cfg(target_arch = "x86_64")]
-mod wide;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {

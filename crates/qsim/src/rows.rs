@@ -1,22 +1,28 @@
-//! Lane-slab kernels: one gate update over `L` statevectors at once.
+//! Gate kernels over lane slabs: the simulator's one kernel family.
 //!
 //! The runtime's lane-slab executors store `L` statevectors transposed —
-//! `slab[amp · L + lane]` — so a gate update touches whole contiguous
-//! rows of `L` amplitudes at a time. [`Slab`] is a checked view of such a
-//! block, and its methods are the slab twins of the pair kernels in
-//! [`crate::apply`]: a scalar reference path plus an AVX2 path dispatched
-//! through [`crate::simd::level`], **bit-identical** by the same argument
-//! as the statevector kernels (separate multiply and add, same expression
-//! per element, same association order — see [`crate::simd`]).
+//! `slab[amp · L + lane]` — and a single statevector is the one-lane case
+//! `slab[amp]`. [`Slab`] is a checked view of such a block and its
+//! methods are the gate kernels; the wire-index functions of
+//! [`crate::apply`] are one-lane calls into them. Each kernel has one
+//! portable scalar body and one AVX2 body, dispatched through
+//! [`crate::simd::level`] and **bit-identical** by the argument given
+//! there (separate multiply and add, the same expression per element, the
+//! same association order).
 //!
-//! ## One lane is a statevector
+//! ## Runs
 //!
-//! At `L = 1` the layout `slab[amp]` *is* the statevector layout, so every
-//! unitary method of a one-lane [`Slab`] runs the contiguous
-//! [`crate::apply`] kernel on the same buffer instead of walking `2ⁿ`
-//! one-element rows. Both compute the same expression per element, so the
-//! result is bit-identical either way. A single state is therefore just a
-//! one-lane slab, and the runtime keeps one statevector walker.
+//! In the layout `slab[amp · L + lane]` the rows of one target-clear (and
+//! control-set) block are contiguous. A gate on target mask `mt` with
+//! control mask `mc` therefore walks pairs of contiguous *runs*: each run
+//! holds `lo · L` amplitudes, `lo` being the smaller of `mt` and `mc`
+//! (`mt` alone when uncontrolled), and its partner run starts `mt · L`
+//! amplitudes later. A two-qubit gate walks quads of runs the same way.
+//! One run enumeration serves every kernel at every lane count; at
+//! `L = 1` it is the statevector block walk. The AVX2 bodies step two
+//! amplitudes per 256-bit register and finish an odd run (odd `L`) with a
+//! 128-bit step. A one-lane uncontrolled gate on wire 0, whose pairs are
+//! adjacent amplitudes, instead runs each pair inside one register.
 //!
 //! ## Layout note (the SoA evaluation)
 //!
@@ -34,15 +40,13 @@
 //!
 //! Uniform methods share one coefficient across the lanes; per-lane
 //! methods (`*_lanes`) take one coefficient pair per lane, as produced
-//! for input-dependent rotations. The row kernels behind them are private
-//! to this module.
+//! for input-dependent rotations, and walk the same runs row by row.
 
-use crate::apply;
 use crate::complex::Complex64;
 use crate::gate::{Gate1, Gate2, RotationAxis};
 use crate::simd::{self, SimdLevel};
 
-/// `true` when the AVX2 row path should run.
+/// `true` when the AVX2 bodies should run.
 #[inline]
 fn wide() -> bool {
     cfg!(target_arch = "x86_64") && simd::level() == SimdLevel::Avx2
@@ -55,8 +59,25 @@ pub const AXIS_Y: u8 = 1;
 /// See [`AXIS_X`].
 pub const AXIS_Z: u8 = 2;
 
+/// The mask of wire `q` in a register of `dim` amplitudes: the one place
+/// a wire index becomes a mask. Checked in every build profile, because
+/// an unchecked `1 << q` wraps its shift in release builds and would land
+/// wire 64 on wire 0.
+///
+/// # Panics
+///
+/// Unless `q < usize::BITS` and `1 << q < dim`.
+#[inline]
+pub(crate) fn wire_mask(q: usize, dim: usize) -> usize {
+    assert!(
+        q < usize::BITS as usize && 1usize << q < dim,
+        "wire {q} out of range for {dim} amplitudes"
+    );
+    1 << q
+}
+
 // ---------------------------------------------------------------------
-// Scalar row bodies: the reference arithmetic of every slab kernel.
+// Scalar bodies: the reference arithmetic of every kernel, over runs.
 // ---------------------------------------------------------------------
 
 mod scalar {
@@ -98,6 +119,23 @@ mod scalar {
             let x1 = *a1;
             *a0 = m[0][0] * x0 + m[0][1] * x1;
             *a1 = m[1][0] * x0 + m[1][1] * x1;
+        }
+    }
+
+    /// Each output rebuilds through a `mul_acc` chain from zero in column
+    /// order.
+    #[inline(always)]
+    pub(super) fn gate2(rows: [&mut [Complex64]; 4], m: &[[Complex64; 4]; 4]) {
+        let [r0, r1, r2, r3] = rows;
+        for l in 0..r0.len() {
+            let x = [r0[l], r1[l], r2[l], r3[l]];
+            let mut y = [Complex64::ZERO; 4];
+            for (acc, row) in y.iter_mut().zip(m) {
+                for (&e, &xc) in row.iter().zip(&x) {
+                    *acc = e.mul_acc(xc, *acc);
+                }
+            }
+            [r0[l], r1[l], r2[l], r3[l]] = y;
         }
     }
 
@@ -146,92 +184,133 @@ mod scalar {
 }
 
 // ---------------------------------------------------------------------
-// Slab kernels: one dispatch per gate application.
-//
-// Each method takes a target mask `mt` and control mask `mc` (`0` =
-// uncontrolled; rows with `i & mc != mc` are skipped), dispatches once,
-// and keeps the pair loop inside one `#[target_feature]` body. Pair
-// enumeration order is free (pairs are disjoint) and every row gets the
-// scalar row body's arithmetic, so the AVX2 walk is bit-identical to
-// the scalar one.
+// The run walk: where one gate's amplitudes lie in a slab.
 // ---------------------------------------------------------------------
 
-/// Disjoint `(row i0, row i0|mt)` lane-row views, ascending `i0` over
-/// target-clear (and control-set, when `mc != 0`) indices.
+/// The runs of one gate over a slab of `len` amplitudes: blocks of `span`
+/// amplitudes repeating every `2·span`, and inside each block, starting
+/// `first` amplitudes in, runs of `run` amplitudes repeating every
+/// `2·run`. Built by [`Slab`] from masks it has checked, so every run and
+/// its partners lie inside the slab.
+#[derive(Clone, Copy, Debug)]
+struct Runs {
+    len: usize,
+    run: usize,
+    span: usize,
+    first: usize,
+}
+
+impl Runs {
+    /// The runs of rows with both single-bit masks `a` and `b` clear,
+    /// moved onto the rows with `set` set (`0`, `a` or `b`), over `dim`
+    /// rows of `lanes` amplitudes.
+    #[inline]
+    fn new(lanes: usize, dim: usize, a: usize, b: usize, set: usize) -> Runs {
+        Runs {
+            len: dim * lanes,
+            run: a.min(b) * lanes,
+            span: a.max(b) * lanes,
+            first: set * lanes,
+        }
+    }
+
+    /// Calls `f` with the start of every run, ascending.
+    #[inline(always)]
+    fn each(self, mut f: impl FnMut(usize)) {
+        if self.span == self.len {
+            // One block (an uncontrolled gate): a single run loop keeps
+            // the frequent one-lane rotations as lean as a plain
+            // statevector loop.
+            let mut i = self.first;
+            while i < self.len {
+                f(i);
+                i += 2 * self.run;
+            }
+            return;
+        }
+        let mut block = self.first;
+        while block < self.len {
+            let end = block + self.span;
+            let mut i = block;
+            while i < end {
+                f(i);
+                i += 2 * self.run;
+            }
+            block += 2 * self.span;
+        }
+    }
+
+    /// `true` when the pairs at partner offset `off` are the adjacent
+    /// amplitudes of a whole one-lane slab: an uncontrolled gate on wire 0
+    /// at `L = 1`, the case the AVX2 bodies run inside one register.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    fn adjacent(self, off: usize) -> bool {
+        off == 1 && self.span == self.len
+    }
+}
+
+/// Hands every run and its partner `off` amplitudes later to `f` as two
+/// disjoint slices.
 #[inline(always)]
-fn for_each_pair_rows(
-    slab: &mut [Complex64],
-    lanes: usize,
-    dim: usize,
-    mt: usize,
-    mc: usize,
+fn pair_runs(
+    amps: &mut [Complex64],
+    runs: Runs,
+    off: usize,
     mut f: impl FnMut(&mut [Complex64], &mut [Complex64]),
 ) {
-    for i0 in 0..dim {
-        if i0 & mt != 0 || i0 & mc != mc {
-            continue;
-        }
-        let (head, tail) = slab.split_at_mut((i0 | mt) * lanes);
-        f(&mut head[i0 * lanes..(i0 + 1) * lanes], &mut tail[..lanes]);
-    }
+    let n = runs.run;
+    runs.each(|i| {
+        let (head, tail) = amps.split_at_mut(i + off);
+        f(&mut head[i..i + n], &mut tail[..n]);
+    });
 }
 
-/// Enumerates quad row groups `{i, i|ma, i|mb, i|ma|mb}` (both-clear
-/// base rows) and hands each to `f` as four disjoint row slices in 4×4
-/// index order (bit 0 ↔ `ma`, bit 1 ↔ `mb`). Safe twin of the AVX2
-/// quad walk, built from progressive `split_at_mut`.
-fn for_each_quad_rows(
-    slab: &mut [Complex64],
-    lanes: usize,
-    dim: usize,
-    ma: usize,
-    mb: usize,
+/// Hands every quad of runs `{i, i+oa, i+ob, i+oa+ob}` to `f` as four
+/// disjoint slices in 4×4 index order (bit 0 ↔ `oa`, bit 1 ↔ `ob`).
+#[inline(always)]
+fn quad_runs(
+    amps: &mut [Complex64],
+    runs: Runs,
+    oa: usize,
+    ob: usize,
     mut f: impl FnMut([&mut [Complex64]; 4]),
 ) {
-    let mlo = ma.min(mb);
-    let mhi = ma.max(mb);
-    for i in 0..dim {
-        if i & (ma | mb) != 0 {
-            continue;
-        }
-        // Offsets ascend: i < i|mlo < i|mhi < i|mlo|mhi.
-        let (head1, tail1) = slab.split_at_mut((i | mlo) * lanes);
-        let r_base = &mut head1[i * lanes..(i + 1) * lanes];
-        let (head2, tail2) = tail1.split_at_mut(((i | mhi) - (i | mlo)) * lanes);
-        let r_lo = &mut head2[..lanes];
-        let (head3, tail3) = tail2.split_at_mut(((i | mlo | mhi) - (i | mhi)) * lanes);
-        let r_hi = &mut head3[..lanes];
-        let r_both = &mut tail3[..lanes];
-        if ma == mlo {
-            f([r_base, r_lo, r_hi, r_both]);
+    let n = runs.run;
+    let (olo, ohi) = (oa.min(ob), oa.max(ob));
+    runs.each(|i| {
+        // Offsets ascend: i < i+olo < i+ohi < i+olo+ohi.
+        let (head, rest) = amps.split_at_mut(i + olo);
+        let (lo, rest) = rest.split_at_mut(ohi - olo);
+        let (hi, both) = rest.split_at_mut(olo);
+        let (base, lo, hi, both) = (
+            &mut head[i..i + n],
+            &mut lo[..n],
+            &mut hi[..n],
+            &mut both[..n],
+        );
+        f(if oa == olo {
+            [base, lo, hi, both]
         } else {
-            f([r_base, r_hi, r_lo, r_both]);
-        }
-    }
-}
-
-/// The wire index of a single-bit mask.
-#[inline]
-fn wire(mask: usize) -> usize {
-    mask.trailing_zeros() as usize
+            [base, hi, lo, both]
+        });
+    });
 }
 
 /// A checked lane slab: `dim` rows of `lanes` amplitudes,
 /// `slab[amp · lanes + lane]`, with `dim` a power of two.
 ///
-/// The AVX2 kernels derive raw row pointers from `dim`, `lanes` and the
-/// gate masks with no further bounds checks. The facts that keep them in
-/// bounds are asserted at this safe boundary in every build profile, not
-/// as `debug_assert!`s that vanish in release builds: [`Slab::new`]
-/// checks the geometry once per view, and each gate method checks its
-/// own masks. A power-of-two `dim` with `mt` a single bit below it
-/// guarantees `i0 | mt < dim` for every enumerated pair, and
-/// `len == dim · lanes` keeps every such row inside the slab. A walk of
-/// many small gates builds one view and so pays the geometry checks once.
-/// A one-lane view hands its gates to the [`crate::apply`] kernels,
-/// which check their own wires (the AVX2 ones assert them). The gate
-/// methods a statevector walk calls are `#[inline(always)]`, so a
-/// one-lane gate costs no call layer beyond the `apply` kernel's own.
+/// The AVX2 bodies derive raw pointers from the gate's runs with no
+/// further bounds checks. The facts that keep them in bounds are asserted
+/// at this safe boundary in every build profile, not as `debug_assert!`s
+/// that vanish in release builds: [`Slab::new`] checks the geometry once
+/// per view, and each gate method checks its own masks. A power-of-two
+/// `dim` with every mask a distinct single bit below it keeps each
+/// enumerated row (target-clear, control-set or both-clear, and its
+/// partners) below `dim`, and `len == dim · lanes` keeps every such row
+/// inside the slab. A walk of many small gates builds one view and so
+/// pays the geometry checks once; the gate methods a walk calls are
+/// `#[inline(always)]`.
 #[derive(Debug)]
 pub struct Slab<'a> {
     amps: &'a mut [Complex64],
@@ -248,9 +327,10 @@ impl<'a> Slab<'a> {
     /// Unless `lanes > 0` and `amps.len()` is `lanes` times a power of two.
     pub fn new(amps: &'a mut [Complex64], lanes: usize) -> Self {
         assert!(lanes > 0, "slab kernels need at least one lane");
-        // One-lane views are built per shift-walk fork; skip the division.
-        let dim = if lanes == 1 {
-            amps.len()
+        // Lane counts are mostly powers of two (one lane included); those
+        // skip the division.
+        let dim = if lanes.is_power_of_two() {
+            amps.len() >> lanes.trailing_zeros()
         } else {
             amps.len() / lanes
         };
@@ -263,7 +343,7 @@ impl<'a> Slab<'a> {
         Slab { amps, lanes, dim }
     }
 
-    /// Checks one gate's masks for the row walks: `mt` a single bit below
+    /// Checks one gate's masks for the run walks: `mt` a single bit below
     /// `dim`, and `mc` either `0` or another single bit below `dim`.
     #[inline]
     fn check(&self, mt: usize, mc: usize) {
@@ -275,6 +355,24 @@ impl<'a> Slab<'a> {
             mc == 0 || (mc.is_power_of_two() && mc < self.dim && mc != mt),
             "control mask must be 0 or another single bit below dim"
         );
+    }
+
+    /// The checked runs of a pair gate on target mask `mt` where control
+    /// mask `mc` is set, and the offset of each run's partner.
+    #[inline(always)]
+    fn pairs(&self, mt: usize, mc: usize) -> (Runs, usize) {
+        self.check(mt, mc);
+        let hi = if mc == 0 { self.dim } else { mc };
+        (Runs::new(self.lanes, self.dim, mt, hi, mc), mt * self.lanes)
+    }
+
+    /// The checked runs of the both-clear rows of a two-wire kernel on
+    /// masks `ma` and `mb`.
+    #[inline(always)]
+    fn quads(&self, ma: usize, mb: usize) -> Runs {
+        self.check(ma, mb);
+        assert_ne!(mb, 0, "a two-wire kernel needs two masks");
+        Runs::new(self.lanes, self.dim, ma, mb, 0)
     }
 
     /// A rotation about `axis` by one `(sin θ/2, cos θ/2)` for every lane,
@@ -295,48 +393,28 @@ impl<'a> Slab<'a> {
     /// `a1' = (s·a0.im + c·a1.re, −s·a0.re + c·a1.im)`.
     #[inline(always)]
     fn rot_x(&mut self, mt: usize, mc: usize, s: f64, c: f64) {
-        if self.lanes == 1 {
-            match mc {
-                0 => apply::apply_rx_sc(self.amps, wire(mt), s, c),
-                _ => apply::apply_crx_sc(self.amps, wire(mc), wire(mt), s, c),
-            }
-            return;
-        }
-        self.check(mt, mc);
+        let (runs, off) = self.pairs(mt, mc);
         #[cfg(target_arch = "x86_64")]
         if wide() {
-            // SAFETY: `wide()` just verified AVX2 via `simd::level`;
-            // `Slab::new` and `check` established the slab contract.
-            unsafe { avx::rot_x_slab(self.amps, self.lanes, self.dim, mt, mc, s, c) };
-            return;
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`, and
+            // `pairs` built the runs from checked masks.
+            return unsafe { avx::rot_x(self.amps, runs, off, s, c) };
         }
-        for_each_pair_rows(self.amps, self.lanes, self.dim, mt, mc, |r0, r1| {
-            scalar::rot_x(r0, r1, s, c)
-        });
+        pair_runs(self.amps, runs, off, |r0, r1| scalar::rot_x(r0, r1, s, c));
     }
 
     /// Y-rotation pair update (all-real coefficients):
     /// `a0' = c·a0 − s·a1`, `a1' = s·a0 + c·a1`.
     #[inline(always)]
     fn rot_y(&mut self, mt: usize, mc: usize, s: f64, c: f64) {
-        if self.lanes == 1 {
-            match mc {
-                0 => apply::apply_ry_sc(self.amps, wire(mt), s, c),
-                _ => apply::apply_cry_sc(self.amps, wire(mc), wire(mt), s, c),
-            }
-            return;
-        }
-        self.check(mt, mc);
+        let (runs, off) = self.pairs(mt, mc);
         #[cfg(target_arch = "x86_64")]
         if wide() {
-            // SAFETY: `wide()` just verified AVX2 via `simd::level`;
-            // `Slab::new` and `check` established the slab contract.
-            unsafe { avx::rot_y_slab(self.amps, self.lanes, self.dim, mt, mc, s, c) };
-            return;
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`, and
+            // `pairs` built the runs from checked masks.
+            return unsafe { avx::rot_y(self.amps, runs, off, s, c) };
         }
-        for_each_pair_rows(self.amps, self.lanes, self.dim, mt, mc, |r0, r1| {
-            scalar::rot_y(r0, r1, s, c)
-        });
+        pair_runs(self.amps, runs, off, |r0, r1| scalar::rot_y(r0, r1, s, c));
     }
 
     /// Diagonal update: multiplies target-clear rows by `lo` and
@@ -345,48 +423,36 @@ impl<'a> Slab<'a> {
     /// control-clear rows. The phases are independent of each other.
     #[inline(always)]
     pub fn phase(&mut self, mt: usize, mc: usize, lo: (f64, f64), hi: (f64, f64)) {
-        if self.lanes == 1 {
-            let control = (mc != 0).then(|| wire(mc));
-            apply::apply_phases(self.amps, control, wire(mt), lo, hi);
-            return;
-        }
-        self.check(mt, mc);
+        let (runs, off) = self.pairs(mt, mc);
         #[cfg(target_arch = "x86_64")]
         if wide() {
-            // SAFETY: `wide()` just verified AVX2 via `simd::level`;
-            // `Slab::new` and `check` established the slab contract.
-            unsafe { avx::phase_slab(self.amps, self.lanes, self.dim, mt, mc, lo, hi) };
-            return;
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`, and
+            // `pairs` built the runs from checked masks.
+            return unsafe { avx::phase(self.amps, runs, off, lo, hi) };
         }
-        let lanes = self.lanes;
-        for i in 0..self.dim {
-            if i & mc != mc {
-                continue;
-            }
-            let (pr, pi) = if i & mt == 0 { lo } else { hi };
-            scalar::phase(&mut self.amps[i * lanes..(i + 1) * lanes], pr, pi);
-        }
+        pair_runs(self.amps, runs, off, |r0, r1| {
+            scalar::phase(r0, lo.0, lo.1);
+            scalar::phase(r1, hi.0, hi.1);
+        });
     }
 
     /// X rotation with one `(sin θ/2, cos θ/2)` pair per lane.
     #[inline]
     pub fn rot_x_lanes(&mut self, mt: usize, mc: usize, trig: &[(f64, f64)]) {
         assert_eq!(self.lanes, trig.len(), "one trig pair per lane");
-        if self.lanes == 1 {
-            let (s, c) = trig[0];
-            return self.rot_x(mt, mc, s, c);
-        }
-        self.check(mt, mc);
+        let (runs, off) = self.pairs(mt, mc);
         #[cfg(target_arch = "x86_64")]
         if wide() {
-            // SAFETY: `wide()` just verified AVX2 via `simd::level`;
-            // `Slab::new` and `check` established the slab contract, and
-            // `trig` holds one pair per lane.
-            unsafe { avx::rot_x_slab_lanes(self.amps, self.lanes, self.dim, mt, mc, trig) };
-            return;
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`,
+            // `pairs` built the runs from checked masks, and `trig` holds
+            // one pair per lane.
+            return unsafe { avx::rot_x_lanes(self.amps, runs, off, trig) };
         }
-        for_each_pair_rows(self.amps, self.lanes, self.dim, mt, mc, |r0, r1| {
-            scalar::rot_x_lanes(r0, r1, trig)
+        let lanes = self.lanes;
+        pair_runs(self.amps, runs, off, |r0, r1| {
+            for (a, b) in r0.chunks_exact_mut(lanes).zip(r1.chunks_exact_mut(lanes)) {
+                scalar::rot_x_lanes(a, b, trig);
+            }
         });
     }
 
@@ -394,21 +460,19 @@ impl<'a> Slab<'a> {
     #[inline]
     pub fn rot_y_lanes(&mut self, mt: usize, mc: usize, trig: &[(f64, f64)]) {
         assert_eq!(self.lanes, trig.len(), "one trig pair per lane");
-        if self.lanes == 1 {
-            let (s, c) = trig[0];
-            return self.rot_y(mt, mc, s, c);
-        }
-        self.check(mt, mc);
+        let (runs, off) = self.pairs(mt, mc);
         #[cfg(target_arch = "x86_64")]
         if wide() {
-            // SAFETY: `wide()` just verified AVX2 via `simd::level`;
-            // `Slab::new` and `check` established the slab contract, and
-            // `trig` holds one pair per lane.
-            unsafe { avx::rot_y_slab_lanes(self.amps, self.lanes, self.dim, mt, mc, trig) };
-            return;
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`,
+            // `pairs` built the runs from checked masks, and `trig` holds
+            // one pair per lane.
+            return unsafe { avx::rot_y_lanes(self.amps, runs, off, trig) };
         }
-        for_each_pair_rows(self.amps, self.lanes, self.dim, mt, mc, |r0, r1| {
-            scalar::rot_y_lanes(r0, r1, trig)
+        let lanes = self.lanes;
+        pair_runs(self.amps, runs, off, |r0, r1| {
+            for (a, b) in r0.chunks_exact_mut(lanes).zip(r1.chunks_exact_mut(lanes)) {
+                scalar::rot_y_lanes(a, b, trig);
+            }
         });
     }
 
@@ -426,78 +490,57 @@ impl<'a> Slab<'a> {
             zhi.len(),
             "one phase pair per lane (target set)"
         );
-        if self.lanes == 1 {
-            return self.phase(mt, mc, zlo[0], zhi[0]);
-        }
-        self.check(mt, mc);
+        let (runs, off) = self.pairs(mt, mc);
         #[cfg(target_arch = "x86_64")]
         if wide() {
-            // SAFETY: `wide()` just verified AVX2 via `simd::level`;
-            // `Slab::new` and `check` established the slab contract, and
-            // both phase tables hold one pair per lane.
-            unsafe { avx::phase_slab_lanes(self.amps, self.lanes, self.dim, mt, mc, zlo, zhi) };
-            return;
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`,
+            // `pairs` built the runs from checked masks, and both phase
+            // tables hold one pair per lane.
+            return unsafe { avx::phase_lanes(self.amps, runs, off, zlo, zhi) };
         }
         let lanes = self.lanes;
-        for i in 0..self.dim {
-            if i & mc != mc {
-                continue;
+        pair_runs(self.amps, runs, off, |r0, r1| {
+            for (a, b) in r0.chunks_exact_mut(lanes).zip(r1.chunks_exact_mut(lanes)) {
+                scalar::phase_lanes(a, zlo);
+                scalar::phase_lanes(b, zhi);
             }
-            let cls = if i & mt == 0 { zlo } else { zhi };
-            scalar::phase_lanes(&mut self.amps[i * lanes..(i + 1) * lanes], cls);
-        }
-    }
-
-    /// Generic 2×2 pair update with one unitary for every lane:
-    /// `a0' = m00·a0 + m01·a1`, `a1' = m10·a0 + m11·a1`.
-    #[inline(always)]
-    pub fn gate1(&mut self, mt: usize, gate: &Gate1) {
-        if self.lanes == 1 {
-            return apply::apply_gate1(self.amps, wire(mt), gate);
-        }
-        self.check(mt, 0);
-        #[cfg(target_arch = "x86_64")]
-        if wide() {
-            // SAFETY: `wide()` just verified AVX2 via `simd::level`;
-            // `Slab::new` and `check` established the slab contract.
-            unsafe { avx::gate1_slab(self.amps, self.lanes, self.dim, mt, gate) };
-            return;
-        }
-        for_each_pair_rows(self.amps, self.lanes, self.dim, mt, 0, |r0, r1| {
-            scalar::gate1(r0, r1, gate)
         });
     }
 
-    /// A two-qubit gate with [`apply::apply_gate2`]'s exact arithmetic,
-    /// `ma` ↔ bit 0 and `mb` ↔ bit 1 of the matrix index: for every
-    /// both-clear base row, each lane's four amplitudes rebuild through a
-    /// `mul_acc` chain from zero in column order. This is the fused
-    /// schedule's entangler product; see [`Slab::dense4`] for the
-    /// superoperator kernel, which associates its sums differently.
+    /// Generic 2×2 pair update with one unitary for every lane, on target
+    /// mask `mt` where control mask `mc` is set:
+    /// `a0' = m00·a0 + m01·a1`, `a1' = m10·a0 + m11·a1`.
+    #[inline(always)]
+    pub fn gate1(&mut self, mt: usize, mc: usize, gate: &Gate1) {
+        let (runs, off) = self.pairs(mt, mc);
+        #[cfg(target_arch = "x86_64")]
+        if wide() {
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`, and
+            // `pairs` built the runs from checked masks.
+            return unsafe { avx::gate1(self.amps, runs, off, gate) };
+        }
+        pair_runs(self.amps, runs, off, |r0, r1| scalar::gate1(r0, r1, gate));
+    }
+
+    /// A two-qubit gate, `ma` ↔ bit 0 and `mb` ↔ bit 1 of the matrix
+    /// index: for every both-clear base row, each lane's four amplitudes
+    /// rebuild through a `mul_acc` chain from zero in column order. This
+    /// is the fused schedule's entangler product; see [`Slab::dense4`]
+    /// for the superoperator kernel, which associates its sums
+    /// differently.
+    #[inline(always)]
     pub fn gate2(&mut self, ma: usize, mb: usize, gate: &Gate2) {
-        if self.lanes == 1 {
-            return apply::apply_gate2(self.amps, wire(ma), wire(mb), gate);
+        let runs = self.quads(ma, mb);
+        let (oa, ob) = (ma * self.lanes, mb * self.lanes);
+        #[cfg(target_arch = "x86_64")]
+        if wide() {
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`, and
+            // `quads` built the runs from checked, distinct masks.
+            return unsafe { avx::gate2(self.amps, runs, oa, ob, gate.matrix()) };
         }
-        self.check(ma, mb);
-        assert_ne!(mb, 0, "gate2 needs two wires");
-        let m = gate.matrix();
-        let lanes = self.lanes;
-        for i in 0..self.dim {
-            if i & (ma | mb) != 0 {
-                continue;
-            }
-            let idx = [i, i | ma, i | mb, i | ma | mb];
-            for lane in 0..lanes {
-                let v = idx.map(|ix| self.amps[ix * lanes + lane]);
-                for (r, &ix) in idx.iter().enumerate() {
-                    let mut acc = Complex64::ZERO;
-                    for (col, &vc) in v.iter().enumerate() {
-                        acc = m[r][col].mul_acc(vc, acc);
-                    }
-                    self.amps[ix * lanes + lane] = acc;
-                }
-            }
-        }
+        quad_runs(self.amps, runs, oa, ob, |rows| {
+            scalar::gate2(rows, gate.matrix())
+        });
     }
 
     /// Generic two-bit 4×4 update: for every row index with both `ma` and
@@ -507,54 +550,54 @@ impl<'a> Slab<'a> {
     /// matrix is **not** required to be unitary: this is the density
     /// backend's superoperator kernel, where the 4×4 is a gate–channel
     /// product acting on a (column-bit, row-bit) pair of vectorized ρ. Its
-    /// association differs from [`apply::apply_gate2`]'s `mul_acc` chain,
-    /// so it has no one-lane arm.
+    /// association differs from [`Slab::gate2`]'s `mul_acc` chain on
+    /// purpose, so the two are separate kernels.
     pub fn dense4(&mut self, ma: usize, mb: usize, m: &[[Complex64; 4]; 4]) {
-        self.check(ma, mb);
-        assert_ne!(mb, 0, "dense4 needs two bits");
+        let runs = self.quads(ma, mb);
+        let (oa, ob) = (ma * self.lanes, mb * self.lanes);
         #[cfg(target_arch = "x86_64")]
         if wide() {
-            // SAFETY: `wide()` just verified AVX2 via `simd::level`;
-            // `Slab::new` and `check` proved `ma`, `mb` distinct single
-            // bits below the power-of-two `dim` of a `dim·lanes` slab, so
-            // the four quad rows are disjoint and in bounds.
-            unsafe { avx::dense4_slab(self.amps, self.lanes, self.dim, ma, mb, m) };
-            return;
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`, and
+            // `quads` built the runs from checked, distinct masks.
+            return unsafe { avx::dense4(self.amps, runs, oa, ob, m) };
         }
-        for_each_quad_rows(self.amps, self.lanes, self.dim, ma, mb, |rows| {
-            scalar::dense4(rows, m)
-        });
+        quad_runs(self.amps, runs, oa, ob, |rows| scalar::dense4(rows, m));
     }
 
     /// CNOT: swaps the target pair of every control-set row.
     #[inline(always)]
     pub fn cnot(&mut self, mc: usize, mt: usize) {
-        if self.lanes == 1 {
-            return apply::apply_cnot(self.amps, wire(mc), wire(mt));
-        }
-        self.check(mt, mc);
         assert_ne!(mc, 0, "CNOT needs a control");
-        for_each_pair_rows(self.amps, self.lanes, self.dim, mt, mc, |r0, r1| {
-            r0.swap_with_slice(r1)
+        let (runs, off) = self.pairs(mt, mc);
+        #[cfg(target_arch = "x86_64")]
+        if wide() {
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`, and
+            // `pairs` built the runs from checked masks.
+            return unsafe { avx::cnot(self.amps, runs, off) };
+        }
+        pair_runs(self.amps, runs, off, |r0, r1| {
+            for (a0, a1) in r0.iter_mut().zip(r1) {
+                core::mem::swap(a0, a1);
+            }
         });
     }
 
     /// CZ: negates every row with both `ma` and `mb` set.
     #[inline(always)]
     pub fn cz(&mut self, ma: usize, mb: usize) {
-        if self.lanes == 1 {
-            return apply::apply_cz(self.amps, wire(ma), wire(mb));
+        assert_ne!(ma, 0, "CZ needs two wires");
+        let (runs, off) = self.pairs(mb, ma);
+        #[cfg(target_arch = "x86_64")]
+        if wide() {
+            // SAFETY: `wide()` just verified AVX2 via `simd::level`, and
+            // `pairs` built the runs from checked masks.
+            return unsafe { avx::cz(self.amps, runs, off) };
         }
-        self.check(ma, mb);
-        assert_ne!(mb, 0, "CZ needs two wires");
-        let (mask, lanes) = (ma | mb, self.lanes);
-        for i in 0..self.dim {
-            if i & mask == mask {
-                for a in &mut self.amps[i * lanes..(i + 1) * lanes] {
-                    *a = -*a;
-                }
+        pair_runs(self.amps, runs, off, |_, both| {
+            for a in both {
+                *a = -*a;
             }
-        }
+        });
     }
 }
 
@@ -573,7 +616,6 @@ fn check_slab(len: usize, lanes: usize, dim: usize, mt: usize, mc: usize) {
     );
     assert!(mc < dim, "control mask must lie below dim");
 }
-
 /// Adjoint generator accumulation over the whole slab, for every adjoint
 /// state at once: `accs[j·lanes + lane] += Σ_i Im(conj(λ_j,i,lane)·(Gφ)_i,lane)`
 /// for the rotation generator on axis `AXIS` with target mask `mt`
@@ -661,605 +703,726 @@ pub fn adj_acc_slab_multi<const AXIS: u8>(
 
 #[cfg(target_arch = "x86_64")]
 mod avx {
+    //! The AVX2 bodies. `Complex64` is `#[repr(C)] { re, im }`, so a slab
+    //! is viewed as an interleaved `f64` buffer `[re0, im0, re1, im1, …]`:
+    //! one 256-bit register holds two adjacent amplitudes, one 128-bit
+    //! register holds one.
+    //!
+    //! Every function requires AVX2 (they are reachable only through
+    //! [`super::wide`], which checks [`crate::simd::level`]) and runs
+    //! produced by a [`super::Slab`] from its checked masks, which keep
+    //! every pointer a walk derives inside the slab.
+
     use core::arch::x86_64::*;
 
+    use super::Runs;
     use crate::complex::Complex64;
     use crate::gate::Gate1;
-    use crate::wide::{cmul, cmul1, halve, splat};
 
-    /// Two interleaved row pointers plus the shared complex count.
-    #[inline]
-    fn ptrs2(r0: &mut [Complex64], r1: &mut [Complex64]) -> (*mut f64, *mut f64, usize) {
-        (
-            r0.as_mut_ptr() as *mut f64,
-            r1.as_mut_ptr() as *mut f64,
-            r0.len(),
-        )
-    }
+    /// One complex coefficient broadcast as `(re, im)` registers.
+    type Splat = (__m256d, __m256d);
 
-    /// Uniform pair-row kernel.
+    /// A 4×4 matrix of [`Splat`]s.
+    type Splat4 = [[Splat; 4]; 4];
+
+    /// Splats one complex coefficient into broadcast (re, im) registers.
     ///
     /// # Safety
     ///
-    /// AVX2 must be enabled and `r0.len() == r1.len()` — the loop walks
-    /// both rows by the shared count from `ptrs2`, so a shorter `r1`
-    /// would be written out of bounds. The slab walks pass two rows of
-    /// `lanes` amplitudes each.
+    /// Register-only; requires AVX2, which every caller guarantees by
+    /// being `#[target_feature(enable = "avx2")]` itself.
     #[target_feature(enable = "avx2")]
-    unsafe fn rot_x_rows(r0: &mut [Complex64], r1: &mut [Complex64], s: f64, c: f64) {
-        let (p0, p1, n) = ptrs2(r0, r1);
-        let cv = _mm256_set1_pd(c);
-        let sv = _mm256_set_pd(-s, s, -s, s); // [s, −s, s, −s] low→high
-        let mut k = 0;
-        while k + 2 <= n {
-            let pa = p0.add(2 * k);
-            let pb = p1.add(2 * k);
-            let a0 = _mm256_loadu_pd(pa);
-            let a1 = _mm256_loadu_pd(pb);
-            let r0v = _mm256_add_pd(
-                _mm256_mul_pd(cv, a0),
-                _mm256_mul_pd(sv, _mm256_permute_pd(a1, 0b0101)),
-            );
-            let r1v = _mm256_add_pd(
-                _mm256_mul_pd(cv, a1),
-                _mm256_mul_pd(sv, _mm256_permute_pd(a0, 0b0101)),
-            );
-            _mm256_storeu_pd(pa, r0v);
-            _mm256_storeu_pd(pb, r1v);
-            k += 2;
-        }
-        if k < n {
-            rot_x_tail(p0.add(2 * k), p1.add(2 * k), s, c);
-        }
+    #[inline]
+    unsafe fn splat(m: Complex64) -> Splat {
+        (_mm256_set1_pd(m.re), _mm256_set1_pd(m.im))
     }
 
-    /// One-complex X-rotation remainder step.
+    /// Every entry of a 4×4 matrix, splat.
     ///
     /// # Safety
     ///
-    /// `pa` and `pb` must each be valid for reads and writes of one
-    /// interleaved complex (two `f64`s), and AVX2 must be enabled —
-    /// both guaranteed by the `#[target_feature]` callers, which pass
-    /// in-bounds tail pointers of equal-length rows.
+    /// Register-only; requires AVX2 (callers are `#[target_feature]`).
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn rot_x_tail(pa: *mut f64, pb: *mut f64, s: f64, c: f64) {
-        let cv = _mm_set1_pd(c);
-        let sv = _mm_set_pd(-s, s);
+    unsafe fn splat4(m: &[[Complex64; 4]; 4]) -> Splat4 {
+        let mut ms = [[(_mm256_setzero_pd(), _mm256_setzero_pd()); 4]; 4];
+        for (row, mrow) in ms.iter_mut().zip(m) {
+            for (e, &coeff) in row.iter_mut().zip(mrow) {
+                *e = splat(coeff);
+            }
+        }
+        ms
+    }
+
+    /// Low halves of a splat pair, for 128-bit steps.
+    ///
+    /// # Safety
+    ///
+    /// Register-only cast; requires AVX2 (callers are `#[target_feature]`).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn halve(m: Splat) -> (__m128d, __m128d) {
+        (_mm256_castpd256_pd128(m.0), _mm256_castpd256_pd128(m.1))
+    }
+
+    /// `m · v` for two packed complexes, coefficient splat as `(re, im)`:
+    /// `addsub(re·v, im·swap(v))` reproduces the scalar
+    /// `(m.re·v.re − m.im·v.im, m.re·v.im + m.im·v.re)` bit for bit.
+    ///
+    /// # Safety
+    ///
+    /// Register-only; requires AVX2 (callers are `#[target_feature]`).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn cmul(m: Splat, v: __m256d) -> __m256d {
+        let t1 = _mm256_mul_pd(m.0, v);
+        let t2 = _mm256_mul_pd(m.1, _mm256_permute_pd(v, 0b0101));
+        _mm256_addsub_pd(t1, t2)
+    }
+
+    /// 128-bit [`cmul`].
+    ///
+    /// # Safety
+    ///
+    /// Register-only; requires AVX2 (callers are `#[target_feature]`).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn cmul1(m: (__m128d, __m128d), v: __m128d) -> __m128d {
+        let t1 = _mm_mul_pd(m.0, v);
+        let t2 = _mm_mul_pd(m.1, _mm_shuffle_pd(v, v, 0b01));
+        _mm_addsub_pd(t1, t2)
+    }
+
+    // --- the walks -----------------------------------------------------
+
+    /// The pair walk: `two` on every two-amplitude step of each run and
+    /// its partner `off` amplitudes later, `one` on an odd run's last
+    /// amplitude, each handed the interleaved pointers of the run
+    /// amplitude and its partner.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 enabled; `p` is the interleaved view of the slab `runs` was
+    /// built for by a [`super::Slab`], so every handed pointer and the
+    /// one or two amplitudes after it lie inside the slab, and a run never
+    /// overlaps its partner.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn pairs(
+        p: *mut f64,
+        runs: Runs,
+        off: usize,
+        mut two: impl FnMut(*mut f64, *mut f64),
+        mut one: impl FnMut(*mut f64, *mut f64),
+    ) {
+        let (n, off) = (runs.run, 2 * off);
+        runs.each(|i| {
+            let mut a = p.add(2 * i);
+            let end = a.add(2 * (n & !1));
+            while a < end {
+                two(a, a.add(off));
+                a = a.add(4);
+            }
+            if n & 1 != 0 {
+                one(a, a.add(off));
+            }
+        });
+    }
+
+    /// The per-lane pair walk: the runs of [`pairs`] row by row, `two` on
+    /// every two-lane step of a row and `one` on an odd row's last lane,
+    /// each handed the run and partner pointers plus the lane index.
+    ///
+    /// # Safety
+    ///
+    /// As [`pairs`], with `lanes` the slab's lane count, so each run is a
+    /// whole number of rows.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn lane_pairs(
+        p: *mut f64,
+        runs: Runs,
+        off: usize,
+        lanes: usize,
+        mut two: impl FnMut(*mut f64, *mut f64, usize),
+        mut one: impl FnMut(*mut f64, *mut f64, usize),
+    ) {
+        runs.each(|i| {
+            let mut row = i;
+            while row < i + runs.run {
+                let mut k = 0;
+                while k + 2 <= lanes {
+                    two(p.add(2 * (row + k)), p.add(2 * (row + k + off)), k);
+                    k += 2;
+                }
+                if k < lanes {
+                    one(p.add(2 * (row + k)), p.add(2 * (row + k + off)), k);
+                }
+                row += lanes;
+            }
+        });
+    }
+
+    /// The quad walk: `two` on every two-amplitude step of each run and
+    /// its partners `oa`, `ob` and `oa + ob` later, `one` on an odd run's
+    /// last amplitude, each handed the four pointers in 4×4 index order.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 enabled; `p` is the interleaved view of the slab `runs` was
+    /// built for by [`super::Slab::gate2`] or [`super::Slab::dense4`] from
+    /// distinct checked masks, so the four rows of a quad are disjoint
+    /// and inside the slab.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn quads(
+        p: *mut f64,
+        runs: Runs,
+        oa: usize,
+        ob: usize,
+        mut two: impl FnMut([*mut f64; 4]),
+        mut one: impl FnMut([*mut f64; 4]),
+    ) {
+        let (n, oa, ob) = (runs.run, 2 * oa, 2 * ob);
+        let quad = |a: *mut f64| [a, a.add(oa), a.add(ob), a.add(oa + ob)];
+        runs.each(|i| {
+            let mut a = p.add(2 * i);
+            let end = a.add(2 * (n & !1));
+            while a < end {
+                two(quad(a));
+                a = a.add(4);
+            }
+            if n & 1 != 0 {
+                one(quad(a));
+            }
+        });
+    }
+
+    /// Runs `step` on every adjacent-amplitude pair of a one-lane slab,
+    /// one register per pair.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 enabled; `amps` has even length (a one-lane slab of at least
+    /// one qubit).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn adjacent(amps: &mut [Complex64], mut step: impl FnMut(__m256d) -> __m256d) {
+        let p = amps.as_mut_ptr() as *mut f64;
+        let mut i = 0;
+        while i < amps.len() {
+            let ptr = p.add(2 * i);
+            _mm256_storeu_pd(ptr, step(_mm256_loadu_pd(ptr)));
+            i += 2;
+        }
+    }
+
+    // --- pair steps ----------------------------------------------------
+
+    /// Rx pair step: `a0' = c·a0 + [s, −s]·swap(a1)` and symmetrically,
+    /// the scalar `(c·a0.re + s·a1.im, c·a0.im − s·a1.re)` bit for bit.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 enabled; `pa` and `pb` each valid for two amplitudes, not
+    /// overlapping (a walk's run and partner pointers).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn rx2(pa: *mut f64, pb: *mut f64, cv: __m256d, sv: __m256d) {
+        let a0 = _mm256_loadu_pd(pa);
+        let a1 = _mm256_loadu_pd(pb);
+        let r0 = _mm256_add_pd(
+            _mm256_mul_pd(cv, a0),
+            _mm256_mul_pd(sv, _mm256_permute_pd(a1, 0b0101)),
+        );
+        let r1 = _mm256_add_pd(
+            _mm256_mul_pd(cv, a1),
+            _mm256_mul_pd(sv, _mm256_permute_pd(a0, 0b0101)),
+        );
+        _mm256_storeu_pd(pa, r0);
+        _mm256_storeu_pd(pb, r1);
+    }
+
+    /// 128-bit [`rx2`].
+    ///
+    /// # Safety
+    ///
+    /// AVX2 enabled; `pa` and `pb` each valid for one amplitude, distinct.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn rx1(pa: *mut f64, pb: *mut f64, cv: __m128d, sv: __m128d) {
         let a0 = _mm_loadu_pd(pa);
         let a1 = _mm_loadu_pd(pb);
-        let r0v = _mm_add_pd(
+        let r0 = _mm_add_pd(
             _mm_mul_pd(cv, a0),
             _mm_mul_pd(sv, _mm_shuffle_pd(a1, a1, 0b01)),
         );
-        let r1v = _mm_add_pd(
+        let r1 = _mm_add_pd(
             _mm_mul_pd(cv, a1),
             _mm_mul_pd(sv, _mm_shuffle_pd(a0, a0, 0b01)),
         );
-        _mm_storeu_pd(pa, r0v);
-        _mm_storeu_pd(pb, r1v);
+        _mm_storeu_pd(pa, r0);
+        _mm_storeu_pd(pb, r1);
     }
 
-    /// Uniform pair-row kernel; see [`rot_x_rows`] for the contract.
+    /// Ry pair step (all-real coefficients): `a0' = c·a0 + (−s)·a1`,
+    /// `a1' = s·a0 + c·a1`, elementwise.
     ///
     /// # Safety
     ///
-    /// AVX2 enabled and `r0.len() == r1.len()`, as the slab walks pass.
+    /// As [`rx2`].
     #[target_feature(enable = "avx2")]
-    unsafe fn rot_y_rows(r0: &mut [Complex64], r1: &mut [Complex64], s: f64, c: f64) {
-        let (p0, p1, n) = ptrs2(r0, r1);
+    #[inline]
+    unsafe fn ry2(pa: *mut f64, pb: *mut f64, cv: __m256d, nsv: __m256d, psv: __m256d) {
+        let a0 = _mm256_loadu_pd(pa);
+        let a1 = _mm256_loadu_pd(pb);
+        let r0 = _mm256_add_pd(_mm256_mul_pd(cv, a0), _mm256_mul_pd(nsv, a1));
+        let r1 = _mm256_add_pd(_mm256_mul_pd(psv, a0), _mm256_mul_pd(cv, a1));
+        _mm256_storeu_pd(pa, r0);
+        _mm256_storeu_pd(pb, r1);
+    }
+
+    /// 128-bit [`ry2`].
+    ///
+    /// # Safety
+    ///
+    /// As [`rx1`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn ry1(pa: *mut f64, pb: *mut f64, cv: __m128d, nsv: __m128d, psv: __m128d) {
+        let a0 = _mm_loadu_pd(pa);
+        let a1 = _mm_loadu_pd(pb);
+        let r0 = _mm_add_pd(_mm_mul_pd(cv, a0), _mm_mul_pd(nsv, a1));
+        let r1 = _mm_add_pd(_mm_mul_pd(psv, a0), _mm_mul_pd(cv, a1));
+        _mm_storeu_pd(pa, r0);
+        _mm_storeu_pd(pb, r1);
+    }
+
+    // --- uniform kernels -----------------------------------------------
+
+    /// Uniform X rotation.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 enabled; `runs` and `off` built by [`super::Slab`] for `amps`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn rot_x(amps: &mut [Complex64], runs: Runs, off: usize, s: f64, c: f64) {
         let cv = _mm256_set1_pd(c);
-        let nsv = _mm256_set1_pd(-s);
-        let psv = _mm256_set1_pd(s);
-        let mut k = 0;
-        while k + 2 <= n {
-            let pa = p0.add(2 * k);
-            let pb = p1.add(2 * k);
-            let a0 = _mm256_loadu_pd(pa);
-            let a1 = _mm256_loadu_pd(pb);
-            let r0v = _mm256_add_pd(_mm256_mul_pd(cv, a0), _mm256_mul_pd(nsv, a1));
-            let r1v = _mm256_add_pd(_mm256_mul_pd(psv, a0), _mm256_mul_pd(cv, a1));
-            _mm256_storeu_pd(pa, r0v);
-            _mm256_storeu_pd(pb, r1v);
-            k += 2;
+        let sv = _mm256_setr_pd(s, -s, s, -s);
+        if runs.adjacent(off) {
+            // A full reverse of the in-register pair supplies both cross
+            // terms.
+            return adjacent(amps, |v| {
+                let rev = _mm256_permute_pd(_mm256_permute2f128_pd(v, v, 0x01), 0b0101);
+                _mm256_add_pd(_mm256_mul_pd(cv, v), _mm256_mul_pd(sv, rev))
+            });
         }
-        if k < n {
-            let pa = p0.add(2 * k);
-            let pb = p1.add(2 * k);
-            let (cv, nsv, psv) = (_mm_set1_pd(c), _mm_set1_pd(-s), _mm_set1_pd(s));
-            let a0 = _mm_loadu_pd(pa);
-            let a1 = _mm_loadu_pd(pb);
-            let r0v = _mm_add_pd(_mm_mul_pd(cv, a0), _mm_mul_pd(nsv, a1));
-            let r1v = _mm_add_pd(_mm_mul_pd(psv, a0), _mm_mul_pd(cv, a1));
-            _mm_storeu_pd(pa, r0v);
-            _mm_storeu_pd(pb, r1v);
-        }
+        let (cv1, sv1) = (_mm256_castpd256_pd128(cv), _mm256_castpd256_pd128(sv));
+        let p = amps.as_mut_ptr() as *mut f64;
+        pairs(
+            p,
+            runs,
+            off,
+            |a, b| rx2(a, b, cv, sv),
+            |a, b| rx1(a, b, cv1, sv1),
+        );
     }
 
-    /// Uniform single-row phase kernel.
+    /// Uniform Y rotation.
     ///
     /// # Safety
     ///
-    /// AVX2 must be enabled; every access is bounded by `row.len()`
-    /// itself.
+    /// AVX2 enabled; `runs` and `off` built by [`super::Slab`] for `amps`.
     #[target_feature(enable = "avx2")]
-    unsafe fn phase_rows(row: &mut [Complex64], pr: f64, pi: f64) {
-        let n = row.len();
-        let p = row.as_mut_ptr() as *mut f64;
-        let m = splat(Complex64::new(pr, pi));
-        let mut k = 0;
-        while k + 2 <= n {
-            let pa = p.add(2 * k);
-            _mm256_storeu_pd(pa, cmul(m, _mm256_loadu_pd(pa)));
-            k += 2;
+    pub(super) unsafe fn rot_y(amps: &mut [Complex64], runs: Runs, off: usize, s: f64, c: f64) {
+        let cv = _mm256_set1_pd(c);
+        if runs.adjacent(off) {
+            // A cross-half swap pairs each amplitude with its partner.
+            let sv = _mm256_setr_pd(-s, -s, s, s);
+            return adjacent(amps, |v| {
+                let cross = _mm256_permute2f128_pd(v, v, 0x01);
+                _mm256_add_pd(_mm256_mul_pd(cv, v), _mm256_mul_pd(sv, cross))
+            });
         }
-        if k < n {
-            let pa = p.add(2 * k);
-            _mm_storeu_pd(pa, cmul1(halve(m), _mm_loadu_pd(pa)));
-        }
+        let (nsv, psv) = (_mm256_set1_pd(-s), _mm256_set1_pd(s));
+        let (cv1, nsv1, psv1) = (
+            _mm256_castpd256_pd128(cv),
+            _mm256_castpd256_pd128(nsv),
+            _mm256_castpd256_pd128(psv),
+        );
+        let p = amps.as_mut_ptr() as *mut f64;
+        pairs(
+            p,
+            runs,
+            off,
+            |a, b| ry2(a, b, cv, nsv, psv),
+            |a, b| ry1(a, b, cv1, nsv1, psv1),
+        );
     }
 
-    /// Uniform pair-row kernel; see [`rot_x_rows`] for the contract.
+    /// Uniform two-phase diagonal: `lo` on each run, `hi` on its partner.
     ///
     /// # Safety
     ///
-    /// AVX2 enabled and `r0.len() == r1.len()`, as the slab walks pass.
+    /// AVX2 enabled; `runs` and `off` built by [`super::Slab`] for `amps`.
     #[target_feature(enable = "avx2")]
-    unsafe fn gate1_rows(r0: &mut [Complex64], r1: &mut [Complex64], gate: &Gate1) {
-        let (p0, p1, n) = ptrs2(r0, r1);
+    pub(super) unsafe fn phase(
+        amps: &mut [Complex64],
+        runs: Runs,
+        off: usize,
+        lo: (f64, f64),
+        hi: (f64, f64),
+    ) {
+        if runs.adjacent(off) {
+            // Phases alternate per amplitude: `lo` on even, `hi` on odd.
+            let m = (
+                _mm256_setr_pd(lo.0, lo.0, hi.0, hi.0),
+                _mm256_setr_pd(lo.1, lo.1, hi.1, hi.1),
+            );
+            return adjacent(amps, |v| cmul(m, v));
+        }
+        let mlo = splat(Complex64::new(lo.0, lo.1));
+        let mhi = splat(Complex64::new(hi.0, hi.1));
+        let p = amps.as_mut_ptr() as *mut f64;
+        pairs(
+            p,
+            runs,
+            off,
+            |a, b| {
+                _mm256_storeu_pd(a, cmul(mlo, _mm256_loadu_pd(a)));
+                _mm256_storeu_pd(b, cmul(mhi, _mm256_loadu_pd(b)));
+            },
+            |a, b| {
+                _mm_storeu_pd(a, cmul1(halve(mlo), _mm_loadu_pd(a)));
+                _mm_storeu_pd(b, cmul1(halve(mhi), _mm_loadu_pd(b)));
+            },
+        );
+    }
+
+    /// Uniform generic 2×2.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 enabled; `runs` and `off` built by [`super::Slab`] for `amps`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gate1(amps: &mut [Complex64], runs: Runs, off: usize, gate: &Gate1) {
         let m = gate.matrix();
+        if runs.adjacent(off) {
+            // Duplicate each amplitude across both halves and combine the
+            // matrix columns in-register: `m0`/`m1` pack column 0/1 as
+            // [row0, row1].
+            let m0 = _mm256_setr_pd(m[0][0].re, m[0][0].im, m[1][0].re, m[1][0].im);
+            let m1 = _mm256_setr_pd(m[0][1].re, m[0][1].im, m[1][1].re, m[1][1].im);
+            let m0s = (_mm256_movedup_pd(m0), _mm256_permute_pd(m0, 0b1111));
+            let m1s = (_mm256_movedup_pd(m1), _mm256_permute_pd(m1, 0b1111));
+            return adjacent(amps, |v| {
+                let lo = _mm256_permute2f128_pd(v, v, 0x00);
+                let hi = _mm256_permute2f128_pd(v, v, 0x11);
+                _mm256_add_pd(cmul(m0s, lo), cmul(m1s, hi))
+            });
+        }
         let (m00, m01, m10, m11) = (
             splat(m[0][0]),
             splat(m[0][1]),
             splat(m[1][0]),
             splat(m[1][1]),
         );
-        let mut k = 0;
-        while k + 2 <= n {
-            let pa = p0.add(2 * k);
-            let pb = p1.add(2 * k);
-            let a0 = _mm256_loadu_pd(pa);
-            let a1 = _mm256_loadu_pd(pb);
-            _mm256_storeu_pd(pa, _mm256_add_pd(cmul(m00, a0), cmul(m01, a1)));
-            _mm256_storeu_pd(pb, _mm256_add_pd(cmul(m10, a0), cmul(m11, a1)));
-            k += 2;
-        }
-        if k < n {
-            let pa = p0.add(2 * k);
-            let pb = p1.add(2 * k);
-            let a0 = _mm_loadu_pd(pa);
-            let a1 = _mm_loadu_pd(pb);
-            _mm_storeu_pd(pa, _mm_add_pd(cmul1(halve(m00), a0), cmul1(halve(m01), a1)));
-            _mm_storeu_pd(pb, _mm_add_pd(cmul1(halve(m10), a0), cmul1(halve(m11), a1)));
-        }
+        let p = amps.as_mut_ptr() as *mut f64;
+        pairs(
+            p,
+            runs,
+            off,
+            |a, b| {
+                let a0 = _mm256_loadu_pd(a);
+                let a1 = _mm256_loadu_pd(b);
+                _mm256_storeu_pd(a, _mm256_add_pd(cmul(m00, a0), cmul(m01, a1)));
+                _mm256_storeu_pd(b, _mm256_add_pd(cmul(m10, a0), cmul(m11, a1)));
+            },
+            |a, b| {
+                let a0 = _mm_loadu_pd(a);
+                let a1 = _mm_loadu_pd(b);
+                _mm_storeu_pd(a, _mm_add_pd(cmul1(halve(m00), a0), cmul1(halve(m01), a1)));
+                _mm_storeu_pd(b, _mm_add_pd(cmul1(halve(m10), a0), cmul1(halve(m11), a1)));
+            },
+        );
     }
 
-    /// Per-lane pair-row kernel.
+    /// Uniform two-qubit gate: each output accumulates `cmul` terms from
+    /// a zero register in column order, the scalar `mul_acc` chain.
     ///
     /// # Safety
     ///
-    /// AVX2 enabled and `r0.len() == r1.len()`, as the slab walks pass.
-    /// `trig` is slice-indexed, so a short coefficient table panics
-    /// rather than reading out of bounds (the [`super::Slab`] methods
-    /// assert it matches the row length anyway).
+    /// AVX2 enabled; `runs`, `oa` and `ob` built by [`super::Slab::gate2`]
+    /// for `amps`.
     #[target_feature(enable = "avx2")]
-    unsafe fn rot_x_rows_lanes(r0: &mut [Complex64], r1: &mut [Complex64], trig: &[(f64, f64)]) {
-        let (p0, p1, n) = ptrs2(r0, r1);
-        let mut k = 0;
-        while k + 2 <= n {
-            let (s0, c0) = trig[k];
-            let (s1, c1) = trig[k + 1];
-            let cv = _mm256_set_pd(c1, c1, c0, c0);
-            let sv = _mm256_set_pd(-s1, s1, -s0, s0);
-            let pa = p0.add(2 * k);
-            let pb = p1.add(2 * k);
-            let a0 = _mm256_loadu_pd(pa);
-            let a1 = _mm256_loadu_pd(pb);
-            let r0v = _mm256_add_pd(
-                _mm256_mul_pd(cv, a0),
-                _mm256_mul_pd(sv, _mm256_permute_pd(a1, 0b0101)),
-            );
-            let r1v = _mm256_add_pd(
-                _mm256_mul_pd(cv, a1),
-                _mm256_mul_pd(sv, _mm256_permute_pd(a0, 0b0101)),
-            );
-            _mm256_storeu_pd(pa, r0v);
-            _mm256_storeu_pd(pb, r1v);
-            k += 2;
-        }
-        if k < n {
-            let (s, c) = trig[k];
-            rot_x_tail(p0.add(2 * k), p1.add(2 * k), s, c);
-        }
-    }
-
-    /// Per-lane pair-row kernel; see [`rot_x_rows_lanes`].
-    ///
-    /// # Safety
-    ///
-    /// AVX2 enabled and `r0.len() == r1.len()`, as the slab walks pass.
-    #[target_feature(enable = "avx2")]
-    unsafe fn rot_y_rows_lanes(r0: &mut [Complex64], r1: &mut [Complex64], trig: &[(f64, f64)]) {
-        let (p0, p1, n) = ptrs2(r0, r1);
-        let mut k = 0;
-        while k + 2 <= n {
-            let (s0, c0) = trig[k];
-            let (s1, c1) = trig[k + 1];
-            let cv = _mm256_set_pd(c1, c1, c0, c0);
-            let nsv = _mm256_set_pd(-s1, -s1, -s0, -s0);
-            let psv = _mm256_set_pd(s1, s1, s0, s0);
-            let pa = p0.add(2 * k);
-            let pb = p1.add(2 * k);
-            let a0 = _mm256_loadu_pd(pa);
-            let a1 = _mm256_loadu_pd(pb);
-            let r0v = _mm256_add_pd(_mm256_mul_pd(cv, a0), _mm256_mul_pd(nsv, a1));
-            let r1v = _mm256_add_pd(_mm256_mul_pd(psv, a0), _mm256_mul_pd(cv, a1));
-            _mm256_storeu_pd(pa, r0v);
-            _mm256_storeu_pd(pb, r1v);
-            k += 2;
-        }
-        if k < n {
-            let (s, c) = trig[k];
-            let pa = p0.add(2 * k);
-            let pb = p1.add(2 * k);
-            let (cv, nsv, psv) = (_mm_set1_pd(c), _mm_set1_pd(-s), _mm_set1_pd(s));
-            let a0 = _mm_loadu_pd(pa);
-            let a1 = _mm_loadu_pd(pb);
-            let r0v = _mm_add_pd(_mm_mul_pd(cv, a0), _mm_mul_pd(nsv, a1));
-            let r1v = _mm_add_pd(_mm_mul_pd(psv, a0), _mm_mul_pd(cv, a1));
-            _mm_storeu_pd(pa, r0v);
-            _mm_storeu_pd(pb, r1v);
-        }
-    }
-
-    /// Per-lane single-row phase kernel.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be enabled; row accesses are bounded by `row.len()`
-    /// and `phases` is slice-indexed (panics if shorter than the row,
-    /// which the [`super::Slab`] methods rule out).
-    #[target_feature(enable = "avx2")]
-    unsafe fn phase_rows_lanes(row: &mut [Complex64], phases: &[(f64, f64)]) {
-        let n = row.len();
-        let p = row.as_mut_ptr() as *mut f64;
-        let mut k = 0;
-        while k + 2 <= n {
-            let (pr0, pi0) = phases[k];
-            let (pr1, pi1) = phases[k + 1];
-            let m = (
-                _mm256_set_pd(pr1, pr1, pr0, pr0),
-                _mm256_set_pd(pi1, pi1, pi0, pi0),
-            );
-            let pa = p.add(2 * k);
-            _mm256_storeu_pd(pa, cmul(m, _mm256_loadu_pd(pa)));
-            k += 2;
-        }
-        if k < n {
-            let (pr, pi) = phases[k];
-            let m = (_mm_set1_pd(pr), _mm_set1_pd(pi));
-            let pa = p.add(2 * k);
-            _mm_storeu_pd(pa, cmul1(m, _mm_loadu_pd(pa)));
-        }
-    }
-
-    // --- slab kernels: the whole pair/row loop in one AVX2 body -------
-
-    /// Disjoint row slices from a raw slab base (pairs never alias).
-    ///
-    /// # Safety
-    ///
-    /// `base` must point to a live slab of at least
-    /// `(max(i0, i1) + 1) · lanes` complexes, and `i0 != i1` so the two
-    /// returned `&mut` rows never overlap. The slab kernels guarantee
-    /// both via the [`super::Slab`] contract: row indices stay below the
-    /// power-of-two `dim`, `i1 = i0 | mt` with `mt != 0` differs from
-    /// `i0`, and the slab holds `dim · lanes` entries.
-    #[inline(always)]
-    unsafe fn pair_rows<'a>(
-        base: *mut Complex64,
-        lanes: usize,
-        i0: usize,
-        i1: usize,
-    ) -> (&'a mut [Complex64], &'a mut [Complex64]) {
-        (
-            core::slice::from_raw_parts_mut(base.add(i0 * lanes), lanes),
-            core::slice::from_raw_parts_mut(base.add(i1 * lanes), lanes),
-        )
-    }
-
-    /// Whole-slab X-rotation walk.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be enabled and the [`super::Slab`] contract must
-    /// hold (`slab.len() == dim·lanes`, `mt` a single bit below the
-    /// power-of-two `dim`, `mc < dim`): together these keep every
-    /// `pair_rows` row in bounds and each pair disjoint. The safe
-    /// methods establish both before the call.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn rot_x_slab(
-        slab: &mut [Complex64],
-        lanes: usize,
-        dim: usize,
-        mt: usize,
-        mc: usize,
-        s: f64,
-        c: f64,
-    ) {
-        let base = slab.as_mut_ptr();
-        for i0 in 0..dim {
-            if i0 & mt != 0 || i0 & mc != mc {
-                continue;
-            }
-            let (r0, r1) = pair_rows(base, lanes, i0, i0 | mt);
-            rot_x_rows(r0, r1, s, c);
-        }
-    }
-
-    /// Whole-slab Y-rotation walk.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be enabled and the [`super::Slab`] contract must
-    /// hold (`slab.len() == dim·lanes`, `mt` a single bit below the
-    /// power-of-two `dim`, `mc < dim`): together these keep every
-    /// `pair_rows` row in bounds and each pair disjoint. The safe
-    /// methods establish both before the call.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn rot_y_slab(
-        slab: &mut [Complex64],
-        lanes: usize,
-        dim: usize,
-        mt: usize,
-        mc: usize,
-        s: f64,
-        c: f64,
-    ) {
-        let base = slab.as_mut_ptr();
-        for i0 in 0..dim {
-            if i0 & mt != 0 || i0 & mc != mc {
-                continue;
-            }
-            let (r0, r1) = pair_rows(base, lanes, i0, i0 | mt);
-            rot_y_rows(r0, r1, s, c);
-        }
-    }
-
-    /// Whole-slab 2×2 unitary walk (uncontrolled).
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be enabled and the [`super::Slab`] contract must
-    /// hold (`slab.len() == dim·lanes`, `mt` a single bit below the
-    /// power-of-two `dim`, `mc < dim`): together these keep every
-    /// `pair_rows` row in bounds and each pair disjoint. The safe
-    /// methods establish both before the call.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gate1_slab(
-        slab: &mut [Complex64],
-        lanes: usize,
-        dim: usize,
-        mt: usize,
-        gate: &Gate1,
-    ) {
-        let base = slab.as_mut_ptr();
-        for i0 in 0..dim {
-            if i0 & mt != 0 {
-                continue;
-            }
-            let (r0, r1) = pair_rows(base, lanes, i0, i0 | mt);
-            gate1_rows(r0, r1, gate);
-        }
-    }
-
-    /// Generic 4×4 quad-row update (the [`super::Slab::dense4`] body), with
-    /// the same add-of-`cmul` association as the scalar `gate2` row body:
-    /// `y_r = ((m_{r0}·x0 + m_{r1}·x1) + m_{r2}·x2) + m_{r3}·x3`.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be enabled and the four rows must be pairwise disjoint
-    /// slices of equal length; the quad walk derives them from distinct
-    /// single-bit masks under the [`super::Slab`] contract, which
-    /// guarantees both.
-    #[target_feature(enable = "avx2")]
-    unsafe fn dense4_rows(rows: [&mut [Complex64]; 4], m: &[[Complex64; 4]; 4]) {
-        let n = rows[0].len();
-        let p: [*mut f64; 4] = [
-            rows[0].as_mut_ptr() as *mut f64,
-            rows[1].as_mut_ptr() as *mut f64,
-            rows[2].as_mut_ptr() as *mut f64,
-            rows[3].as_mut_ptr() as *mut f64,
-        ];
-        let mut ms = [[(_mm256_setzero_pd(), _mm256_setzero_pd()); 4]; 4];
-        for (r, row) in m.iter().enumerate() {
-            for (c, coeff) in row.iter().enumerate() {
-                ms[r][c] = splat(*coeff);
-            }
-        }
-        let mut k = 0;
-        while k + 2 <= n {
-            let x = [
-                _mm256_loadu_pd(p[0].add(2 * k)),
-                _mm256_loadu_pd(p[1].add(2 * k)),
-                _mm256_loadu_pd(p[2].add(2 * k)),
-                _mm256_loadu_pd(p[3].add(2 * k)),
-            ];
-            for (r, row) in ms.iter().enumerate() {
-                let y = _mm256_add_pd(
-                    _mm256_add_pd(
-                        _mm256_add_pd(cmul(row[0], x[0]), cmul(row[1], x[1])),
-                        cmul(row[2], x[2]),
-                    ),
-                    cmul(row[3], x[3]),
-                );
-                _mm256_storeu_pd(p[r].add(2 * k), y);
-            }
-            k += 2;
-        }
-        if k < n {
-            let x = [
-                _mm_loadu_pd(p[0].add(2 * k)),
-                _mm_loadu_pd(p[1].add(2 * k)),
-                _mm_loadu_pd(p[2].add(2 * k)),
-                _mm_loadu_pd(p[3].add(2 * k)),
-            ];
-            for (r, row) in ms.iter().enumerate() {
-                let y = _mm_add_pd(
-                    _mm_add_pd(
-                        _mm_add_pd(cmul1(halve(row[0]), x[0]), cmul1(halve(row[1]), x[1])),
-                        cmul1(halve(row[2]), x[2]),
-                    ),
-                    cmul1(halve(row[3]), x[3]),
-                );
-                _mm_storeu_pd(p[r].add(2 * k), y);
-            }
-        }
-    }
-
-    /// Whole-slab generic 4×4 walk (the superoperator kernel).
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be enabled and the [`super::Slab::dense4`] contract
-    /// must hold: `slab.len() == dim·lanes` with `ma`, `mb` distinct
-    /// single bits below the power-of-two `dim` — every quad row index
-    /// `{i, i|ma, i|mb, i|ma|mb}` then stays below `dim` and the four
-    /// rows are pairwise disjoint. The safe method establishes all
-    /// of it before the call.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dense4_slab(
-        slab: &mut [Complex64],
-        lanes: usize,
-        dim: usize,
-        ma: usize,
-        mb: usize,
+    pub(super) unsafe fn gate2(
+        amps: &mut [Complex64],
+        runs: Runs,
+        oa: usize,
+        ob: usize,
         m: &[[Complex64; 4]; 4],
     ) {
-        let base = slab.as_mut_ptr();
-        for i in 0..dim {
-            if i & (ma | mb) != 0 {
-                continue;
-            }
-            let (r0, r1) = pair_rows(base, lanes, i, i | ma);
-            let (r2, r3) = pair_rows(base, lanes, i | mb, i | ma | mb);
-            dense4_rows([r0, r1, r2, r3], m);
-        }
+        let ms = splat4(m);
+        let p = amps.as_mut_ptr() as *mut f64;
+        quads(
+            p,
+            runs,
+            oa,
+            ob,
+            |q| {
+                // All four rows load before any store.
+                let x = [
+                    _mm256_loadu_pd(q[0]),
+                    _mm256_loadu_pd(q[1]),
+                    _mm256_loadu_pd(q[2]),
+                    _mm256_loadu_pd(q[3]),
+                ];
+                for (row, &out) in ms.iter().zip(&q) {
+                    let mut acc = _mm256_setzero_pd();
+                    for (&e, &xc) in row.iter().zip(&x) {
+                        acc = _mm256_add_pd(cmul(e, xc), acc);
+                    }
+                    _mm256_storeu_pd(out, acc);
+                }
+            },
+            |q| {
+                let x = [
+                    _mm_loadu_pd(q[0]),
+                    _mm_loadu_pd(q[1]),
+                    _mm_loadu_pd(q[2]),
+                    _mm_loadu_pd(q[3]),
+                ];
+                for (row, &out) in ms.iter().zip(&q) {
+                    let mut acc = _mm_setzero_pd();
+                    for (&e, &xc) in row.iter().zip(&x) {
+                        acc = _mm_add_pd(cmul1(halve(e), xc), acc);
+                    }
+                    _mm_storeu_pd(out, acc);
+                }
+            },
+        );
     }
 
-    /// Whole-slab diagonal-phase walk.
+    /// The superoperator 4×4, with the scalar body's association
+    /// `y_r = ((m_r0·x0 + m_r1·x1) + m_r2·x2) + m_r3·x3`.
     ///
     /// # Safety
     ///
-    /// AVX2 must be enabled and the [`super::Slab`] contract must
-    /// hold: `slab.len() == dim·lanes` keeps every row slice
-    /// (`from_raw_parts_mut` at `i · lanes`, `i < dim`) inside the
-    /// slab. The safe methods establish both before the call.
+    /// AVX2 enabled; `runs`, `oa` and `ob` built by
+    /// [`super::Slab::dense4`] for `amps`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn phase_slab(
-        slab: &mut [Complex64],
-        lanes: usize,
-        dim: usize,
-        mt: usize,
-        mc: usize,
-        lo: (f64, f64),
-        hi: (f64, f64),
+    pub(super) unsafe fn dense4(
+        amps: &mut [Complex64],
+        runs: Runs,
+        oa: usize,
+        ob: usize,
+        m: &[[Complex64; 4]; 4],
     ) {
-        let base = slab.as_mut_ptr();
-        for i in 0..dim {
-            if i & mc != mc {
-                continue;
-            }
-            let (pr, pi) = if i & mt == 0 { lo } else { hi };
-            let row = core::slice::from_raw_parts_mut(base.add(i * lanes), lanes);
-            phase_rows(row, pr, pi);
-        }
+        let ms = splat4(m);
+        let p = amps.as_mut_ptr() as *mut f64;
+        quads(
+            p,
+            runs,
+            oa,
+            ob,
+            |q| {
+                let x = [
+                    _mm256_loadu_pd(q[0]),
+                    _mm256_loadu_pd(q[1]),
+                    _mm256_loadu_pd(q[2]),
+                    _mm256_loadu_pd(q[3]),
+                ];
+                for (row, &out) in ms.iter().zip(&q) {
+                    let y = _mm256_add_pd(
+                        _mm256_add_pd(
+                            _mm256_add_pd(cmul(row[0], x[0]), cmul(row[1], x[1])),
+                            cmul(row[2], x[2]),
+                        ),
+                        cmul(row[3], x[3]),
+                    );
+                    _mm256_storeu_pd(out, y);
+                }
+            },
+            |q| {
+                let x = [
+                    _mm_loadu_pd(q[0]),
+                    _mm_loadu_pd(q[1]),
+                    _mm_loadu_pd(q[2]),
+                    _mm_loadu_pd(q[3]),
+                ];
+                for (row, &out) in ms.iter().zip(&q) {
+                    let y = _mm_add_pd(
+                        _mm_add_pd(
+                            _mm_add_pd(cmul1(halve(row[0]), x[0]), cmul1(halve(row[1]), x[1])),
+                            cmul1(halve(row[2]), x[2]),
+                        ),
+                        cmul1(halve(row[3]), x[3]),
+                    );
+                    _mm_storeu_pd(out, y);
+                }
+            },
+        );
     }
 
-    /// Whole-slab per-lane X-rotation walk.
+    /// CNOT: swaps each run with its partner.
     ///
     /// # Safety
     ///
-    /// AVX2 must be enabled and the [`super::Slab`] contract must
-    /// hold (`slab.len() == dim·lanes`, `mt` a single bit below the
-    /// power-of-two `dim`, `mc < dim`): together these keep every
-    /// `pair_rows` row in bounds and each pair disjoint. The safe
-    /// methods establish both before the call.
+    /// AVX2 enabled; `runs` and `off` built by [`super::Slab`] for `amps`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn rot_x_slab_lanes(
-        slab: &mut [Complex64],
-        lanes: usize,
-        dim: usize,
-        mt: usize,
-        mc: usize,
+    pub(super) unsafe fn cnot(amps: &mut [Complex64], runs: Runs, off: usize) {
+        let p = amps.as_mut_ptr() as *mut f64;
+        pairs(
+            p,
+            runs,
+            off,
+            |a, b| {
+                let (x, y) = (_mm256_loadu_pd(a), _mm256_loadu_pd(b));
+                _mm256_storeu_pd(a, y);
+                _mm256_storeu_pd(b, x);
+            },
+            |a, b| {
+                let (x, y) = (_mm_loadu_pd(a), _mm_loadu_pd(b));
+                _mm_storeu_pd(a, y);
+                _mm_storeu_pd(b, x);
+            },
+        );
+    }
+
+    /// CZ: negates each partner run (both bits set). Flipping the sign
+    /// bit is the scalar negation exactly.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 enabled; `runs` and `off` built by [`super::Slab`] for `amps`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn cz(amps: &mut [Complex64], runs: Runs, off: usize) {
+        let sign = _mm256_set1_pd(-0.0);
+        let p = amps.as_mut_ptr() as *mut f64;
+        pairs(
+            p,
+            runs,
+            off,
+            |_, b| _mm256_storeu_pd(b, _mm256_xor_pd(_mm256_loadu_pd(b), sign)),
+            |_, b| {
+                let sign = _mm256_castpd256_pd128(sign);
+                _mm_storeu_pd(b, _mm_xor_pd(_mm_loadu_pd(b), sign));
+            },
+        );
+    }
+
+    // --- per-lane kernels ----------------------------------------------
+
+    /// Per-lane X rotation: lane `k` rotates by `trig[k]`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 enabled; `runs` and `off` built by [`super::Slab`] for `amps`,
+    /// whose lane count `trig.len()` is (`trig` is slice-indexed, so a
+    /// short table panics rather than reading out of bounds).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn rot_x_lanes(
+        amps: &mut [Complex64],
+        runs: Runs,
+        off: usize,
         trig: &[(f64, f64)],
     ) {
-        let base = slab.as_mut_ptr();
-        for i0 in 0..dim {
-            if i0 & mt != 0 || i0 & mc != mc {
-                continue;
-            }
-            let (r0, r1) = pair_rows(base, lanes, i0, i0 | mt);
-            rot_x_rows_lanes(r0, r1, trig);
-        }
+        let p = amps.as_mut_ptr() as *mut f64;
+        lane_pairs(
+            p,
+            runs,
+            off,
+            trig.len(),
+            |a, b, k| {
+                let ((s0, c0), (s1, c1)) = (trig[k], trig[k + 1]);
+                let cv = _mm256_set_pd(c1, c1, c0, c0);
+                let sv = _mm256_set_pd(-s1, s1, -s0, s0);
+                rx2(a, b, cv, sv);
+            },
+            |a, b, k| {
+                let (s, c) = trig[k];
+                rx1(a, b, _mm_set1_pd(c), _mm_set_pd(-s, s));
+            },
+        );
     }
 
-    /// Whole-slab per-lane Y-rotation walk.
+    /// Per-lane Y rotation; see [`rot_x_lanes`].
     ///
     /// # Safety
     ///
-    /// AVX2 must be enabled and the [`super::Slab`] contract must
-    /// hold (`slab.len() == dim·lanes`, `mt` a single bit below the
-    /// power-of-two `dim`, `mc < dim`): together these keep every
-    /// `pair_rows` row in bounds and each pair disjoint. The safe
-    /// methods establish both before the call.
+    /// As [`rot_x_lanes`].
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn rot_y_slab_lanes(
-        slab: &mut [Complex64],
-        lanes: usize,
-        dim: usize,
-        mt: usize,
-        mc: usize,
+    pub(super) unsafe fn rot_y_lanes(
+        amps: &mut [Complex64],
+        runs: Runs,
+        off: usize,
         trig: &[(f64, f64)],
     ) {
-        let base = slab.as_mut_ptr();
-        for i0 in 0..dim {
-            if i0 & mt != 0 || i0 & mc != mc {
-                continue;
-            }
-            let (r0, r1) = pair_rows(base, lanes, i0, i0 | mt);
-            rot_y_rows_lanes(r0, r1, trig);
-        }
+        let p = amps.as_mut_ptr() as *mut f64;
+        lane_pairs(
+            p,
+            runs,
+            off,
+            trig.len(),
+            |a, b, k| {
+                let ((s0, c0), (s1, c1)) = (trig[k], trig[k + 1]);
+                let cv = _mm256_set_pd(c1, c1, c0, c0);
+                let nsv = _mm256_set_pd(-s1, -s1, -s0, -s0);
+                let psv = _mm256_set_pd(s1, s1, s0, s0);
+                ry2(a, b, cv, nsv, psv);
+            },
+            |a, b, k| {
+                let (s, c) = trig[k];
+                ry1(a, b, _mm_set1_pd(c), _mm_set1_pd(-s), _mm_set1_pd(s));
+            },
+        );
     }
 
-    /// Whole-slab per-lane diagonal-phase walk.
+    /// Per-lane two-phase diagonal: lane `k` of each run takes `zlo[k]`,
+    /// of its partner `zhi[k]`.
     ///
     /// # Safety
     ///
-    /// AVX2 must be enabled and the [`super::Slab`] contract must
-    /// hold: `slab.len() == dim·lanes` keeps every row slice
-    /// (`from_raw_parts_mut` at `i · lanes`, `i < dim`) inside the
-    /// slab. The safe methods establish both before the call.
+    /// As [`rot_x_lanes`], for both phase tables.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn phase_slab_lanes(
-        slab: &mut [Complex64],
-        lanes: usize,
-        dim: usize,
-        mt: usize,
-        mc: usize,
+    pub(super) unsafe fn phase_lanes(
+        amps: &mut [Complex64],
+        runs: Runs,
+        off: usize,
         zlo: &[(f64, f64)],
         zhi: &[(f64, f64)],
     ) {
-        let base = slab.as_mut_ptr();
-        for i in 0..dim {
-            if i & mc != mc {
-                continue;
-            }
-            let cls = if i & mt == 0 { zlo } else { zhi };
-            let row = core::slice::from_raw_parts_mut(base.add(i * lanes), lanes);
-            phase_rows_lanes(row, cls);
+        /// Lanes `k` and `k + 1` of a phase table as a splat pair.
+        ///
+        /// # Safety
+        ///
+        /// Register-only; requires AVX2 (the caller is
+        /// `#[target_feature]`). `z` is slice-indexed.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn two_phases(z: &[(f64, f64)], k: usize) -> Splat {
+            let ((pr0, pi0), (pr1, pi1)) = (z[k], z[k + 1]);
+            (
+                _mm256_set_pd(pr1, pr1, pr0, pr0),
+                _mm256_set_pd(pi1, pi1, pi0, pi0),
+            )
         }
+        let p = amps.as_mut_ptr() as *mut f64;
+        lane_pairs(
+            p,
+            runs,
+            off,
+            zlo.len(),
+            |a, b, k| {
+                _mm256_storeu_pd(a, cmul(two_phases(zlo, k), _mm256_loadu_pd(a)));
+                _mm256_storeu_pd(b, cmul(two_phases(zhi, k), _mm256_loadu_pd(b)));
+            },
+            |a, b, k| {
+                let one_phase = |(pr, pi): (f64, f64)| (_mm_set1_pd(pr), _mm_set1_pd(pi));
+                _mm_storeu_pd(a, cmul1(one_phase(zlo[k]), _mm_loadu_pd(a)));
+                _mm_storeu_pd(b, cmul1(one_phase(zhi[k]), _mm_loadu_pd(b)));
+            },
+        );
     }
 
     /// Multi-λ whole-slab adjoint generator fold.
@@ -1417,9 +1580,8 @@ mod tests {
 
     #[test]
     fn slab_kernels_bit_identical() {
-        // Lanes 1..=9 reach every AVX2 row length the slab walks run
-        // (one lane runs the `apply` kernels, whose own parity suite is
-        // `tests/simd_parity.rs`).
+        // Lanes 1..=9 reach even and odd runs of every short length, and
+        // one lane the in-register adjacent-pair path.
         let dim = 8;
         let (s, c) = (0.63_f64).sin_cos();
         let g = Gate1::u3(0.9, -0.4, 1.2);
@@ -1447,7 +1609,9 @@ mod tests {
                     Slab::new(sl, lanes).phase_lanes(mt, mc, &zlo, &zhi)
                 });
             }
-            assert_slab_parity("gate1", dim, lanes, |sl| Slab::new(sl, lanes).gate1(2, &g));
+            assert_slab_parity("gate1", dim, lanes, |sl| {
+                Slab::new(sl, lanes).gate1(2, 0, &g)
+            });
             // Non-unitary 4×4 (superoperator-shaped) and the unitary
             // two-qubit kernel on distinct mask pairs, both orientations.
             let m4 = busy_mat4(0.3);
@@ -1617,132 +1781,240 @@ mod tests {
         }
     }
 
+    /// A naive per-lane reference: each kernel's documented per-element
+    /// expression, applied index by index to one lane's statevector.
+    mod naive {
+        use crate::complex::Complex64;
+
+        /// `(i0, i0 | mt)` for every target-clear, control-set `i0 < dim`.
+        fn pairs(dim: usize, mt: usize, mc: usize) -> impl Iterator<Item = (usize, usize)> {
+            (0..dim)
+                .filter(move |i| i & mt == 0 && i & mc == mc)
+                .map(move |i| (i, i | mt))
+        }
+
+        /// `[i, i|ma, i|mb, i|ma|mb]` for every both-clear `i < dim`.
+        fn quads(dim: usize, ma: usize, mb: usize) -> impl Iterator<Item = [usize; 4]> {
+            (0..dim)
+                .filter(move |i| i & (ma | mb) == 0)
+                .map(move |i| [i, i | ma, i | mb, i | ma | mb])
+        }
+
+        pub fn rot_x(v: &mut [Complex64], mt: usize, mc: usize, (s, c): (f64, f64)) {
+            for (i0, i1) in pairs(v.len(), mt, mc) {
+                let (a0, a1) = (v[i0], v[i1]);
+                v[i0] = Complex64::new(c * a0.re + s * a1.im, c * a0.im - s * a1.re);
+                v[i1] = Complex64::new(s * a0.im + c * a1.re, -s * a0.re + c * a1.im);
+            }
+        }
+
+        pub fn rot_y(v: &mut [Complex64], mt: usize, mc: usize, (s, c): (f64, f64)) {
+            for (i0, i1) in pairs(v.len(), mt, mc) {
+                let (a0, a1) = (v[i0], v[i1]);
+                v[i0] = Complex64::new(c * a0.re - s * a1.re, c * a0.im - s * a1.im);
+                v[i1] = Complex64::new(s * a0.re + c * a1.re, s * a0.im + c * a1.im);
+            }
+        }
+
+        pub fn phase(v: &mut [Complex64], mt: usize, mc: usize, lo: (f64, f64), hi: (f64, f64)) {
+            let ph = |a: Complex64, (pr, pi): (f64, f64)| {
+                Complex64::new(a.re * pr - a.im * pi, a.re * pi + a.im * pr)
+            };
+            for (i0, i1) in pairs(v.len(), mt, mc) {
+                v[i0] = ph(v[i0], lo);
+                v[i1] = ph(v[i1], hi);
+            }
+        }
+
+        pub fn gate1(v: &mut [Complex64], mt: usize, mc: usize, m: &[[Complex64; 2]; 2]) {
+            for (i0, i1) in pairs(v.len(), mt, mc) {
+                let (a0, a1) = (v[i0], v[i1]);
+                v[i0] = m[0][0] * a0 + m[0][1] * a1;
+                v[i1] = m[1][0] * a0 + m[1][1] * a1;
+            }
+        }
+
+        /// The `mul_acc` chain from zero, in column order.
+        pub fn gate2(v: &mut [Complex64], ma: usize, mb: usize, m: &[[Complex64; 4]; 4]) {
+            for idx in quads(v.len(), ma, mb) {
+                let x = idx.map(|i| v[i]);
+                for (r, &out) in idx.iter().enumerate() {
+                    let mut acc = Complex64::ZERO;
+                    for (col, &xc) in x.iter().enumerate() {
+                        acc = m[r][col].mul_acc(xc, acc);
+                    }
+                    v[out] = acc;
+                }
+            }
+        }
+
+        /// `y_r = ((m_r0·x0 + m_r1·x1) + m_r2·x2) + m_r3·x3`.
+        pub fn dense4(v: &mut [Complex64], ma: usize, mb: usize, m: &[[Complex64; 4]; 4]) {
+            for idx in quads(v.len(), ma, mb) {
+                let x = idx.map(|i| v[i]);
+                for (r, &out) in idx.iter().enumerate() {
+                    v[out] = ((m[r][0] * x[0] + m[r][1] * x[1]) + m[r][2] * x[2]) + m[r][3] * x[3];
+                }
+            }
+        }
+
+        pub fn cnot(v: &mut [Complex64], mc: usize, mt: usize) {
+            for (i0, i1) in pairs(v.len(), mt, mc) {
+                v.swap(i0, i1);
+            }
+        }
+
+        pub fn cz(v: &mut [Complex64], ma: usize, mb: usize) {
+            for (_, i1) in pairs(v.len(), mb, ma) {
+                v[i1] = -v[i1];
+            }
+        }
+    }
+
     #[test]
     fn slab_kernels_match_apply_kernels_per_lane() {
-        // Every slab kernel, at several lane counts and on both dispatch
-        // levels, must leave each lane bit-identical to its `apply`
-        // kernel run on that lane alone. Lanes = 1 is the one-lane arm
-        // itself; wider slabs prove the row walks visit exactly the pair
-        // kernels' pairs with their arithmetic.
+        // Every uniform and per-lane slab kernel, on every ordered
+        // (target, control) pair of 1–6 qubits, at lane counts that run
+        // the one-lane adjacent-pair path, even runs and odd-run
+        // remainders, on both dispatch levels: each lane must equal the
+        // naive per-lane reference bit for bit, and so must the `apply`
+        // kernel run on that lane alone.
         use crate::apply::*;
-        use crate::gate::Gate2;
-        let dim = 16;
         let (s, c) = (1.17_f64).sin_cos();
         let g = Gate1::u3(0.9, -0.4, 1.2);
         let g2 = Gate2::crx(0.83);
+        let m4 = busy_mat4(0.3);
         let (lo, hi) = ((0.6, -0.8), (-0.28, 0.96));
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
-            if level == SimdLevel::Avx2 && !simd::wide_supported() {
-                continue;
-            }
-            for lanes in [1usize, 2, 3, 5, 8] {
-                let trig = lane_trig(lanes);
-                let zlo: Vec<(f64, f64)> = trig.iter().map(|&(s, c)| (c, -s)).collect();
-                let zhi: Vec<(f64, f64)> = trig.iter().map(|&(s, c)| (c, s)).collect();
-                // (slab kernel, the same gate on lane `l` alone).
-                type SlabOp<'a> = Box<dyn Fn(&mut Slab<'_>) + 'a>;
-                type LaneOp<'a> = Box<dyn Fn(&mut [Complex64], usize) + 'a>;
-                let mut cases: Vec<(String, SlabOp<'_>, LaneOp<'_>)> = Vec::new();
-                for (t, ctl) in [(0usize, None), (3, Some(1usize)), (1, Some(3))] {
-                    let (mt, mc) = (1usize << t, ctl.map_or(0, |q| 1usize << q));
-                    let (zlo, zhi, trig) = (&zlo, &zhi, &trig);
-                    cases.push((
-                        format!("rx t={t} c={ctl:?}"),
-                        Box::new(move |sl| sl.rot(RotationAxis::X, mt, mc, s, c)),
-                        Box::new(move |a, _| match ctl {
-                            None => apply_rx_sc(a, t, s, c),
-                            Some(q) => apply_crx_sc(a, q, t, s, c),
-                        }),
-                    ));
-                    cases.push((
-                        format!("ry t={t} c={ctl:?}"),
-                        Box::new(move |sl| sl.rot(RotationAxis::Y, mt, mc, s, c)),
-                        Box::new(move |a, _| match ctl {
-                            None => apply_ry_sc(a, t, s, c),
-                            Some(q) => apply_cry_sc(a, q, t, s, c),
-                        }),
-                    ));
-                    cases.push((
-                        format!("rz t={t} c={ctl:?}"),
-                        Box::new(move |sl| sl.rot(RotationAxis::Z, mt, mc, s, c)),
-                        Box::new(move |a, _| match ctl {
-                            None => apply_rz_sc(a, t, s, c),
-                            Some(q) => apply_crz_sc(a, q, t, s, c),
-                        }),
-                    ));
-                    cases.push((
-                        format!("phase t={t} c={ctl:?}"),
-                        Box::new(move |sl| sl.phase(mt, mc, lo, hi)),
-                        Box::new(move |a, _| apply_phases(a, ctl, t, lo, hi)),
-                    ));
-                    cases.push((
-                        format!("rx lanes t={t} c={ctl:?}"),
-                        Box::new(move |sl| sl.rot_x_lanes(mt, mc, trig)),
-                        Box::new(move |a, l| {
-                            let (s, c) = trig[l];
-                            match ctl {
-                                None => apply_rx_sc(a, t, s, c),
-                                Some(q) => apply_crx_sc(a, q, t, s, c),
-                            }
-                        }),
-                    ));
-                    cases.push((
-                        format!("ry lanes t={t} c={ctl:?}"),
-                        Box::new(move |sl| sl.rot_y_lanes(mt, mc, trig)),
-                        Box::new(move |a, l| {
-                            let (s, c) = trig[l];
-                            match ctl {
-                                None => apply_ry_sc(a, t, s, c),
-                                Some(q) => apply_cry_sc(a, q, t, s, c),
-                            }
-                        }),
-                    ));
-                    cases.push((
-                        format!("phase lanes t={t} c={ctl:?}"),
-                        Box::new(move |sl| sl.phase_lanes(mt, mc, zlo, zhi)),
-                        Box::new(move |a, l| apply_phases(a, ctl, t, zlo[l], zhi[l])),
-                    ));
-                }
-                for t in [0usize, 2, 3] {
-                    cases.push((
-                        format!("gate1 t={t}"),
-                        Box::new(move |sl| sl.gate1(1 << t, &g)),
-                        Box::new(move |a, _| apply_gate1(a, t, &g)),
-                    ));
-                }
-                for (qa, qb) in [(0usize, 2usize), (3, 1), (1, 0)] {
-                    let (ma, mb) = (1usize << qa, 1usize << qb);
-                    let g2 = &g2;
-                    cases.push((
-                        format!("gate2 {qa},{qb}"),
-                        Box::new(move |sl| sl.gate2(ma, mb, g2)),
-                        Box::new(move |a, _| apply_gate2(a, qa, qb, g2)),
-                    ));
-                    cases.push((
-                        format!("cnot {qa}->{qb}"),
-                        Box::new(move |sl| sl.cnot(ma, mb)),
-                        Box::new(move |a, _| apply_cnot(a, qa, qb)),
-                    ));
-                    cases.push((
-                        format!("cz {qa},{qb}"),
-                        Box::new(move |sl| sl.cz(ma, mb)),
-                        Box::new(move |a, _| apply_cz(a, qa, qb)),
-                    ));
-                }
-                for (label, on_slab, on_lane) in &cases {
-                    let base = busy_row(dim * lanes, 0.9);
-                    simd::force(level);
-                    let mut got = base.clone();
-                    on_slab(&mut Slab::new(&mut got, lanes));
-                    for lane in 0..lanes {
-                        let mut want: Vec<Complex64> =
-                            (0..dim).map(|i| base[i * lanes + lane]).collect();
-                        on_lane(&mut want, lane);
-                        let have: Vec<Complex64> =
-                            (0..dim).map(|i| got[i * lanes + lane]).collect();
-                        assert_eq!(have, want, "{label}: lane {lane}/{lanes}, {level:?}");
+        type SlabOp<'a> = Box<dyn Fn(&mut Slab<'_>) + 'a>;
+        type LaneOp<'a> = Box<dyn Fn(&mut [Complex64], usize) + 'a>;
+        for level in levels() {
+            for n in 1..=6usize {
+                let dim = 1usize << n;
+                for lanes in [1usize, 2, 3, 5, 8, 33] {
+                    let trig = lane_trig(lanes);
+                    let zlo: Vec<(f64, f64)> = trig.iter().map(|&(s, c)| (c, -s)).collect();
+                    let zhi: Vec<(f64, f64)> = trig.iter().map(|&(s, c)| (c, s)).collect();
+                    let (trig, zlo, zhi) = (&trig, &zlo, &zhi);
+                    // (label, slab kernel, naive reference on lane `l`,
+                    // the `apply` kernel on lane `l` where one exists).
+                    let mut cases: Vec<(String, SlabOp<'_>, LaneOp<'_>, Option<LaneOp<'_>>)> =
+                        Vec::new();
+                    for t in 0..n {
+                        for ctl in std::iter::once(None).chain((0..n).filter(|&q| q != t).map(Some))
+                        {
+                            let (mt, mc) = (1usize << t, ctl.map_or(0, |q| 1usize << q));
+                            cases.push((
+                                format!("rx t={t} c={ctl:?}"),
+                                Box::new(move |sl| sl.rot(RotationAxis::X, mt, mc, s, c)),
+                                Box::new(move |v, _| naive::rot_x(v, mt, mc, (s, c))),
+                                Some(Box::new(move |a, _| match ctl {
+                                    None => apply_rx_sc(a, t, s, c),
+                                    Some(q) => apply_crx_sc(a, q, t, s, c),
+                                })),
+                            ));
+                            cases.push((
+                                format!("ry t={t} c={ctl:?}"),
+                                Box::new(move |sl| sl.rot(RotationAxis::Y, mt, mc, s, c)),
+                                Box::new(move |v, _| naive::rot_y(v, mt, mc, (s, c))),
+                                Some(Box::new(move |a, _| match ctl {
+                                    None => apply_ry_sc(a, t, s, c),
+                                    Some(q) => apply_cry_sc(a, q, t, s, c),
+                                })),
+                            ));
+                            cases.push((
+                                format!("rz t={t} c={ctl:?}"),
+                                Box::new(move |sl| sl.rot(RotationAxis::Z, mt, mc, s, c)),
+                                Box::new(move |v, _| naive::phase(v, mt, mc, (c, -s), (c, s))),
+                                Some(Box::new(move |a, _| match ctl {
+                                    None => apply_rz_sc(a, t, s, c),
+                                    Some(q) => apply_crz_sc(a, q, t, s, c),
+                                })),
+                            ));
+                            cases.push((
+                                format!("phase t={t} c={ctl:?}"),
+                                Box::new(move |sl| sl.phase(mt, mc, lo, hi)),
+                                Box::new(move |v, _| naive::phase(v, mt, mc, lo, hi)),
+                                Some(Box::new(move |a, _| apply_phases(a, ctl, t, lo, hi))),
+                            ));
+                            cases.push((
+                                format!("rx lanes t={t} c={ctl:?}"),
+                                Box::new(move |sl| sl.rot_x_lanes(mt, mc, trig)),
+                                Box::new(move |v, l| naive::rot_x(v, mt, mc, trig[l])),
+                                None,
+                            ));
+                            cases.push((
+                                format!("ry lanes t={t} c={ctl:?}"),
+                                Box::new(move |sl| sl.rot_y_lanes(mt, mc, trig)),
+                                Box::new(move |v, l| naive::rot_y(v, mt, mc, trig[l])),
+                                None,
+                            ));
+                            cases.push((
+                                format!("phase lanes t={t} c={ctl:?}"),
+                                Box::new(move |sl| sl.phase_lanes(mt, mc, zlo, zhi)),
+                                Box::new(move |v, l| naive::phase(v, mt, mc, zlo[l], zhi[l])),
+                                None,
+                            ));
+                            cases.push((
+                                format!("gate1 t={t} c={ctl:?}"),
+                                Box::new(move |sl| sl.gate1(mt, mc, &g)),
+                                Box::new(move |v, _| naive::gate1(v, mt, mc, g.matrix())),
+                                Some(Box::new(move |a, _| match ctl {
+                                    None => apply_gate1(a, t, &g),
+                                    Some(q) => apply_controlled_gate1(a, q, t, &g),
+                                })),
+                            ));
+                            let Some(q) = ctl else {
+                                continue;
+                            };
+                            let g2 = &g2;
+                            let m4 = &m4;
+                            cases.push((
+                                format!("gate2 {q},{t}"),
+                                Box::new(move |sl| sl.gate2(mc, mt, g2)),
+                                Box::new(move |v, _| naive::gate2(v, mc, mt, g2.matrix())),
+                                Some(Box::new(move |a, _| apply_gate2(a, q, t, g2))),
+                            ));
+                            cases.push((
+                                format!("dense4 {q},{t}"),
+                                Box::new(move |sl| sl.dense4(mc, mt, m4)),
+                                Box::new(move |v, _| naive::dense4(v, mc, mt, m4)),
+                                None,
+                            ));
+                            cases.push((
+                                format!("cnot {q}->{t}"),
+                                Box::new(move |sl| sl.cnot(mc, mt)),
+                                Box::new(move |v, _| naive::cnot(v, mc, mt)),
+                                Some(Box::new(move |a, _| apply_cnot(a, q, t))),
+                            ));
+                            cases.push((
+                                format!("cz {q},{t}"),
+                                Box::new(move |sl| sl.cz(mc, mt)),
+                                Box::new(move |v, _| naive::cz(v, mc, mt)),
+                                Some(Box::new(move |a, _| apply_cz(a, q, t))),
+                            ));
+                        }
                     }
-                    simd::force(SimdLevel::Scalar);
+                    let base = busy_row(dim * lanes, 0.9);
+                    for (label, on_slab, reference, on_lane) in &cases {
+                        let at = format!("{label}: n={n}, lanes={lanes}, {level:?}");
+                        simd::force(level);
+                        let mut got = base.clone();
+                        on_slab(&mut Slab::new(&mut got, lanes));
+                        for lane in 0..lanes {
+                            let extract = |v: &[Complex64]| -> Vec<Complex64> {
+                                (0..dim).map(|i| v[i * lanes + lane]).collect()
+                            };
+                            let mut want = extract(&base);
+                            reference(&mut want, lane);
+                            assert_eq!(extract(&got), want, "{at}: lane {lane}");
+                            if let Some(on_lane) = on_lane {
+                                let mut alone = extract(&base);
+                                on_lane(&mut alone, lane);
+                                assert_eq!(alone, want, "{at}: apply kernel, lane {lane}");
+                            }
+                        }
+                        simd::force(SimdLevel::Scalar);
+                    }
                 }
             }
         }
@@ -1793,9 +2065,8 @@ mod tests {
 
     #[test]
     fn row_kernels_match_pair_kernel_formulas() {
-        // A two-row slab runs the row kernel on its row pair; it must agree
-        // with the statevector pair kernel it mirrors: build a 1-qubit
-        // state per lane and compare.
+        // A two-row slab runs one run pair of `n` lanes; it must agree
+        // with the one-lane kernel on each lane's 1-qubit state.
         let (s, c) = (1.17_f64).sin_cos();
         let n = 5;
         let r0 = busy_row(n, 0.2);

@@ -1,9 +1,12 @@
 //! Runtime SIMD dispatch for the gate kernels.
 //!
-//! The kernels in [`crate::apply`] come in two implementations: a portable
-//! scalar path and an AVX2 wide path (`x86_64` only, compiled behind
-//! `#[target_feature]` and selected at runtime with
-//! `is_x86_feature_detected!`). This module owns the selection.
+//! The gate kernels — the [`crate::rows::Slab`] methods, which the
+//! wire-index functions of [`crate::apply`] call with one lane — come in
+//! two implementations: a portable scalar body and an AVX2 wide body
+//! (`x86_64` only, compiled behind `#[target_feature]` and selected at
+//! runtime with `is_x86_feature_detected!`). Both walk the same runs; only
+//! the per-element arithmetic is written twice. This module owns the
+//! selection.
 //!
 //! ## Bit-exactness contract
 //!
@@ -14,8 +17,9 @@
 //! code already depends on (`x·(−s) ≡ −(x·s)`, `a + (−t) ≡ a − t`,
 //! commutativity of `+`/`·`). Every golden fingerprint and `assert_eq`
 //! equivalence test in the workspace therefore passes identically under
-//! either path; the property suite in `qsim/tests` asserts the
-//! equivalence kernel by kernel.
+//! either path; `qsim/tests/simd_parity.rs` asserts the equivalence
+//! kernel by kernel, and a naive per-lane reference in the `rows` tests
+//! pins both paths index by index.
 //!
 //! ## Selection
 //!

@@ -31,8 +31,8 @@
 //!   binds a compiled schedule to frozen parameters (hoisting all
 //!   parameter-only trig), and lane slabs run many inputs through one
 //!   schedule walk; a single request, and each shift-walk prefix and
-//!   fork, is a one-lane slab, which runs the contiguous statevector
-//!   kernels. Also the prebound adjoint engine of the training update:
+//!   fork, is a one-lane slab of the same kernels. Also the prebound
+//!   adjoint engine of the training update:
 //!   [`prebound::prebind_adjoint`] binds the raw schedule with every
 //!   op's inverse, and one reverse sweep serves the `Ideal` and the
 //!   trajectory adjoint.

@@ -14,8 +14,8 @@
 //! `slab[amp · L + lane]` through the [`qmarl_qsim::rows::Slab`] kernels,
 //! with per-rotation trig only where an observation actually enters. The
 //! executor's batches run it over many lanes; [`run_prebound`] runs it
-//! over one, where the slab *is* the statevector and the `rows` kernels
-//! hand each gate to the contiguous [`qmarl_qsim::apply`] kernels. Every
+//! over one, where the slab *is* the statevector and the same `rows`
+//! kernels walk it as one-lane runs. Every
 //! `Ideal` and `Sampled` forward pass of [`crate::batch::BatchExecutor`]
 //! runs a prebound fused schedule this way.
 //!
@@ -529,11 +529,10 @@ pub(crate) fn run_raw_with_override(
 //
 // The slab stores `L` statevectors transposed — `slab[amp · L + lane]` —
 // so each gate is dispatched **once** and its update runs over contiguous
-// per-amplitude lane rows through the `qsim::rows` kernels. Every lane
-// sees exactly the arithmetic of the per-circuit `qsim::apply` kernels,
-// so slab execution is bit-identical to running each lane alone; at
-// `L = 1` the slab is a statevector and the `rows` kernels run the
-// `apply` kernels themselves.
+// runs of lane rows through the `qsim::rows` kernels. Every lane sees the
+// same per-element arithmetic at every lane count, so slab execution is
+// bit-identical to running each lane alone; at `L = 1` the slab is a
+// statevector.
 // ---------------------------------------------------------------------
 
 /// Per-lane trig scratch of a slab walk, owned by the caller so that
@@ -667,7 +666,7 @@ pub(crate) fn walk(
                 }
                 PreOp::Cnot { control, target } => slab.cnot(1 << control, 1 << target),
                 PreOp::Cz { control, target } => slab.cz(1 << control, 1 << target),
-                PreOp::Fixed { qubit, gate } => slab.gate1(1 << qubit, gate),
+                PreOp::Fixed { qubit, gate } => slab.gate1(1 << qubit, 0, gate),
                 PreOp::Fixed2 { qa, qb, gate } => slab.gate2(1 << qa, 1 << qb, gate),
             }
         }
