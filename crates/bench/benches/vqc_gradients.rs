@@ -1,4 +1,4 @@
-//! Ablation C: the cost of the three differentiation methods on the
+//! Ablation C: the cost of the two differentiation methods on the
 //! paper's actor- and critic-shaped VQCs (DESIGN.md experiment index).
 //!
 //! Parameter-shift costs ~2 circuit runs per parameter, adjoint one
@@ -57,7 +57,6 @@ fn bench_gradient_methods(c: &mut Criterion) {
     for (name, method) in [
         ("parameter_shift", GradMethod::ParameterShift),
         ("adjoint", GradMethod::Adjoint),
-        ("finite_diff", GradMethod::FiniteDiff),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {

@@ -16,16 +16,21 @@
 //! binary owned its loop — so their artifacts are reproducible against
 //! the history of the repository. Sweep-scale work wanting
 //! checkpoint-resume uses the default vectorized mode instead.
+//!
+//! Evaluations outside training run on the compiled runtime too, never
+//! on the `vqc` interpreter (a test oracle only).
 
 use qmarl_core::prelude::*;
 use qmarl_env::prelude::*;
 use qmarl_harness::prelude::*;
-use qmarl_neural::prelude::{softmax, Adam};
+use qmarl_neural::prelude::Adam;
 use qmarl_qsim::noise::NoiseModel;
 use qmarl_qsim::shots::z_standard_error;
+use qmarl_runtime::qnn::{only_row, CompiledVqc};
+use qmarl_runtime::superop::{prebind_density, run_density};
 use qmarl_vqc::prelude::{
-    layered_angle_encoder, layered_ansatz, reuploading_circuit, run_noisy, Circuit, CircuitStats,
-    GradMethod, OutputHead, Readout, Vqc, VqcBuilder,
+    layered_angle_encoder, layered_ansatz, reuploading_circuit, Circuit, CircuitStats, OutputHead,
+    Readout, Vqc, VqcBuilder,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -102,6 +107,14 @@ fn materialize_quantum_actors(
         view.set_params(params)?;
     }
     Ok(actors)
+}
+
+/// Copies of the trained actors that execute on `backend`.
+fn on_backend(actors: &[QuantumActor], backend: ExecutionBackend) -> Vec<QuantumActor> {
+    actors
+        .iter()
+        .map(|a| a.clone().with_backend(backend.clone()))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -478,7 +491,8 @@ fn tv_distance(p: &[f64], q: &[f64]) -> f64 {
 pub const NOISE_LEVELS: [f64; 8] = [0.0, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1];
 
 /// Trains `Proposed` (one harness cell), then evaluates the trained
-/// policies at every noise level across the harness task pool.
+/// policies at every noise level (the `Noisy` backend, exact readout)
+/// across the harness task pool.
 ///
 /// # Errors
 ///
@@ -496,6 +510,14 @@ pub fn ablation_noise(
 
     let rows: Vec<NoiseRow> = try_run_tasks(&NOISE_LEVELS, 0, |_, &p| {
         let noise = NoiseModel::depolarizing(p, 2.0 * p).expect("valid noise");
+        let noisy = on_backend(
+            &actors,
+            ExecutionBackend::Noisy {
+                model: noise,
+                shots: None,
+                seed: 0,
+            },
+        );
 
         // Policy drift on a fixed probe set of observations.
         let mut tv_sum = 0.0;
@@ -504,10 +526,8 @@ pub fn ablation_noise(
             let obs: Vec<f64> = (0..config.env.obs_dim())
                 .map(|i| ((probe * 4 + i * 7) % 11) as f64 / 10.0)
                 .collect();
-            let actor = &actors[probe % actors.len()];
-            let clean = softmax(&actor.model().forward(&obs, &actor.params())?);
-            let noisy = softmax(&actor.model().forward_noisy(&obs, &actor.params(), &noise)?);
-            tv_sum += tv_distance(&clean, &noisy);
+            let n = probe % actors.len();
+            tv_sum += tv_distance(&actors[n].probs(&obs)?, &noisy[n].probs(&obs)?);
             tv_n += 1;
         }
         let tv = tv_sum / tv_n as f64;
@@ -521,11 +541,8 @@ pub fn ablation_noise(
                 obs.iter()
                     .enumerate()
                     .map(|(n, o)| {
-                        let logits = actors[n]
-                            .model()
-                            .forward_noisy(o, &actors[n].params(), &noise)
-                            .expect("noisy forward");
-                        select_action(&softmax(&logits), false, &mut rng)
+                        let probs = noisy[n].probs(o).expect("noisy forward");
+                        select_action(&probs, false, &mut rng)
                     })
                     .collect()
             })
@@ -584,7 +601,8 @@ pub const SHOT_BUDGETS: [Option<usize>; 7] = [
 ];
 
 /// Trains `Proposed` (one harness cell), then executes the trained
-/// policies at every shot budget across the harness task pool.
+/// policies at every shot budget (the `Sampled` backend's streams; action
+/// sampling keeps its own RNG) across the harness task pool.
 ///
 /// # Errors
 ///
@@ -601,6 +619,13 @@ pub fn ablation_shots(
     let actors = materialize_quantum_actors(&cell.snapshot, &config)?;
 
     let rows: Vec<ShotsRow> = try_run_tasks(&SHOT_BUDGETS, 0, |_, &shots| {
+        let policies = on_backend(
+            &actors,
+            shots.map_or(ExecutionBackend::Ideal, |shots| ExecutionBackend::Sampled {
+                shots,
+                seed: seed + 78,
+            }),
+        );
         let mut rewards = Vec::with_capacity(eval_episodes);
         let mut env = SingleHopEnv::new(config.env.clone(), seed + 21).map_err(CoreError::from)?;
         let mut rng = StdRng::seed_from_u64(seed + 77);
@@ -609,17 +634,8 @@ pub fn ablation_shots(
                 obs.iter()
                     .enumerate()
                     .map(|(n, o)| {
-                        let logits = match shots {
-                            Some(s) => actors[n]
-                                .model()
-                                .forward_shots(o, &actors[n].params(), s, &mut rng)
-                                .expect("shot forward"),
-                            None => actors[n]
-                                .model()
-                                .forward(o, &actors[n].params())
-                                .expect("forward"),
-                        };
-                        select_action(&softmax(&logits), false, &mut rng)
+                        let probs = policies[n].probs(o).expect("forward");
+                        select_action(&probs, false, &mut rng)
                     })
                     .collect()
             })
@@ -714,16 +730,19 @@ fn collect_dataset(seed: u64, episodes: usize, gamma: f64) -> Vec<(Vec<f64>, f64
 }
 
 /// Trains a critic model by Adam on MSE over the dataset; returns the
-/// final epoch's MSE.
+/// final epoch's MSE. Each step's gradient is a batch of one through the
+/// prebound adjoint, bit-identical to the interpreter's adjoint.
 fn regress(model: &Vqc, data: &[(Vec<f64>, f64)], epochs: usize, seed: u64) -> f64 {
+    let compiled = CompiledVqc::new(model.clone());
     let mut params = model.init_params(seed);
     let mut opt = Adam::new(5e-3, params.len());
     let mut last_mse = f64::INFINITY;
     for _ in 0..epochs {
         let mut mse = 0.0;
         for (x, y) in data {
-            let (out, jac) = model
-                .forward_with_jacobian(x, &params, GradMethod::Adjoint)
+            let (out, jac) = compiled
+                .forward_with_jacobian_batch_prebound(std::slice::from_ref(x), &params)
+                .and_then(only_row)
                 .expect("jacobian");
             let err = out[0] - y;
             mse += err * err;
@@ -854,7 +873,7 @@ pub fn ablation_qubit_scaling(
         // The paper's critic: fixed 4 qubits via layered encoding.
         let encoded = QuantumCritic::new(4, state_dim, budget, seed)?;
         // The naive critic: one wire per feature.
-        let naive = NaiveQuantumCritic::new(state_dim, budget, seed)?;
+        let naive = QuantumCritic::new(state_dim, state_dim, budget, seed)?;
 
         let time_grad = |f: &dyn Fn()| -> f64 {
             f(); // warm up
@@ -874,26 +893,26 @@ pub fn ablation_qubit_scaling(
 
         // Purity after noisy execution with the same per-gate rate.
         let noise = NoiseModel::depolarizing(noise_p, 2.0 * noise_p).expect("valid noise");
-        let purity = |model: &Vqc, params: &[f64]| -> Option<f64> {
-            if model.circuit().n_qubits() > MAX_NOISY_QUBITS {
+        let purity = |critic: &QuantumCritic| -> Option<f64> {
+            let model = critic.compiled();
+            if model.compiled().n_qubits() > MAX_NOISY_QUBITS {
                 return None;
             }
-            let circ_params = &params[..model.circuit_param_count()];
-            let scaled: Vec<f64> = state.iter().map(|x| x * std::f64::consts::PI).collect();
-            Some(
-                run_noisy(model.circuit(), &scaled, circ_params, &noise)
-                    .expect("noisy run")
-                    .purity(),
-            )
+            let params = critic.params();
+            let circ_params = &params[..model.model().circuit_param_count()];
+            let scaled = model.model().input_scaling().apply_all(&state);
+            let prebound =
+                prebind_density(model.compiled(), circ_params, &noise).expect("noisy binding");
+            Some(run_density(&prebound, &scaled).expect("noisy run").purity())
         };
         Ok::<QubitScalingRow, CoreError>(QubitScalingRow {
             n_agents,
             state_dim,
-            naive_qubits: naive.n_qubits(),
+            naive_qubits: naive.model().circuit().n_qubits(),
             encoded_grad_us,
             naive_grad_us,
-            encoded_purity: purity(encoded.model(), &encoded.params()),
-            naive_purity: purity(naive.model(), &naive.params()),
+            encoded_purity: purity(&encoded),
+            naive_purity: purity(&naive),
         })
     })
     .map_err(HarnessError::from)?

@@ -94,7 +94,7 @@ fn ablation_shots_artifact_is_byte_stable() {
     let (rows, artifact) = ablation_shots(3, 2, 7).expect("shots ablation runs");
     assert_eq!(rows.len(), 7);
     assert_eq!(rows.last().unwrap().shots, None);
-    check("ablation_shots", 0x38af95fbdf2f08a5, &[&artifact]);
+    check("ablation_shots", 0x96ba42b7b98afc05, &[&artifact]);
 }
 
 #[test]

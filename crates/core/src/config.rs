@@ -76,9 +76,13 @@ impl TrainConfig {
                 self.gamma
             )));
         }
-        if self.lr_actor <= 0.0 || self.lr_critic <= 0.0 {
+        // A sign test alone passes NaN (`NaN <= 0.0` is false) and +∞.
+        if ![self.lr_actor, self.lr_critic]
+            .iter()
+            .all(|lr| lr.is_finite() && *lr > 0.0)
+        {
             return Err(CoreError::InvalidConfig(
-                "learning rates must be positive".into(),
+                "learning rates must be positive and finite".into(),
             ));
         }
         if self.target_update_period == 0 {

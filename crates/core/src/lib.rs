@@ -10,7 +10,7 @@
 //! The crate provides:
 //!
 //! * [`policy`] — quantum and classical actors behind one [`policy::Actor`] trait,
-//! * [`value`] — quantum, classical and naive-CTDE critics behind [`value::Critic`],
+//! * [`value`] — quantum and classical critics behind [`value::Critic`],
 //! * [`trainer`] — Algorithm 1 (MAPG + TD target + target network),
 //! * [`framework`] — builders for the paper's `Proposed` / `Comp1` /
 //!   `Comp2` / `Comp3` frameworks and their parameter accounting,
@@ -60,7 +60,7 @@ pub mod prelude {
     pub use crate::replay::{Episode, ReplayBuffer, Transition};
     pub use crate::serving::ServablePolicy;
     pub use crate::trainer::{CtdeTrainer, EpochRecord, TrainingHistory, UpdateEngine};
-    pub use crate::value::{ClassicalCritic, Critic, NaiveQuantumCritic, QuantumCritic};
+    pub use crate::value::{ClassicalCritic, Critic, QuantumCritic};
     pub use crate::viz::{
         frames_to_csv, render_heatmap_ansi, render_queue_chart, run_demonstration, DemoFrame,
     };

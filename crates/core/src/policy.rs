@@ -10,7 +10,7 @@ use rand::Rng;
 
 use qmarl_neural::prelude::{policy_gradient_logits, softmax, Activation, Mlp};
 use qmarl_runtime::backend::ExecutionBackend;
-use qmarl_runtime::qnn::CompiledVqc;
+use qmarl_runtime::qnn::{only_row, CompiledVqc};
 use qmarl_vqc::prelude::{GradMethod, OutputHead, Readout, Vqc, VqcBuilder};
 
 use crate::error::CoreError;
@@ -73,7 +73,8 @@ pub trait Actor: Send + Sync {
 
     /// The MAPG gradient with an entropy bonus: descending this maximises
     /// `advantage · log π(action|o) + β · H(π(·|o))`. With `β = 0` it is
-    /// exactly [`Actor::policy_gradient`].
+    /// exactly [`Actor::policy_gradient`]. Circuit-backed actors answer it
+    /// as a batch of one through [`Actor::policy_gradients_batch`].
     ///
     /// # Errors
     ///
@@ -180,6 +181,11 @@ pub fn select_action<R: Rng + ?Sized>(probs: &[f64], deterministic: bool, rng: &
 /// circuit is compiled once (shared process-wide with every same-shaped
 /// actor) and forward passes run the fused schedule prebound to the
 /// current parameters, a single observation as a one-lane slab.
+///
+/// Gradients have one body, [`Actor::policy_gradients_batch`]:
+/// [`GradMethod::Adjoint`] runs the prebound adjoint slabs,
+/// [`GradMethod::ParameterShift`] the batched shift walk. A single
+/// [`Actor::policy_gradient_with_entropy`] call is a batch of one.
 #[derive(Debug, Clone)]
 pub struct QuantumActor {
     model: CompiledVqc,
@@ -239,11 +245,11 @@ impl QuantumActor {
 
     /// Overrides the execution backend (default:
     /// [`ExecutionBackend::Ideal`], bit-identical to not setting one).
-    /// Under `Sampled`/`Noisy` the gradient method is forced to the
-    /// parameter-shift rule — the adjoint sweep needs exact statevectors,
-    /// which those backends never expose.
+    /// Off `Ideal` an adjoint request runs the backend's own gradient
+    /// (see [`CompiledVqc::forward_with_jacobian_batch_prebound`]): the
+    /// adjoint sweep needs exact statevectors, which those backends never
+    /// expose.
     pub fn with_backend(mut self, backend: ExecutionBackend) -> Self {
-        self.grad_method = backend.effective_grad_method(self.grad_method);
         self.model = self.model.with_backend(backend);
         self
     }
@@ -333,13 +339,9 @@ impl Actor for QuantumActor {
         advantage: f64,
         entropy_coef: f64,
     ) -> Result<Vec<f64>, CoreError> {
-        self.check_obs(obs)?;
-        let (logits, jac) =
-            self.model
-                .forward_with_jacobian(obs, &self.params, self.grad_method)?;
-        let probs = softmax(&logits);
-        let upstream = regularized_upstream(&probs, action, advantage, entropy_coef);
-        Ok(jac.vjp(&upstream))
+        let grads =
+            self.policy_gradients_batch(&[obs.to_vec()], &[action], &[advantage], entropy_coef)?;
+        Ok(only_row(grads)?)
     }
 
     fn policy_gradients_batch(
@@ -365,17 +367,6 @@ impl Actor for QuantumActor {
             // parameter-shift queue.
             GradMethod::ParameterShift => {
                 self.model.forward_with_jacobian_batch(obs, &self.params)?
-            }
-            // No batched engine for finite differences — serial sweep.
-            GradMethod::FiniteDiff => {
-                return obs
-                    .iter()
-                    .zip(actions)
-                    .zip(advantages)
-                    .map(|((o, &a), &adv)| {
-                        self.policy_gradient_with_entropy(o, a, adv, entropy_coef)
-                    })
-                    .collect()
             }
         };
         let mut grads = Vec::with_capacity(results.len());
@@ -618,22 +609,39 @@ mod tests {
             .collect();
         let actions = [0usize, 3, 1, 2, 0, 1];
         let advantages = [0.7, -1.2, 0.0, 2.4, -0.3, 1.1];
-        for method in [
-            GradMethod::Adjoint,
-            GradMethod::ParameterShift,
-            GradMethod::FiniteDiff,
+        let sampled = ExecutionBackend::Sampled { shots: 64, seed: 2 };
+        for (label, a) in [
+            ("ideal adjoint", quantum_actor()),
+            (
+                "ideal shift",
+                quantum_actor().with_grad_method(GradMethod::ParameterShift),
+            ),
+            ("sampled:shots=64", quantum_actor().with_backend(sampled)),
         ] {
-            let a = quantum_actor().with_grad_method(method);
             for beta in [0.0, 0.25] {
                 let batched = a
                     .policy_gradients_batch(&obs, &actions, &advantages, beta)
                     .unwrap();
                 assert_eq!(batched.len(), obs.len());
                 for (t, grad) in batched.iter().enumerate() {
-                    let reference = a
+                    let single = a
                         .policy_gradient_with_entropy(&obs[t], actions[t], advantages[t], beta)
                         .unwrap();
-                    assert_eq!(*grad, reference, "{method:?} β={beta} sample {t}");
+                    assert_eq!(*grad, single, "{label} β={beta} sample {t}");
+                    if label == "ideal adjoint" {
+                        // The interpreter oracle, bit for bit.
+                        let (logits, jac) = a
+                            .model()
+                            .forward_with_jacobian(&obs[t], &a.params(), GradMethod::Adjoint)
+                            .unwrap();
+                        let upstream = regularized_upstream(
+                            &softmax(&logits),
+                            actions[t],
+                            advantages[t],
+                            beta,
+                        );
+                        assert_eq!(single, jac.vjp(&upstream), "oracle β={beta} sample {t}");
+                    }
                 }
             }
         }

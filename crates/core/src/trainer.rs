@@ -50,9 +50,10 @@ use crate::vec_policy::ActorsVecPolicy;
 /// so the choice is purely a throughput knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum UpdateEngine {
-    /// One circuit at a time through the single-sample model paths (the
-    /// reference implementation, and the baseline of
-    /// `benches/train_update.rs`).
+    /// One sample at a time through the single-sample model methods
+    /// ([`Actor::policy_gradient_with_entropy`],
+    /// [`Critic::value_with_gradient`]; for quantum models each is a
+    /// batch of one), the baseline of `benches/train_update.rs`.
     Serial,
     /// Every (transition × agent) circuit of the sweep collected into
     /// flat prebound work queues ([`Actor::policy_gradients_batch`],

@@ -4,14 +4,14 @@
 //! concatenated) to one centralized critic. The paper's quantum critic
 //! keeps the register at 4 qubits regardless of agent count by folding the
 //! state through the layered encoder ("the state encoding is used …
-//! because the state size is larger than the size in observation"); the
-//! [`NaiveQuantumCritic`] implements the qubit-hungry alternative the
-//! paper argues against (one wire per state feature), used by the
-//! qubit-scaling ablation.
+//! because the state size is larger than the size in observation"). The
+//! qubit-hungry alternative the paper argues against, one wire per state
+//! feature, is the same [`QuantumCritic`] built with
+//! `n_qubits == state_dim` (the qubit-scaling ablation does exactly that).
 
 use qmarl_neural::prelude::{Activation, Mlp};
 use qmarl_runtime::backend::ExecutionBackend;
-use qmarl_runtime::qnn::CompiledVqc;
+use qmarl_runtime::qnn::{only_row, CompiledVqc};
 use qmarl_vqc::grad::Jacobian;
 use qmarl_vqc::prelude::{GradMethod, OutputHead, Readout, Vqc, VqcBuilder};
 
@@ -43,7 +43,9 @@ pub trait Critic: Send {
         states.iter().map(|s| self.value(s)).collect()
     }
 
-    /// The value and its parameter gradient `∇_ψ V(s)`.
+    /// The value and its parameter gradient `∇_ψ V(s)`. Circuit-backed
+    /// critics answer it as a batch of one through
+    /// [`Critic::values_with_gradients_batch`].
     ///
     /// # Errors
     ///
@@ -96,6 +98,11 @@ pub trait Critic: Send {
 ///
 /// Evaluation runs through the batched runtime ([`CompiledVqc`]); batch
 /// value queries ([`Critic::values_batch`]) fan out over its executor.
+///
+/// Gradients have one body, [`Critic::values_with_gradients_batch`]:
+/// [`GradMethod::Adjoint`] runs the prebound adjoint slabs,
+/// [`GradMethod::ParameterShift`] the batched shift walk. A single
+/// [`Critic::value_with_gradient`] call is a batch of one.
 #[derive(Debug, Clone)]
 pub struct QuantumCritic {
     model: CompiledVqc,
@@ -144,10 +151,9 @@ impl QuantumCritic {
 
     /// Overrides the execution backend (default:
     /// [`ExecutionBackend::Ideal`], bit-identical to not setting one).
-    /// Under `Sampled`/`Noisy` the gradient method is forced to the
-    /// parameter-shift rule (see [`crate::policy::QuantumActor`]).
+    /// Off `Ideal` an adjoint request runs the backend's own gradient
+    /// (see [`crate::policy::QuantumActor::with_backend`]).
     pub fn with_backend(mut self, backend: ExecutionBackend) -> Self {
-        self.grad_method = backend.effective_grad_method(self.grad_method);
         self.model = self.model.with_backend(backend);
         self
     }
@@ -200,11 +206,8 @@ impl Critic for QuantumCritic {
     }
 
     fn value_with_gradient(&self, state: &[f64]) -> Result<(f64, Vec<f64>), CoreError> {
-        self.check_state(state)?;
-        let (out, jac) = self
-            .model
-            .forward_with_jacobian(state, &self.params, self.grad_method)?;
-        Ok((out[0], jac.vjp(&[1.0])))
+        let (value, jac) = only_row(self.values_with_gradients_batch(&[state.to_vec()])?)?;
+        Ok((value, jac.vjp(&[1.0])))
     }
 
     fn values_with_gradients_batch(
@@ -216,27 +219,16 @@ impl Critic for QuantumCritic {
         }
         let results = match self.grad_method {
             // The prebound adjoint engine: the whole batch as lane slabs
-            // behind hoisted trig, bit-identical per state to the serial
-            // model-path adjoint.
+            // behind hoisted trig, bit-identical per state to the
+            // interpreter's adjoint.
             GradMethod::Adjoint => self
                 .model
                 .forward_with_jacobian_batch_prebound(states, &self.params)?,
             // Adjoint unavailable (hardware-rule gradients requested):
-            // the batched parameter-shift queue, bit-identical per state
-            // to the single-sample shift path.
+            // the batched parameter-shift queue.
             GradMethod::ParameterShift => self
                 .model
                 .forward_with_jacobian_batch(states, &self.params)?,
-            // No batched engine for finite differences — serial sweep.
-            GradMethod::FiniteDiff => {
-                return states
-                    .iter()
-                    .map(|s| {
-                        let (v, g) = self.value_with_gradient(s)?;
-                        Ok((v, Jacobian::from_row(g)))
-                    })
-                    .collect()
-            }
         };
         Ok(results
             .into_iter()
@@ -257,77 +249,6 @@ impl Critic for QuantumCritic {
         }
         self.params.copy_from_slice(params);
         Ok(())
-    }
-
-    fn clone_box(&self) -> Box<dyn Critic> {
-        Box::new(self.clone())
-    }
-}
-
-/// The naive CTDE quantum critic the paper's introduction argues against:
-/// **one qubit per state feature** (`N · obs_dim` wires), so the register
-/// grows with the number of agents and the circuit inherits NISQ noise on
-/// every extra wire. Exists for the qubit-scaling ablation.
-#[derive(Debug, Clone)]
-pub struct NaiveQuantumCritic {
-    inner: QuantumCritic,
-}
-
-impl NaiveQuantumCritic {
-    /// Builds the wide critic: `state_dim` wires, one encoder layer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] for budgets that cannot fit
-    /// the affine head, or [`CoreError::Vqc`] when the register would be
-    /// too large to simulate.
-    pub fn new(state_dim: usize, total_params: usize, seed: u64) -> Result<Self, CoreError> {
-        Ok(NaiveQuantumCritic {
-            inner: QuantumCritic::new(state_dim, state_dim, total_params, seed)?,
-        })
-    }
-
-    /// Number of qubits the naive layout needs (= state dimension).
-    pub fn n_qubits(&self) -> usize {
-        self.inner.model().circuit().n_qubits()
-    }
-
-    /// The underlying VQC.
-    pub fn model(&self) -> &Vqc {
-        self.inner.model()
-    }
-}
-
-impl Critic for NaiveQuantumCritic {
-    fn state_dim(&self) -> usize {
-        self.inner.state_dim()
-    }
-
-    fn param_count(&self) -> usize {
-        self.inner.param_count()
-    }
-
-    fn value(&self, state: &[f64]) -> Result<f64, CoreError> {
-        self.inner.value(state)
-    }
-
-    fn value_with_gradient(&self, state: &[f64]) -> Result<(f64, Vec<f64>), CoreError> {
-        self.inner.value_with_gradient(state)
-    }
-
-    fn values_with_gradients_batch(
-        &self,
-        states: &[Vec<f64>],
-    ) -> Result<Vec<(f64, Jacobian)>, CoreError> {
-        self.inner.values_with_gradients_batch(states)
-    }
-
-    fn params(&self) -> Vec<f64> {
-        self.inner.params()
-    }
-
-    fn set_params(&mut self, params: &[f64]) -> Result<(), CoreError> {
-        self.inner.set_params(params)
     }
 
     fn clone_box(&self) -> Box<dyn Critic> {
@@ -467,8 +388,9 @@ mod tests {
 
     #[test]
     fn naive_critic_needs_one_wire_per_feature() {
-        let c = NaiveQuantumCritic::new(8, 20, 2).unwrap();
-        assert_eq!(c.n_qubits(), 8);
+        // The naive CTDE layout: one wire per state feature.
+        let c = QuantumCritic::new(8, 8, 20, 2).unwrap();
+        assert_eq!(c.model().circuit().n_qubits(), 8);
         assert_eq!(c.state_dim(), 8);
         let s: Vec<f64> = (0..8).map(|i| 0.1 * i as f64).collect();
         let (v, g) = c.value_with_gradient(&s).unwrap();
@@ -481,8 +403,8 @@ mod tests {
     fn naive_critic_qubits_scale_with_agents() {
         // obs_dim = 4 per agent: 2 agents → 8 wires, 4 agents → 16 wires.
         for (agents, wires) in [(1usize, 4usize), (2, 8), (4, 16)] {
-            let c = NaiveQuantumCritic::new(agents * 4, 12, 0).unwrap();
-            assert_eq!(c.n_qubits(), wires);
+            let c = QuantumCritic::new(agents * 4, agents * 4, 12, 0).unwrap();
+            assert_eq!(c.model().circuit().n_qubits(), wires);
         }
     }
 
@@ -512,20 +434,30 @@ mod tests {
         let states: Vec<Vec<f64>> = (0..5)
             .map(|b| (0..16).map(|i| ((b * 16 + i) % 11) as f64 / 11.0).collect())
             .collect();
-        for method in [
-            GradMethod::Adjoint,
-            GradMethod::ParameterShift,
-            GradMethod::FiniteDiff,
+        let critic = || QuantumCritic::new(4, 16, 24, 7).unwrap();
+        let sampled = ExecutionBackend::Sampled { shots: 64, seed: 2 };
+        for (label, c) in [
+            ("ideal adjoint", critic()),
+            (
+                "ideal shift",
+                critic().with_grad_method(GradMethod::ParameterShift),
+            ),
+            ("sampled:shots=64", critic().with_backend(sampled)),
         ] {
-            let c = QuantumCritic::new(4, 16, 24, 7)
-                .unwrap()
-                .with_grad_method(method);
             let batched = c.values_with_gradients_batch(&states).unwrap();
             assert_eq!(batched.len(), states.len());
             for (s, (v, jac)) in states.iter().zip(&batched) {
                 let (v_ref, g_ref) = c.value_with_gradient(s).unwrap();
-                assert_eq!(*v, v_ref, "{method:?}");
-                assert_eq!(jac.vjp(&[1.0]), g_ref, "{method:?}");
+                assert_eq!(*v, v_ref, "{label}");
+                assert_eq!(jac.vjp(&[1.0]), g_ref, "{label}");
+                if label == "ideal adjoint" {
+                    // The interpreter oracle, bit for bit.
+                    let (out, oracle) = c
+                        .model()
+                        .forward_with_jacobian(s, &c.params(), GradMethod::Adjoint)
+                        .unwrap();
+                    assert_eq!((out[0], oracle.vjp(&[1.0])), (v_ref, g_ref));
+                }
             }
         }
         // The MLP default route agrees with per-state calls too.

@@ -672,6 +672,7 @@ impl FromStr for ExperimentSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qmarl_core::error::CoreError;
 
     fn demo_spec() -> ExperimentSpec {
         "name=t;scenarios=single-hop;seeds=0..2;epochs=3"
@@ -762,6 +763,36 @@ mod tests {
         }
         assert!(ExperimentSpec::from_json("[1,2]").is_err());
         assert!(ExperimentSpec::from_json(r#"{"name":3}"#).is_err());
+    }
+
+    #[test]
+    fn non_finite_learning_rates_are_rejected() {
+        // `NaN <= 0.0` is false and `+∞` is positive, so a sign test
+        // alone would pass both and Adam would write NaN/∞ parameters.
+        for lr in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for critic in [false, true] {
+                let mut spec: ExperimentSpec = "name=x;scenarios=single-hop;seeds=0;epochs=1"
+                    .parse()
+                    .unwrap();
+                if critic {
+                    spec.train.lr_critic = lr;
+                } else {
+                    spec.train.lr_actor = lr;
+                }
+                let case = format!("lr={lr} critic={critic}");
+                assert!(
+                    matches!(spec.train.validate(), Err(CoreError::InvalidConfig(_))),
+                    "{case}"
+                );
+                assert!(
+                    matches!(
+                        spec.validate(),
+                        Err(HarnessError::Core(CoreError::InvalidConfig(_)))
+                    ),
+                    "{case}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -46,7 +46,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use qmarl_qsim::noise::{NoiseChannel, NoiseModel};
-use qmarl_vqc::grad::GradMethod;
 
 use crate::error::RuntimeError;
 use crate::rollout::derive_seed;
@@ -138,21 +137,10 @@ impl ExecutionBackend {
     /// is available. Adjoint differentiation needs the exact final
     /// statevector and its reverse sweep, so it exists only on
     /// [`ExecutionBackend::Ideal`]; the stochastic backends differentiate
-    /// by the hardware-compatible parameter-shift rule.
+    /// by the hardware-compatible parameter-shift rule (the per-trajectory
+    /// adjoint on `Trajectory`), and an adjoint request routes there.
     pub fn supports_adjoint(&self) -> bool {
         self.is_ideal()
-    }
-
-    /// Routes a requested gradient method by backend capability: `Ideal`
-    /// honours the request, `Sampled`/`Noisy` always use
-    /// [`GradMethod::ParameterShift`] (the only rule that is exact in
-    /// expectation under finite shots and executable on hardware).
-    pub fn effective_grad_method(&self, requested: GradMethod) -> GradMethod {
-        if self.is_ideal() {
-            requested
-        } else {
-            GradMethod::ParameterShift
-        }
     }
 
     /// Validates the configuration (positive shot counts, a trajectory
@@ -568,18 +556,6 @@ mod tests {
         assert!(ideal.supports_adjoint());
         assert!(!sampled.supports_adjoint());
         assert!(!trajectory.supports_adjoint());
-        assert_eq!(
-            ideal.effective_grad_method(GradMethod::Adjoint),
-            GradMethod::Adjoint
-        );
-        assert_eq!(
-            sampled.effective_grad_method(GradMethod::Adjoint),
-            GradMethod::ParameterShift
-        );
-        assert_eq!(
-            trajectory.effective_grad_method(GradMethod::Adjoint),
-            GradMethod::ParameterShift
-        );
         assert_eq!(ideal.kind(), "ideal");
         assert_eq!(sampled.kind(), "sampled");
         assert_eq!(trajectory.kind(), "trajectory");

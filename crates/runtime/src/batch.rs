@@ -171,7 +171,7 @@ impl BatchExecutor {
     /// a contiguous lane chunk of one group through a single
     /// forward-walk-plus-reverse-sweep pair, and the whole batch's chunks
     /// form one flat work queue. Per lane the result is **bit-identical**
-    /// to the serial model-path adjoint
+    /// to the interpreter oracle's adjoint
     /// (`Vqc::forward_with_jacobian(…, GradMethod::Adjoint)` before the
     /// output head) — lanes are independent, so neither chunking nor the
     /// worker count can change any value.

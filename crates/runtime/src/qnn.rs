@@ -8,15 +8,17 @@
 //! [`CompiledVqc::forward_batch`], which on `Ideal` runs the prebound
 //! fused schedule as a one-lane slab.
 //!
-//! Gradient routing: `ParameterShift` requests go through the executor's
-//! prefix-shared shift walk, and minibatch adjoint requests through its
-//! prebound adjoint slabs
-//! ([`CompiledVqc::forward_with_jacobian_batch_prebound`]). A single
-//! `Adjoint` or `FiniteDiff` request delegates to `vqc::grad`.
+//! Gradient routing: parameter-shift gradients go through the executor's
+//! prefix-shared shift walk ([`CompiledVqc::forward_with_jacobian_batch`]),
+//! adjoint gradients through its prebound adjoint slabs
+//! ([`CompiledVqc::forward_with_jacobian_batch_prebound`]). There is no
+//! single-sample gradient entry point: one sample is a batch of one. The
+//! `vqc` interpreter (`Vqc::forward_with_jacobian`) is the test oracle
+//! these entry points are pinned to, and never runs here.
 
 use std::sync::Arc;
 
-use qmarl_vqc::grad::{GradMethod, Jacobian};
+use qmarl_vqc::grad::Jacobian;
 use qmarl_vqc::qnn::Vqc;
 
 use crate::backend::ExecutionBackend;
@@ -91,7 +93,7 @@ impl CompiledVqc {
     ///
     /// Returns binding-length errors.
     pub fn forward(&self, inputs: &[f64], params: &[f64]) -> Result<Vec<f64>, RuntimeError> {
-        single(self.forward_batch(&[inputs.to_vec()], params)?)
+        only_row(self.forward_batch(&[inputs.to_vec()], params)?)
     }
 
     /// Batched forward pass: one output vector per observation.
@@ -120,33 +122,6 @@ impl CompiledVqc {
             .iter()
             .map(|raw| self.model.apply_head(raw, scales, biases))
             .collect())
-    }
-
-    /// Forward pass plus full-parameter Jacobian, routing through the
-    /// compiled schedules (see module docs for per-method routing). The
-    /// requested method applies on the `Ideal` backend; `Sampled`/`Noisy`
-    /// always differentiate by the parameter-shift rule on their own
-    /// backend (adjoint and finite differences need exact statevectors),
-    /// and `Trajectory` by the per-trajectory adjoint inside the same
-    /// batched path (exact gradient of its sampled estimator).
-    ///
-    /// # Errors
-    ///
-    /// Returns binding-length errors.
-    pub fn forward_with_jacobian(
-        &self,
-        inputs: &[f64],
-        params: &[f64],
-        method: GradMethod,
-    ) -> Result<(Vec<f64>, Jacobian), RuntimeError> {
-        match self.backend.effective_grad_method(method) {
-            GradMethod::ParameterShift => {
-                single(self.forward_with_jacobian_batch(&[inputs.to_vec()], params)?)
-            }
-            GradMethod::Adjoint | GradMethod::FiniteDiff => {
-                Ok(self.model.forward_with_jacobian(inputs, params, method)?)
-            }
-        }
     }
 
     /// Batched forward + Jacobian over a minibatch of observations under
@@ -190,8 +165,8 @@ impl CompiledVqc {
     /// executor's flat work queue, one forward-walk-plus-reverse-sweep
     /// pair per chunk.
     ///
-    /// Per sample the result is **bit-identical** to
-    /// [`CompiledVqc::forward_with_jacobian`] with [`GradMethod::Adjoint`]
+    /// Per sample the result is **bit-identical** to the interpreter
+    /// oracle `Vqc::forward_with_jacobian(…, GradMethod::Adjoint)`
     /// (asserted by this module's tests and the trainer equivalence
     /// suite).
     ///
@@ -252,8 +227,9 @@ impl CompiledVqc {
     }
 }
 
-/// The only row of a one-row batch result.
-fn single<T>(rows: Vec<T>) -> Result<T, RuntimeError> {
+/// The only row of a one-row batch result: a single request answered by
+/// a batched entry point. Errors when `rows` is empty.
+pub fn only_row<T>(rows: Vec<T>) -> Result<T, RuntimeError> {
     rows.into_iter()
         .next()
         .ok_or_else(|| RuntimeError::InvalidConfig("a one-row batch returned no row".to_string()))
@@ -262,6 +238,7 @@ fn single<T>(rows: Vec<T>) -> Result<T, RuntimeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qmarl_vqc::grad::GradMethod;
     use qmarl_vqc::observable::Readout;
     use qmarl_vqc::qnn::{OutputHead, VqcBuilder};
 
@@ -308,9 +285,12 @@ mod tests {
         let params = model.init_params(7);
         let compiled = CompiledVqc::new(model.clone());
         let obs = [0.3, 0.1, 0.9, 0.6];
-        let (out_rt, jac_rt) = compiled
-            .forward_with_jacobian(&obs, &params, GradMethod::ParameterShift)
-            .unwrap();
+        let (out_rt, jac_rt) = only_row(
+            compiled
+                .forward_with_jacobian_batch(&[obs.to_vec()], &params)
+                .unwrap(),
+        )
+        .unwrap();
         let (out_ref, jac_ref) = model
             .forward_with_jacobian(&obs, &params, GradMethod::ParameterShift)
             .unwrap();
@@ -331,11 +311,14 @@ mod tests {
             .forward_with_jacobian_batch(&batch, &params)
             .unwrap();
         for (obs, (out, jac)) in batch.iter().zip(&results) {
-            let (o, j) = compiled
-                .forward_with_jacobian(obs, &params, GradMethod::ParameterShift)
-                .unwrap();
+            let (o, j) = only_row(
+                compiled
+                    .forward_with_jacobian_batch(std::slice::from_ref(obs), &params)
+                    .unwrap(),
+            )
+            .unwrap();
             assert_eq!(*out, o);
-            assert_eq!(jac.max_abs_diff(&j), 0.0);
+            assert_eq!(*jac, j);
         }
         // Adjoint batch agrees with parameter-shift to gradient precision.
         let adjoint = compiled
@@ -350,8 +333,9 @@ mod tests {
     fn prebound_adjoint_batch_is_bit_identical_to_single_adjoint() {
         // Both the actor shape (vector readout, affine head) and the
         // critic shape (scalar weighted readout): the batched engine must
-        // reproduce the serial model-path adjoint bit for bit, including
-        // the head Jacobian.
+        // reproduce the interpreter oracle's adjoint bit for bit,
+        // including the head Jacobian, for the whole batch and for a
+        // batch of one.
         let critic_like = VqcBuilder::new(3)
             .encoder_inputs(6)
             .ansatz_params(14)
@@ -378,10 +362,15 @@ mod tests {
                 .unwrap();
             for (obs, (out, jac)) in batch.iter().zip(&batched) {
                 let (out_ref, jac_ref) = compiled
+                    .model()
                     .forward_with_jacobian(obs, &params, GradMethod::Adjoint)
                     .unwrap();
                 assert_eq!(*out, out_ref);
-                assert_eq!(jac.max_abs_diff(&jac_ref), 0.0);
+                assert_eq!(*jac, jac_ref);
+                let one = compiled
+                    .forward_with_jacobian_batch_prebound(std::slice::from_ref(obs), &params)
+                    .unwrap();
+                assert_eq!(one, vec![(out_ref, jac_ref)]);
             }
         }
     }
@@ -404,14 +393,20 @@ mod tests {
             plain.forward_batch(&batch, &params).unwrap(),
             explicit.forward_batch(&batch, &params).unwrap()
         );
-        let a = plain
-            .forward_with_jacobian(&batch[0], &params, GradMethod::ParameterShift)
-            .unwrap();
-        let b = explicit
-            .forward_with_jacobian(&batch[0], &params, GradMethod::ParameterShift)
-            .unwrap();
-        assert_eq!(a.0, b.0);
-        assert_eq!(a.1.max_abs_diff(&b.1), 0.0);
+        assert_eq!(
+            plain.forward_with_jacobian_batch(&batch, &params).unwrap(),
+            explicit
+                .forward_with_jacobian_batch(&batch, &params)
+                .unwrap()
+        );
+        assert_eq!(
+            plain
+                .forward_with_jacobian_batch_prebound(&batch, &params)
+                .unwrap(),
+            explicit
+                .forward_with_jacobian_batch_prebound(&batch, &params)
+                .unwrap()
+        );
     }
 
     #[test]
@@ -426,29 +421,22 @@ mod tests {
         let batch: Vec<Vec<f64>> = (0..3)
             .map(|b| (0..4).map(|i| 0.08 * (b * 4 + i) as f64).collect())
             .collect();
-        // Adjoint request under a sampled backend is served by the
-        // backend parameter-shift path — the three entry points agree
-        // bit for bit because the seed derivation is content-addressed.
-        let via_adjoint_request = compiled
-            .forward_with_jacobian(&batch[0], &params, GradMethod::Adjoint)
-            .unwrap();
-        let via_shift_request = compiled
-            .forward_with_jacobian(&batch[0], &params, GradMethod::ParameterShift)
-            .unwrap();
-        assert_eq!(via_adjoint_request.0, via_shift_request.0);
-        assert_eq!(
-            via_adjoint_request.1.max_abs_diff(&via_shift_request.1),
-            0.0
-        );
+        // An adjoint request under a sampled backend is served by the
+        // backend parameter-shift path. The entry points agree bit for
+        // bit, and a batch of one equals its row of the whole batch,
+        // because the seed derivation is content-addressed.
         let batched = compiled
             .forward_with_jacobian_batch_prebound(&batch, &params)
             .unwrap();
         let shift_batched = compiled
             .forward_with_jacobian_batch(&batch, &params)
             .unwrap();
-        for ((a_out, a_jac), (b_out, b_jac)) in batched.iter().zip(&shift_batched) {
-            assert_eq!(a_out, b_out);
-            assert_eq!(a_jac.max_abs_diff(b_jac), 0.0);
+        assert_eq!(batched, shift_batched);
+        for (obs, row) in batch.iter().zip(&shift_batched) {
+            let one = compiled
+                .forward_with_jacobian_batch_prebound(std::slice::from_ref(obs), &params)
+                .unwrap();
+            assert_eq!(one, vec![row.clone()]);
         }
         // The sampled forward is reproducible but differs from exact.
         let sampled = compiled.forward(&batch[0], &params).unwrap();

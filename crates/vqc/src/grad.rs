@@ -1,8 +1,10 @@
 //! Quantum gradients: parameter-shift, adjoint differentiation, finite
-//! differences.
+//! differences — the serial reference the batched runtime is tested
+//! against (its prebound adjoint bit for bit, its shift walk to 1e-12).
 //!
 //! The paper differentiates its VQCs with PyTorch autograd through
-//! torchquantum. We substitute three interchangeable methods (DESIGN.md §1):
+//! torchquantum. We substitute two [`GradMethod`]s (DESIGN.md §1) and
+//! check both against finite differences:
 //!
 //! * **Parameter-shift** ([`jacobian_parameter_shift`]) — the canonical,
 //!   hardware-compatible rule. Exact (not an approximation) for rotation
@@ -12,7 +14,8 @@
 //!   through the statevector (one forward pass + one backward sweep),
 //!   mathematically identical to what simulator autograd computes and
 //!   asymptotically cheapest. Only valid for noiseless (unitary) execution.
-//! * **Finite differences** ([`jacobian_finite_diff`]) — the cross-check.
+//! * **Finite differences** ([`jacobian_finite_diff`]) — a test oracle
+//!   only, not a [`GradMethod`].
 //!
 //! `gradients_agree`-style tests assert all three match, which is the
 //! correctness guard for the autodiff substitution.
@@ -145,8 +148,6 @@ pub enum GradMethod {
     ParameterShift,
     /// Reverse-mode adjoint differentiation (noiseless only).
     Adjoint,
-    /// Central finite differences with `eps = 1e-6`.
-    FiniteDiff,
 }
 
 /// Computes the Jacobian with the chosen method. This crate is the
@@ -167,7 +168,6 @@ pub fn jacobian(
     match method {
         GradMethod::ParameterShift => jacobian_parameter_shift(circuit, readout, inputs, params),
         GradMethod::Adjoint => jacobian_adjoint(circuit, readout, inputs, params),
-        GradMethod::FiniteDiff => jacobian_finite_diff(circuit, readout, inputs, params, 1e-6),
     }
 }
 
@@ -296,7 +296,7 @@ where
     }
 }
 
-/// Central finite-difference Jacobian (the numerical cross-check).
+/// Central finite-difference Jacobian (the numerical test oracle).
 ///
 /// # Errors
 ///
@@ -540,15 +540,15 @@ mod tests {
         c.rot(0, Ax::Y, Angle::Param(ParamId(0))).unwrap();
         let readout = Readout::z_all(1);
         for theta in [0.0, 0.4, 1.2, -2.2] {
-            for method in [
-                GradMethod::ParameterShift,
-                GradMethod::Adjoint,
-                GradMethod::FiniteDiff,
-            ] {
-                let jac = jacobian(method, &c, &readout, &[], &[theta]).unwrap();
+            let jacs = [
+                jacobian(GradMethod::ParameterShift, &c, &readout, &[], &[theta]).unwrap(),
+                jacobian(GradMethod::Adjoint, &c, &readout, &[], &[theta]).unwrap(),
+                jacobian_finite_diff(&c, &readout, &[], &[theta], 1e-6).unwrap(),
+            ];
+            for (name, jac) in ["shift", "adjoint", "finite-diff"].iter().zip(&jacs) {
                 assert!(
                     (jac.get(0, 0) + theta.sin()).abs() < 1e-6,
-                    "{method:?} at θ={theta}: {} vs {}",
+                    "{name} at θ={theta}: {} vs {}",
                     jac.get(0, 0),
                     -theta.sin()
                 );
@@ -640,15 +640,15 @@ mod tests {
         c.rot(0, Ax::Y, Angle::Param(ParamId(0))).unwrap();
         let readout = Readout::z_all(1);
         let theta = 0.37;
-        for method in [
-            GradMethod::ParameterShift,
-            GradMethod::Adjoint,
-            GradMethod::FiniteDiff,
-        ] {
-            let jac = jacobian(method, &c, &readout, &[], &[theta]).unwrap();
+        let jacs = [
+            jacobian(GradMethod::ParameterShift, &c, &readout, &[], &[theta]).unwrap(),
+            jacobian(GradMethod::Adjoint, &c, &readout, &[], &[theta]).unwrap(),
+            jacobian_finite_diff(&c, &readout, &[], &[theta], 1e-6).unwrap(),
+        ];
+        for (name, jac) in ["shift", "adjoint", "finite-diff"].iter().zip(&jacs) {
             assert!(
                 (jac.get(0, 0) + 2.0 * (2.0 * theta).sin()).abs() < 1e-6,
-                "{method:?}: {}",
+                "{name}: {}",
                 jac.get(0, 0)
             );
         }

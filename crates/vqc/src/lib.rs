@@ -4,8 +4,10 @@
 //! [QMARL reproduction](https://arxiv.org/abs/2203.10443): circuit IR,
 //! the paper's layered angle **state encoder** (Fig. 1), structured and
 //! random **parametrized circuits** (`U_var`), Pauli-Z **readouts** (`M`),
-//! and three interchangeable gradient engines (parameter-shift, adjoint,
-//! finite-difference) replacing the PyTorch autograd the authors used.
+//! and two gradient engines (parameter-shift, adjoint; finite differences
+//! as their test oracle) replacing the PyTorch autograd the authors used.
+//! This is the serial **reference interpreter**: production executes on
+//! `qmarl-runtime`, whose tests pin it to the functions here.
 //!
 //! ```
 //! use qmarl_vqc::prelude::*;

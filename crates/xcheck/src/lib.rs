@@ -4,7 +4,8 @@
 //! bit-identical SIMD dispatch (no fused multiply-add in kernels),
 //! worker-count-invariant determinism, documented `unsafe`
 //! preconditions, `#[target_feature]` fns reached only through CPU
-//! dispatch guards, and a serve hot path that never panics. `xcheck`
+//! dispatch guards, a serve hot path that never panics, and a `vqc`
+//! interpreter that only tests run (the oracle-only rule). `xcheck`
 //! lexes every Rust source in the workspace (a real token-level lexer,
 //! so comments and string literals never trigger rules) and enforces
 //! those contracts as machine-checked rules with per-site suppression

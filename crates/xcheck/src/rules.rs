@@ -49,6 +49,12 @@ pub const RULES: &[(&str, &str)] = &[
          through",
     ),
     (
+        "oracle-only",
+        "the `vqc` interpreter is the test oracle only: outside crates/vqc, no crates/*/src or \
+         perfbench/src production code runs `vqc::exec`, the `vqc::grad` Jacobians or \
+         `Vqc::forward_with_jacobian`/`forward_noisy`/`forward_shots`",
+    ),
+    (
         "bad-pragma",
         "suppression pragmas parse, name known rules, anchor to code, and carry a written \
          justification (meta-rule; not suppressible)",
@@ -138,7 +144,20 @@ pub fn run_rules(file: &SourceFile, file_idx: usize, ctx: &Context) -> Vec<Findi
     rule_target_feature_dispatch(file, file_idx, ctx, &mut out);
     rule_determinism(file, &mut out);
     rule_no_panic_serve(file, &mut out);
+    rule_oracle_only(file, &mut out);
     out
+}
+
+/// True when token `i` is the punctuation character `c`.
+fn punct_at(file: &SourceFile, i: usize, c: char) -> bool {
+    file.tokens.get(i).is_some_and(|t| t.is_punct(c))
+}
+
+/// True when the name at token `i` is called: `name(` or the turbofish
+/// `name::<..>(`.
+fn is_call(file: &SourceFile, i: usize) -> bool {
+    punct_at(file, i + 1, '(')
+        || (punct_at(file, i + 1, ':') && punct_at(file, i + 2, ':') && punct_at(file, i + 3, '<'))
 }
 
 fn push(out: &mut Vec<Finding>, rule: &'static str, file: &SourceFile, i: usize, msg: String) {
@@ -255,12 +274,7 @@ fn rule_target_feature_dispatch(
         if i > 0 && file.tokens[i - 1].is_ident("fn") {
             continue;
         }
-        // Must look like a call: `name(` or turbofish `name::<..>(`.
-        let direct_call = file.tokens.get(i + 1).is_some_and(|n| n.is_punct('('));
-        let turbofish = file.tokens.get(i + 1).is_some_and(|n| n.is_punct(':'))
-            && file.tokens.get(i + 2).is_some_and(|n| n.is_punct(':'))
-            && file.tokens.get(i + 3).is_some_and(|n| n.is_punct('<'));
-        if !direct_call && !turbofish {
+        if !is_call(file, i) {
             continue;
         }
         // Qualifier: the path segment immediately before `::name`.
@@ -465,5 +479,73 @@ fn rule_no_panic_serve(file: &SourceFile, out: &mut Vec<Finding>) {
                 ),
             );
         }
+    }
+}
+
+/// Interpreter entry points that [`rule_oracle_only`] flags when called:
+/// the `vqc::grad` Jacobians, the `vqc::exec` runners the `vqc` prelude
+/// re-exports under bare names, and `Vqc` methods no other type has.
+const ORACLE_CALLS: &[&str] = &[
+    "jacobian_adjoint",
+    "jacobian_parameter_shift",
+    "jacobian_finite_diff",
+    "run_noisy",
+    "run_trajectory",
+    "forward_with_jacobian",
+    "forward_noisy",
+    "forward_shots",
+];
+
+/// **oracle-only** — scope: `crates/*/src` except `crates/vqc`, plus
+/// `perfbench/src`; test code is exempt. Production runs on the compiled
+/// runtime; the `vqc` interpreter is the reference tests pin it to.
+/// Flags every `vqc::exec` / `qmarl_vqc::exec` path (at the crate token)
+/// and every call of an [`ORACLE_CALLS`] name — method, path or bare
+/// prelude call — unless it follows `exec::`, whose path is reported.
+///
+/// Known false negatives, since syntax cannot tell the receiver's type:
+/// a bare `.forward(` or `.state(` may be `Vqc`'s interpreter pass or
+/// `CompiledVqc`'s compiled one, and a bare `run(` or `jacobian(` may be
+/// the `vqc` prelude's. A `use qmarl_vqc::{exec, ..}` group import is
+/// missed too, though its later `exec::` paths are not.
+fn rule_oracle_only(file: &SourceFile, out: &mut Vec<Finding>) {
+    let path = file.rel_path.as_str();
+    let crate_src = path
+        .strip_prefix("crates/")
+        .and_then(|rest| rest.split_once('/'))
+        .is_some_and(|(krate, rest)| krate != "vqc" && rest.starts_with("src/"));
+    if !(crate_src || path.starts_with("perfbench/src/")) {
+        return;
+    }
+    let path_sep = |i: usize| punct_at(file, i, ':') && punct_at(file, i + 1, ':');
+    for (i, t) in file.tokens.iter().enumerate() {
+        if t.kind != TokenKind::Ident || file.in_cfg_test(i) {
+            continue;
+        }
+        let message = if (t.text == "vqc" || t.text == "qmarl_vqc")
+            && path_sep(i + 1)
+            && file.tokens.get(i + 3).is_some_and(|n| n.is_ident("exec"))
+        {
+            format!("`{}::exec`", t.text)
+        } else if ORACLE_CALLS.contains(&t.text.as_str())
+            && is_call(file, i)
+            && !(i > 0 && file.tokens[i - 1].is_ident("fn"))
+            && !(i >= 3 && path_sep(i - 2) && file.tokens[i - 3].is_ident("exec"))
+        {
+            format!("`{}`", t.text)
+        } else {
+            continue;
+        };
+        push(
+            out,
+            "oracle-only",
+            file,
+            i,
+            format!(
+                "{message} runs the `vqc` interpreter, a test oracle only; use the compiled \
+                 runtime (`CompiledVqc` batch entry points, a single request as a batch of \
+                 one; the backends; `runtime::superop`)"
+            ),
+        );
     }
 }

@@ -135,6 +135,63 @@ fn panic_serve_fixture_exact_spans() {
 }
 
 #[test]
+fn oracle_only_fixture_exact_spans() {
+    let src = include_str!("../fixtures/oracle_only.rs");
+    // The `exec` import and path (at the crate token), the Jacobian call,
+    // the three `Vqc` method calls (turbofish included), the UFCS call
+    // and the bare prelude `run_noisy`. The non-call import, the batched
+    // runtime call, the prose and string mentions, the runtime's own
+    // `crate::exec`, the bare `.forward(` and the cfg(test) oracle calls
+    // do not fire.
+    let expected = vec![
+        (3, 5),
+        (7, 13),
+        (8, 13),
+        (9, 19),
+        (10, 19),
+        (11, 19),
+        (12, 18),
+        (13, 13),
+    ];
+    for path in [
+        "crates/core/src/oracle_fixture.rs",
+        "crates/bench/src/bin/oracle_fixture.rs",
+        "crates/runtime/src/qnn.rs",
+        "perfbench/src/oracle_fixture.rs",
+    ] {
+        let r = analyze(path, src);
+        assert_eq!(spans(&r, "oracle-only"), expected, "{path}");
+        assert_eq!(
+            r.findings.len(),
+            expected.len(),
+            "{path}: {:#?}",
+            r.findings
+        );
+    }
+}
+
+#[test]
+fn oracle_only_fixture_out_of_scope_paths_are_clean() {
+    let src = include_str!("../fixtures/oracle_only.rs");
+    // The oracle's own crate, integration tests, benches and examples
+    // may run the interpreter.
+    for path in [
+        "crates/vqc/src/oracle_fixture.rs",
+        "crates/core/tests/oracle_fixture.rs",
+        "crates/bench/benches/oracle_fixture.rs",
+        "examples/oracle_fixture.rs",
+        "tests/oracle_fixture.rs",
+        "perfbench/tests/oracle_fixture.rs",
+    ] {
+        let r = analyze(path, src);
+        assert!(
+            spans(&r, "oracle-only").is_empty(),
+            "oracle-only fired out of scope at {path}"
+        );
+    }
+}
+
+#[test]
 fn suppression_fixture_pragma_honored_and_policed() {
     let src = include_str!("../fixtures/suppressed.rs");
     let r = analyze("crates/runtime/src/suppressed_fixture.rs", src);
@@ -160,6 +217,7 @@ fn clean_fixture_zero_findings() {
         "crates/runtime/src/clean_fixture.rs",
         "crates/serve/src/clean_fixture.rs",
         "crates/harness/src/clean_fixture.rs",
+        "perfbench/src/clean_fixture.rs",
     ] {
         let r = analyze(path, src);
         assert!(

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", qmarl::vqc::diagram::render(&circuit));
 
-    // ── 3. Exact gradients, three ways ────────────────────────────────
+    // ── 3. Exact gradients, checked against finite differences ───────
     // Actor-shaped model: 4 observation features, one encoder layer.
     let model = VqcBuilder::new(4)
         .encoder_inputs(4)
@@ -49,7 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let state = vec![0.15, 0.45, 0.7, 0.9];
     let (_, ps) = model.forward_with_jacobian(&state, &params, GradMethod::ParameterShift)?;
     let (_, adj) = model.forward_with_jacobian(&state, &params, GradMethod::Adjoint)?;
-    let (z, fd) = model.forward_with_jacobian(&state, &params, GradMethod::FiniteDiff)?;
+    // Finite differences are the numerical test oracle, not a
+    // `GradMethod`: run them on the circuit with the model's scaled
+    // inputs (this model has no output head, so the Jacobians align).
+    let scaled = model.input_scaling().apply_all(&state);
+    let fd = jacobian_finite_diff(model.circuit(), model.readout(), &scaled, &params, 1e-6)?;
+    let z = model.forward(&state, &params)?;
     println!(
         "⟨Z⟩ readouts = [{:+.3}, {:+.3}, {:+.3}, {:+.3}]",
         z[0], z[1], z[2], z[3]
