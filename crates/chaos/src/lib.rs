@@ -65,7 +65,19 @@ pub mod site {
     pub const CKPT_TORN: u64 = 7;
     /// Jitter stream for cell retry backoff.
     pub const RETRY_JITTER: u64 = 8;
+    /// A load-generating client poisons one feature of a request.
+    pub const OBS_POISON: u64 = 9;
+    /// Which value a poisoned request carries, and in which feature
+    /// (second independent roll).
+    pub const OBS_POISON_PICK: u64 = 10;
 }
+
+/// The values a poisoned observation carries (see
+/// [`FaultPlan::poison_observation`]): each non-finite value, which a
+/// server must refuse with a typed error, and a finite value far outside
+/// any feature's range, which it must answer or refuse without dropping
+/// the connection.
+pub const POISON_VALUES: [f64; 4] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
 
 /// SplitMix64 finalizer: the avalanche core of every decision hash.
 fn splitmix(mut x: u64) -> u64 {
@@ -107,6 +119,9 @@ pub struct FaultPlan {
     pub slow: f64,
     /// P(a sweep cell is killed — panics — during one attempt).
     pub kill: f64,
+    /// P(a load-generating client poisons a request's observation with
+    /// one of [`POISON_VALUES`]).
+    pub poison: f64,
 }
 
 impl Default for FaultPlan {
@@ -120,6 +135,7 @@ impl Default for FaultPlan {
             stall_ms: 10,
             slow: 0.0,
             kill: 0.0,
+            poison: 0.0,
         }
     }
 }
@@ -145,6 +161,21 @@ impl FaultPlan {
         splitmix(a).wrapping_add(b)
     }
 
+    /// Poisons request `key`'s observation when the poison fault fires
+    /// there: one feature, picked by a second roll, is overwritten with
+    /// one of [`POISON_VALUES`], which is returned. `None` leaves the
+    /// observation untouched.
+    pub fn poison_observation(&self, key: u64, observation: &mut [f64]) -> Option<f64> {
+        if observation.is_empty() || !self.fires(self.poison, site::OBS_POISON, key) {
+            return None;
+        }
+        let picks = POISON_VALUES.len() * observation.len();
+        let pick = ((self.roll(site::OBS_POISON_PICK, key) * picks as f64) as usize).min(picks - 1);
+        let value = POISON_VALUES[pick % POISON_VALUES.len()];
+        observation[pick / POISON_VALUES.len()] = value;
+        Some(value)
+    }
+
     /// The stall duration as a [`Duration`].
     pub fn stall_duration(&self) -> Duration {
         Duration::from_millis(self.stall_ms)
@@ -162,6 +193,7 @@ impl FaultPlan {
             ("stall", self.stall),
             ("slow", self.slow),
             ("kill", self.kill),
+            ("poison", self.poison),
         ] {
             if !(0.0..=1.0).contains(&rate) || rate.is_nan() {
                 return Err(ChaosError(format!(
@@ -180,8 +212,8 @@ impl FromStr for FaultPlan {
     /// `faults:drop=0.01:stall_ms=50:torn=0.005:seed=9`. The leading
     /// `faults` tag is required; every segment after it is `key=value`
     /// with keys `drop`, `torn`, `stall`, `stall_ms`, `slow`, `kill`,
-    /// `seed`. Duplicate keys are rejected (last-winning would silently
-    /// discard the earlier value).
+    /// `poison`, `seed`. Duplicate keys are rejected (last-winning would
+    /// silently discard the earlier value).
     fn from_str(spec: &str) -> Result<Self, ChaosError> {
         let bad = |msg: String| ChaosError(msg);
         let mut parts = spec.split(':');
@@ -211,6 +243,7 @@ impl FromStr for FaultPlan {
                 "stall" => plan.stall = rate(value)?,
                 "slow" => plan.slow = rate(value)?,
                 "kill" => plan.kill = rate(value)?,
+                "poison" => plan.poison = rate(value)?,
                 "stall_ms" => {
                     plan.stall_ms = value
                         .parse()
@@ -223,7 +256,7 @@ impl FromStr for FaultPlan {
                 }
                 other => {
                     return Err(bad(format!(
-                        "unknown fault plan key {other:?} (expected drop/torn/stall/stall_ms/slow/kill/seed)"
+                        "unknown fault plan key {other:?} (expected drop/torn/stall/stall_ms/slow/kill/poison/seed)"
                     )))
                 }
             }
@@ -245,6 +278,7 @@ impl fmt::Display for FaultPlan {
             ("stall", self.stall),
             ("slow", self.slow),
             ("kill", self.kill),
+            ("poison", self.poison),
         ] {
             if rate > 0.0 {
                 write!(f, ":{name}={rate}")?;
@@ -394,6 +428,54 @@ mod tests {
             "mean {}",
             sum / n as f64
         );
+    }
+
+    #[test]
+    fn poison_is_keyed_covers_every_value_and_is_inert_at_rate_zero() {
+        let plan: FaultPlan = "faults:poison=0.5:seed=3".parse().unwrap();
+        assert_eq!(plan.poison, 0.5);
+        assert_eq!(plan.to_string().parse::<FaultPlan>().unwrap(), plan);
+        let mut seen = [0usize; POISON_VALUES.len()];
+        let mut fired = 0;
+        for key in 0..400 {
+            let mut obs = vec![0.25; 5];
+            let Some(value) = plan.poison_observation(key, &mut obs) else {
+                assert_eq!(
+                    obs,
+                    vec![0.25; 5],
+                    "an unfired key leaves the observation alone"
+                );
+                continue;
+            };
+            fired += 1;
+            // Exactly one feature carries the value, and the same key
+            // poisons the same feature with the same value again.
+            let hit: Vec<usize> = (0..5)
+                .filter(|&i| obs[i].to_bits() != 0.25f64.to_bits())
+                .collect();
+            assert_eq!(hit.len(), 1);
+            assert_eq!(obs[hit[0]].to_bits(), value.to_bits());
+            let mut again = vec![0.25; 5];
+            assert_eq!(
+                plan.poison_observation(key, &mut again).map(f64::to_bits),
+                Some(value.to_bits())
+            );
+            assert_eq!(again[hit[0]].to_bits(), value.to_bits());
+            let kind = POISON_VALUES
+                .iter()
+                .position(|v| v.to_bits() == value.to_bits());
+            seen[kind.expect("a poison value")] += 1;
+        }
+        assert!((150..250).contains(&fired), "rate 0.5 fired {fired}/400");
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "every poison value appears: {seen:?}"
+        );
+        let inert = FaultPlan::default();
+        assert!((0..400).all(|key| inert.poison_observation(key, &mut [1.0]).is_none()));
+        assert!(plan.poison_observation(0, &mut []).is_none());
+        assert!("faults:poison=1.5".parse::<FaultPlan>().is_err());
+        assert!("faults:poison=NaN".parse::<FaultPlan>().is_err());
     }
 
     #[test]

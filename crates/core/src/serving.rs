@@ -17,8 +17,11 @@
 //! * [`ServablePolicy::act_batch`] — the coalesced path: all requests of
 //!   a micro-batch tick evaluated through the same
 //!   `ActorsVecPolicy` bridge the vectorized trainer
-//!   uses (flat prebound slab for same-shaped quantum actors on the
-//!   `Ideal` backend, backend-aware `probs_batch` otherwise).
+//!   uses. Same-shaped quantum actors on the `Ideal` backend run the
+//!   tick as one parameter-lane slab, one lane per (request, agent) pair
+//!   with its agent's prebound parameters (a single request is one
+//!   inline walk of `n_agents` lanes); other sets run backend-aware
+//!   `probs_batch` calls.
 //!
 //! The two are **bit-identical** for every registered scenario ×
 //! framework × {`Ideal`, `Sampled`} backend — asserted by this module's
@@ -177,8 +180,9 @@ impl ServablePolicy {
 
     /// Serves a coalesced micro-batch of `requests` joint observations in
     /// one tick: quantum actor sets run as **one**
-    /// `expectation_batch_prebound` lane-slab call over the plan prebound
-    /// at load time; other sets run one backend-aware
+    /// `expectation_batch_prebound` call over the plan prebound at load
+    /// time, whose `requests × n_agents` lanes form one parameter-lane
+    /// slab; other sets run one backend-aware
     /// [`Actor::probs_batch`] call per agent. Returns
     /// `requests × n_agents` actions, row-major, bit-identical to calling
     /// [`ServablePolicy::act`] per request.

@@ -12,8 +12,11 @@
 //!   (the paper's setting: N same-shaped VQC actors with private
 //!   weights), the whole tick becomes one
 //!   `BatchExecutor::expectation_batch_prebound` call of
-//!   `lanes × agents` circuits — each agent's parameters prebound once
-//!   per collection so the executor walks trig-free schedules.
+//!   `lanes × agents` circuits, each agent's parameters prebound once per
+//!   collection. Every `(row, agent)` observation is one lane, in the
+//!   observation slab's order, so the executor runs the tick as **one
+//!   parameter-lane slab**: each lane carries its agent's parameters, and
+//!   a small tick (the paper's four actors) runs inline as one task.
 //! * **Per-agent batches** — otherwise (classical MLP actors, mixed
 //!   sets), each agent's distribution is computed over all lanes via
 //!   [`Actor::probs_batch`].
@@ -143,8 +146,11 @@ impl<'a> ActorsVecPolicy<'a> {
         }
     }
 
-    /// The flat route: one executor call for the whole tick, grouped by
-    /// agent so each agent's prebound schedule covers all its lanes.
+    /// The flat route: one executor call for the whole tick. Each
+    /// `(row, agent)` observation is one lane, in the observation slab's
+    /// own order, bound to its agent's prebound parameters; the executor
+    /// merges the lanes of the shared schedule into one parameter-lane
+    /// slab.
     fn act_flat(
         &self,
         flat: &FlatBatch,
@@ -153,18 +159,21 @@ impl<'a> ActorsVecPolicy<'a> {
         rngs: &mut [StdRng],
     ) -> Result<VecDecision, CoreError> {
         let (na, od) = (self.actors.len(), self.obs_dim);
+        if observations.len() != lanes.len() * na * od {
+            return Err(CoreError::FeatureLenMismatch {
+                expected: lanes.len() * na * od,
+                actual: observations.len(),
+            });
+        }
         let model = flat.compiled.model();
         let scaling = model.input_scaling();
         let scaled: Vec<f64> = observations.iter().map(|&x| scaling.apply(x)).collect();
-        let groups: Vec<qmarl_runtime::batch::PreboundGroup<'_>> = (0..na)
-            .map(|n| qmarl_runtime::batch::PreboundGroup {
-                circuit: &flat.prebound[n],
-                inputs: (0..lanes.len())
-                    .map(|row| {
-                        let start = (row * na + n) * od;
-                        &scaled[start..start + od]
-                    })
-                    .collect(),
+        let groups: Vec<qmarl_runtime::batch::PreboundGroup<'_>> = scaled
+            .chunks_exact(od)
+            .zip(flat.prebound.iter().cycle())
+            .map(|(inputs, circuit)| qmarl_runtime::batch::PreboundGroup {
+                circuit,
+                inputs: vec![inputs],
             })
             .collect();
         let raws = flat
@@ -173,7 +182,7 @@ impl<'a> ActorsVecPolicy<'a> {
             .expectation_batch_prebound(model.readout(), &groups)?;
 
         self.sample_rows(lanes, rngs, |row, n| {
-            let logits = model.apply_head(&raws[n][row], &flat.scales[n], &flat.biases[n]);
+            let logits = model.apply_head(&raws[row * na + n][0], &flat.scales[n], &flat.biases[n]);
             Ok(softmax(&logits))
         })
     }
@@ -248,6 +257,7 @@ impl VecRolloutPolicy for ActorsVecPolicy<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::{build_scenario_actors, FrameworkKind};
     use crate::policy::{ClassicalActor, QuantumActor};
     use rand::SeedableRng;
 
@@ -290,6 +300,13 @@ mod tests {
         assert_eq!(d.actions.len(), 12);
         assert_eq!(d.aux.len(), 3);
         assert!(d.aux.iter().all(|&h| h > 0.0));
+        // A slab that is not lanes × agents × obs_dim is a typed error.
+        let mut policy = ActorsVecPolicy::new(&actors, 4, true);
+        let mut rngs = vec![StdRng::seed_from_u64(1)];
+        assert!(matches!(
+            policy.act_vec(&obs_slab(1, 4, 4)[1..], &[0], &mut rngs),
+            Err(CoreError::FeatureLenMismatch { .. })
+        ));
     }
 
     #[test]
@@ -304,22 +321,42 @@ mod tests {
     fn flat_and_per_agent_routes_are_bit_identical() {
         // Force the generic route over the same quantum actors by
         // evaluating through probs_batch, and compare with the flat route
-        // under identical RNG streams.
-        let actors = quantum_actors(4);
-        let obs = obs_slab(3, 4, 4);
-        let lanes: Vec<usize> = (0..3).collect();
+        // (every (row, agent) pair a lane of one parameter-lane slab)
+        // under identical RNG streams, for every registered scenario's
+        // quantum actor sets.
+        let backend = qmarl_runtime::backend::ExecutionBackend::Ideal;
+        let train = crate::config::TrainConfig::paper_default();
+        for scenario in qmarl_env::scenario::scenarios() {
+            for kind in [FrameworkKind::Proposed, FrameworkKind::Comp1] {
+                let actors = build_scenario_actors(kind, scenario.name(), &backend, &train)
+                    .unwrap_or_else(|e| panic!("{kind} × {}: {e}", scenario.name()));
+                let od = actors[0].obs_dim();
+                for rows in [1usize, 3] {
+                    let obs = obs_slab(rows, actors.len(), od);
+                    let lanes: Vec<usize> = (0..rows).collect();
+                    let rngs = || -> Vec<StdRng> {
+                        (0..rows as u64)
+                            .map(|i| StdRng::seed_from_u64(7 + i))
+                            .collect()
+                    };
 
-        let mut flat_policy = ActorsVecPolicy::new(&actors, 4, false);
-        assert!(flat_policy.is_flat());
-        let mut rngs_a: Vec<StdRng> = (0..3).map(|i| StdRng::seed_from_u64(7 + i)).collect();
-        let a = flat_policy.act_vec(&obs, &lanes, &mut rngs_a).unwrap();
+                    let mut flat_policy = ActorsVecPolicy::new(&actors, od, false);
+                    assert!(flat_policy.is_flat(), "{kind} × {}", scenario.name());
+                    let a = flat_policy.act_vec(&obs, &lanes, &mut rngs()).unwrap();
 
-        let mut generic = ActorsVecPolicy::new(&actors, 4, false);
-        generic.flat = None;
-        let mut rngs_b: Vec<StdRng> = (0..3).map(|i| StdRng::seed_from_u64(7 + i)).collect();
-        let b = generic.act_vec(&obs, &lanes, &mut rngs_b).unwrap();
+                    let mut generic = ActorsVecPolicy::new(&actors, od, false);
+                    generic.flat = None;
+                    let b = generic.act_vec(&obs, &lanes, &mut rngs()).unwrap();
 
-        assert_eq!(a, b, "evaluation route must not change any bit");
+                    assert_eq!(
+                        a,
+                        b,
+                        "{kind} × {} × {rows} rows: evaluation route must not change any bit",
+                        scenario.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

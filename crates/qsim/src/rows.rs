@@ -831,7 +831,13 @@ mod avx {
 
     /// The per-lane pair walk: the runs of [`pairs`] row by row, `two` on
     /// every two-lane step of a row and `one` on an odd row's last lane,
-    /// each handed the run and partner pointers plus the lane index.
+    /// each handed the run and partner pointers. A step of lanes `k` and
+    /// `k + 1` gets `coef(k)`; `one` gets its lane index. The lanes are
+    /// walked in passes over blocks of 16, 8, 4 or 2 of them, each pass
+    /// with its block's coefficients built once and held in registers
+    /// (see [`LaneWalk::block`]). Every amplitude pair is updated once
+    /// with its own lane's coefficients, so the passes cannot change any
+    /// value.
     ///
     /// # Safety
     ///
@@ -839,28 +845,85 @@ mod avx {
     /// whole number of rows.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn lane_pairs(
+    unsafe fn lane_pairs<C: Copy>(
         p: *mut f64,
         runs: Runs,
         off: usize,
         lanes: usize,
-        mut two: impl FnMut(*mut f64, *mut f64, usize),
+        coef: impl Fn(usize) -> C,
+        mut two: impl FnMut(*mut f64, *mut f64, C),
         mut one: impl FnMut(*mut f64, *mut f64, usize),
     ) {
-        runs.each(|i| {
-            let mut row = i;
-            while row < i + runs.run {
-                let mut k = 0;
-                while k + 2 <= lanes {
-                    two(p.add(2 * (row + k)), p.add(2 * (row + k + off)), k);
-                    k += 2;
+        let mut start = 0;
+        while start < lanes {
+            let walk = LaneWalk {
+                p,
+                runs,
+                off,
+                lanes,
+                start,
+            };
+            start += match (lanes - start) / 2 {
+                0 => walk.block::<C, 0>(&coef, &mut two, &mut one),
+                1 => walk.block::<C, 1>(&coef, &mut two, &mut one),
+                2 | 3 => walk.block::<C, 2>(&coef, &mut two, &mut one),
+                4..=7 => walk.block::<C, 4>(&coef, &mut two, &mut one),
+                _ => walk.block::<C, 8>(&coef, &mut two, &mut one),
+            };
+        }
+    }
+
+    /// One pass of [`lane_pairs`]: lanes `start..` of a slab's runs.
+    #[derive(Clone, Copy)]
+    struct LaneWalk {
+        p: *mut f64,
+        runs: Runs,
+        off: usize,
+        lanes: usize,
+        start: usize,
+    }
+
+    impl LaneWalk {
+        /// Runs the `N` two-lane steps from `start` on every row, and the
+        /// row's last lane too when it is the one lane left after them.
+        /// Returns the lanes covered.
+        ///
+        /// # Safety
+        ///
+        /// As [`lane_pairs`], with `start + 2·N ≤ lanes`.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn block<C: Copy, const N: usize>(
+            self,
+            coef: &impl Fn(usize) -> C,
+            two: &mut impl FnMut(*mut f64, *mut f64, C),
+            one: &mut impl FnMut(*mut f64, *mut f64, usize),
+        ) -> usize {
+            let LaneWalk {
+                p,
+                runs,
+                off,
+                lanes,
+                start,
+            } = self;
+            let coefs: [C; N] = std::array::from_fn(|j| coef(start + 2 * j));
+            let last = (start + 2 * N + 1 == lanes).then_some(lanes - 1);
+            runs.each(|i| {
+                let mut row = i + start;
+                while row < i + runs.run {
+                    for (j, &c) in coefs.iter().enumerate() {
+                        let k = row + 2 * j;
+                        two(p.add(2 * k), p.add(2 * (k + off)), c);
+                    }
+                    if let Some(lane) = last {
+                        let k = row + 2 * N;
+                        one(p.add(2 * k), p.add(2 * (k + off)), lane);
+                    }
+                    row += lanes;
                 }
-                if k < lanes {
-                    one(p.add(2 * (row + k)), p.add(2 * (row + k + off)), k);
-                }
-                row += lanes;
-            }
-        });
+            });
+            2 * N + usize::from(last.is_some())
+        }
     }
 
     /// The quad walk: `two` on every two-amplitude step of each run and
@@ -1333,12 +1396,12 @@ mod avx {
             runs,
             off,
             trig.len(),
-            |a, b, k| {
+            |k| {
                 let ((s0, c0), (s1, c1)) = (trig[k], trig[k + 1]);
                 let cv = _mm256_set_pd(c1, c1, c0, c0);
-                let sv = _mm256_set_pd(-s1, s1, -s0, s0);
-                rx2(a, b, cv, sv);
+                (cv, _mm256_set_pd(-s1, s1, -s0, s0))
             },
+            |a, b, (cv, sv)| rx2(a, b, cv, sv),
             |a, b, k| {
                 let (s, c) = trig[k];
                 rx1(a, b, _mm_set1_pd(c), _mm_set_pd(-s, s));
@@ -1364,13 +1427,13 @@ mod avx {
             runs,
             off,
             trig.len(),
-            |a, b, k| {
+            |k| {
                 let ((s0, c0), (s1, c1)) = (trig[k], trig[k + 1]);
                 let cv = _mm256_set_pd(c1, c1, c0, c0);
                 let nsv = _mm256_set_pd(-s1, -s1, -s0, -s0);
-                let psv = _mm256_set_pd(s1, s1, s0, s0);
-                ry2(a, b, cv, nsv, psv);
+                (cv, nsv, _mm256_set_pd(s1, s1, s0, s0))
             },
+            |a, b, (cv, nsv, psv)| ry2(a, b, cv, nsv, psv),
             |a, b, k| {
                 let (s, c) = trig[k];
                 ry1(a, b, _mm_set1_pd(c), _mm_set1_pd(-s), _mm_set1_pd(s));
@@ -1413,9 +1476,10 @@ mod avx {
             runs,
             off,
             zlo.len(),
-            |a, b, k| {
-                _mm256_storeu_pd(a, cmul(two_phases(zlo, k), _mm256_loadu_pd(a)));
-                _mm256_storeu_pd(b, cmul(two_phases(zhi, k), _mm256_loadu_pd(b)));
+            |k| (two_phases(zlo, k), two_phases(zhi, k)),
+            |a, b, (lo, hi)| {
+                _mm256_storeu_pd(a, cmul(lo, _mm256_loadu_pd(a)));
+                _mm256_storeu_pd(b, cmul(hi, _mm256_loadu_pd(b)));
             },
             |a, b, k| {
                 let one_phase = |(pr, pi): (f64, f64)| (_mm_set1_pd(pr), _mm_set1_pd(pi));

@@ -10,7 +10,10 @@
 //!   [`BatchExecutor::forward_and_jacobian_batch_prebound`] — forward
 //!   and adjoint batches over parameter-prebound lane slabs, grouped by
 //!   parameter set (N agents with identical circuit shape but private
-//!   weights: the rollout tick and the update sweep),
+//!   weights: the rollout tick, the serving tick and the update sweep).
+//!   The forward batch merges consecutive groups of one compiled schedule
+//!   into one **parameter-lane slab**, each lane walking with its own
+//!   group's parameters,
 //! * [`BatchExecutor::expectation_batch_backend`] — one model's forward
 //!   batch under an [`ExecutionBackend`]. `Ideal` prebinds the fused
 //!   schedule once and runs the batch as one group of prebound lane
@@ -28,6 +31,13 @@
 //!   walk. A task is one item; when the batch has fewer items than
 //!   workers, each item splits into contiguous occurrence chunks, so
 //!   even a one-item gradient keeps every core busy.
+//!
+//! The lane-slab batches (both prebound batches and `Noisy` forwards)
+//! share one lane-chunk queue, which is also the one place that decides
+//! between running a batch inline on the caller and spreading it over the
+//! pool: from the batch's static work (ops × amplitudes × lanes), against
+//! one constant, never a clock. A rollout tick of the paper's four actors
+//! runs inline as one task; a 100-lane update batch spreads.
 //!
 //! Results are folded in deterministic (input, occurrence) order, so
 //! batched outputs are bit-identical to their serial counterparts.
@@ -48,7 +58,7 @@ use crate::error::RuntimeError;
 use crate::exec::check_bindings;
 use crate::prebound::{
     prebind, prebind_raw, readouts_from_slab, run_adjoint_slab, run_prebound,
-    run_prebound_slab_raw, PreboundAdjoint, PreboundCircuit, ShiftSchedule, ShiftWalk,
+    run_prebound_slab_raw, Bound, PreboundAdjoint, PreboundCircuit, ShiftSchedule, ShiftWalk,
 };
 use crate::superop::{extract_lane, prebind_density, run_density, run_density_slab};
 use crate::trajectory::{prebind_trajectory, run_trajectory_adjoint, trajectory_outputs};
@@ -63,9 +73,75 @@ pub struct PreboundGroup<'a> {
     pub inputs: Vec<&'a [f64]>,
 }
 
-/// One prebound group's `(n_qubits, n_inputs, input lanes)`, as the
-/// shared lane-chunk queue sees it.
-type LaneShape<'a> = (usize, usize, &'a [&'a [f64]]);
+/// One lane family as the shared lane-chunk queue sees it: `(lanes,
+/// static work of one lane)`, the work being the walk's ops times the
+/// register's amplitudes.
+type LaneShape = (usize, usize);
+
+/// The static work (ops × amplitudes × lanes, summed over a batch) up to
+/// which [`BatchExecutor`]'s lane-chunk queue runs a batch inline on the
+/// caller as few, large tasks instead of spreading it over the pool. On a
+/// 2-vCPU AVX2 host, one paper actor binding (86 fused ops on 16
+/// amplitudes: 1 376 per lane) over L lanes ran slower on the pool than
+/// inline in every round up to L = 32 (44 032); a pool dispatch costs
+/// more than half of that much slab work. A rollout tick of the paper's
+/// four actors (5 504) and a small ACT batch run inline; the update
+/// sweep's 100-lane adjoint and target-value batches, several times the
+/// bound, still spread. A constant of the work, not a clock reading, so
+/// the choice is the same on every run.
+const INLINE_WORK: usize = 32_768;
+
+/// Consecutive groups of a prebound forward batch that bind one compiled
+/// schedule, merged lane by lane into one slab family: the agents of a
+/// rollout tick as lanes.
+struct LaneFamily<'a> {
+    /// The merged groups, in order.
+    members: &'a [PreboundGroup<'a>],
+    /// Each lane's binding.
+    circuits: Vec<&'a PreboundCircuit>,
+    /// Each lane's input vector.
+    inputs: Vec<&'a [f64]>,
+}
+
+impl<'a> LaneFamily<'a> {
+    /// Merges `groups` into families, in order: a run of consecutive
+    /// groups that bind the same compiled schedule is one family.
+    fn merge(groups: &'a [PreboundGroup<'a>]) -> Vec<LaneFamily<'a>> {
+        let mut families = Vec::new();
+        let mut rest = groups;
+        while let Some(head) = rest.first() {
+            let run = (rest.iter())
+                .take_while(|g| g.circuit.same_schedule(head.circuit))
+                .count();
+            let (members, tail) = rest.split_at(run);
+            let lanes = members.iter().map(|g| g.inputs.len()).sum();
+            let mut family = LaneFamily {
+                members,
+                circuits: Vec::with_capacity(lanes),
+                inputs: Vec::with_capacity(lanes),
+            };
+            for g in members {
+                (family.circuits).extend(std::iter::repeat_n(g.circuit, g.inputs.len()));
+                family.inputs.extend_from_slice(&g.inputs);
+            }
+            families.push(family);
+            rest = tail;
+        }
+        families
+    }
+
+    /// The walk bindings of lanes `range`: one for every lane when they
+    /// share one group's binding (exactly a one-group walk), else one per
+    /// lane.
+    fn bound(&self, range: Range<usize>) -> Vec<Bound<'a>> {
+        match &self.circuits[range] {
+            [first, rest @ ..] if rest.iter().all(|pb| std::ptr::eq(*pb, *first)) => {
+                vec![first.bound()]
+            }
+            lanes => lanes.iter().map(|pb| pb.bound()).collect(),
+        }
+    }
+}
 
 /// Per-group, per-item `(raw readout vector, circuit-parameter Jacobian)`
 /// results of a prebound adjoint batch.
@@ -125,14 +201,24 @@ impl BatchExecutor {
     }
 
     /// Batched forward pass over **prebound** schedules, grouped by
-    /// parameter set — the vectorized rollout tick. Each group's frozen
-    /// parameters were resolved once by [`crate::prebound::prebind`]
-    /// (hoisting all parameter-only trig); a task runs a contiguous lane
-    /// chunk of one group through a single slab schedule walk, and the
-    /// whole tick's chunks form one flat work queue. Outputs come back
-    /// per group, per item, bit-identical to a one-lane walk of the same
-    /// bindings (lanes are independent, so chunking cannot change any
-    /// value).
+    /// parameter set — the vectorized rollout tick and the serving tick.
+    /// Each group's frozen parameters were resolved once by
+    /// [`crate::prebound::prebind`] (hoisting all parameter-only trig).
+    ///
+    /// Consecutive groups that bind the same compiled schedule
+    /// (N agents with one circuit shape and private weights) merge into
+    /// one **parameter-lane slab**: every lane carries its own group's
+    /// parameters, so a resolved rotation runs each lane's own trig
+    /// through the per-lane kernels while every other op stays uniform.
+    /// A task runs a contiguous lane chunk of a merged family through a
+    /// single slab walk; a chunk whose lanes all belong to one group runs
+    /// exactly that group's one-binding walk. The batch's chunks form one
+    /// flat work queue, run inline on the caller when its static work
+    /// (ops × amplitudes × lanes) is small. Outputs come back per group,
+    /// per item, bit-identical to a one-lane walk of the same bindings:
+    /// lanes are independent, and the per-lane kernels apply each lane's
+    /// trig with the uniform kernels' arithmetic, so neither merging nor
+    /// chunking can change any value.
     ///
     /// # Errors
     ///
@@ -142,25 +228,37 @@ impl BatchExecutor {
         readout: &Readout,
         groups: &[PreboundGroup<'_>],
     ) -> Result<Vec<Vec<Vec<f64>>>, RuntimeError> {
+        for g in groups {
+            let pb = g.circuit;
+            check_lanes(readout, pb.n_qubits(), pb.n_inputs(), &g.inputs)?;
+        }
+        let families = LaneFamily::merge(groups);
+        let shapes: Vec<LaneShape> = families
+            .iter()
+            .map(|f| {
+                let pb = f.members[0].circuit;
+                (f.inputs.len(), pb.ops().len() << pb.n_qubits())
+            })
+            .collect();
         // Chunks of up to 64 lanes: big enough to amortise the slab walk,
         // small enough to fill every worker. Validation already ran, so
         // the per-task work is infallible: walk the chunk's slab once,
         // then fold each lane's readout straight off it.
-        let shapes: Vec<LaneShape<'_>> = groups
-            .iter()
-            .map(|g| {
-                (
-                    g.circuit.n_qubits(),
-                    g.circuit.n_inputs(),
-                    g.inputs.as_slice(),
-                )
-            })
-            .collect();
-        self.lane_chunks(readout, &shapes, 64, |g, lanes| {
-            let inputs = &groups[g].inputs[lanes];
-            let slab = run_prebound_slab_raw(groups[g].circuit, inputs);
+        let results = self.lane_chunks(&shapes, 64, |f, lanes| {
+            let family = &families[f];
+            let n_qubits = family.members[0].circuit.n_qubits();
+            let inputs = &family.inputs[lanes.clone()];
+            let slab = run_prebound_slab_raw(n_qubits, &family.bound(lanes), inputs);
             readouts_from_slab(readout, &slab, inputs.len())
-        })
+        });
+        let mut out = Vec::with_capacity(groups.len());
+        for (family, lanes) in families.iter().zip(results) {
+            let mut lanes = lanes.into_iter();
+            for g in family.members {
+                out.push(lanes.by_ref().take(g.inputs.len()).collect());
+            }
+        }
+        Ok(out)
     }
 
     /// Batched **prebound adjoint** forward + Jacobian, grouped by
@@ -184,67 +282,58 @@ impl BatchExecutor {
         readout: &Readout,
         groups: &[AdjointGroup<'_>],
     ) -> Result<AdjointBatchResults, RuntimeError> {
+        let mut shapes: Vec<LaneShape> = Vec::with_capacity(groups.len());
+        for g in groups {
+            let pa = g.circuit;
+            check_lanes(readout, pa.n_qubits(), pa.n_inputs(), &g.inputs)?;
+            shapes.push((g.inputs.len(), pa.ops().len() << pa.n_qubits()));
+        }
         // Chunks of up to 32 lanes: the adjoint walk keeps (2 + outputs)
         // slabs live, so chunks stay small enough for cache while still
         // amortising the per-walk dispatch.
-        let shapes: Vec<LaneShape<'_>> = groups
-            .iter()
-            .map(|g| {
-                (
-                    g.circuit.n_qubits(),
-                    g.circuit.n_inputs(),
-                    g.inputs.as_slice(),
-                )
-            })
-            .collect();
-        self.lane_chunks(readout, &shapes, 32, |g, lanes| {
+        Ok(self.lane_chunks(&shapes, 32, |g, lanes| {
             run_adjoint_slab(groups[g].circuit, readout, &groups[g].inputs[lanes])
-        })
+        }))
     }
 
-    /// The shared queue of the two prebound batches. Validates the
-    /// readout and every group's input lengths, then runs `run(group,
-    /// lanes)` over contiguous lane chunks of at most `cap` lanes, sized
-    /// to fill every worker, as one flat work queue, and regroups the
-    /// per-lane results in input order. Lanes are independent, so the
-    /// chunking cannot change any value.
+    /// The shared queue of the lane-slab batches: runs `run(family,
+    /// lanes)` over contiguous lane chunks of at most `cap` lanes as one
+    /// flat work queue, and regroups the per-lane results in input order.
+    /// This is the one place that decides inline against pool, from the
+    /// batch's static work: up to [`INLINE_WORK`] the queue runs on the
+    /// caller in chunks as large as `cap` allows (a rollout tick is one
+    /// task); above it the chunks are sized to fill every worker. Lanes
+    /// are independent, so the chunking cannot change any value.
     fn lane_chunks<T: Send>(
         &self,
-        readout: &Readout,
-        groups: &[LaneShape<'_>],
+        families: &[LaneShape],
         cap: usize,
         run: impl Fn(usize, Range<usize>) -> Vec<T> + Sync,
-    ) -> Result<Vec<Vec<T>>, RuntimeError> {
-        for &(n_qubits, n_inputs, inputs) in groups {
-            readout.validate(n_qubits)?;
-            if let Some(bad) = inputs.iter().find(|lane| lane.len() != n_inputs) {
-                return Err(RuntimeError::InputLenMismatch {
-                    expected: n_inputs,
-                    actual: bad.len(),
-                });
-            }
-        }
-        let total_items: usize = groups.iter().map(|&(_, _, inputs)| inputs.len()).sum();
-        let chunk = (total_items / self.workers.max(1)).clamp(1, cap);
-        let tasks: Vec<(usize, Range<usize>)> = groups
+    ) -> Vec<Vec<T>> {
+        let total_lanes: usize = families.iter().map(|&(lanes, _)| lanes).sum();
+        let work = (families.iter())
+            .map(|&(lanes, lane_work)| lanes.saturating_mul(lane_work))
+            .fold(0, usize::saturating_add);
+        let workers = if work <= INLINE_WORK { 1 } else { self.workers };
+        let chunk = (total_lanes / workers.max(1)).clamp(1, cap);
+        let tasks: Vec<(usize, Range<usize>)> = families
             .iter()
             .enumerate()
-            .flat_map(|(g, &(_, _, inputs))| {
-                (0..inputs.len())
+            .flat_map(|(f, &(lanes, _))| {
+                (0..lanes)
                     .step_by(chunk)
-                    .map(move |start| (g, start..(start + chunk).min(inputs.len())))
+                    .map(move |start| (f, start..(start + chunk).min(lanes)))
             })
             .collect();
-        let results =
-            par::parallel_map(&tasks, self.workers, |_, (g, lanes)| run(*g, lanes.clone()));
-        let mut out: Vec<Vec<T>> = groups
+        let results = par::parallel_map(&tasks, workers, |_, (f, lanes)| run(*f, lanes.clone()));
+        let mut out: Vec<Vec<T>> = families
             .iter()
-            .map(|&(_, _, inputs)| Vec::with_capacity(inputs.len()))
+            .map(|&(lanes, _)| Vec::with_capacity(lanes))
             .collect();
-        for ((g, _), chunk_results) in tasks.iter().zip(results) {
-            out[*g].extend(chunk_results);
+        for ((f, _), chunk_results) in tasks.iter().zip(results) {
+            out[*f].extend(chunk_results);
         }
-        Ok(out)
+        out
     }
 
     /// Batched forward pass under an [`ExecutionBackend`]: one readout
@@ -303,11 +392,11 @@ impl BatchExecutor {
             ExecutionBackend::Noisy { model, shots, seed } => {
                 let pb = prebind_density(compiled, params, model)?;
                 let items: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-                let shape = (compiled.n_qubits(), compiled.n_inputs(), items.as_slice());
+                let shape = (items.len(), pb.n_ops() << (2 * compiled.n_qubits()));
                 // The chunk cap stays small: an 8-qubit density lane is
                 // 65 536 amplitudes, so 16 lanes keep the slab around
                 // cache-friendly sizes.
-                let outs = self.lane_chunks(readout, &[shape], 16, |_, lanes| {
+                let outs = self.lane_chunks(&[shape], 16, |_, lanes| {
                     let chunk = &items[lanes];
                     let slab = run_density_slab(&pb, chunk);
                     let n = compiled.n_qubits();
@@ -319,7 +408,7 @@ impl BatchExecutor {
                             density_readout(&rho(lane), readout, *shots, stream(item))
                         })
                         .collect()
-                })?;
+                });
                 outs.into_iter().flatten().collect()
             }
             ExecutionBackend::Trajectory {
@@ -489,6 +578,24 @@ impl BatchExecutor {
             }
         }
         Ok((outputs, jacobians))
+    }
+}
+
+/// Validates a lane family's readout against its register width and every
+/// input vector against its input arity.
+fn check_lanes(
+    readout: &Readout,
+    n_qubits: usize,
+    n_inputs: usize,
+    inputs: &[&[f64]],
+) -> Result<(), RuntimeError> {
+    readout.validate(n_qubits)?;
+    match inputs.iter().find(|lane| lane.len() != n_inputs) {
+        Some(bad) => Err(RuntimeError::InputLenMismatch {
+            expected: n_inputs,
+            actual: bad.len(),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -1120,6 +1227,119 @@ mod tests {
         let (_, jp) = ideal_shift(&parallel, &compiled, &readout, &inputs, &params);
         for (a, b) in js.iter().zip(&jp) {
             assert_eq!(a.max_abs_diff(b), 0.0);
+        }
+    }
+
+    /// A fused input+parameter angle (left symbolic by prebinding) and
+    /// controlled X, Y and Z rotations on parameters and inputs.
+    fn mixed_circuit() -> qmarl_vqc::ir::Circuit {
+        use qmarl_qsim::gate::RotationAxis as Ax;
+        use qmarl_vqc::ir::{Angle, Circuit, FixedGate, InputId, ParamId};
+        let mut c = Circuit::new(3);
+        c.rot(0, Ax::Y, Angle::Input(InputId(0))).unwrap();
+        c.rot(0, Ax::Y, Angle::Param(ParamId(0))).unwrap();
+        c.fixed(1, FixedGate::H).unwrap();
+        c.rot(1, Ax::Z, Angle::Input(InputId(1))).unwrap();
+        c.controlled_rot(0, 1, Ax::X, Angle::Param(ParamId(1)))
+            .unwrap();
+        c.controlled_rot(1, 2, Ax::Y, Angle::Param(ParamId(2)))
+            .unwrap();
+        c.controlled_rot(2, 0, Ax::Z, Angle::Param(ParamId(3)))
+            .unwrap();
+        c.controlled_rot(0, 2, Ax::X, Angle::Input(InputId(1)))
+            .unwrap();
+        c.cnot(0, 2).unwrap();
+        c.cz(1, 2).unwrap();
+        c.rot(2, Ax::Z, Angle::Param(ParamId(0))).unwrap();
+        c.rot(2, Ax::Y, Angle::Const(-0.9)).unwrap();
+        c
+    }
+
+    #[test]
+    fn merged_parameter_lanes_match_each_group_alone() {
+        // Groups of one compiled circuit with distinct parameters merge
+        // into one parameter-lane slab; every group's outputs must equal
+        // the group run alone, at every worker count, whether its lanes
+        // share a chunk with other groups or not (the largest batch is
+        // over the inline bound, so it spreads over the pool in chunks
+        // that straddle groups).
+        for circuit in [mixed_circuit(), paper_circuit()] {
+            let compiled = compile(&circuit);
+            let (n_inputs, n_params) = (circuit.input_count(), circuit.param_count());
+            let readout = Readout::z_all(circuit.n_qubits());
+            for sizes in [&[2usize, 5][..], &[1, 2, 3, 5], &[30, 17, 9, 40]] {
+                let bound: Vec<PreboundCircuit> = (0..sizes.len())
+                    .map(|g| prebind(&compiled, &init_params(n_params, 40 + g as u64)).unwrap())
+                    .collect();
+                assert!(bound.iter().all(|pb| pb.same_schedule(&bound[0])));
+                let inputs: Vec<Vec<Vec<f64>>> = sizes
+                    .iter()
+                    .enumerate()
+                    .map(|(g, &lanes)| {
+                        (0..lanes)
+                            .map(|l| {
+                                (0..n_inputs)
+                                    .map(|i| 0.13 * (g * 7 + l * 3 + i) as f64 - 0.9)
+                                    .collect()
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let group = |g: usize| PreboundGroup {
+                    circuit: &bound[g],
+                    inputs: inputs[g].iter().map(Vec::as_slice).collect(),
+                };
+                let groups: Vec<PreboundGroup<'_>> = (0..sizes.len()).map(group).collect();
+                let alone: Vec<Vec<Vec<f64>>> = (0..sizes.len())
+                    .map(|g| {
+                        let out = BatchExecutor::serial()
+                            .expectation_batch_prebound(&readout, &[group(g)]);
+                        out.unwrap().remove(0)
+                    })
+                    .collect();
+                for workers in [1usize, 2, 4] {
+                    let ex = BatchExecutor::new(workers);
+                    let merged = ex.expectation_batch_prebound(&readout, &groups).unwrap();
+                    assert_eq!(merged, alone, "sizes {sizes:?}, {workers} workers");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn groups_of_other_schedules_split_the_merge() {
+        // A group of a different circuit between two groups of one
+        // schedule ends their family; each group still gets its own
+        // outputs, in order.
+        let (actor, mixed) = (compile(&paper_circuit()), compile(&mixed_circuit()));
+        let a0 = prebind(&actor, &init_params(20, 1)).unwrap();
+        let a1 = prebind(&actor, &init_params(20, 2)).unwrap();
+        let m = prebind(&mixed, &init_params(4, 3)).unwrap();
+        assert!(!a0.same_schedule(&m));
+        let xs = batch_inputs(3);
+        let ys = [vec![0.2, -0.4], vec![1.1, 0.3]];
+        let actor_lanes: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
+        let mixed_lanes: Vec<&[f64]> = ys.iter().map(Vec::as_slice).collect();
+        let readout = Readout::z_all(3);
+        let groups = [
+            PreboundGroup {
+                circuit: &a0,
+                inputs: actor_lanes.clone(),
+            },
+            PreboundGroup {
+                circuit: &m,
+                inputs: mixed_lanes.clone(),
+            },
+            PreboundGroup {
+                circuit: &a1,
+                inputs: actor_lanes.clone(),
+            },
+        ];
+        let ex = BatchExecutor::serial();
+        let out = ex.expectation_batch_prebound(&readout, &groups).unwrap();
+        for (g, group) in groups.iter().enumerate() {
+            let alone = ex.expectation_batch_prebound(&readout, std::slice::from_ref(group));
+            assert_eq!(out[g], alone.unwrap()[0], "group {g}");
         }
     }
 

@@ -24,6 +24,7 @@
 //! one compilation.
 
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use qmarl_qsim::gate::{Gate1, Gate2, RotationAxis};
 use qmarl_vqc::ir::{Angle, Circuit, InputId, Op, ParamId};
@@ -255,10 +256,12 @@ pub struct CompiledCircuit {
     n_qubits: usize,
     n_inputs: usize,
     n_params: usize,
-    /// Fusion-optimised forward schedule.
-    fused: Vec<CGate>,
-    /// Unfused schedule, 1:1 with the source circuit's ops.
-    raw: Vec<CGate>,
+    /// Fusion-optimised forward schedule, shared with every binding of it
+    /// (see [`crate::prebound::PreboundCircuit`]).
+    fused: Arc<[CGate]>,
+    /// Unfused schedule, 1:1 with the source circuit's ops, shared the
+    /// same way.
+    raw: Arc<[CGate]>,
     /// Trainable occurrences in `raw`, in op order.
     occurrences: Vec<Occurrence>,
     hash: u64,
@@ -292,6 +295,17 @@ impl CompiledCircuit {
     /// The unfused schedule (1:1 with the source ops).
     #[inline]
     pub fn raw_schedule(&self) -> &[CGate] {
+        &self.raw
+    }
+
+    /// The shared fused schedule, whose identity marks the bindings that
+    /// can share one slab walk.
+    pub(crate) fn fused_arc(&self) -> &Arc<[CGate]> {
+        &self.fused
+    }
+
+    /// The shared raw schedule.
+    pub(crate) fn raw_arc(&self) -> &Arc<[CGate]> {
         &self.raw
     }
 
@@ -396,8 +410,8 @@ pub fn compile(circuit: &Circuit) -> CompiledCircuit {
         n_qubits: circuit.n_qubits(),
         n_inputs: circuit.input_count(),
         n_params: circuit.param_count(),
-        fused,
-        raw,
+        fused: fused.into(),
+        raw: raw.into(),
         occurrences,
         hash: circuit_hash(circuit),
     }
@@ -924,11 +938,13 @@ mod tests {
         // Compilation keeps `Fixed2` out of the raw schedule; should that
         // ever change, the density binding refuses it with a typed error.
         let mut compiled = compile(&chain());
-        compiled.raw.push(CGate::Fixed2 {
+        let mut raw = compiled.raw.to_vec();
+        raw.push(CGate::Fixed2 {
             qa: 0,
             qb: 1,
             gate: Gate2::cnot(),
         });
+        compiled.raw = raw.into();
         let noise = qmarl_qsim::noise::NoiseModel::depolarizing(0.01, 0.02).unwrap();
         assert!(matches!(
             crate::superop::prebind_density(&compiled, &[0.1, 0.2, 0.3], &noise),

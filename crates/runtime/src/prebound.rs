@@ -17,7 +17,11 @@
 //! over one, where the slab *is* the statevector and the same `rows`
 //! kernels walk it as one-lane runs. Every
 //! `Ideal` and `Sampled` forward pass of [`crate::batch::BatchExecutor`]
-//! runs a prebound fused schedule this way.
+//! runs a prebound fused schedule this way. Bindings of one compiled
+//! schedule under different parameters (the N agents of a rollout tick)
+//! can also share one walk as **parameter lanes**: each lane then runs
+//! its own binding's resolved-rotation trig through the per-lane kernels
+//! and resolves its input rotations with its own parameters.
 //!
 //! `prebind_raw` binds the **raw** (unfused) schedule the same way for
 //! the parameter-shift gradient, whose `ShiftWalk` walks one item's raw
@@ -42,6 +46,7 @@
 //! tests; checked against the `vqc` interpreter at 1e-12).
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use qmarl_qsim::complex::Complex64;
 use qmarl_qsim::gate::{Gate1, Gate2, RotationAxis};
@@ -159,6 +164,14 @@ impl PreOp {
         }
     }
 
+    /// The hoisted `(sin θ/2, cos θ/2)` of a resolved rotation.
+    fn trig(&self) -> Option<(f64, f64)> {
+        match *self {
+            PreOp::RotSC { s, c, .. } | PreOp::CRotSC { s, c, .. } => Some((s, c)),
+            _ => None,
+        }
+    }
+
     /// The op's `(target, control)` wire masks, `control = 0` for a
     /// one-qubit op (a `Fixed2` is `(qb, qa)`).
     pub(crate) fn masks(&self) -> (usize, usize) {
@@ -185,9 +198,17 @@ impl PreOp {
 pub struct PreboundCircuit {
     n_qubits: usize,
     n_inputs: usize,
+    /// The compiled schedule the ops were bound from. Bindings of one
+    /// schedule differ only in their parameters, so their lanes can share
+    /// one slab walk ([`PreboundCircuit::same_schedule`]).
+    schedule: Arc<[CGate]>,
     params: Vec<f64>,
     ops: Vec<PreOp>,
 }
+
+/// What one lane of a [`walk`] runs: a prebound op list and the frozen
+/// parameters its symbolic angles resolve with.
+pub(crate) type Bound<'a> = (&'a [PreOp], &'a [f64]);
 
 impl PreboundCircuit {
     /// Register width.
@@ -217,6 +238,19 @@ impl PreboundCircuit {
     pub(crate) fn ops(&self) -> &[PreOp] {
         &self.ops
     }
+
+    /// The ops and parameters of the binding, as one lane of a [`walk`].
+    pub(crate) fn bound(&self) -> Bound<'_> {
+        (&self.ops, &self.params)
+    }
+
+    /// Whether `other` binds the same compiled schedule (the same shared
+    /// `Arc`, so the same ops in the same order): the two then differ
+    /// only in their parameters, op for op in the resolved rotations'
+    /// trig and the parameter terms of symbolic angles.
+    pub(crate) fn same_schedule(&self, other: &PreboundCircuit) -> bool {
+        Arc::ptr_eq(&self.schedule, &other.schedule)
+    }
 }
 
 /// Binds a compiled schedule to a frozen parameter vector, hoisting every
@@ -230,7 +264,7 @@ pub fn prebind(
     compiled: &CompiledCircuit,
     params: &[f64],
 ) -> Result<PreboundCircuit, RuntimeError> {
-    prebind_schedule(compiled, compiled.fused_schedule(), params)
+    prebind_schedule(compiled, compiled.fused_arc(), params)
 }
 
 /// Binds the **raw** (unfused) schedule the same way — the schedule of
@@ -247,12 +281,12 @@ pub(crate) fn prebind_raw(
     compiled: &CompiledCircuit,
     params: &[f64],
 ) -> Result<PreboundCircuit, RuntimeError> {
-    prebind_schedule(compiled, compiled.raw_schedule(), params)
+    prebind_schedule(compiled, compiled.raw_arc(), params)
 }
 
 fn prebind_schedule(
     compiled: &CompiledCircuit,
-    schedule: &[CGate],
+    schedule: &Arc<[CGate]>,
     params: &[f64],
 ) -> Result<PreboundCircuit, RuntimeError> {
     if params.len() != compiled.n_params() {
@@ -264,6 +298,7 @@ fn prebind_schedule(
     Ok(PreboundCircuit {
         n_qubits: compiled.n_qubits(),
         n_inputs: compiled.n_inputs(),
+        schedule: Arc::clone(schedule),
         params: params.to_vec(),
         ops: schedule
             .iter()
@@ -365,7 +400,7 @@ pub fn run_prebound(pb: &PreboundCircuit, inputs: &[f64]) -> Result<StateVector,
     let mut state = StateVector::zero(pb.n_qubits);
     let mut scratch = LaneScratch::default();
     let slabs = &mut [state.amplitudes_mut()];
-    walk(slabs, 1, &pb.ops, &[inputs], &pb.params, &mut scratch);
+    walk(slabs, 1, &[pb.bound()], &[inputs], &mut scratch);
     Ok(state)
 }
 
@@ -430,17 +465,12 @@ impl ShiftSchedule for PreboundCircuit {
     ) -> Result<(), RuntimeError> {
         if let Some(theta) = rebound {
             let gate = [self.ops[range.start].with_angle(theta)?];
-            walk(&mut [&mut *amps], 1, &gate, inputs, &self.params, scratch);
+            let bound = [(&gate[..], self.params.as_slice())];
+            walk(&mut [&mut *amps], 1, &bound, inputs, scratch);
             range.start += 1;
         }
-        walk(
-            &mut [amps],
-            1,
-            &self.ops[range],
-            inputs,
-            &self.params,
-            scratch,
-        );
+        let bound = [(&self.ops[range], self.params.as_slice())];
+        walk(&mut [amps], 1, &bound, inputs, scratch);
         Ok(())
     }
 }
@@ -540,9 +570,10 @@ pub(crate) fn run_raw_with_override(
 #[derive(Debug, Default)]
 pub(crate) struct LaneScratch {
     /// `(sin θ/2, cos θ/2)` of the current rotation when every lane shares
-    /// it (one input vector for every lane), with no buffer to fill.
+    /// it (one input vector and one binding for every lane), with no
+    /// buffer to fill.
     pub(crate) uniform: Option<(f64, f64)>,
-    /// Otherwise the current input rotation's pair for each lane.
+    /// Otherwise the current rotation's pair for each lane.
     pub(crate) trig: Vec<(f64, f64)>,
     /// For a per-lane Rz, the phase `(c, −s)` of target-clear rows.
     pub(crate) zlo: Vec<(f64, f64)>,
@@ -554,27 +585,44 @@ impl LaneScratch {
     /// Resolves an input-dependent rotation (at `−θ` when `negate`) for
     /// every lane with the exact arithmetic of the per-circuit angle
     /// kernels: once per op, however many registers the op then runs on.
+    /// Lane `l` resolves with its own inputs and parameters, each given
+    /// per lane or once for every lane (see [`walk`]).
     pub(crate) fn resolve(
         &mut self,
         axis: RotationAxis,
         angle: &FusedAngle,
         negate: bool,
         inputs: &[&[f64]],
-        params: &[f64],
+        bound: &[Bound<'_>],
     ) {
-        let trig = |lane_inputs: &[f64]| {
+        let trig = |lane_inputs: &[f64], (_, params): Bound<'_>| {
             let theta = angle.value(lane_inputs, params);
             let theta = if negate { -theta } else { theta };
             (theta / 2.0).sin_cos()
         };
-        if let [lane_inputs] = inputs {
-            self.uniform = Some(trig(lane_inputs));
+        if let ([lane_inputs], [one]) = (inputs, bound) {
+            self.uniform = Some(trig(lane_inputs, *one));
             return;
         }
+        let lanes = inputs.len().max(bound.len());
+        let at = |len: usize, lane: usize| if len == 1 { 0 } else { lane };
+        self.fill(
+            axis,
+            (0..lanes).map(|l| trig(inputs[at(inputs.len(), l)], bound[at(bound.len(), l)])),
+        );
+    }
+
+    /// Gathers every lane's hoisted trig of op `k`, a resolved rotation
+    /// in every binding of one schedule.
+    fn gather(&mut self, axis: RotationAxis, bound: &[Bound<'_>], k: usize) {
+        self.fill(axis, bound.iter().filter_map(|(ops, _)| ops[k].trig()));
+    }
+
+    /// Fills the per-lane tables from each lane's `(sin θ/2, cos θ/2)`.
+    fn fill(&mut self, axis: RotationAxis, trig: impl Iterator<Item = (f64, f64)>) {
         self.uniform = None;
         self.trig.clear();
-        self.trig
-            .extend(inputs.iter().map(|lane_inputs| trig(lane_inputs)));
+        self.trig.extend(trig);
         self.zlo.clear();
         self.zhi.clear();
         if axis == RotationAxis::Z {
@@ -605,42 +653,71 @@ impl LaneScratch {
     }
 }
 
-/// Applies `ops` in order to every lane of each slab (`slab[amp · lanes +
-/// lane]`): the runtime's one statevector walker. Lane `l` is bound to
-/// `inputs[l]`, or every lane to `inputs[0]` when one input vector is
-/// given (the trajectories of one evaluation). Each slab gets one view
-/// for all of `ops`. Batched forwards run it over lane chunks, single
-/// states (`run_prebound`, the shift walk's prefix and forks) over one
-/// lane, and both adjoints over their forward and inverse ops; the
-/// adjoint un-applies each op from φ and every λ in one call, which
-/// resolves an input rotation's trig once for all of them.
+/// Applies a bound op list in order to every lane of each slab
+/// (`slab[amp · lanes + lane]`): the runtime's one statevector walker.
+/// Lane `l` is bound to `inputs[l]`, or every lane to `inputs[0]` when
+/// one input vector is given (the trajectories of one evaluation), and
+/// likewise to `bound[l]` or `bound[0]`. Per-lane bindings must all bind
+/// one compiled schedule ([`PreboundCircuit::same_schedule`]): a
+/// resolved rotation then runs each lane's own trig through the per-lane
+/// kernels, an input rotation resolves with each lane's own parameters,
+/// and every other op is the same for every lane. With one binding the
+/// walk runs every rotation through the uniform kernels. Each slab gets
+/// one view for all of the ops. Batched forwards run it over lane chunks
+/// (the agents of a rollout tick as lanes of one slab), single states
+/// (`run_prebound`, the shift walk's prefix and forks) over one lane,
+/// and both adjoints over their forward and inverse ops; the adjoint
+/// un-applies each op from φ and every λ in one call, which resolves a
+/// rotation's trig once for all of them.
 pub(crate) fn walk(
     slabs: &mut [&mut [Complex64]],
     lanes: usize,
-    ops: &[PreOp],
+    bound: &[Bound<'_>],
     inputs: &[&[f64]],
-    params: &[f64],
     scratch: &mut LaneScratch,
 ) {
     assert!(
         inputs.len() == lanes || inputs.len() == 1,
         "one input vector per lane, or one for every lane"
     );
+    assert!(
+        bound.len() == lanes || bound.len() == 1,
+        "one binding per lane, or one for every lane"
+    );
+    let Some(&(ops, _)) = bound.first() else {
+        return;
+    };
+    assert!(
+        bound
+            .iter()
+            .all(|(lane_ops, _)| lane_ops.len() == ops.len()),
+        "the bindings of one walk bind one schedule"
+    );
+    let per_lane = bound.len() > 1;
     // A one-op walk over several slabs (the adjoint un-applying an op from
     // φ and every λ) reuses the trig the first slab resolved.
     let reuse = |i: usize| i > 0 && ops.len() == 1;
     for (i, slab) in slabs.iter_mut().enumerate() {
         let mut slab = rows::Slab::new(slab, lanes);
-        for op in ops {
+        for (k, op) in ops.iter().enumerate() {
             match op {
-                PreOp::RotSC { qubit, axis, s, c } => slab.rot(*axis, 1 << qubit, 0, *s, *c),
+                PreOp::RotSC { qubit, axis, s, c } if !per_lane => {
+                    slab.rot(*axis, 1 << qubit, 0, *s, *c)
+                }
                 PreOp::CRotSC {
                     control,
                     target,
                     axis,
                     s,
                     c,
-                } => slab.rot(*axis, 1 << target, 1 << control, *s, *c),
+                } if !per_lane => slab.rot(*axis, 1 << target, 1 << control, *s, *c),
+                PreOp::RotSC { axis, .. } | PreOp::CRotSC { axis, .. } => {
+                    if !reuse(i) {
+                        scratch.gather(*axis, bound, k);
+                    }
+                    let (mt, mc) = op.masks();
+                    scratch.apply(&mut slab, *axis, mt, mc)
+                }
                 PreOp::Rot {
                     qubit,
                     axis,
@@ -648,7 +725,7 @@ pub(crate) fn walk(
                     negate,
                 } => {
                     if !reuse(i) {
-                        scratch.resolve(*axis, angle, *negate, inputs, params);
+                        scratch.resolve(*axis, angle, *negate, inputs, bound);
                     }
                     scratch.apply(&mut slab, *axis, 1 << qubit, 0)
                 }
@@ -660,7 +737,7 @@ pub(crate) fn walk(
                     negate,
                 } => {
                     if !reuse(i) {
-                        scratch.resolve(*axis, angle, *negate, inputs, params);
+                        scratch.resolve(*axis, angle, *negate, inputs, bound);
                     }
                     scratch.apply(&mut slab, *axis, 1 << target, 1 << control)
                 }
@@ -681,7 +758,7 @@ pub(crate) fn walk(
 #[cfg(test)]
 pub(crate) fn run_prebound_slab(pb: &PreboundCircuit, inputs: &[&[f64]]) -> Vec<StateVector> {
     let lanes = inputs.len();
-    let slab = run_prebound_slab_raw(pb, inputs);
+    let slab = run_prebound_slab_raw(pb.n_qubits, &[pb.bound()], inputs);
     (0..lanes)
         .map(|lane| {
             let mut state = StateVector::zero(pb.n_qubits);
@@ -748,19 +825,25 @@ pub(crate) fn readouts_from_slab(
     }
 }
 
-/// The slab itself, `slab[amp · lanes + lane]`, after the schedule walk.
-pub(crate) fn run_prebound_slab_raw(pb: &PreboundCircuit, inputs: &[&[f64]]) -> Vec<Complex64> {
+/// The slab itself, `slab[amp · lanes + lane]`, after a walk of
+/// `n_qubits`-qubit lanes from `|0…0⟩` (bindings and inputs as in
+/// [`walk`]).
+pub(crate) fn run_prebound_slab_raw(
+    n_qubits: usize,
+    bound: &[Bound<'_>],
+    inputs: &[&[f64]],
+) -> Vec<Complex64> {
     let lanes = inputs.len();
     if lanes == 0 {
         return Vec::new();
     }
-    let mut slab = vec![Complex64::ZERO; (1usize << pb.n_qubits) * lanes];
+    let mut slab = vec![Complex64::ZERO; (1usize << n_qubits) * lanes];
     for cell in slab[..lanes].iter_mut() {
         *cell = Complex64::ONE; // every lane starts in |0…0⟩
     }
     let mut scratch = LaneScratch::default();
     let slabs = &mut [slab.as_mut_slice()];
-    walk(slabs, lanes, &pb.ops, inputs, &pb.params, &mut scratch);
+    walk(slabs, lanes, bound, inputs, &mut scratch);
     slab
 }
 
@@ -1055,14 +1138,8 @@ pub(crate) fn reverse_sweep(
         if k == first_param {
             break;
         }
-        walk(
-            &mut regs,
-            lanes,
-            &pa.inv[k..=k],
-            inputs,
-            params,
-            &mut scratch,
-        );
+        let inverse = [(&pa.inv[k..=k], params)];
+        walk(&mut regs, lanes, &inverse, inputs, &mut scratch);
     }
 }
 
@@ -1084,7 +1161,7 @@ pub(crate) fn run_adjoint_slab(
     }
     // Forward walk over the raw (unfused) schedule: the serial adjoint
     // differentiates the op list 1:1, so no fusion here either.
-    let mut phi = run_prebound_slab_raw(&pa.fwd, inputs);
+    let mut phi = run_prebound_slab_raw(pa.n_qubits(), &[pa.fwd.bound()], inputs);
     let outs = readouts_from_slab(readout, &phi, lanes);
     let n_out = readout.output_len();
     let mut jacs = vec![Jacobian::zeros(n_out, pa.n_params()); lanes];

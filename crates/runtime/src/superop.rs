@@ -210,7 +210,8 @@ fn walk_density(
                 negate,
                 ..
             } => {
-                scratch.resolve(*axis, angle, *negate, inputs, pb.params());
+                let bound = [(ops, pb.params())];
+                scratch.resolve(*axis, angle, *negate, inputs, &bound);
                 rot_both_sides(*axis, &mut view, row, col, scratch);
             }
             PreOp::CRotSC { axis, s, c, .. } => {

@@ -170,7 +170,8 @@ fn walk_forward(
         //    same bindings).
         let op_k = std::slice::from_ref(op);
         let slabs = &mut [slab.as_mut_slice()];
-        walk(slabs, lanes, op_k, &[inputs], pb.params(), &mut scratch);
+        let bound = [(op_k, pb.params())];
+        walk(slabs, lanes, &bound, &[inputs], &mut scratch);
         // 2. The channel: each lane draws from its own stream, wires
         //    control before target — the interpreter's order.
         let (mt, mc) = op.masks();

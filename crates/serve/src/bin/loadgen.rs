@@ -15,7 +15,12 @@
 //! With `--faults`, the server runs under the given seeded fault plan
 //! and every client retries transient failures (capped exponential
 //! backoff); the per-cell retry/shed/give-up counts land in the output
-//! alongside the server's shed/deadline/fault counters.
+//! alongside the server's shed/deadline/fault counters. A plan with
+//! `poison=<rate>` makes the clients themselves send that share of
+//! requests with one feature set to NaN, ±inf or 1e300
+//! ([`FaultPlan::poison_observation`]); the output counts them and how
+//! many were refused (`poisoned`, `poison_refused`), and `errors` counts
+//! only the failures of unpoisoned requests.
 //!
 //! Each cell starts a fresh in-process server, drives it with `clients`
 //! paced connections (per-client pacing at `load / clients`; when the
@@ -61,6 +66,8 @@ struct Cell {
     offered_rps: u64,
     completed: u64,
     errors: u64,
+    poisoned: u64,
+    poison_refused: u64,
     achieved_rps: f64,
     actions_per_s: f64,
     latency_p50_us: f64,
@@ -77,6 +84,17 @@ struct Cell {
     deadline_expired: u64,
     corrupt_skips: u64,
     faults_injected: u64,
+}
+
+/// One client's tally over a cell.
+#[derive(Default)]
+struct ClientTally {
+    hist: LatencyHistogram,
+    completed: u64,
+    errors: u64,
+    poisoned: u64,
+    poison_refused: u64,
+    retry: RetryStats,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -126,54 +144,69 @@ fn run_cell(
     let workers: Vec<_> = (0..clients)
         .map(|c| {
             let scenario = scenario.to_string();
-            std::thread::spawn(
-                move || -> Result<(LatencyHistogram, u64, u64, RetryStats), String> {
-                    let mut stream = ObsStream::new(&scenario, seed.wrapping_add(c as u64))
-                        .map_err(|e| e.to_string())?;
-                    let mut client = ServeClient::connect(addr).map_err(|e| e.to_string())?;
-                    if retry_clients {
-                        client = client
-                            .with_retry(RetryPolicy::default(), seed.wrapping_add(1000 + c as u64));
+            std::thread::spawn(move || -> Result<ClientTally, String> {
+                let mut stream = ObsStream::new(&scenario, seed.wrapping_add(c as u64))
+                    .map_err(|e| e.to_string())?;
+                let mut client = ServeClient::connect(addr).map_err(|e| e.to_string())?;
+                if retry_clients {
+                    client = client
+                        .with_retry(RetryPolicy::default(), seed.wrapping_add(1000 + c as u64));
+                }
+                let mut tally = ClientTally::default();
+                let mut next_due = Instant::now();
+                let mut request = 0u64;
+                while Instant::now() < end {
+                    let now = Instant::now();
+                    if now < next_due {
+                        std::thread::sleep(next_due - now);
                     }
-                    let mut hist = LatencyHistogram::new();
-                    let (mut completed, mut errors) = (0u64, 0u64);
-                    let mut next_due = Instant::now();
-                    while Instant::now() < end {
-                        let now = Instant::now();
-                        if now < next_due {
-                            std::thread::sleep(next_due - now);
+                    next_due += interval;
+                    let mut obs = stream.next_observation();
+                    let key = FaultPlan::key2(c as u64, request);
+                    request += 1;
+                    let poisoned = faults
+                        .and_then(|plan| plan.poison_observation(key, &mut obs))
+                        .is_some();
+                    tally.poisoned += u64::from(poisoned);
+                    let t0 = Instant::now();
+                    match client.act(&obs) {
+                        Ok(_) => {
+                            let elapsed = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                            tally.hist.record(elapsed);
+                            tally.completed += 1;
                         }
-                        next_due += interval;
-                        let obs = stream.next_observation();
-                        let t0 = Instant::now();
-                        match client.act(&obs) {
-                            Ok(_) => {
-                                hist.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                                completed += 1;
-                            }
-                            Err(_) => errors += 1,
-                        }
+                        Err(_) if poisoned => tally.poison_refused += 1,
+                        Err(_) => tally.errors += 1,
                     }
-                    Ok((hist, completed, errors, client.retry_stats()))
-                },
-            )
+                }
+                tally.retry = client.retry_stats();
+                Ok(tally)
+            })
         })
         .collect();
 
-    let mut hist = LatencyHistogram::new();
-    let (mut completed, mut errors) = (0u64, 0u64);
-    let mut retry_stats = RetryStats::default();
+    let mut total = ClientTally::default();
     for w in workers {
-        let (h, c, e, r) = w
+        let t = w
             .join()
             .map_err(|_| "client thread panicked".to_string())??;
-        hist.merge(&h);
-        completed += c;
-        errors += e;
-        retry_stats.retries += r.retries;
-        retry_stats.sheds += r.sheds;
-        retry_stats.gave_up += r.gave_up;
+        total.hist.merge(&t.hist);
+        total.completed += t.completed;
+        total.errors += t.errors;
+        total.poisoned += t.poisoned;
+        total.poison_refused += t.poison_refused;
+        total.retry.retries += t.retry.retries;
+        total.retry.sheds += t.retry.sheds;
+        total.retry.gave_up += t.retry.gave_up;
     }
+    let ClientTally {
+        hist,
+        completed,
+        errors,
+        poisoned,
+        poison_refused,
+        retry: retry_stats,
+    } = total;
     let elapsed = start.elapsed().as_secs_f64();
     let report = handle.shutdown();
 
@@ -183,6 +216,8 @@ fn run_cell(
         offered_rps,
         completed,
         errors,
+        poisoned,
+        poison_refused,
         achieved_rps: completed as f64 / elapsed,
         actions_per_s: (completed * n_agents) as f64 / elapsed,
         latency_p50_us: hist.p50_us(),
@@ -283,14 +318,17 @@ fn main() {
                     Ok(cell) => {
                         eprintln!(
                             "  -> {:.0} req/s, {:.0} actions/s, p50 {:.0}us p99 {:.0}us, \
-                             mean batch {:.2}, errors {}, retries {}, shed {}, \
-                             deadline-expired {}, corrupt-skips {}, faults {}",
+                             mean batch {:.2}, errors {}, poisoned {} (refused {}), \
+                             retries {}, shed {}, deadline-expired {}, corrupt-skips {}, \
+                             faults {}",
                             cell.achieved_rps,
                             cell.actions_per_s,
                             cell.latency_p50_us,
                             cell.latency_p99_us,
                             cell.mean_batch,
                             cell.errors,
+                            cell.poisoned,
+                            cell.poison_refused,
                             cell.retries,
                             cell.server_shed,
                             cell.deadline_expired,
@@ -333,6 +371,11 @@ fn main() {
         json.push_str(&format!("      \"offered_rps\": {},\n", c.offered_rps));
         json.push_str(&format!("      \"completed\": {},\n", c.completed));
         json.push_str(&format!("      \"errors\": {},\n", c.errors));
+        json.push_str(&format!("      \"poisoned\": {},\n", c.poisoned));
+        json.push_str(&format!(
+            "      \"poison_refused\": {},\n",
+            c.poison_refused
+        ));
         json.push_str(&format!("      \"achieved_rps\": {:.3},\n", c.achieved_rps));
         json.push_str(&format!(
             "      \"actions_per_s\": {:.3},\n",

@@ -61,5 +61,5 @@ pub mod prelude {
     pub use crate::server::{serve, DrainReport, ServerConfig, ServerHandle};
     pub use crate::stream::ObsStream;
     pub use crate::watch::{spawn_watcher, WatchConfig, WatcherHandle};
-    pub use qmarl_chaos::{FaultPlan, RetryPolicy};
+    pub use qmarl_chaos::{FaultPlan, RetryPolicy, POISON_VALUES};
 }

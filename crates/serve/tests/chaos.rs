@@ -306,3 +306,94 @@ fn absent_and_zero_rate_plans_are_inert() {
         assert_eq!(report.requests_served, 20);
     }
 }
+
+/// Poisoned observations, as `loadgen --faults faults:poison=<rate>`
+/// sends them: a NaN or ±inf feature is refused with a typed ERROR, a
+/// 1e300 feature gets a well-formed reply (actions equal to the reference
+/// policy's, or a typed ERROR), and no poison drops its connection. The
+/// clients do not retry, so a dropped connection would surface as an I/O
+/// error on the requests that follow it; every unpoisoned request must
+/// instead be served, bit-identical to the reference.
+#[test]
+fn poisoned_observations_get_typed_replies_and_service_continues() {
+    let reference = paper_policy();
+    let plan: FaultPlan = "faults:poison=0.3:seed=11".parse().expect("plan");
+    let handle = serve(
+        paper_policy(),
+        ServerConfig {
+            faults: Some(plan),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("serve");
+    let addr = handle.addr();
+    let request_len = reference.request_len();
+
+    let n_clients = 4;
+    let per_client = 40;
+    let workers: Vec<_> = (0..n_clients)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut client = ServeClient::connect(addr).expect("connect");
+                (0..per_client)
+                    .map(|r| {
+                        let mut obs = obs_slab(c * 1000 + r, request_len);
+                        let key = FaultPlan::key2(c as u64, r as u64);
+                        let poison = plan.poison_observation(key, &mut obs);
+                        let reply = client.act(&obs);
+                        (obs, poison, reply)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+
+    let mut sent = [0usize; POISON_VALUES.len()];
+    let mut non_finite = 0u64;
+    for w in workers {
+        let replies = w.join().expect("client thread");
+        assert!(
+            (replies.windows(2)).any(|w| w[0].1.is_some() && w[1].1.is_none()),
+            "every connection must carry a poisoned request followed by a clean one"
+        );
+        for (obs, poison, reply) in replies {
+            let expected = reference
+                .act(&obs)
+                .map(|actions| actions.iter().map(|&a| a as u16).collect::<Vec<u16>>());
+            match poison {
+                Some(value) => {
+                    let kind = POISON_VALUES
+                        .iter()
+                        .position(|v| v.to_bits() == value.to_bits())
+                        .expect("a poison value");
+                    sent[kind] += 1;
+                    match reply {
+                        Err(ServeError::Server(_)) if !value.is_finite() => non_finite += 1,
+                        Err(ServeError::Server(_)) => {}
+                        Ok(actions) if value.is_finite() => assert_eq!(
+                            Ok(actions),
+                            expected.map_err(|e| e.to_string()),
+                            "a 1e300 feature got a wrong answer"
+                        ),
+                        other => panic!("poison {value} got {other:?}, not a typed reply"),
+                    }
+                }
+                None => assert_eq!(
+                    reply.expect("an unpoisoned request must be served"),
+                    expected.expect("reference")
+                ),
+            }
+        }
+    }
+    assert!(
+        sent.iter().all(|&n| n > 0),
+        "NaN, +inf, -inf and 1e300 must each be sent: {sent:?}"
+    );
+
+    let report = handle.shutdown();
+    assert_eq!(
+        report.requests_rejected, non_finite,
+        "each non-finite observation is refused once, before the batcher"
+    );
+    assert_eq!(report.faults_injected, 0, "poison is a client-side fault");
+}
